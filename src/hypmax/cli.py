@@ -5,7 +5,9 @@ sums and SVG figures.
 Configuration precedence is flags > config file > defaults; the config
 file is flat ``key=value`` lines.  Every stochastic run requires a seed
 (the default seed is 0) and reports are byte-identical for identical
-(config, seed).  Exit status is 0 iff every asserted bound passes.
+(config, seed).  Exit status is 0 iff every asserted bound passes, 1 when
+one fails, and 2 on invalid input, reported as one ``hypmax: error:`` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -55,24 +57,40 @@ class RunConfig:
             raise AttributeError(name)
 
 
+class UsageError(ValueError):
+    """Invalid command-line or config input; exit status 2."""
+
+
 def parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 6:
-        raise ValueError("grid spec must be x0:x1:u0:u1:nx:nu")
-    x0, x1, u0, u1 = map(float, parts[:4])
-    nx, nu = int(parts[4]), int(parts[5])
+        raise UsageError("grid spec must be x0:x1:u0:u1:nx:nu")
+    try:
+        x0, x1, u0, u1 = map(float, parts[:4])
+        nx, nu = int(parts[4]), int(parts[5])
+    except ValueError:
+        raise UsageError(f"grid spec {spec!r}: bounds must be numbers and nx, nu integers") from None
+    if not (x0 < x1 and u0 < u1):
+        raise UsageError(f"grid spec {spec!r}: need x0 < x1 and u0 < u1")
+    if nx < 1 or nu < 1:
+        raise UsageError(f"grid spec {spec!r}: nx and nu must be >= 1")
     return (x0, x1, u0, u1), (nx, nu)
 
 
 def parse_alpha_ladder(spec: str):
     """'2^-3..2^-10' gives the dyadic ladder; otherwise comma floats."""
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        m1 = int(lo.replace("2^", ""))
-        m2 = int(hi.replace("2^", ""))
-        ms_range = range(min(-m1, -m2), max(-m1, -m2) + 1)
-        return [2.0**-m for m in ms_range], list(ms_range)
-    vals = [float(v) for v in spec.split(",")]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            m1 = int(lo.replace("2^", ""))
+            m2 = int(hi.replace("2^", ""))
+            ms_range = range(min(-m1, -m2), max(-m1, -m2) + 1)
+            return [2.0**-m for m in ms_range], list(ms_range)
+        vals = [float(v) for v in spec.split(",")]
+    except ValueError:
+        raise UsageError(f"alpha ladder {spec!r}: expected 2^-a..2^-b or comma floats") from None
+    if not all(0.0 < v < math.inf for v in vals):
+        raise UsageError(f"alpha ladder {spec!r}: every alpha must be positive and finite")
     return vals, None
 
 
@@ -97,7 +115,7 @@ def _profile_fn(name: str, support_scale: float = 1.0):
         return lambda x, y: hyp2.contains_mask(s, x, y).astype(float)
     if name == "height":
         return lambda x, y: np.minimum(1.0 / y, 20.0) * (np.abs(x) < 2.0) * (y < 4.0)
-    raise ValueError(f"unknown profile {name!r}")
+    raise UsageError(f"unknown profile {name!r}")
 
 
 def _family_for(grid, name: str, k_max: int = 6):
@@ -198,7 +216,7 @@ def cmd_maxfn(cfg) -> ExperimentReport:
 
 def cmd_levelset(cfg) -> ExperimentReport:
     if int(cfg.nu) != 1:
-        raise ValueError("level-set tables are computed on the nu = 1 backend")
+        raise UsageError("level-set tables are computed on the nu = 1 backend")
     window, res = parse_grid(cfg.grid)
     grid = ms.build_grid("h2", window, res)
     grid.set_values(_profile_fn(cfg.profile))
@@ -255,7 +273,7 @@ def cmd_vitali(cfg) -> ExperimentReport:
 def cmd_eta(cfg) -> ExperimentReport:
     _, m_range = parse_alpha_ladder(cfg.alpha_ladder)
     if m_range is None:
-        raise ValueError("eta requires a dyadic ladder like 2^-6..2^-14")
+        raise UsageError("eta requires a dyadic ladder like 2^-6..2^-14")
     rep = ex.dirac_level_growth(m_range, seed=int(cfg.seed))
     rep.meta = _meta(cfg) | rep.meta
     return rep
@@ -385,7 +403,12 @@ def _write(cfg, body: str, ext: str) -> None:
 
 
 def main(argv=None) -> int:
-    return run(resolve_config(argv))[0]
+    cfg = resolve_config(argv)
+    try:
+        return run(cfg)[0]
+    except UsageError as exc:
+        print(f"hypmax: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -83,16 +83,16 @@ def cylinder_contains(alg: HTypeAlgebra, c, x: SPoint) -> bool:
 
 
 def cylinder_contains_batch(alg: HTypeAlgebra, c, X, Z, a):
-    """Strict membership of points (X, Z, a) in the open cylinder c."""
-    X0, Z0 = c.n0.X, c.n0.Z
-    Xd = X - X0[None, :]
-    if alg.p:
-        shift = np.einsum("i,nj,ijk->nk", X0, X, alg.bracket_coeffs)
-        Zd = Z - Z0[None, :] - 0.5 * shift
-    else:
-        Zd = Z - Z0[None, :]
-    g = ht.gauge_batch(Xd, Zd)
-    return (g < c.base_radius) & (a > c.base_height)
+    """Strict membership of points (X, Z, a) in the open cylinder c.
+
+    ``a`` holds one height per row of X and Z, shape (n,), or k heights per
+    row, shape (n, k); the verdict has the shape of ``a``.  The gauge is
+    evaluated once per row either way."""
+    g = ht.gauge_batch(*ht.left_translate_batch(alg, ht.n_inv(c.n0), X, Z))
+    inside = g < c.base_radius
+    if np.ndim(a) == 2:
+        inside = inside[:, None]
+    return inside & (a > c.base_height)
 
 
 # ----------------------------------------------------------------- volumes

@@ -53,12 +53,7 @@ def _probe_points(alg, c, n_dirs: int, rng):
     scale = ((1.0 - 1e-9) * c.base_radius / g) ** 2
     X = np.sqrt(scale)[:, None] * X
     Z = scale[:, None] * Z
-    X0, Z0 = c.n0.X, c.n0.Z
-    if alg.p:
-        Zt = Z0[None, :] + Z + 0.5 * np.einsum("i,nj,ijk->nk", X0, X, alg.bracket_coeffs)
-    else:
-        Zt = Z0[None, :] + Z
-    return X0[None, :] + X, Zt
+    return ht.left_translate_batch(alg, c.n0, X, Z)
 
 
 def _refutes_containment(alg, inner, outer, n_dirs: int, rng) -> bool:
@@ -68,12 +63,7 @@ def _refutes_containment(alg, inner, outer, n_dirs: int, rng) -> bool:
     if inner.base_height < outer.base_height - 1e-12:
         return True  # inner reaches below the outer base
     X, Z = _probe_points(alg, inner, n_dirs, rng)
-    X0, Z0 = outer.n0.X, outer.n0.Z
-    Xd = X - X0[None, :]
-    if alg.p:
-        Zd = Z - Z0[None, :] - 0.5 * np.einsum("i,nj,ijk->nk", X0, X, alg.bracket_coeffs)
-    else:
-        Zd = Z - Z0[None, :]
+    Xd, Zd = ht.left_translate_batch(alg, ht.n_inv(outer.n0), X, Z)
     return bool((ht.gauge_batch(Xd, Zd) >= outer.base_radius).any())
 
 
@@ -132,16 +122,21 @@ def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"
         [x_his.max(axis=0), (z_ctr + pad).max(axis=0)] if alg.p else [(z_ctr + pad).max(axis=0)]
     )
     pts = rng.uniform(lo, hi, (samples, alg.p + alg.q))
+    # sorted by the first horizontal coordinate, each base ball meets one
+    # contiguous slice (|X_1 - X0_1| < 2r, or |Z_1 - Z0_1| < r^2 when p = 0),
+    # and only the slice's samples inside the ball's box are tested; the hit
+    # count below does not depend on the order
+    pts = pts[np.argsort(pts[:, 0], kind="stable")]
     X, Z = pts[:, : alg.p], pts[:, alg.p :]
+    cols = np.ascontiguousarray(pts.T)
     inside = np.zeros(samples, dtype=bool)
     for c in cyls:
-        X0, Z0 = c.n0.X, c.n0.Z
-        Xd = X - X0[None, :]
-        if alg.p:
-            Zd = Z - Z0[None, :] - 0.5 * np.einsum("i,nj,ijk->nk", X0, X, alg.bracket_coeffs)
-        else:
-            Zd = Z - Z0[None, :]
-        inside |= ht.gauge_batch(Xd, Zd) < c.base_radius
+        b_lo, b_hi = ms.base_ball_box(alg, c)
+        i0, i1 = cols[0].searchsorted((b_lo[0], b_hi[0]))
+        seg = cols[:, i0:i1]
+        rows = i0 + np.flatnonzero(((seg > b_lo[:, None]) & (seg < b_hi[:, None])).all(axis=0))
+        Xd, Zd = ht.left_translate_batch(alg, ht.n_inv(c.n0), X[rows], Z[rows])
+        inside[rows] |= ht.gauge_batch(Xd, Zd) < c.base_radius
     box = float(np.prod(hi - lo))
     frac = inside.mean()
     stderr = box * math.sqrt(frac * (1 - frac) / samples) * tail
@@ -354,11 +349,11 @@ def overlap_profile_exact(fam: MaximalFamily) -> OverlapProfile:
 
 def overlap_profile(fam: MaximalFamily, grid: ms.SampleGrid) -> OverlapProfile:
     """Grid-tally overlap profile for any backend."""
-    counts = np.zeros(grid.size, dtype=np.int64)
+    counts = np.zeros(grid.shape, dtype=np.int64)
     for c in fam.cylinders:
-        counts += drsets.cylinder_contains_batch(
-            fam.alg, c.as_cylinder(), grid.X, grid.Z, grid.a
-        )
+        block, mask = ms.membership_mask(grid, c)
+        counts[block] += mask
+    counts = counts.reshape(grid.size)
     out = []
     for k in range(1, counts.max(initial=0) + 1):
         out.append((k, float(grid.weights[counts == k].sum())))

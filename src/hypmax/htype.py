@@ -219,6 +219,18 @@ def gauge_batch(X, Z):
     return (x4 / 16.0 + np.einsum("nk,nk->n", Z, Z)) ** 0.25
 
 
+def left_translate_batch(alg: HTypeAlgebra, n0: NPoint, X, Z) -> tuple:
+    """Rows of n0 n for the points n = (X, Z): (X0 + X, Z0 + Z + [X0, X]/2).
+
+    Pass ``n_inv(n0)`` for n0^{-1} n; negating n0 negates every term of the
+    bracket exactly, so both directions round like the expanded forms."""
+    X0, Z0 = n0.X, n0.Z
+    Zt = Z0[None, :] + Z
+    if alg.p:
+        Zt = Zt + 0.5 * np.einsum("i,nj,ijk->nk", X0, X, alg.bracket_coeffs)
+    return X0[None, :] + X, Zt
+
+
 def dist_n(alg: HTypeAlgebra, n1: NPoint, n2: NPoint) -> float:
     return gauge(n_mul(alg, n_inv(n1), n2))
 

@@ -3,8 +3,11 @@
 The operator value at a point is the supremum, over the finite lattice of
 family members containing it, of the average of |f| on the member.
 Averages use closed-form denominators (ball/half-ball/trigonon/rectangle
-areas, cylinder volumes) and grid integrals in the numerator, so each
-value is a certified lower bound for the continuum supremum.
+areas, cylinder volumes) and grid integrals in the numerator.  A numerator
+counts the cells whose centres lie in the member, so each value is a grid
+estimate of the continuum average that can err in either direction; it is
+not a certified bound.  Each member touches only its block of the grid
+(``measure.membership_mask``).
 """
 
 from __future__ import annotations
@@ -123,26 +126,27 @@ class MaxResult:
 
 
 def maximal_field(grid: SampleGrid, fam: FamilySpec) -> MaxField:
-    wv = grid.weights * np.abs(grid.values)
-    out = np.zeros(grid.size)
-    widx = np.full(grid.size, -1, dtype=np.int64)
+    wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
+    out = np.zeros(grid.shape)
+    widx = np.full(grid.shape, -1, dtype=np.int64)
     members = []
     for idx, s in enumerate(fam.members()):
         members.append(s)
-        mask = membership_mask(grid, s)
-        integ = float(wv[mask].sum())
+        block, mask = membership_mask(grid, s)
+        integ = float(wv[block][mask].sum())
         if integ == 0.0:
             continue
         avg = integ / fam.member_area(s)
-        better = mask & (avg > out)
-        out[better] = avg
-        widx[better] = idx
-    return MaxField(out, widx, members)
+        out_b = out[block]
+        better = mask & (avg > out_b)
+        out_b[better] = avg
+        widx[block][better] = idx
+    return MaxField(out.reshape(grid.size), widx.reshape(grid.size), members)
 
 
 def maximal_fn(grid: SampleGrid, x, fam: FamilySpec) -> MaxResult:
     """Operator value at one point with its witness set."""
-    wv = grid.weights * np.abs(grid.values)
+    wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
     best, best_s, hit = 0.0, None, False
     for s in fam.members():
         if isinstance(s, H2Set):
@@ -152,7 +156,8 @@ def maximal_fn(grid: SampleGrid, x, fam: FamilySpec) -> MaxResult:
         if not inside:
             continue
         hit = True
-        integ = float(wv[membership_mask(grid, s)].sum())
+        block, mask = membership_mask(grid, s)
+        integ = float(wv[block][mask].sum())
         avg = integ / fam.member_area(s)
         if avg > best:
             best, best_s = avg, s

@@ -30,7 +30,9 @@ class SampleGrid:
 
     ``space`` is 'h2' or 'na'.  For 'h2' the coordinates are x, y; for
     'na' they are X (n, p), Z (n, q) and heights a.  ``weights`` are the
-    exact Riemannian cell measures.
+    exact Riemannian cell measures.  The points form a tensor lattice of
+    ``shape`` in C order, with the height axis last; ``axes`` holds the
+    sorted centres of each axis (y resp. a for the height axis).
     """
 
     space: str
@@ -44,6 +46,7 @@ class SampleGrid:
     Z: Optional[np.ndarray] = field(default=None, repr=False)
     a: Optional[np.ndarray] = None
     alg: Optional[HTypeAlgebra] = None
+    axes: tuple = field(default=(), repr=False)
 
     @property
     def size(self) -> int:
@@ -90,6 +93,7 @@ def build_grid(space: str, window, resolution, alg: HTypeAlgebra = None) -> Samp
         Xg, Ug = np.meshgrid(xc, uc, indexing="ij")
         Wg = np.broadcast_to((dx * wu)[None, :], Xg.shape)
         n = Xg.size
+        y = np.exp(Ug.reshape(n))
         return SampleGrid(
             space="h2",
             weights=Wg.reshape(n).copy(),
@@ -97,7 +101,8 @@ def build_grid(space: str, window, resolution, alg: HTypeAlgebra = None) -> Samp
             window=tuple(window),
             shape=(nx, nu),
             x=Xg.reshape(n).copy(),
-            y=np.exp(Ug.reshape(n)),
+            y=y,
+            axes=(xc, y[:nu]),
         )
     if space == "na":
         if alg is None:
@@ -121,6 +126,7 @@ def build_grid(space: str, window, resolution, alg: HTypeAlgebra = None) -> Samp
         # the u axis is last, so wu broadcasts along it
         cell = math.prod(steps) if steps else 1.0
         weights = (cell * np.broadcast_to(wu, grids[-1].shape)).reshape(n).copy()
+        a = np.exp(flat[-1])
         return SampleGrid(
             space="na",
             weights=weights,
@@ -129,25 +135,78 @@ def build_grid(space: str, window, resolution, alg: HTypeAlgebra = None) -> Samp
             shape=tuple(list(nx_list) + list(nz_list) + [nu]),
             X=X,
             Z=Z,
-            a=np.exp(flat[-1]),
+            a=a,
             alg=alg,
+            axes=(*axes, a[:nu]),
         )
     raise ValueError(f"unknown space {space!r}")
 
 
 # ------------------------------------------------------------- integration
 
-def membership_mask(grid: SampleGrid, s) -> np.ndarray:
+def _span(centres: np.ndarray, lo: float, hi: float) -> slice:
+    """Cells of one sorted axis whose centres may lie in (lo, hi), padded by
+    one cell per side because the bounds are rounded."""
+    i0 = int(centres.searchsorted(lo, side="right")) - 1
+    i1 = int(centres.searchsorted(hi, side="left")) + 1
+    return slice(max(i0, 0), min(i1, centres.size))
+
+
+def membership_mask(grid: SampleGrid, s) -> tuple:
+    """(block, mask): the axis-aligned sub-block of the grid lattice that can
+    meet s, as one slice per axis of ``grid.shape``, and the strict
+    membership of the block's points in s, with the block's shape.
+
+    Every point outside the block lies outside s.  Selecting a per-cell
+    array through ``arr.reshape(grid.shape)[block][mask]`` yields the
+    member's cells in the same C order as a full-grid mask would."""
     if isinstance(s, H2Set):
         if grid.space != "h2":
             raise ValueError("half-plane descriptor on a non-h2 grid")
-        return hyp2.contains_mask(s, grid.x, grid.y)
+        x_lo, x_hi, y_lo, y_hi = hyp2.bounding_box(s)
+        xs, ys = grid.axes
+        block = (_span(xs, x_lo, x_hi), _span(ys, y_lo, y_hi))
+        return block, hyp2.contains_mask(s, xs[block[0], None], ys[None, block[1]])
     if isinstance(s, (Cylinder, AdmissibleCylinder)):
         if grid.space != "na":
             raise ValueError("cylinder descriptor on a non-na grid")
-        c = s.as_cylinder() if isinstance(s, AdmissibleCylinder) else s
-        return drsets.cylinder_contains_batch(grid.alg, c, grid.X, grid.Z, grid.a)
+        return _cylinder_block(grid, s.as_cylinder() if isinstance(s, AdmissibleCylinder) else s)
     raise TypeError(f"unsupported descriptor {type(s)}")
+
+
+def base_ball_box(alg: HTypeAlgebra, c) -> tuple:
+    """(lo, hi) over the p + q horizontal coordinates: an open box holding
+    every point that the rounded test gauge(n0^{-1} n) < r of the cylinder
+    c accepts."""
+    r, X0, Z0 = c.base_radius, c.n0.X, c.n0.Z
+    # gauge < r gives |X - X0| < 2r and |Z - Z0 - [X0, X - X0]/2| < r^2 (the
+    # bracket is antisymmetric), so |Z_k - Z0_k| < r^2 + r sum_ij |X0_i c_ijk|
+    cx = np.abs(X0) @ np.abs(alg.bracket_coeffs).sum(axis=1)
+    x_half = np.full(alg.p, 2.0 * r)
+    z_half = r * r + r * cx
+    # the test rounds X - X0, Z - Z0 and the bracket [X0, X], whose terms
+    # reach cx |X|; widen each side far beyond those rounding errors
+    x_half += 1e-9 * (np.abs(X0) + x_half)
+    z_half += 1e-9 * (np.abs(Z0) + z_half + cx * (np.abs(X0).max(initial=0.0) + 2.0 * r))
+    return np.concatenate([X0 - x_half, Z0 - z_half]), np.concatenate([X0 + x_half, Z0 + z_half])
+
+
+def _cylinder_block(grid: SampleGrid, c: Cylinder) -> tuple:
+    alg = grid.alg
+    lo, hi = base_ball_box(alg, c)
+    *horiz, heights = grid.axes
+    block = tuple(_span(ax, l, h) for ax, l, h in zip(horiz, lo, hi))
+    block += (_span(heights, c.base_height, math.inf),)
+    # the base-ball test runs once per horizontal point of the block and is
+    # broadcast along the height axis, where the cylinder is a suffix
+    pts = np.meshgrid(*(ax[sl] for ax, sl in zip(horiz, block)), indexing="ij")
+    m = pts[0].size
+    flat = [g.reshape(m) for g in pts]
+    X = np.stack(flat[: alg.p], axis=1) if alg.p else np.zeros((m, 0))
+    Z = np.stack(flat[alg.p :], axis=1)
+    a = heights[block[-1]]
+    mask = drsets.cylinder_contains_batch(alg, c, X, Z, np.broadcast_to(a, (m, a.size)))
+    return block, mask.reshape(pts[0].shape + a.shape)
 
 
 def _h2_box_contains(window, bbox) -> bool:
@@ -171,8 +230,10 @@ def is_truncated(grid: SampleGrid, s) -> bool:
 
 def integrate_set(grid: SampleGrid, s) -> IntegralResult:
     """Sum of weight * value over cells whose centers lie in s."""
-    mask = membership_mask(grid, s)
-    val = float(np.sum(grid.weights * grid.values * mask))
+    block, sub = membership_mask(grid, s)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[block] = sub
+    val = float(np.sum(grid.weights * grid.values * mask.reshape(grid.size)))
     return IntegralResult(val, is_truncated(grid, s))
 
 

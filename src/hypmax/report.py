@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class VolumeEstimate:
@@ -40,7 +42,10 @@ class ExperimentReport:
     assertions: list = field(default_factory=list)
 
     def add_table(self, name: str, columns, rows) -> None:
-        self.tables.append(Table(name, list(columns), [list(r) for r in rows]))
+        """Append a table; numpy scalars in rows become Python scalars so the
+        report serializes."""
+        rows = [[v.item() if isinstance(v, np.generic) else v for v in r] for r in rows]
+        self.tables.append(Table(name, list(columns), rows))
 
     def check(self, name: str, bound: float, observed: float, passed: bool) -> None:
         self.assertions.append(Assertion(name, float(bound), float(observed), bool(passed)))

@@ -1,0 +1,243 @@
+"""Block membership against brute force: every restricted kernel must give
+the bits the full-grid (resp. all-samples) evaluation gives."""
+
+import math
+
+import numpy as np
+import pytest
+
+from hypmax import drsets as dr
+from hypmax import experiments as ex
+from hypmax import htype as ht
+from hypmax import hyp2 as h2
+from hypmax import maxop as mx
+from hypmax import measure as ms
+from hypmax.htype import NPoint
+
+HEI1 = ht.heisenberg(1)
+HEI2 = ht.heisenberg(2)
+AB2 = ht.degenerate_abelian(2)
+
+
+# ------------------------------------------------------------------ oracles
+
+def full_mask(grid, s):
+    if isinstance(s, h2.H2Set):
+        return h2.contains_mask(s, grid.x, grid.y)
+    c = s.as_cylinder() if isinstance(s, dr.AdmissibleCylinder) else s
+    return dr.cylinder_contains_batch(grid.alg, c, grid.X, grid.Z, grid.a)
+
+
+def full_maximal_field(grid, fam):
+    wv = grid.weights * np.abs(grid.values)
+    out = np.zeros(grid.size)
+    widx = np.full(grid.size, -1, dtype=np.int64)
+    for idx, s in enumerate(fam.members()):
+        mask = full_mask(grid, s)
+        integ = float(wv[mask].sum())
+        if integ == 0.0:
+            continue
+        avg = integ / fam.member_area(s)
+        better = mask & (avg > out)
+        out[better] = avg
+        widx[better] = idx
+    return out, widx
+
+
+def full_overlap(fam, grid):
+    counts = np.zeros(grid.size, dtype=np.int64)
+    for c in fam.cylinders:
+        counts += full_mask(grid, c)
+    out = [(k, float(grid.weights[counts == k].sum())) for k in range(1, counts.max(initial=0) + 1)]
+    return out, float(grid.weights[counts >= 1].sum())
+
+
+def unsorted_union_measure(alg, cyls, samples, seed):
+    """The Monte Carlo union measure with every cylinder tested against
+    every sample, in draw order."""
+    u = cyls[0].base_height
+    tail = u**-alg.nu / alg.nu
+    rng = np.random.default_rng(seed)
+    x_los = np.array([[c.n0.X[i] - 2 * c.base_radius for i in range(alg.p)] for c in cyls])
+    x_his = np.array([[c.n0.X[i] + 2 * c.base_radius for i in range(alg.p)] for c in cyls])
+    pad = np.array([[abs(np.linalg.norm(c.n0.X)) * c.base_radius + c.a0 for _ in range(alg.q)] for c in cyls])
+    z_ctr = np.array([c.n0.Z for c in cyls])
+    lo = np.concatenate([x_los.min(axis=0), (z_ctr - pad).min(axis=0)] if alg.p else [(z_ctr - pad).min(axis=0)])
+    hi = np.concatenate([x_his.max(axis=0), (z_ctr + pad).max(axis=0)] if alg.p else [(z_ctr + pad).max(axis=0)])
+    pts = rng.uniform(lo, hi, (samples, alg.p + alg.q))
+    X, Z = pts[:, : alg.p], pts[:, alg.p :]
+    inside = np.zeros(samples, dtype=bool)
+    for c in cyls:
+        X0, Z0 = c.n0.X, c.n0.Z
+        Xd = X - X0[None, :]
+        Zd = Z - Z0[None, :]
+        if alg.p:
+            Zd = Zd - 0.5 * np.einsum("i,nj,ijk->nk", X0, X, alg.bracket_coeffs)
+        inside |= ht.gauge_batch(Xd, Zd) < c.base_radius
+    box = float(np.prod(hi - lo))
+    frac = inside.mean()
+    return box * frac * tail, box * math.sqrt(frac * (1 - frac) / samples) * tail
+
+
+# -------------------------------------------------------------- half-plane
+
+def h2_grid():
+    g = ms.build_grid("h2", (-3.0, 3.0, -1.5, 1.5), (40, 24))
+    bump = h2.ball(h2.HPoint(0.4, 1.3), 0.9)
+    g.set_values(lambda x, y: h2.contains_mask(bump, x, y) + 0.25 * np.cos(x) / (1.0 + y))
+    return g
+
+
+# centres on the grid lattice plus centres off the window, so that members
+# stick out on every side
+OFF_WINDOW = np.array([[-3.6, 0.4], [3.3, 2.0], [0.1, 5.5], [1.0, 0.15]])
+
+
+def test_grid_is_an_exact_tensor_of_its_axes():
+    g = h2_grid()
+    assert np.array_equal(g.x.reshape(g.shape), np.broadcast_to(g.axes[0][:, None], g.shape))
+    assert np.array_equal(g.y.reshape(g.shape), np.broadcast_to(g.axes[1][None, :], g.shape))
+    n = ms.build_grid("na", ([(-2, 2)] * 2, [(-3, 3)], (-2, 1)), ([3, 4], [5], 6), alg=HEI1)
+    for k, col in enumerate([n.X[:, 0], n.X[:, 1], n.Z[:, 0], n.a]):
+        shape = [1] * len(n.shape)
+        shape[k] = -1
+        assert np.array_equal(col.reshape(n.shape), np.broadcast_to(n.axes[k].reshape(shape), n.shape))
+
+
+@pytest.mark.parametrize("kind", ["ball", "half_ball", "trigonon", "rectangle", "modified_half_ball"])
+def test_maximal_field_matches_full_grid(kind):
+    g = h2_grid()
+    centers = np.vstack([mx.grid_centers(g, 8), OFF_WINDOW])
+    fam = mx.FamilySpec(kind, centers=centers, radii=mx.radius_ladder(1.0, 4))
+    fld = mx.maximal_field(g, fam)
+    values, widx = full_maximal_field(g, fam)
+    assert np.array_equal(fld.values, values)
+    assert np.array_equal(fld.witness_idx, widx)
+    assert (widx >= 0).any()
+
+
+def test_maximal_field_admissible_rectangles_match_full_grid():
+    g = h2_grid()
+    fam = mx.admissible_family_for_grid(g, k_max=6)
+    fam.xs = np.concatenate([fam.xs, [-3.4, 3.7]])
+    # every admissible rectangle is unbounded above, so it reaches the window top
+    assert all(math.isinf(h2.bounding_box(s)[3]) for s in fam.members())
+    fld = mx.maximal_field(g, fam)
+    values, widx = full_maximal_field(g, fam)
+    assert np.array_equal(fld.values, values)
+    assert np.array_equal(fld.witness_idx, widx)
+
+
+def test_membership_block_scatters_to_full_mask():
+    g = h2_grid()
+    z = h2.HPoint(0.5, 0.6)
+    # the satellite ball of the modified half ball leaves the box of its half ball
+    mhb = h2.modified_half_ball(z, 1.5)
+    assert h2.bounding_box(mhb)[3] > h2.bounding_box(h2.half_ball(z, 1.5))[3]
+    sets = [h2.half_plane(z), h2.ball(z, 2.5), mhb, h2.trigonon(h2.HPoint(-2.9, 4.0), 1.2),
+            h2.rectangle(h2.HPoint(2.9, 0.3), 2.0), h2.ball(h2.HPoint(40.0, 1.0), 0.5)]
+    for s in sets:
+        block, sub = ms.membership_mask(g, s)
+        got = np.zeros(g.shape, dtype=bool)
+        got[block] = sub
+        assert np.array_equal(got.reshape(g.size), full_mask(g, s)), s
+    # the far ball's block is at most one padded cell wide
+    block, sub = ms.membership_mask(g, sets[-1])
+    assert sub.shape[0] <= 1 and not sub.any()
+
+
+def test_maximal_fn_matches_full_grid():
+    g = h2_grid()
+    fam = mx.FamilySpec("half_ball", centers=mx.grid_centers(g, 6), radii=mx.radius_ladder(1.0, 3))
+    wv = g.weights * np.abs(g.values)
+    x = h2.HPoint(0.3, 0.9)
+    best = max(
+        (float(wv[full_mask(g, s)].sum()) / fam.member_area(s) for s in fam.members() if h2.contains(s, x)),
+        default=0.0,
+    )
+    assert mx.maximal_fn(g, x, fam).value == best
+
+
+# ------------------------------------------------------------------ NA grid
+
+def na_grid():
+    g = ms.build_grid("na", ([(-3.0, 3.0)] * 2, [(-4.0, 4.0)], (-3.0, 2.0)), ([7, 8], [9], 10), alg=HEI1)
+    return g.set_values(lambda X, Z, a: 1.0 + np.sin(X[:, 0]) * np.cos(Z[:, 0]) / (1.0 + a))
+
+
+NA_CENTERS = [NPoint(np.array([0.2, -0.4]), np.array([0.5])),
+              NPoint(np.array([2.8, -3.5]), np.array([3.9])),  # partly outside the window
+              NPoint(np.array([-1.0, 1.5]), np.array([-3.0]))]
+
+
+@pytest.mark.parametrize("kind", ["admissible_cylinder", "cylinder"])
+def test_maximal_field_cylinders_match_full_grid(kind):
+    g = na_grid()
+    if kind == "admissible_cylinder":
+        fam = mx.FamilySpec(kind, n_centers=NA_CENTERS, js=np.arange(-2, 2), radii=np.arange(2, 5),
+                            alg=HEI1, omega=2 * math.pi**2)
+    else:
+        fam = mx.FamilySpec(kind, n_centers=NA_CENTERS, xs=np.array([0.3, 1.0, 2.5]),
+                            radii=np.array([1.5, 3.0]), alg=HEI1, omega=2 * math.pi**2)
+    fld = mx.maximal_field(g, fam)
+    values, widx = full_maximal_field(g, fam)
+    assert np.array_equal(fld.values, values)
+    assert np.array_equal(fld.witness_idx, widx)
+    assert (widx >= 0).any()
+
+
+def test_overlap_profile_matches_full_grid():
+    fam = ex.stacked_chain(HEI1, 6)
+    grid = ms.build_grid(
+        "na",
+        ([(-3.4, 3.4), (-3.4, 3.4)], [(-3.3, 3.3)], (-6.5, 2.0)),
+        ([12, 12], [16], 36),
+        alg=HEI1,
+    )
+    prof = ex.overlap_profile(fam, grid)
+    assert (prof.omega_k, prof.g_measure) == full_overlap(fam, grid)
+
+
+def test_overlap_profile_heisenberg2_matches_full_grid():
+    rng = np.random.default_rng(11)
+    fam = ex.build_maximal_family(HEI2, ex.random_admissible_cylinders(HEI2, 20, rng), seed=11)
+    grid = ms.build_grid("na", ([(-8.0, 8.0)] * 4, [(-8.0, 8.0)], (-9.0, 3.0)), ([5] * 4, [6], 12), alg=HEI2)
+    prof = ex.overlap_profile(fam, grid)
+    assert (prof.omega_k, prof.g_measure) == full_overlap(fam, grid)
+
+
+# ------------------------------------------------------------- Monte Carlo
+
+@pytest.mark.parametrize("alg", [HEI1, AB2], ids=lambda a: a.label)
+def test_union_measure_matches_unsorted_loop(alg):
+    rng = np.random.default_rng(2)
+    fam = ex.random_horocycle_family(alg, 200, -2, rng)
+    got = ex._union_base_measure(alg, fam, 20_000, 9)
+    assert got == unsorted_union_measure(alg, fam, 20_000, 9)
+    assert got[0] > 0
+
+
+def test_left_translate_matches_expanded_group_law():
+    rng = np.random.default_rng(0)
+    X, Z = rng.standard_normal((50, HEI2.p)), rng.standard_normal((50, HEI2.q))
+    n0 = NPoint(rng.standard_normal(HEI2.p), rng.standard_normal(HEI2.q))
+    shift = np.einsum("i,nj,ijk->nk", n0.X, X, HEI2.bracket_coeffs)
+    Xf, Zf = ht.left_translate_batch(HEI2, n0, X, Z)
+    assert np.array_equal(Xf, n0.X + X) and np.array_equal(Zf, n0.Z + Z + 0.5 * shift)
+    Xb, Zb = ht.left_translate_batch(HEI2, ht.n_inv(n0), X, Z)
+    assert np.array_equal(Xb, X - n0.X) and np.array_equal(Zb, Z - n0.Z - 0.5 * shift)
+
+
+@pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
+@pytest.mark.parametrize("scale,a0", [(1.0, 0.25), (1e3, 1e-6), (1.0, 1e-16), (1e-3, 1e6)])
+def test_base_ball_box_holds_every_accepted_point(alg, scale, a0):
+    """The box must hold whatever the rounded gauge test accepts, also when
+    the rounding of the bracket is as large as the ball itself."""
+    rng = np.random.default_rng(4)
+    c = dr.Cylinder(NPoint(scale * rng.standard_normal(alg.p), scale * rng.standard_normal(alg.q)), a0, 2.0)
+    X, Z = ex._probe_points(alg, c, 2000, rng)
+    accepted = ht.gauge_batch(*ht.left_translate_batch(alg, ht.n_inv(c.n0), X, Z)) < c.base_radius
+    assert accepted.any()
+    lo, hi = ms.base_ball_box(alg, c)
+    pts = np.hstack([X, Z])[accepted]
+    assert ((pts > lo) & (pts < hi)).all()

@@ -85,6 +85,9 @@ def test_csv_levelset_columns():
         ["vitali", "--count", "15", "--samples", "20000"],
         ["eta", "--alpha-ladder", "2^-6..2^-12"],
         ["pack", "--levels", "3", "--samples", "60000"],
+        ["volume", "--space", "dr-abelian:2", "--samples", "40000"],
+        ["volume", "--space", "dr-heisenberg:1", "--samples", "40000"],
+        ["volume", "--space", "dr-heisenberg:2", "--samples", "40000"],
     ],
 )
 def test_subcommands_pass(argv):
@@ -101,6 +104,22 @@ def test_exit_code_on_failure(monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "areas", failing)
     status, _body = run_cli(["areas"])
     assert status == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maxfn", "--grid=-4:4:-2:2:0:64"],
+        ["maxfn", "--grid=-4:4:-2:2:96:0"],
+        ["levelset", "--alpha-ladder", "0"],
+    ],
+)
+def test_invalid_input_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hypmax: error: ")
 
 
 def test_out_file_and_env_dir(tmp_path, monkeypatch, capsys):
