@@ -121,14 +121,23 @@ def _profile_fn(name: str, support_scale: float = 1.0):
 def _family_for(grid, name: str, k_max: int = 6):
     if name == "admissible_rectangle":
         return mx.admissible_family_for_grid(grid, k_max=k_max)
-    centers = mx.grid_centers(grid, 12)
-    return mx.FamilySpec(name, centers=centers, radii=mx.radius_ladder(1.0, 4))
+    try:
+        return mx.h2_lattice(name, mx.grid_centers(grid, 12), mx.radius_ladder(1.0, 4))
+    except ValueError as exc:
+        raise UsageError(f"--family {name!r} is not a half-plane family with radii ({exc})") from None
+
+
+def _algebra(spec: str):
+    try:
+        return ht.make_algebra(spec)
+    except ValueError as exc:
+        raise UsageError(f"--space {spec!r}: {exc}") from None
 
 
 # ------------------------------------------------------------- subcommands
 
 def cmd_validate(cfg) -> ExperimentReport:
-    alg = ht.make_algebra(cfg.space)
+    alg = _algebra(cfg.space)
     res = ht.validate_algebra(alg, samples=min(int(cfg.samples), 20_000), seed=int(cfg.seed))
     rep = ExperimentReport("validate", meta=_meta(cfg))
     rep.add_table("residuals", ["identity", "residual"], [[k, v] for k, v in res.items()])
@@ -177,7 +186,7 @@ def cmd_volume(cfg) -> ExperimentReport:
                 ok &= good
                 rows.append([name, R, exact, est.mean, est.stderr, good])
     else:
-        alg = ht.make_algebra(cfg.space)
+        alg = _algebra(cfg.space)
         omega = drsets.omega_n(alg) if alg.p == 0 else drsets.omega_n(alg, "mc", samples, seed).mean
         for R in (2.0, 3.0):
             c = drsets.Cylinder(ht.identity_n(alg), 1.0, R)
@@ -240,7 +249,7 @@ def cmd_levelset(cfg) -> ExperimentReport:
 
 
 def cmd_overlap(cfg) -> ExperimentReport:
-    alg = ht.make_algebra(cfg.space if cfg.space != "h2" else "dr-abelian:1")
+    alg = _algebra(cfg.space)
     rng = np.random.default_rng(int(cfg.seed))
     fam = ex.build_maximal_family(
         alg, ex.random_admissible_cylinders(alg, int(cfg.count), rng), seed=int(cfg.seed)
@@ -262,7 +271,7 @@ def cmd_overlap(cfg) -> ExperimentReport:
 
 
 def cmd_vitali(cfg) -> ExperimentReport:
-    alg = ht.make_algebra(cfg.space if cfg.space != "h2" else "dr-abelian:1")
+    alg = _algebra(cfg.space)
     rng = np.random.default_rng(int(cfg.seed))
     fam = ex.random_horocycle_family(alg, int(cfg.count), -2, rng)
     _sel, rep = ex.vitali_select(alg, fam, samples=int(cfg.samples), seed=int(cfg.seed))

@@ -42,6 +42,10 @@ class Cylinder:
     def base_radius(self) -> float:
         return math.sqrt(self.a0)
 
+    def as_cylinder(self) -> "Cylinder":
+        """Itself, so that both cylinder kinds convert alike."""
+        return self
+
 
 @dataclass(frozen=True, eq=False)
 class AdmissibleCylinder:

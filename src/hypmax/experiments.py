@@ -42,6 +42,17 @@ def _certified_disjoint(alg, c1, c2) -> bool:
     return ht.dist_n(alg, c1.n0, c2.n0) >= c1.base_radius + c2.base_radius
 
 
+def _greedy_disjoint(alg, cyls) -> list:
+    """Greedy largest-first selection among cylinders on one horocycle: in
+    order of decreasing base radius with a lexicographic center tie-break,
+    keep each cylinder whose base is certified disjoint from every kept base."""
+    kept = []
+    for c in sorted(cyls, key=lambda c: (-c.base_radius, tuple(c.n0.X), tuple(c.n0.Z))):
+        if all(_certified_disjoint(alg, c, s) for s in kept):
+            kept.append(c)
+    return kept
+
+
 def _probe_points(alg, c, n_dirs: int, rng):
     """Points just inside the base ball of c at gauge (1 - 1e-9) * radius:
     the +-coordinate-axis extremes plus random directions."""
@@ -156,14 +167,7 @@ def vitali_select(alg: HTypeAlgebra, family: list, samples: int = 100_000, seed:
     logs = {c.base_log for c in family}
     if len(logs) > 1:
         raise ValueError(f"bases on mixed horocycles: {sorted(logs)}")
-
-    def key(c):
-        return (-c.base_radius, tuple(c.n0.X), tuple(c.n0.Z))
-
-    selected = []
-    for c in sorted(family, key=key):
-        if all(_certified_disjoint(alg, c, s) for s in selected):
-            selected.append(c)
+    selected = _greedy_disjoint(alg, family)
 
     if omega is None:
         omega = drsets.omega_n(alg) if alg.p == 0 else drsets.omega_n(alg, "mc", 400_000, seed).mean
@@ -254,19 +258,9 @@ def build_maximal_family(alg: HTypeAlgebra, generator, seed: int = 0, n_dirs: in
                     break
         if not contained:
             kept.append(c)
-    # per-horocycle disjointification
     final = []
     for log_h in sorted({c.base_log for c in kept}):
-        group = [c for c in kept if c.base_log == log_h]
-
-        def key(c):
-            return (-c.base_radius, tuple(c.n0.X), tuple(c.n0.Z))
-
-        chosen = []
-        for c in sorted(group, key=key):
-            if all(_certified_disjoint(alg, c, s) for s in chosen):
-                chosen.append(c)
-        final.extend(chosen)
+        final.extend(_greedy_disjoint(alg, [c for c in kept if c.base_log == log_h]))
     return MaximalFamily(alg, final)
 
 
@@ -380,10 +374,6 @@ def overlap_report(prof: OverlapProfile, r_values=(1, 2, 3)) -> ExperimentReport
 
 # ------------------------------------------------- point-mass level growth
 
-def _trig_area(R: float) -> float:
-    return hyp2.trigonon_area(R)
-
-
 def dirac_level_growth(
     m_values=range(6, 15), r_step: float = 0.125, r_cap: float = None, seed: int = 0
 ) -> ExperimentReport:
@@ -402,7 +392,7 @@ def dirac_level_growth(
     if r_cap is None:
         r_cap = math.log(1.0 / min(alphas)) + 3.0
     ladder = np.arange(1.0 + r_step, r_cap, r_step)
-    areas = np.array([_trig_area(R) for R in ladder])
+    areas = np.array([hyp2.trigonon_area(R) for R in ladder])
     kappa = omega * (math.sqrt(math.e - 1.0) - 1.0) * math.exp(-1.0) * (1.0 - math.exp(-1.0))
 
     rep = ExperimentReport(
@@ -423,7 +413,7 @@ def dirac_level_growth(
             raise ValueError("radius ladder cap too small")
         J = math.ceil(r_star - 1e-9) - 1
         t_star = areas[idx]
-        band = t_star - _trig_area(r_star - 1.0)
+        band = t_star - hyp2.trigonon_area(r_star - 1.0)
         e_meas = t_star + (J - 1) * band
         # maximal witnesses all have measure t_star; lattice-exact bracket
         lo_bracket = c1 / (C1 * math.e * alpha)
@@ -433,12 +423,12 @@ def dirac_level_growth(
         chain_row = ""
         if r_alpha > 2:
             any_chain = True
-            diff = _trig_area(r_alpha) - _trig_area(r_alpha - 1)
+            diff = hyp2.trigonon_area(r_alpha) - hyp2.trigonon_area(r_alpha - 1)
             ok = diff >= kappa * math.exp(r_alpha)
             for j in range(1, r_alpha):
                 w = HPoint(0.0, math.exp(j))
                 ok &= hyp2.contains(hyp2.trigonon(w, float(r_alpha)), HPoint(0.0, 1.0))
-                ok &= _trig_area(r_alpha) < 1.0 / alpha
+                ok &= hyp2.trigonon_area(r_alpha) < 1.0 / alpha
                 ok &= abs(hyp2.distance(w, HPoint(0.0, 1.0)) - j) < 1e-12
             chain_ok &= ok
             chain_row = "ok" if ok else "FAIL"
@@ -474,7 +464,7 @@ def dirac_witness_lattice(alpha: float, r_step: float = 0.125, r_cap: float = 12
     ladder = np.arange(1.0 + r_step, r_cap, r_step)
     cand = []
     for R in ladder:
-        if _trig_area(R) >= 1.0 / alpha:
+        if hyp2.trigonon_area(R) >= 1.0 / alpha:
             continue
         for j in range(1, math.ceil(R - 1e-9)):
             cand.append((j, float(R)))

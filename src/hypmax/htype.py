@@ -32,9 +32,7 @@ class HTypeAlgebra:
 
     def bracket(self, X, Xp):
         """[X, X'] in z coordinates."""
-        if self.p == 0:
-            return np.zeros(self.q)
-        return np.einsum("i,j,ijk->k", X, Xp, self.bracket_coeffs)
+        return self.bracket_batch(np.atleast_2d(X), np.atleast_2d(Xp))[0]
 
     def bracket_batch(self, X, Xp):
         if self.p == 0:
@@ -43,9 +41,7 @@ class HTypeAlgebra:
 
     def j_z(self, Z, X):
         """The map J_Z applied to X, defined by <J_Z X, X'> = <Z, [X, X']>."""
-        if self.p == 0:
-            return np.zeros(0)
-        return np.einsum("i,k,ijk->j", X, Z, self.bracket_coeffs)
+        return self.j_z_batch(np.atleast_2d(Z), np.atleast_2d(X))[0]
 
     def j_z_batch(self, Z, X):
         if self.p == 0:
@@ -80,11 +76,10 @@ def make_algebra(spec: str) -> HTypeAlgebra:
     if spec == "h2":
         return degenerate_abelian(1)
     kind, _, dim = spec.partition(":")
-    if kind == "dr-abelian":
-        return degenerate_abelian(int(dim))
-    if kind == "dr-heisenberg":
-        return heisenberg(int(dim))
-    raise ValueError(f"unknown algebra spec {spec!r}")
+    makers = {"dr-abelian": degenerate_abelian, "dr-heisenberg": heisenberg}
+    if kind not in makers or not dim.isdigit():
+        raise ValueError(f"unknown algebra spec {spec!r}; expected h2, dr-abelian:q or dr-heisenberg:d")
+    return makers[kind](int(dim))
 
 
 def validate_algebra(alg: HTypeAlgebra, samples: int = 10_000, seed: int = 0) -> dict:
@@ -210,8 +205,7 @@ def na_inv(x: SPoint) -> SPoint:
 # ------------------------------------------------------------------- gauge
 
 def gauge(n: NPoint) -> float:
-    x4 = float(n.X @ n.X) ** 2
-    return (x4 / 16.0 + float(n.Z @ n.Z)) ** 0.25
+    return float(gauge_batch(n.X[None, :], n.Z[None, :])[0])
 
 
 def gauge_batch(X, Z):
@@ -244,14 +238,7 @@ def dilate(a: float, n: NPoint) -> NPoint:
 
 def dist_from_identity(alg: HTypeAlgebra, x: SPoint) -> float:
     """Radial distance of (X, Z, a) from (0, 0, 1)."""
-    x2 = float(x.X @ x.X)
-    z2 = float(x.Z @ x.Z)
-    if x2 == 0.0 and z2 == 0.0:
-        return abs(math.log(x.a))
-    rs = math.sqrt(x.a)
-    A = math.cosh(math.log(rs)) + x2 / (8.0 * rs)
-    c2 = A * A + z2 / (4.0 * x.a)
-    return 2.0 * math.acosh(math.sqrt(max(c2, 1.0)))
+    return float(dist_from_identity_batch(alg, x.X[None, :], x.Z[None, :], np.array([x.a]))[0])
 
 
 def dist_from_identity_batch(alg: HTypeAlgebra, X, Z, a):

@@ -13,74 +13,15 @@ not a certified bound.  Each member touches only its block of the grid
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import drsets, hyp2
-from .drsets import AdmissibleCylinder, Cylinder
-from .htype import HTypeAlgebra
 from .hyp2 import H2Set, HPoint, SetKind
 from .measure import SampleGrid, membership_mask
 from .report import ExperimentReport
-
-H2_KINDS = {
-    "ball": SetKind.BALL,
-    "half_ball": SetKind.HALF_BALL,
-    "trigonon": SetKind.TRIGONON,
-    "rectangle": SetKind.RECTANGLE,
-    "modified_half_ball": SetKind.MODIFIED_HALF_BALL,
-}
-
-
-@dataclass
-class FamilySpec:
-    """Finite lattice of family members.
-
-    Geometric half-plane kinds enumerate centers (x, y) against a radius
-    ladder; the admissible kinds enumerate integer log-heights and integer
-    radii >= 2.  Cylinder families need the algebra and the unit-ball
-    volume omega for their closed-form denominators.
-    """
-
-    kind: str
-    centers: Optional[np.ndarray] = None
-    radii: Optional[np.ndarray] = None
-    xs: Optional[np.ndarray] = None
-    js: Optional[np.ndarray] = None
-    alg: Optional[HTypeAlgebra] = None
-    n_centers: Optional[list] = None
-    omega: Optional[float] = None
-
-    def members(self):
-        if self.kind in H2_KINDS:
-            kind = H2_KINDS[self.kind]
-            for cx, cy in self.centers:
-                for R in self.radii:
-                    yield H2Set(kind, HPoint(float(cx), float(cy)), float(R))
-        elif self.kind == "admissible_rectangle":
-            for x in self.xs:
-                for j in self.js:
-                    for K in self.radii:
-                        yield hyp2.admissible_rectangle(float(x), int(j), int(K))
-        elif self.kind == "cylinder":
-            for n0 in self.n_centers:
-                for a0 in self.xs:
-                    for R in self.radii:
-                        yield Cylinder(n0, float(a0), float(R))
-        elif self.kind == "admissible_cylinder":
-            for n0 in self.n_centers:
-                for j in self.js:
-                    for R in self.radii:
-                        yield AdmissibleCylinder(n0, int(j), int(R))
-        else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-
-    def member_area(self, s) -> float:
-        if isinstance(s, H2Set):
-            return hyp2.area(s)
-        return drsets.cylinder_volume(self.alg, s, self.omega)
 
 
 def radius_ladder(r_min: float, steps: int) -> np.ndarray:
@@ -98,14 +39,22 @@ def grid_centers(grid: SampleGrid, max_per_axis: int = 24) -> np.ndarray:
     return np.column_stack([Xg.ravel(), Yg.ravel()])
 
 
-def admissible_family_for_grid(grid: SampleGrid, k_max: int, max_x: int = 64) -> FamilySpec:
+def h2_lattice(kind: str, centers, radii) -> list:
+    """Half-plane sets of one kind, named as in ``SetKind``, over the
+    lattice centers x radii, in that product order."""
+    k = SetKind(kind)
+    return [H2Set(k, HPoint(float(cx), float(cy)), float(R)) for cx, cy in centers for R in radii]
+
+
+def admissible_family_for_grid(grid: SampleGrid, k_max: int, max_x: int = 64) -> list:
     """Admissible rectangles whose lattice is induced by the grid: x on the
-    cell lattice, j spanning the window heights, K = 2..k_max."""
+    cell lattice, j spanning the window heights, K = 2..k_max, in the
+    product order xs x js x Ks."""
     xs = np.unique(grid.x)
     xs = xs[:: max(1, len(xs) // max_x)]
     _, _, u_lo, u_hi = grid.window
-    js = np.arange(math.floor(u_lo), math.ceil(u_hi) + 1)
-    return FamilySpec("admissible_rectangle", xs=xs, js=js, radii=np.arange(2, k_max + 1))
+    js = range(math.floor(u_lo), math.ceil(u_hi) + 1)
+    return [hyp2.admissible_rectangle(float(x), j, K) for x in xs for j in js for K in range(2, k_max + 1)]
 
 
 @dataclass
@@ -125,18 +74,28 @@ class MaxResult:
     empty: bool = False
 
 
-def maximal_field(grid: SampleGrid, fam: FamilySpec) -> MaxField:
+def _member_measure(grid: SampleGrid, members: list, omega):
+    """The closed-form measure of a member: ``hyp2.area`` for half-plane
+    sets, ``drsets.cylinder_volume`` with the unit-ball volume ``omega``
+    for cylinders."""
+    if omega is None and not all(isinstance(s, H2Set) for s in members):
+        raise ValueError("cylinder members need omega, the volume of the unit gauge ball")
+    return lambda s: hyp2.area(s) if isinstance(s, H2Set) else drsets.cylinder_volume(grid.alg, s, omega)
+
+
+def maximal_field(grid: SampleGrid, members: list, omega: float = None) -> MaxField:
+    """Operator values at every grid point over the family ``members``;
+    ties keep the earliest member.  Cylinder families need ``omega``."""
+    measure_of = _member_measure(grid, members, omega)
     wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
     out = np.zeros(grid.shape)
     widx = np.full(grid.shape, -1, dtype=np.int64)
-    members = []
-    for idx, s in enumerate(fam.members()):
-        members.append(s)
+    for idx, s in enumerate(members):
         block, mask = membership_mask(grid, s)
         integ = float(wv[block][mask].sum())
         if integ == 0.0:
             continue
-        avg = integ / fam.member_area(s)
+        avg = integ / measure_of(s)
         out_b = out[block]
         better = mask & (avg > out_b)
         out_b[better] = avg
@@ -144,38 +103,39 @@ def maximal_field(grid: SampleGrid, fam: FamilySpec) -> MaxField:
     return MaxField(out.reshape(grid.size), widx.reshape(grid.size), members)
 
 
-def maximal_fn(grid: SampleGrid, x, fam: FamilySpec) -> MaxResult:
+def maximal_fn(grid: SampleGrid, x, members: list, omega: float = None) -> MaxResult:
     """Operator value at one point with its witness set."""
+    measure_of = _member_measure(grid, members, omega)
     wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
     best, best_s, hit = 0.0, None, False
-    for s in fam.members():
+    for s in members:
         if isinstance(s, H2Set):
             inside = hyp2.contains(s, x)
         else:
-            inside = drsets.cylinder_contains(fam.alg, s if isinstance(s, Cylinder) else s.as_cylinder(), x)
+            inside = drsets.cylinder_contains(grid.alg, s.as_cylinder(), x)
         if not inside:
             continue
         hit = True
         block, mask = membership_mask(grid, s)
         integ = float(wv[block][mask].sum())
-        avg = integ / fam.member_area(s)
+        avg = integ / measure_of(s)
         if avg > best:
             best, best_s = avg, s
     return MaxResult(best, best_s, empty=not hit)
 
 
-def level_set_measure(grid: SampleGrid, fam: FamilySpec, alpha: float, fld: MaxField = None) -> float:
+def level_set_measure(grid: SampleGrid, members: list, alpha: float, fld: MaxField = None) -> float:
     """Grid measure of { max fn > alpha }; nonincreasing in alpha."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if fld is None:
-        fld = maximal_field(grid, fam)
+        fld = maximal_field(grid, members)
     return float(grid.weights[fld.values > alpha].sum())
 
 
-def level_set_table(grid: SampleGrid, fam: FamilySpec, alphas) -> tuple:
-    fld = maximal_field(grid, fam)
-    rows = [(float(a), level_set_measure(grid, fam, a, fld)) for a in alphas]
+def level_set_table(grid: SampleGrid, members: list, alphas) -> tuple:
+    fld = maximal_field(grid, members)
+    rows = [(float(a), level_set_measure(grid, members, a, fld)) for a in alphas]
     return rows, fld
 
 
@@ -246,18 +206,14 @@ def operator_compare(grid: SampleGrid, ladder_steps: int = 4, max_per_axis: int 
     ladder = radius_ladder(1.0, ladder_steps + 1)  # one extra top rung
     sub = ladder[:-1]
 
-    fam_b_sub = FamilySpec("half_ball", centers=centers, radii=sub)
-    fam_b_top = FamilySpec("half_ball", centers=centers, radii=ladder[-1:])
-    fam_t_sub = FamilySpec("trigonon", centers=centers, radii=sub)
-    fam_t_top = FamilySpec("trigonon", centers=centers, radii=ladder[-1:])
     k_hull = math.ceil(float(sub[-1])) + 2
-    fam_q = admissible_family_for_grid(grid, k_max=k_hull)
 
-    nb_sub = maximal_field(grid, fam_b_sub).values
-    nb = np.maximum(nb_sub, maximal_field(grid, fam_b_top).values)
-    nt_sub = maximal_field(grid, fam_t_sub).values
-    nt = np.maximum(nt_sub, maximal_field(grid, fam_t_top).values)
-    nq = maximal_field(grid, fam_q).values
+    # each family is built at its call, so only one is held at a time
+    nb_sub = maximal_field(grid, h2_lattice("half_ball", centers, sub)).values
+    nb = np.maximum(nb_sub, maximal_field(grid, h2_lattice("half_ball", centers, ladder[-1:])).values)
+    nt_sub = maximal_field(grid, h2_lattice("trigonon", centers, sub)).values
+    nt = np.maximum(nt_sub, maximal_field(grid, h2_lattice("trigonon", centers, ladder[-1:])).values)
+    nq = maximal_field(grid, admissible_family_for_grid(grid, k_max=k_hull)).values
 
     K = comparison_constants()
     tol = 1e-9

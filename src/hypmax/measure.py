@@ -170,7 +170,7 @@ def membership_mask(grid: SampleGrid, s) -> tuple:
     if isinstance(s, (Cylinder, AdmissibleCylinder)):
         if grid.space != "na":
             raise ValueError("cylinder descriptor on a non-na grid")
-        return _cylinder_block(grid, s.as_cylinder() if isinstance(s, AdmissibleCylinder) else s)
+        return _cylinder_block(grid, s.as_cylinder())
     raise TypeError(f"unsupported descriptor {type(s)}")
 
 
@@ -275,8 +275,7 @@ def mc_volume(space: str, s, box, samples: int, seed: int, alg: HTypeAlgebra = N
         if alg is None:
             raise ValueError("na sampling requires an algebra")
         X, Z, a, total = sample_na_box(alg, box, samples, rng)
-        c = s.as_cylinder() if isinstance(s, AdmissibleCylinder) else s
-        mask = drsets.cylinder_contains_batch(alg, c, X, Z, a)
+        mask = drsets.cylinder_contains_batch(alg, s.as_cylinder(), X, Z, a)
     else:
         raise ValueError(f"unknown space {space!r}")
     frac = float(mask.mean())

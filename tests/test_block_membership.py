@@ -24,20 +24,23 @@ AB2 = ht.degenerate_abelian(2)
 def full_mask(grid, s):
     if isinstance(s, h2.H2Set):
         return h2.contains_mask(s, grid.x, grid.y)
-    c = s.as_cylinder() if isinstance(s, dr.AdmissibleCylinder) else s
-    return dr.cylinder_contains_batch(grid.alg, c, grid.X, grid.Z, grid.a)
+    return dr.cylinder_contains_batch(grid.alg, s.as_cylinder(), grid.X, grid.Z, grid.a)
 
 
-def full_maximal_field(grid, fam):
+def member_measure(grid, s, omega):
+    return h2.area(s) if isinstance(s, h2.H2Set) else dr.cylinder_volume(grid.alg, s, omega)
+
+
+def full_maximal_field(grid, members, omega=None):
     wv = grid.weights * np.abs(grid.values)
     out = np.zeros(grid.size)
     widx = np.full(grid.size, -1, dtype=np.int64)
-    for idx, s in enumerate(fam.members()):
+    for idx, s in enumerate(members):
         mask = full_mask(grid, s)
         integ = float(wv[mask].sum())
         if integ == 0.0:
             continue
-        avg = integ / fam.member_area(s)
+        avg = integ / member_measure(grid, s, omega)
         better = mask & (avg > out)
         out[better] = avg
         widx[better] = idx
@@ -108,7 +111,7 @@ def test_grid_is_an_exact_tensor_of_its_axes():
 def test_maximal_field_matches_full_grid(kind):
     g = h2_grid()
     centers = np.vstack([mx.grid_centers(g, 8), OFF_WINDOW])
-    fam = mx.FamilySpec(kind, centers=centers, radii=mx.radius_ladder(1.0, 4))
+    fam = mx.h2_lattice(kind, centers, mx.radius_ladder(1.0, 4))
     fld = mx.maximal_field(g, fam)
     values, widx = full_maximal_field(g, fam)
     assert np.array_equal(fld.values, values)
@@ -118,10 +121,12 @@ def test_maximal_field_matches_full_grid(kind):
 
 def test_maximal_field_admissible_rectangles_match_full_grid():
     g = h2_grid()
+    # the grid's lattice followed by two columns off the window, in product order
+    js = range(math.floor(-1.5), math.ceil(1.5) + 1)
     fam = mx.admissible_family_for_grid(g, k_max=6)
-    fam.xs = np.concatenate([fam.xs, [-3.4, 3.7]])
+    fam += [h2.admissible_rectangle(x, j, K) for x in (-3.4, 3.7) for j in js for K in range(2, 7)]
     # every admissible rectangle is unbounded above, so it reaches the window top
-    assert all(math.isinf(h2.bounding_box(s)[3]) for s in fam.members())
+    assert all(math.isinf(h2.bounding_box(s)[3]) for s in fam)
     fld = mx.maximal_field(g, fam)
     values, widx = full_maximal_field(g, fam)
     assert np.array_equal(fld.values, values)
@@ -148,14 +153,22 @@ def test_membership_block_scatters_to_full_mask():
 
 def test_maximal_fn_matches_full_grid():
     g = h2_grid()
-    fam = mx.FamilySpec("half_ball", centers=mx.grid_centers(g, 6), radii=mx.radius_ladder(1.0, 3))
-    wv = g.weights * np.abs(g.values)
+    fam = mx.h2_lattice("half_ball", mx.grid_centers(g, 6), mx.radius_ladder(1.0, 3))
     x = h2.HPoint(0.3, 0.9)
-    best = max(
-        (float(wv[full_mask(g, s)].sum()) / fam.member_area(s) for s in fam.members() if h2.contains(s, x)),
-        default=0.0,
+    assert mx.maximal_fn(g, x, fam).value == full_maximal_fn(g, x, fam)
+
+
+def full_maximal_fn(grid, x, members, omega=None):
+    wv = grid.weights * np.abs(grid.values)
+    if isinstance(x, h2.HPoint):
+        inside = [h2.contains(s, x) for s in members]
+    else:
+        X, Z, a = x.X[None], x.Z[None], np.array([x.a])
+        inside = [dr.cylinder_contains_batch(grid.alg, s.as_cylinder(), X, Z, a)[0] for s in members]
+    averages = (
+        float(wv[full_mask(grid, s)].sum()) / member_measure(grid, s, omega) for s, ok in zip(members, inside) if ok
     )
-    assert mx.maximal_fn(g, x, fam).value == best
+    return max(averages, default=0.0)
 
 
 # ------------------------------------------------------------------ NA grid
@@ -170,20 +183,43 @@ NA_CENTERS = [NPoint(np.array([0.2, -0.4]), np.array([0.5])),
               NPoint(np.array([-1.0, 1.5]), np.array([-3.0]))]
 
 
+OMEGA_HEI1 = 2 * math.pi**2
+
+
+def cylinder_family(kind):
+    if kind == "admissible_cylinder":
+        return [dr.AdmissibleCylinder(n0, j, R) for n0 in NA_CENTERS for j in range(-2, 2) for R in range(2, 5)]
+    return [dr.Cylinder(n0, a0, R) for n0 in NA_CENTERS for a0 in (0.3, 1.0, 2.5) for R in (1.5, 3.0)]
+
+
 @pytest.mark.parametrize("kind", ["admissible_cylinder", "cylinder"])
 def test_maximal_field_cylinders_match_full_grid(kind):
     g = na_grid()
-    if kind == "admissible_cylinder":
-        fam = mx.FamilySpec(kind, n_centers=NA_CENTERS, js=np.arange(-2, 2), radii=np.arange(2, 5),
-                            alg=HEI1, omega=2 * math.pi**2)
-    else:
-        fam = mx.FamilySpec(kind, n_centers=NA_CENTERS, xs=np.array([0.3, 1.0, 2.5]),
-                            radii=np.array([1.5, 3.0]), alg=HEI1, omega=2 * math.pi**2)
-    fld = mx.maximal_field(g, fam)
-    values, widx = full_maximal_field(g, fam)
+    fam = cylinder_family(kind)
+    fld = mx.maximal_field(g, fam, omega=OMEGA_HEI1)
+    values, widx = full_maximal_field(g, fam, OMEGA_HEI1)
     assert np.array_equal(fld.values, values)
     assert np.array_equal(fld.witness_idx, widx)
     assert (widx >= 0).any()
+    with pytest.raises(ValueError):
+        mx.maximal_field(g, fam)
+
+
+@pytest.mark.parametrize("kind", ["admissible_cylinder", "cylinder"])
+def test_maximal_fn_cylinders_match_full_grid(kind):
+    g = na_grid()
+    fam = cylinder_family(kind)
+    # grid points inside and outside the family's reach, and one off the lattice
+    points = [ht.SPoint(g.X[k], g.Z[k], float(g.a[k])) for k in range(0, g.size, 97)]
+    points.append(ht.spoint(HEI1, [0.25, -0.5], [0.4], 1.7))
+    hits = 0
+    for x in points:
+        res = mx.maximal_fn(g, x, fam, omega=OMEGA_HEI1)
+        assert res.value == full_maximal_fn(g, x, fam, OMEGA_HEI1)
+        hits += res.value > 0
+    assert 0 < hits < len(points)
+    with pytest.raises(ValueError):
+        mx.maximal_fn(g, points[0], fam)
 
 
 def test_overlap_profile_matches_full_grid():

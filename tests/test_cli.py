@@ -112,6 +112,12 @@ def test_exit_code_on_failure(monkeypatch):
         ["maxfn", "--grid=-4:4:-2:2:0:64"],
         ["maxfn", "--grid=-4:4:-2:2:96:0"],
         ["levelset", "--alpha-ladder", "0"],
+        ["maxfn", "--grid=-3:3:-1.5:1.5:40:24", "--family", "foo"],
+        ["maxfn", "--grid=-3:3:-1.5:1.5:40:24", "--family", "half_plane"],
+        ["maxfn", "--grid=-3:3:-1.5:1.5:40:24", "--family", "cylinder"],
+        ["overlap", "--space", "dr-foo:1"],
+        ["validate", "--space", "dr-heisenberg:x"],
+        ["vitali", "--space", "dr-heisenberg:0"],
     ],
 )
 def test_invalid_input_exits_2(argv, capsys):

@@ -52,6 +52,32 @@ def test_vitali_random_families_h2_backend():
         assert ex._all_disjoint(AB1, sel)
 
 
+def unblocked_left_out(alg, family, kept):
+    """Brute force over all pairs: the members of ``family`` outside ``kept``
+    that meet no kept member on their horocycle with base radius at least
+    their own.  A maximal greedy selection leaves none."""
+    kept_ids = {id(c) for c in kept}
+    return [
+        m for m in family
+        if id(m) not in kept_ids
+        and not any(
+            s.base_log == m.base_log and s.base_radius >= m.base_radius and not ex._certified_disjoint(alg, m, s)
+            for s in kept
+        )
+    ]
+
+
+@pytest.mark.parametrize("alg,spread", [(AB1, 60.0), (HEI1, 20.0)])
+def test_vitali_selection_is_maximal(alg, spread):
+    rng = np.random.default_rng(23)
+    for trial in range(5):
+        fam = ex.random_horocycle_family(alg, 60, -2, rng, r_hi=4, spread=spread)
+        sel, _rep = ex.vitali_select(alg, fam, samples=2_000, seed=trial, omega=2 * math.pi**2)
+        assert ex._all_disjoint(alg, sel)
+        assert 0 < len(sel) < len(fam)
+        assert not unblocked_left_out(alg, fam, sel)
+
+
 def test_vitali_union_measure_exact_vs_mc():
     rng = np.random.default_rng(11)
     fam = ex.random_horocycle_family(AB1, 30, -1, rng)
@@ -94,6 +120,29 @@ def test_build_family_mixed_random_verifies(alg):
         fam = ex.build_maximal_family(alg, gen, seed=trial)
         assert fam.cylinders
         assert not ex.verify_maximal_family(fam, seed=trial)
+
+
+@pytest.mark.parametrize("alg", [AB1, HEI1])
+def test_build_family_horocycle_step_is_maximal(alg):
+    """Two horocycles far apart in Z, and no member whose center lies in the
+    base of a member at least as large: no member is nested in another, so
+    pruning keeps the whole batch and the oracle sees the horocycle step."""
+    rng = np.random.default_rng(29)
+    gen = []
+    for base_log, shift in ((-2, -300.0), (-1, 300.0)):
+        for c in ex.random_horocycle_family(alg, 40, base_log, rng, r_hi=4, spread=30.0):
+            c = AdmissibleCylinder(NPoint(c.n0.X, c.n0.Z + shift), c.j, c.R)
+            small_in_large = (
+                ht.dist_n(alg, big.n0, small.n0) < big.base_radius
+                for d in gen
+                for small, big in [sorted((c, d), key=lambda e: e.base_radius)]
+            )
+            if not any(small_in_large):
+                gen.append(c)
+    fam = ex.build_maximal_family(alg, gen, seed=3)
+    assert len({c.base_log for c in fam.cylinders}) == 2
+    assert len(fam.cylinders) < len(gen)
+    assert not unblocked_left_out(alg, gen, fam.cylinders)
 
 
 @pytest.mark.parametrize("alg", [AB1, HEI1])

@@ -28,9 +28,7 @@ def test_indicator_of_member_gives_value_one():
     g = make_grid()
     Q = h2.admissible_rectangle(0.0, 0, 2)
     g.set_values(indicator(Q))
-    fam = mx.FamilySpec(
-        "admissible_rectangle", xs=np.array([0.0]), js=np.array([0]), radii=np.array([2, 3])
-    )
+    fam = [h2.admissible_rectangle(0.0, 0, K) for K in (2, 3)]
     res = mx.maximal_fn(g, h2.HPoint(0.0, 1.0), fam)
     assert not res.empty
     # the witness achieving the max is Q itself, up to grid quantization
@@ -41,7 +39,7 @@ def test_indicator_of_member_gives_value_one():
 def test_zero_function_gives_zero():
     g = make_grid(res=(32, 32))
     g.set_values(lambda x, y: 0.0)
-    fam = mx.FamilySpec("ball", centers=np.array([[0.0, 1.0]]), radii=np.array([1.0]))
+    fam = [h2.ball(I, 1.0)]
     res = mx.maximal_fn(g, I, fam)
     assert res.value == 0.0 and res.witness is None
 
@@ -49,7 +47,7 @@ def test_zero_function_gives_zero():
 def test_empty_witness_flag():
     g = make_grid(res=(16, 16))
     g.set_values(lambda x, y: 1.0)
-    fam = mx.FamilySpec("ball", centers=np.array([[100.0, 1.0]]), radii=np.array([0.5]))
+    fam = [h2.ball(h2.HPoint(100.0, 1.0), 0.5)]
     res = mx.maximal_fn(g, I, fam)
     assert res.empty and res.value == 0.0
 
@@ -60,7 +58,7 @@ def test_halfball_family_against_bruteforce():
     g.set_values(indicator(small))
     centers = np.array([[0.0, 1.0], [0.0, math.exp(-0.5)], [0.3, 1.2]])
     radii = np.array([2.0, 2.5, 3.0, 3.5])
-    fam = mx.FamilySpec("half_ball", centers=centers, radii=radii)
+    fam = mx.h2_lattice("half_ball", centers, radii)
     x = h2.HPoint(0.0, math.exp(-2.0))
     got = mx.maximal_fn(g, x, fam)
 
@@ -81,7 +79,7 @@ def test_halfball_family_against_bruteforce():
 def test_field_agrees_with_pointwise():
     g = make_grid(window=(-2.0, 2.0, -1.0, 1.0), res=(24, 20))
     g.set_values(indicator(h2.ball(I, 0.8)))
-    fam = mx.FamilySpec("rectangle", centers=mx.grid_centers(g, 6), radii=np.array([1.5, 2.0]))
+    fam = mx.h2_lattice("rectangle", mx.grid_centers(g, 6), [1.5, 2.0])
     fld = mx.maximal_field(g, fam)
     for k in (0, 57, 213, 400):
         res = mx.maximal_fn(g, h2.HPoint(float(g.x[k]), float(g.y[k])), fam)
@@ -93,7 +91,7 @@ def test_field_agrees_with_pointwise():
 def test_sublinearity_homogeneity_monotonicity():
     g = make_grid(window=(-2.0, 2.0, -1.5, 1.5), res=(40, 30))
     rng = np.random.default_rng(3)
-    fam = mx.FamilySpec("half_ball", centers=mx.grid_centers(g, 8), radii=np.array([1.0, 1.7]))
+    fam = mx.h2_lattice("half_ball", mx.grid_centers(g, 8), [1.0, 1.7])
     f = np.abs(rng.normal(size=g.size))
     h = np.abs(rng.normal(size=g.size))
 
@@ -112,7 +110,7 @@ def test_indicator_never_exceeds_one_plus_grid_tol():
     g = make_grid(window=(-3.0, 3.0, -2.0, 2.0), res=(120, 80))
     Q = h2.rectangle(h2.HPoint(0.0, 1.1), 1.4)
     g.set_values(indicator(Q))
-    fam = mx.FamilySpec("rectangle", centers=mx.grid_centers(g, 10), radii=mx.radius_ladder(1.1, 4))
+    fam = mx.h2_lattice("rectangle", mx.grid_centers(g, 10), mx.radius_ladder(1.1, 4))
     fld = mx.maximal_field(g, fam)
     assert fld.values.max() <= 1.0 + 0.03
 
@@ -122,7 +120,7 @@ def test_indicator_never_exceeds_one_plus_grid_tol():
 def test_level_sets_monotone_and_trivial_cases():
     g = make_grid(window=(-2.0, 2.0, -1.5, 1.5), res=(40, 30))
     g.set_values(indicator(h2.ball(I, 0.5)))
-    fam = mx.FamilySpec("rectangle", centers=mx.grid_centers(g, 8), radii=mx.radius_ladder(1.2, 3))
+    fam = mx.h2_lattice("rectangle", mx.grid_centers(g, 8), mx.radius_ladder(1.2, 3))
     rows, fld = mx.level_set_table(g, fam, [2.0 ** (-m) for m in range(0, 10)])
     meas = [r[1] for r in rows]
     assert all(m2 >= m1 - 1e-15 for m1, m2 in zip(meas, meas[1:]))
@@ -189,6 +187,7 @@ def test_lp_norm_indicator_and_scaling():
 
 def test_cylinder_family_matches_rectangle_family():
     from hypmax import htype as ht
+    from hypmax.drsets import AdmissibleCylinder
     from hypmax.htype import NPoint
 
     ab1 = ht.degenerate_abelian(1)
@@ -199,19 +198,12 @@ def test_cylinder_family_matches_rectangle_family():
     gn.values = gh.values.copy()  # same lattice layout by construction
 
     xs = np.unique(gh.x)[::8]
-    js = np.array([-1, 0])
-    Ks = np.array([2, 3])
-    fam_h = mx.FamilySpec("admissible_rectangle", xs=xs, js=js, radii=Ks)
-    fam_n = mx.FamilySpec(
-        "admissible_cylinder",
-        n_centers=[NPoint(np.zeros(0), np.array([x])) for x in xs],
-        js=js,
-        radii=Ks,
-        alg=ab1,
-        omega=2.0,
-    )
+    js = (-1, 0)
+    Ks = (2, 3)
+    fam_h = [h2.admissible_rectangle(float(x), j, K) for x in xs for j in js for K in Ks]
+    fam_n = [AdmissibleCylinder(NPoint(np.zeros(0), np.array([x])), j, K) for x in xs for j in js for K in Ks]
     fh = mx.maximal_field(gh, fam_h).values
-    fn = mx.maximal_field(gn, fam_n).values
+    fn = mx.maximal_field(gn, fam_n, omega=2.0).values
     # same points in the same order: (x, u) lattice vs (Z, u) lattice
     assert np.allclose(np.sort(fh), np.sort(fn), rtol=1e-12)
     assert fh.max() > 0
