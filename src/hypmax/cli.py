@@ -127,6 +127,11 @@ def _family_for(grid, name: str, k_max: int = 6):
         raise UsageError(f"--family {name!r} is not a half-plane family with radii ({exc})") from None
 
 
+def _require_h2(cfg) -> None:
+    if cfg.space != "h2":
+        raise UsageError(f"--space {cfg.space!r}: {cfg.subcommand} runs on the half-plane only; use --space h2")
+
+
 def _algebra(spec: str):
     try:
         return ht.make_algebra(spec)
@@ -148,6 +153,7 @@ def cmd_validate(cfg) -> ExperimentReport:
 
 
 def cmd_areas(cfg) -> ExperimentReport:
+    _require_h2(cfg)
     rep = ExperimentReport("areas", meta=_meta(cfg))
     rows = []
     ok = True
@@ -202,6 +208,7 @@ def cmd_volume(cfg) -> ExperimentReport:
 
 
 def cmd_maxfn(cfg) -> ExperimentReport:
+    _require_h2(cfg)
     window, res = parse_grid(cfg.grid)
     grid = ms.build_grid("h2", window, res)
     grid.set_values(_profile_fn(cfg.profile))
@@ -224,6 +231,7 @@ def cmd_maxfn(cfg) -> ExperimentReport:
 
 
 def cmd_levelset(cfg) -> ExperimentReport:
+    _require_h2(cfg)
     if int(cfg.nu) != 1:
         raise UsageError("level-set tables are computed on the nu = 1 backend")
     window, res = parse_grid(cfg.grid)

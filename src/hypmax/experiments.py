@@ -37,18 +37,40 @@ class MaximalFamily:
         return sorted({c.base_log for c in self.cylinders})
 
 
+def _bases(alg, cyls) -> tuple:
+    """Centres X (m, p), Z (m, q) and base radii (m,) of the cylinders."""
+    m = len(cyls)
+    X = np.array([c.n0.X for c in cyls]).reshape(m, alg.p)
+    Z = np.array([c.n0.Z for c in cyls]).reshape(m, alg.q)
+    return X, Z, np.array([c.base_radius for c in cyls])
+
+
+def _disjoint_from(alg, c, X, Z, r):
+    """Per row i: the base of c is certified disjoint from the base ball of
+    radius r[i] about (X[i], Z[i]) by the gauge triangle inequality (centres
+    farther apart than the radius sum).  Row by row the distance rounds like
+    ``htype.dist_n``."""
+    g = ht.gauge_batch(*ht.left_translate_batch(alg, ht.n_inv(c.n0), X, Z))
+    return g >= c.base_radius + r
+
+
 def _certified_disjoint(alg, c1, c2) -> bool:
-    # gauge triangle inequality: centers farther than the radius sum
-    return ht.dist_n(alg, c1.n0, c2.n0) >= c1.base_radius + c2.base_radius
+    return bool(_disjoint_from(alg, c1, c2.n0.X[None, :], c2.n0.Z[None, :], c2.base_radius)[0])
 
 
 def _greedy_disjoint(alg, cyls) -> list:
     """Greedy largest-first selection among cylinders on one horocycle: in
     order of decreasing base radius with a lexicographic center tie-break,
     keep each cylinder whose base is certified disjoint from every kept base."""
+    order = sorted(cyls, key=lambda c: (-c.base_radius, tuple(c.n0.X), tuple(c.n0.Z)))
+    X, Z, r = _bases(alg, order)
     kept = []
-    for c in sorted(cyls, key=lambda c: (-c.base_radius, tuple(c.n0.X), tuple(c.n0.Z))):
-        if all(_certified_disjoint(alg, c, s) for s in kept):
+    for i, c in enumerate(order):
+        k = len(kept)
+        if _disjoint_from(alg, c, X[:k], Z[:k], r[:k]).all():
+            # rows :k hold the kept bases and rows k..i-1 spent candidates
+            # (k <= i), so row k can take this base
+            X[k], Z[k], r[k] = X[i], Z[i], r[i]
             kept.append(c)
     return kept
 
@@ -104,7 +126,14 @@ def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"
     x (height tail) and only the N-Lebesgue measure of the base union is
     needed.  q = 1 abelian base balls are intervals and are merged
     exactly; otherwise Monte Carlo over a bounding box.  Returns
-    (measure, stderr)."""
+    (measure, stderr).
+
+    The Monte Carlo samples are sorted once by the first horizontal
+    coordinate.  Base balls are visited largest first, and each tests only
+    the samples of its slice that lie in its ``measure.base_ball_box`` and
+    are not yet known to be inside the union; after each radius the
+    columns are compacted to the samples still outside.  The hit set is an
+    OR of the same per-sample tests, so it does not depend on the order."""
     u = cyls[0].base_height
     nu = alg.nu
     tail = u**-nu / nu
@@ -120,34 +149,38 @@ def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"
         total += cur_hi - cur_lo
         return total * tail, 0.0
     rng = np.random.default_rng(seed)
-    x_los = np.array([[c.n0.X[i] - 2 * c.base_radius for i in range(alg.p)] for c in cyls])
-    x_his = np.array([[c.n0.X[i] + 2 * c.base_radius for i in range(alg.p)] for c in cyls])
-    pad = np.array(
-        [[abs(np.linalg.norm(c.n0.X)) * c.base_radius + c.a0 for _ in range(alg.q)] for c in cyls]
-    )
-    z_ctr = np.array([c.n0.Z for c in cyls])
-    lo = np.concatenate(
-        [x_los.min(axis=0), (z_ctr - pad).min(axis=0)] if alg.p else [(z_ctr - pad).min(axis=0)]
-    )
-    hi = np.concatenate(
-        [x_his.max(axis=0), (z_ctr + pad).max(axis=0)] if alg.p else [(z_ctr + pad).max(axis=0)]
-    )
+    X0, Z0, r = _bases(alg, cyls)
+    # the bounding box seeds the sample positions: keep the per-row norm
+    pad = np.array([np.linalg.norm(c.n0.X) for c in cyls]) * r + np.array([c.a0 for c in cyls])
+    lo = np.concatenate([(X0 - 2 * r[:, None]).min(axis=0), (Z0 - pad[:, None]).min(axis=0)])
+    hi = np.concatenate([(X0 + 2 * r[:, None]).max(axis=0), (Z0 + pad[:, None]).max(axis=0)])
     pts = rng.uniform(lo, hi, (samples, alg.p + alg.q))
     # sorted by the first horizontal coordinate, each base ball meets one
-    # contiguous slice (|X_1 - X0_1| < 2r, or |Z_1 - Z0_1| < r^2 when p = 0),
-    # and only the slice's samples inside the ball's box are tested; the hit
-    # count below does not depend on the order
+    # contiguous slice (|X_1 - X0_1| < 2r, or |Z_1 - Z0_1| < r^2 when p = 0)
     pts = pts[np.argsort(pts[:, 0], kind="stable")]
     X, Z = pts[:, : alg.p], pts[:, alg.p :]
-    cols = np.ascontiguousarray(pts.T)
     inside = np.zeros(samples, dtype=bool)
-    for c in cyls:
-        b_lo, b_hi = ms.base_ball_box(alg, c)
-        i0, i1 = cols[0].searchsorted((b_lo[0], b_hi[0]))
-        seg = cols[:, i0:i1]
-        rows = i0 + np.flatnonzero(((seg > b_lo[:, None]) & (seg < b_hi[:, None])).all(axis=0))
-        Xd, Zd = ht.left_translate_batch(alg, ht.n_inv(c.n0), X[rows], Z[rows])
-        inside[rows] |= ht.gauge_batch(Xd, Zd) < c.base_radius
+    # live: the samples not yet known inside, as positions in pts; cols: theirs
+    live = np.arange(samples)
+    cols = np.ascontiguousarray(pts.T)
+    b_lo, b_hi = ms.base_ball_box_batch(alg, X0, Z0, r)
+    order = np.argsort(-r, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(r[order])) + 1):
+        for i in group:
+            # the slice holds exactly the samples with b_lo < X_1 < b_hi
+            j0 = cols[0].searchsorted(b_lo[i, 0], side="right")
+            j1 = cols[0].searchsorted(b_hi[i, 0], side="left")
+            in_box = np.ones(j1 - j0, dtype=bool)
+            for k in range(1, cols.shape[0]):
+                seg = cols[k, j0:j1]
+                in_box &= (seg > b_lo[i, k]) & (seg < b_hi[i, k])
+            rows = live[j0 + np.flatnonzero(in_box)]
+            rows = rows[~inside[rows]]
+            if rows.size:
+                Xd, Zd = ht.left_translate_batch(alg, ht.n_inv(cyls[i].n0), X[rows], Z[rows])
+                inside[rows] = ht.gauge_batch(Xd, Zd) < r[i]
+        out = ~inside[live]
+        live, cols = live[out], cols[:, out]
     box = float(np.prod(hi - lo))
     frac = inside.mean()
     stderr = box * math.sqrt(frac * (1 - frac) / samples) * tail
@@ -194,11 +227,8 @@ def vitali_select(alg: HTypeAlgebra, family: list, samples: int = 100_000, seed:
 
 
 def _all_disjoint(alg, cyls) -> bool:
-    return all(
-        _certified_disjoint(alg, cyls[i], cyls[k])
-        for i in range(len(cyls))
-        for k in range(i + 1, len(cyls))
-    )
+    X, Z, r = _bases(alg, cyls)
+    return all(_disjoint_from(alg, c, X[i + 1 :], Z[i + 1 :], r[i + 1 :]).all() for i, c in enumerate(cyls))
 
 
 # ------------------------------------------------------ family construction

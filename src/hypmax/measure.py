@@ -177,18 +177,27 @@ def membership_mask(grid: SampleGrid, s) -> tuple:
 def base_ball_box(alg: HTypeAlgebra, c) -> tuple:
     """(lo, hi) over the p + q horizontal coordinates: an open box holding
     every point that the rounded test gauge(n0^{-1} n) < r of the cylinder
-    c accepts."""
-    r, X0, Z0 = c.base_radius, c.n0.X, c.n0.Z
+    c accepts.  A one-row call of ``base_ball_box_batch``."""
+    lo, hi = base_ball_box_batch(alg, c.n0.X[None, :], c.n0.Z[None, :], np.array([c.base_radius]))
+    return lo[0], hi[0]
+
+
+def base_ball_box_batch(alg: HTypeAlgebra, X0, Z0, r) -> tuple:
+    """(lo, hi), each of shape (m, p + q): row i is the open box of
+    ``base_ball_box`` for the base ball of radius r[i] about (X0[i], Z0[i])."""
+    r = np.asarray(r, dtype=float)[:, None]
+    aX0 = np.abs(X0)
     # gauge < r gives |X - X0| < 2r and |Z - Z0 - [X0, X - X0]/2| < r^2 (the
-    # bracket is antisymmetric), so |Z_k - Z0_k| < r^2 + r sum_ij |X0_i c_ijk|
-    cx = np.abs(X0) @ np.abs(alg.bracket_coeffs).sum(axis=1)
-    x_half = np.full(alg.p, 2.0 * r)
+    # bracket is antisymmetric), so |Z_k - Z0_k| < r^2 + r sum_ij |X0_i c_ijk|;
+    # the sum over i runs in index order, whatever the number of rows
+    cx = (aX0[:, :, None] * np.abs(alg.bracket_coeffs).sum(axis=1)).sum(axis=1)
+    x_half = 2.0 * r
     z_half = r * r + r * cx
     # the test rounds X - X0, Z - Z0 and the bracket [X0, X], whose terms
     # reach cx |X|; widen each side far beyond those rounding errors
-    x_half += 1e-9 * (np.abs(X0) + x_half)
-    z_half += 1e-9 * (np.abs(Z0) + z_half + cx * (np.abs(X0).max(initial=0.0) + 2.0 * r))
-    return np.concatenate([X0 - x_half, Z0 - z_half]), np.concatenate([X0 + x_half, Z0 + z_half])
+    x_half = x_half + 1e-9 * (aX0 + x_half)
+    z_half = z_half + 1e-9 * (np.abs(Z0) + z_half + cx * (aX0.max(axis=1, initial=0.0)[:, None] + 2.0 * r))
+    return np.hstack([X0 - x_half, Z0 - z_half]), np.hstack([X0 + x_half, Z0 + z_half])
 
 
 def _cylinder_block(grid: SampleGrid, c: Cylinder) -> tuple:

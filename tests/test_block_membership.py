@@ -244,13 +244,61 @@ def test_overlap_profile_heisenberg2_matches_full_grid():
 
 # ------------------------------------------------------------- Monte Carlo
 
-@pytest.mark.parametrize("alg", [HEI1, AB2], ids=lambda a: a.label)
+@pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
 def test_union_measure_matches_unsorted_loop(alg):
     rng = np.random.default_rng(2)
     fam = ex.random_horocycle_family(alg, 200, -2, rng)
     got = ex._union_base_measure(alg, fam, 20_000, 9)
     assert got == unsorted_union_measure(alg, fam, 20_000, 9)
     assert got[0] > 0
+
+
+@pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
+def test_union_measure_skips_covered_samples(alg, monkeypatch):
+    """One large base holds the bases of many small members, some members
+    come twice (the same object, or a copy), and a few lie apart: most
+    members find no uncovered sample in their box, and the sample columns
+    are compacted after each radius."""
+    rng = np.random.default_rng(5)
+    big = dr.AdmissibleCylinder(NPoint(np.zeros(alg.p), np.zeros(alg.q)), 4, 6)
+    small = ex.random_horocycle_family(alg, 60, -2, rng, r_lo=2, r_hi=3, spread=1.0)
+    apart = ex.random_horocycle_family(alg, 10, -2, rng, r_lo=2, r_hi=4, spread=40.0)
+    copies = [dr.AdmissibleCylinder(NPoint(c.n0.X.copy(), c.n0.Z.copy()), c.j, c.R) for c in small[:10]]
+    fam = small[:30] + [big] + small[30:] + small[:5] + copies + apart + [big]
+    calls = []
+    translate = ht.left_translate_batch
+    monkeypatch.setattr(ht, "left_translate_batch", lambda *a: calls.append(1) or translate(*a))
+    got = ex._union_base_measure(alg, fam, 20_000, 4)
+    assert len(calls) < len(fam) // 2
+    monkeypatch.undo()
+    assert got == unsorted_union_measure(alg, fam, 20_000, 4)
+    assert got[0] > 0
+
+
+@pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
+def test_union_measure_one_radius_matches_unsorted_loop(alg):
+    rng = np.random.default_rng(6)
+    fam = ex.random_horocycle_family(alg, 150, -2, rng, r_lo=3, r_hi=3)
+    got = ex._union_base_measure(alg, fam, 20_000, 8)
+    assert got == unsorted_union_measure(alg, fam, 20_000, 8)
+    assert got[0] > 0
+
+
+@pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
+def test_batched_disjointness_matches_dist_n(alg):
+    """One left translation and gauge per candidate give every pairwise
+    ``dist_n`` bit for bit, and with it the per-pair disjointness test."""
+    rng = np.random.default_rng(8)
+    for scale in (1e-3, 1.0, 1e3):
+        fam = ex.random_horocycle_family(alg, 40, -2, rng, r_lo=2, r_hi=6, spread=scale)
+        X, Z, r = ex._bases(alg, fam)
+        for c in fam:
+            dist = [ht.dist_n(alg, c.n0, s.n0) for s in fam]
+            got = ht.gauge_batch(*ht.left_translate_batch(alg, ht.n_inv(c.n0), X, Z))
+            assert np.array_equal(got, dist)
+            per_pair = [d >= c.base_radius + s.base_radius for d, s in zip(dist, fam)]
+            assert list(ex._disjoint_from(alg, c, X, Z, r)) == per_pair
+            assert [ex._certified_disjoint(alg, c, s) for s in fam] == per_pair
 
 
 def test_left_translate_matches_expanded_group_law():
@@ -277,3 +325,16 @@ def test_base_ball_box_holds_every_accepted_point(alg, scale, a0):
     lo, hi = ms.base_ball_box(alg, c)
     pts = np.hstack([X, Z])[accepted]
     assert ((pts > lo) & (pts < hi)).all()
+
+
+@pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
+def test_base_ball_box_batch_rows_match_one_row_calls(alg):
+    rng = np.random.default_rng(7)
+    cyls = [
+        dr.Cylinder(NPoint(s * rng.standard_normal(alg.p), s * rng.standard_normal(alg.q)), a0, 2.0)
+        for s, a0 in zip(10.0 ** rng.uniform(-3, 3, 300), np.exp(rng.uniform(-16, 16, 300)))
+    ]
+    lo, hi = ms.base_ball_box_batch(alg, *ex._bases(alg, cyls))
+    for i, c in enumerate(cyls):
+        lo1, hi1 = ms.base_ball_box(alg, c)
+        assert np.array_equal(lo[i], lo1) and np.array_equal(hi[i], hi1)

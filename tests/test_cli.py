@@ -118,6 +118,9 @@ def test_exit_code_on_failure(monkeypatch):
         ["overlap", "--space", "dr-foo:1"],
         ["validate", "--space", "dr-heisenberg:x"],
         ["vitali", "--space", "dr-heisenberg:0"],
+        ["maxfn", "--space", "dr-heisenberg:1", "--grid=-3:3:-1.5:1.5:40:24"],
+        ["levelset", "--space", "dr-heisenberg:1", "--grid=-3:3:-1.5:1.5:40:24"],
+        ["areas", "--space", "dr-abelian:2", "--R", "1,2"],
     ],
 )
 def test_invalid_input_exits_2(argv, capsys):
