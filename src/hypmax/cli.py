@@ -94,6 +94,18 @@ def parse_alpha_ladder(spec: str):
     return vals, None
 
 
+def parse_packing_level(value, flag: str) -> int:
+    """A packing level from --level/--levels, checked against the range
+    that experiments.packing_construct can represent."""
+    try:
+        level = int(value)
+    except ValueError:
+        raise UsageError(f"{flag} {value!r}: expected an integer") from None
+    if not 0 <= level <= ex.MAX_PACKING_LEVEL:
+        raise UsageError(f"{flag} {level}: packing levels run 0..{ex.MAX_PACKING_LEVEL}")
+    return level
+
+
 def load_config(path: str) -> dict:
     out = {}
     with open(path) as fh:
@@ -297,7 +309,7 @@ def cmd_eta(cfg) -> ExperimentReport:
 
 
 def cmd_pack(cfg) -> ExperimentReport:
-    levels = ex.packing_construct(int(cfg.levels))
+    levels = ex.packing_construct(parse_packing_level(cfg.levels, "--levels"))
     rep = ex.packing_report(levels, seed=int(cfg.seed))
     rep.name = "pack"
     rep.meta = _meta(cfg)
@@ -319,9 +331,9 @@ def cmd_figures(cfg) -> str:
         zx, zy = (float(v) for v in str(cfg.z).split(","))
         params = {"z": (zx, zy), "R": float(str(cfg.R).split(",")[0])}
     elif cfg.figure == "halfballs":
-        params = {"level": int(cfg.level)}
+        params = {"level": parse_packing_level(cfg.level, "--level")}
     elif cfg.figure == "packing":
-        params = {"levels": int(cfg.levels)}
+        params = {"levels": parse_packing_level(cfg.levels, "--levels")}
     return figures.emit_figure(cfg.figure, params)
 
 
@@ -365,11 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--alpha-ladder", dest="alpha_ladder", help="dyadic ladder 2^-a..2^-b or comma floats")
     ap.add_argument("--R", help="radius or comma list of radii")
     ap.add_argument("--profile", help="test function: ball | rect | height")
-    ap.add_argument("--levels", type=int, help="max packing level")
+    ap.add_argument("--levels", type=int, help=f"max packing level, 0..{ex.MAX_PACKING_LEVEL}")
     ap.add_argument("--count", type=int, help="generated family size")
     ap.add_argument("--figure", help="figure kind: rectangle | halfballs | packing")
     ap.add_argument("--z", help="figure center as x,y")
-    ap.add_argument("--level", type=int, help="packing level for the halfballs figure")
+    ap.add_argument("--level", type=int, help=f"packing level for the halfballs figure, 0..{ex.MAX_PACKING_LEVEL}")
     ap.add_argument("--nu", type=int, help="homogeneous dimension for levelset tables")
     ap.add_argument("--config", help="flat key=value config file")
     ap.add_argument("--out", help="output path (default: stdout, or $HYPMAX_OUT/<subcommand>.<ext>)")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import htype as ht
 from . import hyp2
@@ -165,7 +164,12 @@ def sandwich_constants(alg: HTypeAlgebra, omega: float) -> tuple:
 def trig_sandwich_volume(alg: HTypeAlgebra, R: float, omega: float) -> tuple:
     """Volumes of the inner/outer envelopes of the trigonon of radius R:
     omega * int_{e^{-R}}^{1} alpha_i(h)^nu h^{-nu-1} dh for i = 1, 2,
-    integrated in u = log h with adaptive quadrature."""
+    integrated in u = log h with adaptive quadrature.
+
+    scipy is imported here, at the first call, so that importing the
+    package (and every CLI run) does not pay for it."""
+    from scipy import integrate
+
     if not R > 1:
         raise ValueError("sandwich defined for R > 1")
     nu = alg.nu

@@ -11,7 +11,7 @@ whose L^p sums diverge for p <= 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -510,12 +510,16 @@ def dirac_witness_lattice(alpha: float, r_step: float = 0.125, r_cap: float = 12
 
 # ------------------------------------------------------------ half-ball packing
 
+# Level 6 is out of reach in float64: its adjacent centres near +-1 are
+# ~6e-28 apart, far below ulp(1) = 2.2e-16, so they round to equal doubles.
+MAX_PACKING_LEVEL = 5
+
+
 @dataclass
 class PackingLevel:
     level: int
     rho: float
     n_count: int
-    centers: np.ndarray = field(repr=False)
     e_measure: float
 
     @property
@@ -526,21 +530,32 @@ class PackingLevel:
     def center_height(self) -> float:
         return math.exp(-(2.0**self.level))
 
+    def center(self, i: int) -> float:
+        """The i-th of the n_count equally spaced centres spanning [-1, 1],
+        bit-equal to ``np.linspace(-1.0, 1.0, n_count)[i]`` (the same
+        formula) without building the row; a one-centre row sits at 0."""
+        n = self.n_count
+        if n == 1:
+            return 0.0
+        if i == n - 1:
+            return 1.0
+        return float(i) * (2.0 / (n - 1)) + -1.0
+
 
 def packing_construct(max_level: int) -> list:
     """Equally spaced maximal rows of disjoint half balls, level by level:
     on the horocycle at height e^{-2^l}, n_l = floor(1/rho_l) + 1 translates
-    of the half ball of radius 2^l spanning [-1, 1]."""
-    if max_level > 6:
-        raise ValueError("desk-scale packing supports levels up to 6")
+    of the half ball of radius 2^l spanning [-1, 1].  Levels run
+    0..MAX_PACKING_LEVEL (5)."""
+    if not 0 <= max_level <= MAX_PACKING_LEVEL:
+        raise ValueError(f"packing levels run 0..{MAX_PACKING_LEVEL}, got {max_level}")
     out = []
     for lev in range(max_level + 1):
         s = 2.0**lev
         rho = 2.0 * math.exp(-s) * math.tanh(s)
         n = int(math.floor(1.0 / rho)) + 1
-        centers = np.linspace(-1.0, 1.0, n) if n > 1 else np.zeros(1)
         e_meas = n * 2.0 * math.pi * math.sinh(s / 2.0) ** 2
-        out.append(PackingLevel(lev, rho, n, centers, e_meas))
+        out.append(PackingLevel(lev, rho, n, e_meas))
     return out
 
 
@@ -554,8 +569,8 @@ def packing_report(levels, samples: int = 4000, seed: int = 0) -> ExperimentRepo
         if lv.n_count > 1:
             pairs = [(0, 1), (lv.n_count // 2, lv.n_count // 2 + 1), (lv.n_count - 2, lv.n_count - 1)]
             for i, k in {p for p in pairs if p[1] < lv.n_count}:
-                b1 = hyp2.half_ball(HPoint(float(lv.centers[i]), lv.center_height), lv.radius)
-                b2 = hyp2.half_ball(HPoint(float(lv.centers[k]), lv.center_height), lv.radius)
+                b1 = hyp2.half_ball(HPoint(lv.center(i), lv.center_height), lv.radius)
+                b2 = hyp2.half_ball(HPoint(lv.center(k), lv.center_height), lv.radius)
                 x, y = _sample_halfball_h2(b1, samples, rng)
                 violations += int(hyp2.contains_mask(b2, x, y).sum())
         disjoint_ok &= violations == 0
@@ -632,7 +647,7 @@ def modified_lp_sums(
         members = rng.integers(0, lv.n_count, check_points)
         ok = True
         for i in set(members.tolist()):
-            cx = float(lv.centers[i])
+            cx = lv.center(i)
             member = hyp2.half_ball(HPoint(cx, lv.center_height), lv.radius)
             witness = hyp2.modified_half_ball(HPoint(cx, lv.center_height), lv.radius)
             n_pts = int((members == i).sum())

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import hyp2
 from .experiments import packing_construct
 from .hyp2 import HPoint
@@ -119,23 +117,23 @@ def _halfballs_figure(params) -> str:
     lv = packing_construct(level)[level]
     height = lv.center_height
     R = lv.radius
-    centers = lv.centers
-    if len(centers) > 64:
-        stride = len(centers) // 64 + 1
-        centers = np.concatenate([centers[::stride], centers[-1:]])
+    n = lv.n_count
+    # rows longer than 64 are thinned to every stride-th centre plus the last
+    idx = [*range(0, n, n // 64 + 1), n - 1] if n > 64 else range(n)
+    centers = [lv.center(i) for i in idx]
     pad = height * math.sinh(R) * 0.2
-    x_lo = float(centers[0]) - height - pad
-    x_hi = float(centers[-1]) + height + pad
+    x_lo = centers[0] - height - pad
+    x_hi = centers[-1] + height + pad
     y_hi = height * 1.8
     cv = _Canvas(x_lo, x_hi, 0.0, y_hi)
     cv.line(x_lo, height, x_hi, height, width=1.0)
     for c in centers:
-        z = HPoint(float(c), height)
+        z = HPoint(c, height)
         cv.polygon(_halfball_outline(z, R), fill="#bcd2ee", stroke="#3b6ea5", opacity=0.85)
-    cv.dot(float(centers[0]), height)
-    cv.dot(float(centers[-1]), height)
-    cv.text(float(centers[0]), height, f"-1+ie^-{2**level}", dy=-10)
-    cv.text(float(centers[-1]), height, f"1+ie^-{2**level}", dy=-10)
+    cv.dot(centers[0], height)
+    cv.dot(centers[-1], height)
+    cv.text(centers[0], height, f"-1+ie^-{2**level}", dy=-10)
+    cv.text(centers[-1], height, f"1+ie^-{2**level}", dy=-10)
     return cv.render()
 
 
@@ -146,14 +144,13 @@ def _packing_figure(params) -> str:
     u_lo = -(2.0**max_level) * 2.0 - 0.5
     cv = _Canvas(-1.6, 1.6, u_lo, 1.0)
     for lv in levels:
-        centers = lv.centers
-        if len(centers) > 48:
-            stride = len(centers) // 48 + 1
-            centers = centers[::stride]
+        n = lv.n_count
+        # rows longer than 48 are thinned to every stride-th centre
+        idx = range(0, n, n // 48 + 1) if n > 48 else range(n)
         u_c = -(2.0**lv.level)
         cv.line(-1.6, u_c, 1.6, u_c, dash=True)
-        for c in centers:
-            z = HPoint(float(c), lv.center_height)
+        for i in idx:
+            z = HPoint(lv.center(i), lv.center_height)
             pts = [(x, math.log(max(y, 1e-300))) for x, y in _halfball_outline(z, lv.radius, 32)]
             pts = [(x, u) for x, u in pts if u >= u_lo]
             if len(pts) > 2:

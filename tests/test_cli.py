@@ -2,10 +2,18 @@
 figure generation and exit codes."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hypmax import cli
+import hypmax
+from hypmax import cli, experiments as ex, figures, hyp2
 from hypmax.report import ExperimentReport
 
 
@@ -88,6 +96,7 @@ def test_csv_levelset_columns():
         ["volume", "--space", "dr-abelian:2", "--samples", "40000"],
         ["volume", "--space", "dr-heisenberg:1", "--samples", "40000"],
         ["volume", "--space", "dr-heisenberg:2", "--samples", "40000"],
+        ["pack", "--levels", "5"],
     ],
 )
 def test_subcommands_pass(argv):
@@ -121,6 +130,11 @@ def test_exit_code_on_failure(monkeypatch):
         ["maxfn", "--space", "dr-heisenberg:1", "--grid=-3:3:-1.5:1.5:40:24"],
         ["levelset", "--space", "dr-heisenberg:1", "--grid=-3:3:-1.5:1.5:40:24"],
         ["areas", "--space", "dr-abelian:2", "--R", "1,2"],
+        ["pack", "--levels", "6"],
+        ["pack", "--levels=-1"],
+        ["figures", "--figure", "halfballs", "--level", "6"],
+        ["figures", "--figure", "halfballs", "--level=-1"],
+        ["figures", "--figure", "packing", "--levels", "6"],
     ],
 )
 def test_invalid_input_exits_2(argv, capsys):
@@ -157,9 +171,39 @@ def test_figure_halfballs_level0_draws_two():
     assert svg.count("<polygon") == 2
 
 
-def test_figure_empty_params_minimal():
-    from hypmax import figures
+def _halfballs_svg_from_linspace(level):
+    """The halfballs figure drawn from the materialised np.linspace row of
+    centres, thinned with the stride used before centres were computed on
+    demand."""
+    lv = ex.packing_construct(level)[level]
+    height, R = lv.center_height, lv.radius
+    centers = np.linspace(-1.0, 1.0, lv.n_count)
+    if len(centers) > 64:
+        stride = len(centers) // 64 + 1
+        centers = np.concatenate([centers[::stride], centers[-1:]])
+    pad = height * math.sinh(R) * 0.2
+    x_lo = float(centers[0]) - height - pad
+    x_hi = float(centers[-1]) + height + pad
+    cv = figures._Canvas(x_lo, x_hi, 0.0, height * 1.8)
+    cv.line(x_lo, height, x_hi, height, width=1.0)
+    for c in centers:
+        outline = figures._halfball_outline(hyp2.HPoint(float(c), height), R)
+        cv.polygon(outline, fill="#bcd2ee", stroke="#3b6ea5", opacity=0.85)
+    cv.dot(float(centers[0]), height)
+    cv.dot(float(centers[-1]), height)
+    cv.text(float(centers[0]), height, f"-1+ie^-{2**level}", dy=-10)
+    cv.text(float(centers[-1]), height, f"1+ie^-{2**level}", dy=-10)
+    return cv.render()
 
+
+@pytest.mark.parametrize("level", [2, 4])
+def test_figure_halfballs_matches_linspace_oracle(level):
+    status, svg = run_cli(["figures", "--figure", "halfballs", "--level", str(level)])
+    assert status == 0
+    assert svg == _halfballs_svg_from_linspace(level)
+
+
+def test_figure_empty_params_minimal():
     svg = figures.emit_figure("")
     assert svg.startswith("<svg") and "<line" in svg
     with pytest.raises(ValueError):
@@ -170,3 +214,24 @@ def test_figure_deterministic():
     a = cli.cmd_figures(cli.resolve_config(["figures", "--figure", "packing", "--levels", "2"]))
     b = cli.cmd_figures(cli.resolve_config(["figures", "--figure", "packing", "--levels", "2"]))
     assert a == b
+
+
+# ----------------------------------------------------------- import path
+
+def test_cli_runs_without_importing_scipy():
+    # other test modules import scipy into this process, so check in a fresh one
+    script = textwrap.dedent(
+        """
+        import sys
+        from hypmax import cli
+        assert "scipy" not in sys.modules, "import hypmax.cli"
+        for argv in (["pack", "--levels", "4"], ["volume", "--space", "dr-heisenberg:1"]):
+            status, _body = cli.run(cli.resolve_config(argv))
+            assert status == 0, argv
+            assert "scipy" not in sys.modules, argv
+        """
+    )
+    src = str(Path(hypmax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

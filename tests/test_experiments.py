@@ -308,6 +308,28 @@ def test_packing_level_values():
         )
 
 
+def test_packing_centers_match_linspace():
+    """center(i) is bit-equal to the np.linspace row it replaces: every
+    index up to level 3, the ends, the middle and 1,000 seeded random
+    indices at level 4."""
+    rng = np.random.default_rng(11)
+    for lv in ex.packing_construct(4):
+        n = lv.n_count
+        row = np.linspace(-1.0, 1.0, n)
+        if lv.level <= 3:
+            idx = np.arange(n)
+        else:
+            idx = np.concatenate([[0, 1, n // 2, n // 2 + 1, n - 2, n - 1], rng.integers(0, n, 1000)])
+        got = np.array([lv.center(int(i)) for i in idx])
+        np.testing.assert_array_equal(got.view(np.int64), row[idx].view(np.int64))
+
+
+@pytest.mark.parametrize("max_level", [-1, ex.MAX_PACKING_LEVEL + 1])
+def test_packing_construct_level_range(max_level):
+    with pytest.raises(ValueError):
+        ex.packing_construct(max_level)
+
+
 def test_packing_report_disjointness():
     levels = ex.packing_construct(4)
     rep = ex.packing_report(levels, samples=2000, seed=3)
