@@ -94,13 +94,31 @@ def parse_alpha_ladder(spec: str):
     return vals, None
 
 
+def parse_int(value, flag: str, least: int = None) -> int:
+    """An integer option, given as a flag or as a config-file string,
+    checked to be at least ``least`` when that is given."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{flag} {value!r}: expected an integer") from None
+    if least is not None and n < least:
+        raise UsageError(f"{flag} {n}: must be at least {least}")
+    return n
+
+
+# the least valid value of each integer option: numpy seeds are non-negative,
+# family sizes and sample counts positive
+_INT_LEAST = {"seed": 0, "samples": 1, "count": 1, "nu": None}
+
+
+def _int(cfg, name: str) -> int:
+    return parse_int(cfg.options[name], f"--{name}", _INT_LEAST[name])
+
+
 def parse_packing_level(value, flag: str) -> int:
     """A packing level from --level/--levels, checked against the range
     that experiments.packing_construct can represent."""
-    try:
-        level = int(value)
-    except ValueError:
-        raise UsageError(f"{flag} {value!r}: expected an integer") from None
+    level = parse_int(value, flag)
     if not 0 <= level <= ex.MAX_PACKING_LEVEL:
         raise UsageError(f"{flag} {level}: packing levels run 0..{ex.MAX_PACKING_LEVEL}")
     return level
@@ -155,7 +173,7 @@ def _algebra(spec: str):
 
 def cmd_validate(cfg) -> ExperimentReport:
     alg = _algebra(cfg.space)
-    res = ht.validate_algebra(alg, samples=min(int(cfg.samples), 20_000), seed=int(cfg.seed))
+    res = ht.validate_algebra(alg, samples=min(_int(cfg, "samples"), 20_000), seed=_int(cfg, "seed"))
     rep = ExperimentReport("validate", meta=_meta(cfg))
     rep.add_table("residuals", ["identity", "residual"], [[k, v] for k, v in res.items()])
     rep.check("antisymmetry", 1e-12, res["antisymmetry"], res["antisymmetry"] < 1e-12)
@@ -185,7 +203,7 @@ def cmd_areas(cfg) -> ExperimentReport:
 
 def cmd_volume(cfg) -> ExperimentReport:
     rep = ExperimentReport("volume", meta=_meta(cfg))
-    seed, samples = int(cfg.seed), int(cfg.samples)
+    seed, samples = _int(cfg, "seed"), _int(cfg, "samples")
     rows = []
     ok = True
     if cfg.space == "h2":
@@ -244,7 +262,7 @@ def cmd_maxfn(cfg) -> ExperimentReport:
 
 def cmd_levelset(cfg) -> ExperimentReport:
     _require_h2(cfg)
-    if int(cfg.nu) != 1:
+    if _int(cfg, "nu") != 1:
         raise UsageError("level-set tables are computed on the nu = 1 backend")
     window, res = parse_grid(cfg.grid)
     grid = ms.build_grid("h2", window, res)
@@ -270,9 +288,9 @@ def cmd_levelset(cfg) -> ExperimentReport:
 
 def cmd_overlap(cfg) -> ExperimentReport:
     alg = _algebra(cfg.space)
-    rng = np.random.default_rng(int(cfg.seed))
+    rng = np.random.default_rng(_int(cfg, "seed"))
     fam = ex.build_maximal_family(
-        alg, ex.random_admissible_cylinders(alg, int(cfg.count), rng), seed=int(cfg.seed)
+        alg, ex.random_admissible_cylinders(alg, _int(cfg, "count"), rng), seed=_int(cfg, "seed")
     )
     if alg.p == 0 and alg.q == 1:
         prof = ex.overlap_profile_exact(fam)
@@ -292,9 +310,9 @@ def cmd_overlap(cfg) -> ExperimentReport:
 
 def cmd_vitali(cfg) -> ExperimentReport:
     alg = _algebra(cfg.space)
-    rng = np.random.default_rng(int(cfg.seed))
-    fam = ex.random_horocycle_family(alg, int(cfg.count), -2, rng)
-    _sel, rep = ex.vitali_select(alg, fam, samples=int(cfg.samples), seed=int(cfg.seed))
+    rng = np.random.default_rng(_int(cfg, "seed"))
+    fam = ex.random_horocycle_family(alg, _int(cfg, "count"), -2, rng)
+    _sel, rep = ex.vitali_select(alg, fam, samples=_int(cfg, "samples"), seed=_int(cfg, "seed"))
     rep.meta = _meta(cfg)
     return rep
 
@@ -303,20 +321,20 @@ def cmd_eta(cfg) -> ExperimentReport:
     _, m_range = parse_alpha_ladder(cfg.alpha_ladder)
     if m_range is None:
         raise UsageError("eta requires a dyadic ladder like 2^-6..2^-14")
-    rep = ex.dirac_level_growth(m_range, seed=int(cfg.seed))
+    rep = ex.dirac_level_growth(m_range, seed=_int(cfg, "seed"))
     rep.meta = _meta(cfg) | rep.meta
     return rep
 
 
 def cmd_pack(cfg) -> ExperimentReport:
     levels = ex.packing_construct(parse_packing_level(cfg.levels, "--levels"))
-    rep = ex.packing_report(levels, seed=int(cfg.seed))
+    rep = ex.packing_report(levels, seed=_int(cfg, "seed"))
     rep.name = "pack"
     rep.meta = _meta(cfg)
     # the L^p increments are calibrated on the full desk-scale depth 0..4
     for p in (1.0, 2.0, 3.0):
         sub = ex.modified_lp_sums(
-            p, 4, samples=int(cfg.samples), check_points=30, seed=int(cfg.seed)
+            p, 4, samples=_int(cfg, "samples"), check_points=30, seed=_int(cfg, "seed")
         )
         for t in sub.tables:
             rep.tables.append(type(t)(f"p={p}:{t.name}", t.columns, t.rows))
@@ -352,7 +370,7 @@ COMMANDS = {
 
 def _meta(cfg) -> dict:
     return {
-        "seed": int(cfg.seed),
+        "seed": _int(cfg, "seed"),
         "version": __version__,
         "config": {k: cfg.options[k] for k in sorted(cfg.options) if cfg.options[k] is not None},
     }

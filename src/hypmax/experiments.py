@@ -37,14 +37,6 @@ class MaximalFamily:
         return sorted({c.base_log for c in self.cylinders})
 
 
-def _bases(alg, cyls) -> tuple:
-    """Centres X (m, p), Z (m, q) and base radii (m,) of the cylinders."""
-    m = len(cyls)
-    X = np.array([c.n0.X for c in cyls]).reshape(m, alg.p)
-    Z = np.array([c.n0.Z for c in cyls]).reshape(m, alg.q)
-    return X, Z, np.array([c.base_radius for c in cyls])
-
-
 def _disjoint_from(alg, c, X, Z, r):
     """Per row i: the base of c is certified disjoint from the base ball of
     radius r[i] about (X[i], Z[i]) by the gauge triangle inequality (centres
@@ -63,7 +55,7 @@ def _greedy_disjoint(alg, cyls) -> list:
     order of decreasing base radius with a lexicographic center tie-break,
     keep each cylinder whose base is certified disjoint from every kept base."""
     order = sorted(cyls, key=lambda c: (-c.base_radius, tuple(c.n0.X), tuple(c.n0.Z)))
-    X, Z, r = _bases(alg, order)
+    X, Z, r = ms.cylinder_bases(alg, order)
     kept = []
     for i, c in enumerate(order):
         k = len(kept)
@@ -149,7 +141,7 @@ def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"
         total += cur_hi - cur_lo
         return total * tail, 0.0
     rng = np.random.default_rng(seed)
-    X0, Z0, r = _bases(alg, cyls)
+    X0, Z0, r = ms.cylinder_bases(alg, cyls)
     # the bounding box seeds the sample positions: keep the per-row norm
     pad = np.array([np.linalg.norm(c.n0.X) for c in cyls]) * r + np.array([c.a0 for c in cyls])
     lo = np.concatenate([(X0 - 2 * r[:, None]).min(axis=0), (Z0 - pad[:, None]).min(axis=0)])
@@ -227,7 +219,7 @@ def vitali_select(alg: HTypeAlgebra, family: list, samples: int = 100_000, seed:
 
 
 def _all_disjoint(alg, cyls) -> bool:
-    X, Z, r = _bases(alg, cyls)
+    X, Z, r = ms.cylinder_bases(alg, cyls)
     return all(_disjoint_from(alg, c, X[i + 1 :], Z[i + 1 :], r[i + 1 :]).all() for i, c in enumerate(cyls))
 
 
@@ -374,9 +366,10 @@ def overlap_profile_exact(fam: MaximalFamily) -> OverlapProfile:
 def overlap_profile(fam: MaximalFamily, grid: ms.SampleGrid) -> OverlapProfile:
     """Grid-tally overlap profile for any backend."""
     counts = np.zeros(grid.shape, dtype=np.int64)
-    for c in fam.cylinders:
-        block, mask = ms.membership_mask(grid, c)
-        counts[block] += mask
+    lo, hi = ms.member_blocks(grid, fam.cylinders)
+    for c, c_lo, c_hi in zip(fam.cylinders, lo.tolist(), hi.tolist()):
+        block = tuple(map(slice, c_lo, c_hi))
+        counts[block] += ms.block_mask(grid, c, block)
     counts = counts.reshape(grid.size)
     out = []
     for k in range(1, counts.max(initial=0) + 1):

@@ -6,8 +6,16 @@ Averages use closed-form denominators (ball/half-ball/trigonon/rectangle
 areas, cylinder volumes) and grid integrals in the numerator.  A numerator
 counts the cells whose centres lie in the member, so each value is a grid
 estimate of the continuum average that can err in either direction; it is
-not a certified bound.  Each member touches only its block of the grid
-(``measure.membership_mask``).
+not a certified bound.
+
+``maximal_field`` does each family's work once, before its member loop.
+``measure.member_blocks`` computes the block of every member in one pass:
+the axis-aligned sub-block of the tensor grid outside which the member
+holds no point.  The index range of the support of f is found once per
+axis, and only the members whose block meets that range are masked,
+summed and painted.  Skipping the others is exact: such a block holds
+only cells with |f| = 0, so the member's numerator is exactly 0.0 and it
+would paint no point, as a full-grid loop would skip it too.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 
 from . import drsets, hyp2
 from .hyp2 import H2Set, HPoint, SetKind
-from .measure import SampleGrid, membership_mask
+from .measure import SampleGrid, block_mask, member_blocks, membership_mask
 from .report import ExperimentReport
 
 
@@ -83,6 +91,18 @@ def _member_measure(grid: SampleGrid, members: list, omega):
     return lambda s: hyp2.area(s) if isinstance(s, H2Set) else drsets.cylinder_volume(grid.alg, s, omega)
 
 
+def _support_range(nz: np.ndarray) -> tuple:
+    """(lo, hi), one entry per axis of nz: the smallest index range
+    [lo, hi) on each axis that holds every True cell; (0, 0) on every axis
+    when nz holds none."""
+    lo, hi = np.zeros(nz.ndim, dtype=np.int64), np.zeros(nz.ndim, dtype=np.int64)
+    for k in range(nz.ndim):
+        hit = np.flatnonzero(nz.any(axis=tuple(j for j in range(nz.ndim) if j != k)))
+        if hit.size:
+            lo[k], hi[k] = hit[0], hit[-1] + 1
+    return lo, hi
+
+
 def maximal_field(grid: SampleGrid, members: list, omega: float = None) -> MaxField:
     """Operator values at every grid point over the family ``members``;
     ties keep the earliest member.  Cylinder families need ``omega``."""
@@ -90,8 +110,15 @@ def maximal_field(grid: SampleGrid, members: list, omega: float = None) -> MaxFi
     wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
     out = np.zeros(grid.shape)
     widx = np.full(grid.shape, -1, dtype=np.int64)
-    for idx, s in enumerate(members):
-        block, mask = membership_mask(grid, s)
+    lo, hi = member_blocks(grid, members)
+    s_lo, s_hi = _support_range(wv != 0)
+    # a block that misses the support's index range holds only wv == 0, so
+    # the member's integral would be exactly 0.0 and it would paint nothing
+    meets = (np.maximum(lo, s_lo) < np.minimum(hi, s_hi)).all(axis=1)
+    for idx in np.flatnonzero(meets).tolist():
+        s = members[idx]
+        block = tuple(map(slice, lo[idx].tolist(), hi[idx].tolist()))
+        mask = block_mask(grid, s, block)
         integ = float(wv[block][mask].sum())
         if integ == 0.0:
             continue

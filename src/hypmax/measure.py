@@ -144,34 +144,92 @@ def build_grid(space: str, window, resolution, alg: HTypeAlgebra = None) -> Samp
 
 # ------------------------------------------------------------- integration
 
-def _span(centres: np.ndarray, lo: float, hi: float) -> slice:
-    """Cells of one sorted axis whose centres may lie in (lo, hi), padded by
-    one cell per side because the bounds are rounded."""
-    i0 = int(centres.searchsorted(lo, side="right")) - 1
-    i1 = int(centres.searchsorted(hi, side="left")) + 1
-    return slice(max(i0, 0), min(i1, centres.size))
+def _spans(axes, lo, hi) -> tuple:
+    """(i0, i1), each of shape (m, len(axes)): per row, the cells [i0, i1) of
+    each sorted axis whose centres may lie in the open interval (lo, hi) of
+    that row, padded by one cell per side because the bounds are rounded."""
+    i0 = np.column_stack([ax.searchsorted(lo[:, k], side="right") for k, ax in enumerate(axes)]) - 1
+    i1 = np.column_stack([ax.searchsorted(hi[:, k], side="left") for k, ax in enumerate(axes)]) + 1
+    return np.maximum(i0, 0), np.minimum(i1, [ax.size for ax in axes])
+
+
+_DESCRIPTORS = {"h2": H2Set, "na": (Cylinder, AdmissibleCylinder)}
+
+
+def _check_descriptors(grid: SampleGrid, members) -> None:
+    want = _DESCRIPTORS[grid.space]
+    for s in members:
+        if isinstance(s, want):
+            continue
+        if isinstance(s, H2Set):
+            raise ValueError("half-plane descriptor on a non-h2 grid")
+        if isinstance(s, (Cylinder, AdmissibleCylinder)):
+            raise ValueError("cylinder descriptor on a non-na grid")
+        raise TypeError(f"unsupported descriptor {type(s)}")
+
+
+def member_blocks(grid: SampleGrid, members) -> tuple:
+    """(lo, hi), int arrays of shape (m, len(grid.shape)): row i is the
+    axis-aligned sub-block [lo, hi) of the grid lattice that can meet
+    members[i]; every point outside it lies outside the member.
+
+    Half-plane sets take their block from ``hyp2.bounding_box``, cylinders
+    from ``base_ball_box_batch`` and the height suffix above the base; both
+    are padded by one cell per side.  Rows may be empty (lo >= hi on some
+    axis)."""
+    _check_descriptors(grid, members)
+    m = len(members)
+    if grid.space == "h2":
+        # filled from a generator, so no list of per-member tuples is held
+        box = np.fromiter((v for s in members for v in hyp2.bounding_box(s)), float, 4 * m).reshape(m, 4)
+        lo, hi = box[:, 0::2], box[:, 1::2]
+    else:
+        cyls = [s.as_cylinder() for s in members]
+        b_lo, b_hi = base_ball_box_batch(grid.alg, *cylinder_bases(grid.alg, cyls))
+        lo = np.column_stack([b_lo, [c.base_height for c in cyls]])
+        hi = np.column_stack([b_hi, np.full(m, math.inf)])
+    return _spans(grid.axes, lo, hi)
+
+
+def block_mask(grid: SampleGrid, s, block: tuple) -> np.ndarray:
+    """Strict membership in s of the points of ``block`` (one slice per axis
+    of ``grid.shape``), with the block's shape."""
+    if grid.space == "h2":
+        xs, ys = grid.axes
+        return hyp2.contains_mask(s, xs[block[0], None], ys[None, block[1]])
+    alg, c = grid.alg, s.as_cylinder()
+    *horiz, heights = grid.axes
+    # the base-ball test runs once per horizontal point of the block and is
+    # broadcast along the height axis, where the cylinder is a suffix
+    pts = np.meshgrid(*(ax[sl] for ax, sl in zip(horiz, block)), indexing="ij")
+    m = pts[0].size
+    flat = [g.reshape(m) for g in pts]
+    X = np.stack(flat[: alg.p], axis=1) if alg.p else np.zeros((m, 0))
+    Z = np.stack(flat[alg.p :], axis=1)
+    a = heights[block[-1]]
+    mask = drsets.cylinder_contains_batch(alg, c, X, Z, np.broadcast_to(a, (m, a.size)))
+    return mask.reshape(pts[0].shape + a.shape)
 
 
 def membership_mask(grid: SampleGrid, s) -> tuple:
-    """(block, mask): the axis-aligned sub-block of the grid lattice that can
-    meet s, as one slice per axis of ``grid.shape``, and the strict
-    membership of the block's points in s, with the block's shape.
+    """(block, mask): the block of ``member_blocks`` for s, as one slice per
+    axis of ``grid.shape``, and the strict membership of the block's points
+    in s, with the block's shape.
 
     Every point outside the block lies outside s.  Selecting a per-cell
     array through ``arr.reshape(grid.shape)[block][mask]`` yields the
     member's cells in the same C order as a full-grid mask would."""
-    if isinstance(s, H2Set):
-        if grid.space != "h2":
-            raise ValueError("half-plane descriptor on a non-h2 grid")
-        x_lo, x_hi, y_lo, y_hi = hyp2.bounding_box(s)
-        xs, ys = grid.axes
-        block = (_span(xs, x_lo, x_hi), _span(ys, y_lo, y_hi))
-        return block, hyp2.contains_mask(s, xs[block[0], None], ys[None, block[1]])
-    if isinstance(s, (Cylinder, AdmissibleCylinder)):
-        if grid.space != "na":
-            raise ValueError("cylinder descriptor on a non-na grid")
-        return _cylinder_block(grid, s.as_cylinder())
-    raise TypeError(f"unsupported descriptor {type(s)}")
+    lo, hi = member_blocks(grid, [s])
+    block = tuple(map(slice, lo[0].tolist(), hi[0].tolist()))
+    return block, block_mask(grid, s, block)
+
+
+def cylinder_bases(alg: HTypeAlgebra, cyls) -> tuple:
+    """Centres X (m, p), Z (m, q) and base radii (m,) of the cylinders."""
+    m = len(cyls)
+    X = np.array([c.n0.X for c in cyls]).reshape(m, alg.p)
+    Z = np.array([c.n0.Z for c in cyls]).reshape(m, alg.q)
+    return X, Z, np.array([c.base_radius for c in cyls])
 
 
 def base_ball_box(alg: HTypeAlgebra, c) -> tuple:
@@ -198,24 +256,6 @@ def base_ball_box_batch(alg: HTypeAlgebra, X0, Z0, r) -> tuple:
     x_half = x_half + 1e-9 * (aX0 + x_half)
     z_half = z_half + 1e-9 * (np.abs(Z0) + z_half + cx * (aX0.max(axis=1, initial=0.0)[:, None] + 2.0 * r))
     return np.hstack([X0 - x_half, Z0 - z_half]), np.hstack([X0 + x_half, Z0 + z_half])
-
-
-def _cylinder_block(grid: SampleGrid, c: Cylinder) -> tuple:
-    alg = grid.alg
-    lo, hi = base_ball_box(alg, c)
-    *horiz, heights = grid.axes
-    block = tuple(_span(ax, l, h) for ax, l, h in zip(horiz, lo, hi))
-    block += (_span(heights, c.base_height, math.inf),)
-    # the base-ball test runs once per horizontal point of the block and is
-    # broadcast along the height axis, where the cylinder is a suffix
-    pts = np.meshgrid(*(ax[sl] for ax, sl in zip(horiz, block)), indexing="ij")
-    m = pts[0].size
-    flat = [g.reshape(m) for g in pts]
-    X = np.stack(flat[: alg.p], axis=1) if alg.p else np.zeros((m, 0))
-    Z = np.stack(flat[alg.p :], axis=1)
-    a = heights[block[-1]]
-    mask = drsets.cylinder_contains_batch(alg, c, X, Z, np.broadcast_to(a, (m, a.size)))
-    return block, mask.reshape(pts[0].shape + a.shape)
 
 
 def _h2_box_contains(window, bbox) -> bool:

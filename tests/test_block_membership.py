@@ -222,6 +222,144 @@ def test_maximal_fn_cylinders_match_full_grid(kind):
         mx.maximal_fn(g, points[0], fam)
 
 
+# ------------------------------------------------------------ small support
+
+def small_support_values(g, case):
+    """Per-cell values of f with small support: an off-centre ball
+    indicator, a block on the window's low-x and top-height edges, a single
+    cell, or f = 0."""
+    v = np.zeros(g.shape)
+    if case == "ball":
+        if g.space == "h2":
+            return h2.contains_mask(h2.ball(h2.HPoint(1.2, 0.6), 0.5), g.x, g.y).astype(float)
+        # a gauge ball of radius 1.2 about an off-origin centre, over a band of heights
+        n0 = NPoint(np.array([0.5, -1.0]), np.array([1.0]))
+        inside = ht.gauge_batch(*ht.left_translate_batch(g.alg, ht.n_inv(n0), g.X, g.Z)) < 1.2
+        return (inside & (g.a > 0.2) & (g.a < 1.0)).astype(float)
+    if case == "edge":
+        v[(slice(0, 2),) + tuple(slice(k // 2, k // 2 + 2) for k in g.shape[1:-1]) + (slice(-3, None),)] = 1.5
+    elif case == "cell":
+        v[tuple(k // 3 for k in g.shape)] = 2.0
+    return v.reshape(g.size)
+
+
+SUPPORTS = ["ball", "edge", "cell", "zero"]
+H2_KINDS = ["ball", "half_ball", "trigonon", "rectangle", "modified_half_ball", "admissible_rectangle"]
+
+
+def h2_family(g, kind):
+    if kind == "admissible_rectangle":
+        return mx.admissible_family_for_grid(g, k_max=6)
+    centers = np.vstack([mx.grid_centers(g, 8), OFF_WINDOW])
+    return mx.h2_lattice(kind, centers, mx.radius_ladder(1.0, 4))
+
+
+def assert_field_matches_full_grid(g, fam, case, omega=None):
+    fld = mx.maximal_field(g, fam, omega=omega)
+    values, widx = full_maximal_field(g, fam, omega)
+    assert np.array_equal(fld.values, values)
+    assert np.array_equal(fld.witness_idx, widx)
+    # f = 0 paints nothing; every other support is met by some member
+    assert (widx >= 0).any() == (case != "zero")
+
+
+@pytest.mark.parametrize("case", SUPPORTS)
+@pytest.mark.parametrize("kind", H2_KINDS)
+def test_maximal_field_small_support_matches_full_grid(kind, case):
+    g = h2_grid()
+    g.values = small_support_values(g, case)
+    assert_field_matches_full_grid(g, h2_family(g, kind), case)
+
+
+@pytest.mark.parametrize("case", SUPPORTS)
+@pytest.mark.parametrize("kind", ["admissible_cylinder", "cylinder"])
+def test_maximal_field_cylinders_small_support_matches_full_grid(kind, case):
+    g = na_grid()
+    g.values = small_support_values(g, case)
+    assert_field_matches_full_grid(g, cylinder_family(kind), case, OMEGA_HEI1)
+
+
+def misses_support(g, lo, hi):
+    """Per member: its block and the index box of supp f are disjoint."""
+    idx = np.nonzero((g.weights * np.abs(g.values)).reshape(g.shape))
+    s_lo = np.array([i.min() for i in idx])
+    s_hi = np.array([i.max() + 1 for i in idx])
+    return ((lo >= s_hi) | (hi <= s_lo) | (lo >= hi)).any(axis=1)
+
+
+@pytest.mark.parametrize("kind", H2_KINDS + ["admissible_cylinder", "cylinder"])
+def test_members_off_the_support_are_never_masked(kind, monkeypatch):
+    if kind.endswith("cylinder"):
+        g, fam, omega = na_grid(), cylinder_family(kind), OMEGA_HEI1
+        owner, attr, arg = dr, "cylinder_contains_batch", 1
+    else:
+        g, omega = h2_grid(), None
+        fam = h2_family(g, kind)
+        owner, attr, arg = h2, "contains_mask", 0
+    g.values = small_support_values(g, "cell")
+    lo, hi = ms.member_blocks(g, fam)
+    missing = misses_support(g, lo, hi)
+    assert 0 < missing.sum() < len(fam)
+
+    # a cylinder reaches the mask as its as_cylinder() twin, with the same n0
+    def key(s):
+        return (id(s.n0), s.a0, s.R) if kind.endswith("cylinder") else id(s)
+
+    seen = []
+    inner = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *a: seen.append(key(a[arg])) or inner(*a))
+    mx.maximal_field(g, fam, omega=omega)
+    expected = [key(s.as_cylinder()) if kind.endswith("cylinder") else key(s) for s in fam]
+    assert seen == [k for k, miss in zip(expected, missing) if not miss]
+
+
+def span_oracle(centres, lo, hi):
+    """The block of one axis, as computed member by member before blocks
+    came in one pass."""
+    i0 = int(centres.searchsorted(lo, side="right")) - 1
+    i1 = int(centres.searchsorted(hi, side="left")) + 1
+    return slice(max(i0, 0), min(i1, centres.size))
+
+
+@pytest.mark.parametrize("kind", H2_KINDS + ["half_plane", "admissible_cylinder", "cylinder"])
+def test_member_blocks_rows_match_membership_mask(kind):
+    if kind.endswith("cylinder"):
+        g = na_grid()
+        fam = cylinder_family(kind)
+        boxes = []
+        for s in fam:
+            c = s.as_cylinder()
+            b_lo, b_hi = ms.base_ball_box(g.alg, c)
+            boxes.append((list(b_lo) + [c.base_height], list(b_hi) + [math.inf]))
+    else:
+        g = h2_grid()
+        if kind == "half_plane":
+            fam = [h2.half_plane(h2.HPoint(cx, cy)) for cx, cy in np.vstack([mx.grid_centers(g, 8), OFF_WINDOW])]
+        else:
+            fam = h2_family(g, kind)
+        boxes = [(h2.bounding_box(s)[0::2], h2.bounding_box(s)[1::2]) for s in fam]
+    lo, hi = ms.member_blocks(g, fam)
+    assert lo.shape == hi.shape == (len(fam), len(g.shape))
+    for i, (s, (b_lo, b_hi)) in enumerate(zip(fam, boxes)):
+        block, mask = ms.membership_mask(g, s)
+        assert block == tuple(slice(int(a), int(b)) for a, b in zip(lo[i], hi[i]))
+        assert block == tuple(span_oracle(ax, l, h) for ax, l, h in zip(g.axes, b_lo, b_hi))
+        assert mask.shape == g.values.reshape(g.shape)[block].shape
+    # an empty family has no rows
+    empty_lo, empty_hi = ms.member_blocks(g, [])
+    assert empty_lo.shape == empty_hi.shape == (0, len(g.shape))
+
+
+def test_member_blocks_reject_foreign_descriptors():
+    fam = cylinder_family("cylinder")
+    with pytest.raises(ValueError):
+        ms.member_blocks(h2_grid(), fam[:1])
+    with pytest.raises(ValueError):
+        ms.member_blocks(na_grid(), [h2.half_ball(h2.HPoint(0.0, 1.0), 1.0)])
+    with pytest.raises(TypeError):
+        ms.member_blocks(na_grid(), [fam[0], "cylinder"])
+
+
 def test_overlap_profile_matches_full_grid():
     fam = ex.stacked_chain(HEI1, 6)
     grid = ms.build_grid(
@@ -291,7 +429,7 @@ def test_batched_disjointness_matches_dist_n(alg):
     rng = np.random.default_rng(8)
     for scale in (1e-3, 1.0, 1e3):
         fam = ex.random_horocycle_family(alg, 40, -2, rng, r_lo=2, r_hi=6, spread=scale)
-        X, Z, r = ex._bases(alg, fam)
+        X, Z, r = ms.cylinder_bases(alg, fam)
         for c in fam:
             dist = [ht.dist_n(alg, c.n0, s.n0) for s in fam]
             got = ht.gauge_batch(*ht.left_translate_batch(alg, ht.n_inv(c.n0), X, Z))
@@ -334,7 +472,7 @@ def test_base_ball_box_batch_rows_match_one_row_calls(alg):
         dr.Cylinder(NPoint(s * rng.standard_normal(alg.p), s * rng.standard_normal(alg.q)), a0, 2.0)
         for s, a0 in zip(10.0 ** rng.uniform(-3, 3, 300), np.exp(rng.uniform(-16, 16, 300)))
     ]
-    lo, hi = ms.base_ball_box_batch(alg, *ex._bases(alg, cyls))
+    lo, hi = ms.base_ball_box_batch(alg, *ms.cylinder_bases(alg, cyls))
     for i, c in enumerate(cyls):
         lo1, hi1 = ms.base_ball_box(alg, c)
         assert np.array_equal(lo[i], lo1) and np.array_equal(hi[i], hi1)

@@ -97,6 +97,12 @@ def test_csv_levelset_columns():
         ["volume", "--space", "dr-heisenberg:1", "--samples", "40000"],
         ["volume", "--space", "dr-heisenberg:2", "--samples", "40000"],
         ["pack", "--levels", "5"],
+        ["overlap", "--space", "dr-heisenberg:1", "--count", "12", "--seed", "1"],
+        ["overlap", "--space", "dr-heisenberg:2", "--count", "12", "--seed", "1"],
+        ["overlap", "--space", "dr-abelian:2", "--count", "12", "--seed", "1"],
+        ["vitali", "--space", "dr-heisenberg:1", "--count", "15", "--samples", "20000"],
+        ["vitali", "--space", "dr-heisenberg:2", "--count", "15", "--samples", "20000"],
+        ["vitali", "--space", "dr-abelian:2", "--count", "15", "--samples", "20000"],
     ],
 )
 def test_subcommands_pass(argv):
@@ -135,9 +141,24 @@ def test_exit_code_on_failure(monkeypatch):
         ["figures", "--figure", "halfballs", "--level", "6"],
         ["figures", "--figure", "halfballs", "--level=-1"],
         ["figures", "--figure", "packing", "--levels", "6"],
+        # after --config comes the content of the config file the test writes
+        ["areas", "--config", "seed=abc"],
+        ["vitali", "--config", "count=x"],
+        ["vitali", "--config", "samples=2e4"],
+        ["validate", "--space", "dr-heisenberg:1", "--config", "samples=ten"],
+        ["levelset", "--config", "nu=one"],
+        ["overlap", "--config", "seed=-1"],
+        ["vitali", "--config", "count=0"],
+        ["overlap", "--seed=-1"],
+        ["vitali", "--samples", "0"],
     ],
 )
-def test_invalid_input_exits_2(argv, capsys):
+def test_invalid_input_exits_2(argv, tmp_path, capsys):
+    if "--config" in argv:
+        k = argv.index("--config") + 1
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(argv[k] + "\n")
+        argv = argv[:k] + [str(cfg_file)] + argv[k + 1 :]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
