@@ -106,6 +106,18 @@ def parse_int(value, flag: str, least: int = None) -> int:
     return n
 
 
+def parse_radii(value) -> list:
+    """The --R comma list of radii, given as a flag or as a config-file
+    string, each checked to be positive and finite."""
+    try:
+        radii = [float(v) for v in str(value).split(",")]
+    except ValueError:
+        raise UsageError(f"--R {value!r}: expected a comma list of numbers") from None
+    if not all(0.0 < R < math.inf for R in radii):
+        raise UsageError(f"--R {value!r}: every radius must be positive and finite")
+    return radii
+
+
 # the least valid value of each integer option: numpy seeds are non-negative,
 # family sizes and sample counts positive
 _INT_LEAST = {"seed": 0, "samples": 1, "count": 1, "nu": None}
@@ -187,7 +199,7 @@ def cmd_areas(cfg) -> ExperimentReport:
     rep = ExperimentReport("areas", meta=_meta(cfg))
     rows = []
     ok = True
-    for R in [float(v) for v in str(cfg.R).split(",")]:
+    for R in parse_radii(cfg.R):
         z = HPoint(0.0, 1.0)
         ball = hyp2.area(hyp2.ball(z, R))
         half = hyp2.area(hyp2.half_ball(z, R))
@@ -213,7 +225,7 @@ def cmd_volume(cfg) -> ExperimentReport:
             "trigonon": hyp2.trigonon,
             "rectangle": hyp2.rectangle,
         }
-        for R in [float(v) for v in str(cfg.R).split(",")]:
+        for R in parse_radii(cfg.R):
             for name, mk in makers.items():
                 s = mk(HPoint(0.0, 1.0), R)
                 est = ms.mc_volume("h2", s, ms.suggested_box_h2(s), samples, seed)
@@ -286,21 +298,30 @@ def cmd_levelset(cfg) -> ExperimentReport:
     return rep
 
 
+# the overlap grid has 10^p 12^q 36 cells (dr-abelian:4, 746,496 cells, peaks
+# at about 100 MB); the cap admits dr-heisenberg:1-2 (43,200 and 4,320,000
+# cells) and dr-abelian:1-4, and refuses dr-heisenberg:3 (432,000,000) and
+# dr-abelian:5 and up before anything is allocated
+OVERLAP_MAX_CELLS = 5_000_000
+
+
 def cmd_overlap(cfg) -> ExperimentReport:
     alg = _algebra(cfg.space)
+    exact = alg.p == 0 and alg.q == 1
+    shape = ([10] * alg.p, [12] * alg.q, 36)
+    cells = math.prod(shape[0] + shape[1]) * shape[2]
+    if not exact and cells > OVERLAP_MAX_CELLS:
+        raise UsageError(
+            f"--space {cfg.space!r}: the overlap grid would have {cells:,} cells, above the cap of {OVERLAP_MAX_CELLS:,}"
+        )
     rng = np.random.default_rng(_int(cfg, "seed"))
     fam = ex.build_maximal_family(
         alg, ex.random_admissible_cylinders(alg, _int(cfg, "count"), rng), seed=_int(cfg, "seed")
     )
-    if alg.p == 0 and alg.q == 1:
+    if exact:
         prof = ex.overlap_profile_exact(fam)
     else:
-        grid = ms.build_grid(
-            "na",
-            ([(-8.0, 8.0)] * alg.p, [(-8.0, 8.0)] * alg.q, (-9.0, 3.0)),
-            ([10] * alg.p, [12] * alg.q, 36),
-            alg=alg,
-        )
+        grid = ms.build_grid("na", ([(-8.0, 8.0)] * alg.p, [(-8.0, 8.0)] * alg.q, (-9.0, 3.0)), shape, alg=alg)
         prof = ex.overlap_profile(fam, grid)
     rep = ex.overlap_report(prof)
     rep.name = "overlap"
@@ -321,7 +342,10 @@ def cmd_eta(cfg) -> ExperimentReport:
     _, m_range = parse_alpha_ladder(cfg.alpha_ladder)
     if m_range is None:
         raise UsageError("eta requires a dyadic ladder like 2^-6..2^-14")
-    rep = ex.dirac_level_growth(m_range, seed=_int(cfg, "seed"))
+    try:
+        rep = ex.dirac_level_growth(m_range, seed=_int(cfg, "seed"))
+    except ValueError as exc:
+        raise UsageError(f"--alpha-ladder {cfg.alpha_ladder!r}: {exc}") from None
     rep.meta = _meta(cfg) | rep.meta
     return rep
 
@@ -347,7 +371,7 @@ def cmd_figures(cfg) -> str:
     params = {}
     if cfg.figure == "rectangle":
         zx, zy = (float(v) for v in str(cfg.z).split(","))
-        params = {"z": (zx, zy), "R": float(str(cfg.R).split(",")[0])}
+        params = {"z": (zx, zy), "R": parse_radii(cfg.R)[0]}
     elif cfg.figure == "halfballs":
         params = {"level": parse_packing_level(cfg.level, "--level")}
     elif cfg.figure == "packing":

@@ -53,17 +53,22 @@ def _certified_disjoint(alg, c1, c2) -> bool:
 def _greedy_disjoint(alg, cyls) -> list:
     """Greedy largest-first selection among cylinders on one horocycle: in
     order of decreasing base radius with a lexicographic center tie-break,
-    keep each cylinder whose base is certified disjoint from every kept base."""
+    keep each cylinder whose base is certified disjoint from every kept base.
+
+    Each kept base is tested against all later live candidates in one call,
+    with the roles of ``_disjoint_from``: the candidate n_c is the centre,
+    so the test is gauge(n_c^{-1} n_b) >= r_c + r_b row by row."""
     order = sorted(cyls, key=lambda c: (-c.base_radius, tuple(c.n0.X), tuple(c.n0.Z)))
     X, Z, r = ms.cylinder_bases(alg, order)
-    kept = []
-    for i, c in enumerate(order):
-        k = len(kept)
-        if _disjoint_from(alg, c, X[:k], Z[:k], r[:k]).all():
-            # rows :k hold the kept bases and rows k..i-1 spent candidates
-            # (k <= i), so row k can take this base
-            X[k], Z[k], r[k] = X[i], Z[i], r[i]
-            kept.append(c)
+    kept, live = [], np.arange(len(order))
+    while live.size:
+        b, live = live[0], live[1:]
+        kept.append(order[b])
+        m = live.size
+        Xd, Zd = ht.left_translate_batch(
+            alg, ht.n_inv(NPoint(X[live], Z[live])), np.broadcast_to(X[b], (m, alg.p)), np.broadcast_to(Z[b], (m, alg.q))
+        )
+        live = live[ht.gauge_batch(Xd, Zd) >= r[live] + r[b]]
     return kept
 
 
@@ -146,35 +151,38 @@ def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"
     pad = np.array([np.linalg.norm(c.n0.X) for c in cyls]) * r + np.array([c.a0 for c in cyls])
     lo = np.concatenate([(X0 - 2 * r[:, None]).min(axis=0), (Z0 - pad[:, None]).min(axis=0)])
     hi = np.concatenate([(X0 + 2 * r[:, None]).max(axis=0), (Z0 + pad[:, None]).max(axis=0)])
-    pts = rng.uniform(lo, hi, (samples, alg.p + alg.q))
+    rows = rng.uniform(lo, hi, (samples, alg.p + alg.q))
     # sorted by the first horizontal coordinate, each base ball meets one
     # contiguous slice (|X_1 - X0_1| < 2r, or |Z_1 - Z0_1| < r^2 when p = 0)
-    pts = pts[np.argsort(pts[:, 0], kind="stable")]
-    X, Z = pts[:, : alg.p], pts[:, alg.p :]
-    inside = np.zeros(samples, dtype=bool)
-    # live: the samples not yet known inside, as positions in pts; cols: theirs
-    live = np.arange(samples)
-    cols = np.ascontiguousarray(pts.T)
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    # cols (column-major, for the box tests) and rows (row-major, for the
+    # translations) hold the samples still outside the union; within a
+    # radius group, outside drops those a ball of the group already holds,
+    # and after the group both are compacted to the samples it left outside
+    # (one after the other, so that only one old array is alive at a time)
+    cols, hits = np.ascontiguousarray(rows.T), 0
     b_lo, b_hi = ms.base_ball_box_batch(alg, X0, Z0, r)
     order = np.argsort(-r, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(r[order])) + 1):
-        for i in group:
-            # the slice holds exactly the samples with b_lo < X_1 < b_hi
-            j0 = cols[0].searchsorted(b_lo[i, 0], side="right")
-            j1 = cols[0].searchsorted(b_hi[i, 0], side="left")
-            in_box = np.ones(j1 - j0, dtype=bool)
+        outside = np.ones(cols.shape[1], dtype=bool)
+        # the slice holds exactly the samples with b_lo < X_1 < b_hi; X_1 < b
+        # is X_1 <= nextafter(b, -inf), so one side="right" search takes both
+        ends = cols[0].searchsorted(np.stack([b_lo[group, 0], np.nextafter(b_hi[group, 0], -np.inf)]), side="right")
+        for i, j0, j1 in zip(group.tolist(), ends[0].tolist(), ends[1].tolist()):
+            in_box = outside[j0:j1].copy()
             for k in range(1, cols.shape[0]):
                 seg = cols[k, j0:j1]
                 in_box &= (seg > b_lo[i, k]) & (seg < b_hi[i, k])
-            rows = live[j0 + np.flatnonzero(in_box)]
-            rows = rows[~inside[rows]]
-            if rows.size:
-                Xd, Zd = ht.left_translate_batch(alg, ht.n_inv(cyls[i].n0), X[rows], Z[rows])
-                inside[rows] = ht.gauge_batch(Xd, Zd) < r[i]
-        out = ~inside[live]
-        live, cols = live[out], cols[:, out]
+            idx = j0 + np.flatnonzero(in_box)
+            if idx.size:
+                cand = rows[idx]
+                Xd, Zd = ht.left_translate_batch(alg, ht.n_inv(cyls[i].n0), cand[:, : alg.p], cand[:, alg.p :])
+                outside[idx[ht.gauge_batch(Xd, Zd) < r[i]]] = False
+        hits += outside.size - int(np.count_nonzero(outside))
+        cols = cols[:, outside]
+        rows = rows[outside]
     box = float(np.prod(hi - lo))
-    frac = inside.mean()
+    frac = hits / samples
     stderr = box * math.sqrt(frac * (1 - frac) / samples) * tail
     return box * frac * tail, stderr
 

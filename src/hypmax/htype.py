@@ -5,6 +5,17 @@ structure coefficients.  The group N = exp(v + z) carries the gauge
 (|X|^4/16 + |Z|^2)^(1/4); the group S = NA adds the height coordinate
 a > 0 acting by anisotropic dilations.  The degenerate abelian case with
 q = 1 reproduces the hyperbolic upper half-plane under (Z, a) <-> (x, y).
+
+Every bracket [X, X'] (``bracket``, the group laws and
+``left_translate_batch``) goes through one kernel,
+``HTypeAlgebra.bracket_batch``: for each z coordinate k it starts at 0.0
+and adds X[i] X'[j] c[i, j, k] over the nonzero coefficients in row-major
+(i, j) order.  That is the order in which
+``np.einsum`` summed the same products, so the kernel gives einsum's bits;
+the order is pinned because on H^2 and higher another order (column-major
+(j, i), say) rounds differently in most rows, and the greedy selections and
+union measures compare these sums against radii.  ``gauge_batch`` keeps its
+einsum: it is not a bracket.
 """
 
 from __future__ import annotations
@@ -24,6 +35,17 @@ class HTypeAlgebra:
     q: int
     bracket_coeffs: np.ndarray = field(repr=False)
     label: str = ""
+    # per z coordinate k, the nonzero terms (i, j, c[i, j, k]) in row-major
+    # (i, j) order; derived once from the coefficients
+    bracket_terms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c = self.bracket_coeffs
+        terms = tuple(
+            tuple((i, j, float(c[i, j, k])) for i in range(self.p) for j in range(self.p) if c[i, j, k] != 0.0)
+            for k in range(self.q)
+        )
+        object.__setattr__(self, "bracket_terms", terms)
 
     @property
     def nu(self) -> float:
@@ -35,9 +57,22 @@ class HTypeAlgebra:
         return self.bracket_batch(np.atleast_2d(X), np.atleast_2d(Xp))[0]
 
     def bracket_batch(self, X, Xp):
-        if self.p == 0:
-            return np.zeros((X.shape[0], self.q))
-        return np.einsum("ni,nj,ijk->nk", X, Xp, self.bracket_coeffs)
+        """[X, Xp] row by row, shape (n, q), for Xp (n, p) and X either one
+        vector (p,) or one per row (n, p): per k, 0.0 plus the terms
+        X[i] Xp[j] c[i, j, k] in row-major (i, j) order (see the module
+        docstring).  Adding t * -1 and subtracting t round alike, so the
+        unit coefficients skip their multiplication."""
+        out = np.zeros((self.q, Xp.shape[0]))
+        for acc, terms in zip(out, self.bracket_terms):
+            for i, j, c in terms:
+                t = X[..., i] * Xp[:, j]
+                if c == 1.0:
+                    acc += t
+                elif c == -1.0:
+                    acc -= t
+                else:
+                    acc += t * c
+        return out.T
 
     def j_z(self, Z, X):
         """The map J_Z applied to X, defined by <J_Z X, X'> = <Z, [X, X']>."""
@@ -216,13 +251,15 @@ def gauge_batch(X, Z):
 def left_translate_batch(alg: HTypeAlgebra, n0: NPoint, X, Z) -> tuple:
     """Rows of n0 n for the points n = (X, Z): (X0 + X, Z0 + Z + [X0, X]/2).
 
-    Pass ``n_inv(n0)`` for n0^{-1} n; negating n0 negates every term of the
-    bracket exactly, so both directions round like the expanded forms."""
+    n0 is one centre (X0 of shape (p,)) or one centre per row (X0 of shape
+    (n, p), Z0 of shape (n, q)).  Pass ``n_inv(n0)`` for n0^{-1} n; negating
+    n0 negates every term of the bracket exactly, so both directions round
+    like the expanded forms."""
     X0, Z0 = n0.X, n0.Z
-    Zt = Z0[None, :] + Z
+    Zt = Z0 + Z
     if alg.p:
-        Zt = Zt + 0.5 * np.einsum("i,nj,ijk->nk", X0, X, alg.bracket_coeffs)
-    return X0[None, :] + X, Zt
+        Zt = Zt + 0.5 * alg.bracket_batch(X0, X)
+    return X0 + X, Zt
 
 
 def dist_n(alg: HTypeAlgebra, n1: NPoint, n2: NPoint) -> float:

@@ -82,6 +82,22 @@ def unsorted_union_measure(alg, cyls, samples, seed):
     return box * frac * tail, box * math.sqrt(frac * (1 - frac) / samples) * tail
 
 
+def per_candidate_greedy(alg, cyls):
+    """The greedy selection one candidate at a time: keep a candidate when
+    gauge(n_c^{-1} n_k) >= r_c + r_k for every kept k, with the translation
+    written out through the einsum bracket."""
+    order = sorted(cyls, key=lambda c: (-c.base_radius, tuple(c.n0.X), tuple(c.n0.Z)))
+    kept = []
+    for c in order:
+        X, Z, r = ms.cylinder_bases(alg, kept)
+        Zd = -c.n0.Z[None, :] + Z
+        if alg.p:
+            Zd = Zd + 0.5 * np.einsum("i,nj,ijk->nk", -c.n0.X, X, alg.bracket_coeffs)
+        if (ht.gauge_batch(-c.n0.X[None, :] + X, Zd) >= c.base_radius + r).all():
+            kept.append(c)
+    return kept
+
+
 # -------------------------------------------------------------- half-plane
 
 def h2_grid():
@@ -437,6 +453,51 @@ def test_batched_disjointness_matches_dist_n(alg):
             per_pair = [d >= c.base_radius + s.base_radius for d, s in zip(dist, fam)]
             assert list(ex._disjoint_from(alg, c, X, Z, r)) == per_pair
             assert [ex._certified_disjoint(alg, c, s) for s in fam] == per_pair
+
+
+@pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
+@pytest.mark.parametrize("spread", [40.0, 100.0, 1e3])
+def test_greedy_matches_per_candidate_oracle(alg, spread, monkeypatch):
+    """One translation per kept base, against all later live candidates,
+    keeps the members the one-candidate-at-a-time loop keeps, in its order."""
+    rng = np.random.default_rng(13)
+    fam = ex.random_horocycle_family(alg, 300, -2, rng, spread=spread)
+    fam += fam[:5] + [dr.AdmissibleCylinder(NPoint(c.n0.X.copy(), c.n0.Z.copy()), c.j, c.R) for c in fam[5:10]]
+    calls = []
+    translate = ht.left_translate_batch
+    monkeypatch.setattr(ht, "left_translate_batch", lambda *a: calls.append(1) or translate(*a))
+    kept = ex._greedy_disjoint(alg, fam)
+    monkeypatch.undo()
+    assert [id(c) for c in kept] == [id(c) for c in per_candidate_greedy(alg, fam)]
+    assert 1 < len(kept) < len(fam)
+    assert len(calls) <= len(kept)
+
+
+def test_union_measure_tests_no_sample_after_its_hit(monkeypatch):
+    """Five radius groups of overlapping bases on dr-heisenberg:2: the union
+    matches the unsorted loop, and no sample is translated again once a
+    base holds it, neither later in its radius group (the outside flags)
+    nor in a later group (the compaction)."""
+    rng = np.random.default_rng(12)
+    fam = ex.random_horocycle_family(HEI2, 150, -2, rng, spread=2.0)
+    assert len({c.base_radius for c in fam}) == 5
+    radius = {tuple(-c.n0.X) + tuple(-c.n0.Z): c.base_radius for c in fam}
+    held, again = set(), []
+    translate = ht.left_translate_batch
+
+    def spy(alg, n0, X, Z):
+        out = translate(alg, n0, X, Z)
+        keys = [tuple(row) for row in np.hstack([X, Z])]
+        again.extend(k for k in keys if k in held)
+        hit = ht.gauge_batch(*out) < radius[tuple(n0.X) + tuple(n0.Z)]
+        held.update(k for k, h in zip(keys, hit) if h)
+        return out
+
+    monkeypatch.setattr(ht, "left_translate_batch", spy)
+    got = ex._union_base_measure(HEI2, fam, 20_000, 3)
+    monkeypatch.undo()
+    assert got == unsorted_union_measure(HEI2, fam, 20_000, 3)
+    assert again == [] and len(held) > 1000
 
 
 def test_left_translate_matches_expanded_group_law():

@@ -151,6 +151,16 @@ def test_exit_code_on_failure(monkeypatch):
         ["vitali", "--config", "count=0"],
         ["overlap", "--seed=-1"],
         ["vitali", "--samples", "0"],
+        # refused by the cell cap before any grid or family is allocated
+        ["overlap", "--space", "dr-heisenberg:3"],
+        ["overlap", "--space", "dr-abelian:6"],
+        ["areas", "--R", "abc"],
+        ["areas", "--R", "0"],
+        ["areas", "--R=-1"],
+        ["areas", "--R", "nan"],
+        ["areas", "--R", "1,inf"],
+        ["eta", "--alpha-ladder", "2^-4..2^-5"],
+        ["eta", "--alpha-ladder", "2^-1..2^-2"],
     ],
 )
 def test_invalid_input_exits_2(argv, tmp_path, capsys):
@@ -164,6 +174,23 @@ def test_invalid_input_exits_2(argv, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("hypmax: error: ")
+
+
+class Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("spec", ["dr-heisenberg:1", "dr-heisenberg:2"] + [f"dr-abelian:{q}" for q in (1, 2, 3, 4)])
+def test_overlap_cell_cap_admits_the_small_spaces(spec, monkeypatch):
+    """These spaces pass the cap and go on to build their family (stopped
+    there, so no grid is allocated)."""
+
+    def stop(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(ex, "build_maximal_family", stop)
+    with pytest.raises(Admitted):
+        cli.main(["overlap", "--space", spec])
 
 
 def test_out_file_and_env_dir(tmp_path, monkeypatch, capsys):

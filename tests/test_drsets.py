@@ -99,6 +99,20 @@ def test_omega_heisenberg_mc():
     assert abs(est.mean - 2 * math.pi**2) < 3 * est.stderr
 
 
+@pytest.mark.parametrize("alg", [HEI1, ht.heisenberg(2)], ids=lambda a: a.label)
+@pytest.mark.parametrize("samples", [1_000, 150_001])
+def test_omega_mc_chunks_match_one_pass(alg, samples):
+    """Testing the samples chunk by chunk gives the estimate of one gauge
+    call over all of them, bit for bit."""
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-2.0, 2.0, (samples, alg.p))
+    Z = rng.uniform(-1.0, 1.0, (samples, alg.q))
+    frac = (ht.gauge_batch(X, Z) < 1.0).mean()
+    box = 4.0**alg.p * 2.0**alg.q
+    est = dr.omega_n(alg, "mc", samples, 5)
+    assert (est.mean, est.stderr) == (box * frac, box * math.sqrt(frac * (1.0 - frac) / samples))
+
+
 def test_cylinder_volume_formula():
     c = cyl_at_identity(AB1, 1.0 + 1e-12)
     assert dr.cylinder_volume(AB1, c, 2.0) == pytest.approx(2 * math.e, rel=1e-9)

@@ -101,6 +101,64 @@ def test_associativity(alg):
     assert worst < 1e-10
 
 
+# ---------------------------------------------------------- bracket kernel
+
+KERNEL_ALGEBRAS = [ht.heisenberg(d) for d in (1, 2, 3, 4)] + [AB1, ht.degenerate_abelian(3)]
+
+
+def same_bits(a, b):
+    """Equal shapes and equal doubles, the sign of zero included."""
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def einsum_translate(alg, X0, Z0, X, Z, form):
+    """The einsum left translations the kernel replaces: one centre
+    ("i,nj,ijk->nk") or one centre per row ("ni,nj,ijk->nk")."""
+    Zt = Z0 + Z
+    if alg.p:
+        Zt = Zt + 0.5 * np.einsum(form, X0, X, alg.bracket_coeffs)
+    return X0 + X, Zt
+
+
+@pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=lambda a: a.label)
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_bracket_kernel_matches_einsum_bit_for_bit(alg, scale):
+    rng = np.random.default_rng(21)
+    n = 400
+    X, Z = scale * rng.standard_normal((n, alg.p)), scale * rng.standard_normal((n, alg.q))
+    X0, Z0 = scale * rng.standard_normal((n, alg.p)), scale * rng.standard_normal((n, alg.q))
+    X[::7] = 0.0  # exact zeros and negative zeros in the products
+    X0[::5] = -0.0
+    for sign in (1.0, -1.0):  # n0 and n0^{-1}
+        for r in range(4):
+            n0 = ht.NPoint(sign * X0[r], sign * Z0[r])
+            got = ht.left_translate_batch(alg, n0, X, Z)
+            want = einsum_translate(alg, n0.X, n0.Z, X, Z, "i,nj,ijk->nk")
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+        rows = ht.NPoint(sign * X0, sign * Z0)
+        got = ht.left_translate_batch(alg, rows, X, Z)
+        want = einsum_translate(alg, rows.X, rows.Z, X, Z, "ni,nj,ijk->nk")
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=lambda a: a.label)
+def test_bracket_batch_matches_einsum_bit_for_bit(alg):
+    rng = np.random.default_rng(22)
+    for scale in (1e-6, 1.0, 1e6):
+        X, Xp = scale * rng.standard_normal((300, alg.p)), scale * rng.standard_normal((300, alg.p))
+        want = np.einsum("ni,nj,ijk->nk", X, Xp, alg.bracket_coeffs) if alg.p else np.zeros((300, alg.q))
+        assert same_bits(alg.bracket_batch(X, Xp), want)
+        assert same_bits(alg.bracket(X[0], Xp[0]), want[0])
+
+
+def test_bracket_terms_are_the_nonzero_coefficients_in_row_major_order():
+    alg = ht.heisenberg(2)
+    assert alg.bracket_terms == (((0, 2, 1.0), (1, 3, 1.0), (2, 0, -1.0), (3, 1, -1.0)),)
+    # each algebra derives its own terms, whatever was built before it
+    assert len(ht.heisenberg(3).bracket_terms[0]) == 6
+    assert AB1.bracket_terms == ((),)
+
+
 # ------------------------------------------------------------------- gauge
 
 def test_gauge_values():
