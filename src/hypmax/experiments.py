@@ -373,14 +373,16 @@ def overlap_profile_exact(fam: MaximalFamily) -> OverlapProfile:
 
 def overlap_profile(fam: MaximalFamily, grid: ms.SampleGrid) -> OverlapProfile:
     """Grid-tally overlap profile for any backend."""
-    counts = np.zeros(grid.shape, dtype=np.int64)
+    # a point lies in at most every member, so the tallies fit the smallest
+    # unsigned type that holds the family size
+    counts = np.zeros(grid.shape, dtype=np.min_scalar_type(len(fam.cylinders)))
     lo, hi = ms.member_blocks(grid, fam.cylinders)
     for c, c_lo, c_hi in zip(fam.cylinders, lo.tolist(), hi.tolist()):
         block = tuple(map(slice, c_lo, c_hi))
         counts[block] += ms.block_mask(grid, c, block)
     counts = counts.reshape(grid.size)
     out = []
-    for k in range(1, counts.max(initial=0) + 1):
+    for k in range(1, int(counts.max(initial=0)) + 1):
         out.append((k, float(grid.weights[counts == k].sum())))
     return OverlapProfile(fam.alg.nu, out, float(grid.weights[counts >= 1].sum()))
 

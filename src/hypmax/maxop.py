@@ -39,8 +39,7 @@ def radius_ladder(r_min: float, steps: int) -> np.ndarray:
 
 def grid_centers(grid: SampleGrid, max_per_axis: int = 24) -> np.ndarray:
     """(m, 2) array of lattice centers subsampled from the grid cells."""
-    xs = np.unique(grid.x)
-    ys = np.unique(grid.y)
+    xs, ys = grid.axes
     xs = xs[:: max(1, len(xs) // max_per_axis)]
     ys = ys[:: max(1, len(ys) // max_per_axis)]
     Xg, Yg = np.meshgrid(xs, ys, indexing="ij")
@@ -58,7 +57,7 @@ def admissible_family_for_grid(grid: SampleGrid, k_max: int, max_x: int = 64) ->
     """Admissible rectangles whose lattice is induced by the grid: x on the
     cell lattice, j spanning the window heights, K = 2..k_max, in the
     product order xs x js x Ks."""
-    xs = np.unique(grid.x)
+    xs = grid.axes[0]
     xs = xs[:: max(1, len(xs) // max_x)]
     _, _, u_lo, u_hi = grid.window
     js = range(math.floor(u_lo), math.ceil(u_hi) + 1)

@@ -28,11 +28,14 @@ from .report import VolumeEstimate
 class SampleGrid:
     """Finite weighted point cloud with attached function values.
 
-    ``space`` is 'h2' or 'na'.  For 'h2' the coordinates are x, y; for
-    'na' they are X (n, p), Z (n, q) and heights a.  ``weights`` are the
-    exact Riemannian cell measures.  The points form a tensor lattice of
+    ``space`` is 'h2' or 'na'.  The points form a tensor lattice of
     ``shape`` in C order, with the height axis last; ``axes`` holds the
     sorted centres of each axis (y resp. a for the height axis).
+    ``weights`` are the exact Riemannian cell measures and ``values`` the
+    samples of f, one per point.  Nothing else is stored per point: the
+    coordinates x, y (for 'h2') and X (n, p), Z (n, q), heights a (for
+    'na') are read-only properties that build their column from ``axes``
+    on every access, so every access allocates a new array.
     """
 
     space: str
@@ -40,11 +43,6 @@ class SampleGrid:
     values: np.ndarray
     window: tuple
     shape: tuple
-    x: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
-    X: Optional[np.ndarray] = field(default=None, repr=False)
-    Z: Optional[np.ndarray] = field(default=None, repr=False)
-    a: Optional[np.ndarray] = None
     alg: Optional[HTypeAlgebra] = None
     axes: tuple = field(default=(), repr=False)
 
@@ -52,15 +50,44 @@ class SampleGrid:
     def size(self) -> int:
         return self.weights.size
 
+    def _coords(self, space: str, k0: int, k1: int) -> np.ndarray:
+        """(n, k1 - k0): axes k0..k1-1 of the lattice as per-point columns."""
+        if self.space != space:
+            raise AttributeError(f"a {self.space} grid has no such coordinate")
+        out = np.empty(self.shape + (k1 - k0,))
+        for j, k in enumerate(range(k0, k1)):
+            out[..., j] = self.axes[k].reshape([-1 if i == k else 1 for i in range(len(self.shape))])
+        return out.reshape(self.size, k1 - k0)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._coords("h2", 0, 1)[:, 0]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._coords("h2", 1, 2)[:, 0]
+
+    @property
+    def X(self) -> np.ndarray:
+        return self._coords("na", 0, self.alg.p)
+
+    @property
+    def Z(self) -> np.ndarray:
+        return self._coords("na", self.alg.p, self.alg.p + self.alg.q)
+
+    @property
+    def a(self) -> np.ndarray:
+        k = len(self.shape) - 1
+        return self._coords("na", k, k + 1)[:, 0]
+
     def total_measure(self) -> float:
         return float(self.weights.sum())
 
     def set_values(self, f: Callable) -> "SampleGrid":
-        """Attach samples of f; f receives coordinate arrays."""
-        if self.space == "h2":
-            self.values = np.asarray(f(self.x, self.y), dtype=float) * np.ones(self.size)
-        else:
-            self.values = np.asarray(f(self.X, self.Z, self.a), dtype=float) * np.ones(self.size)
+        """Attach samples of f; f receives coordinate arrays and returns a
+        scalar or one value per point."""
+        v = f(self.x, self.y) if self.space == "h2" else f(self.X, self.Z, self.a)
+        self.values = np.broadcast_to(np.asarray(v, dtype=float), (self.size,)).copy()
         return self
 
 
@@ -90,19 +117,14 @@ def build_grid(space: str, window, resolution, alg: HTypeAlgebra = None) -> Samp
         uc, ue = _axis_centers(u_lo, u_hi, nu)
         dx = (x_hi - x_lo) / nx
         wu = np.exp(-ue[:-1]) - np.exp(-ue[1:])
-        Xg, Ug = np.meshgrid(xc, uc, indexing="ij")
-        Wg = np.broadcast_to((dx * wu)[None, :], Xg.shape)
-        n = Xg.size
-        y = np.exp(Ug.reshape(n))
         return SampleGrid(
             space="h2",
-            weights=Wg.reshape(n).copy(),
-            values=np.zeros(n),
+            # the height axis is last, so the per-height factor repeats per x
+            weights=np.tile(dx * wu, nx),
+            values=np.zeros(nx * nu),
             window=tuple(window),
             shape=(nx, nu),
-            x=Xg.reshape(n).copy(),
-            y=y,
-            axes=(xc, y[:nu]),
+            axes=(xc, np.exp(uc)),
         )
     if space == "na":
         if alg is None:
@@ -117,27 +139,18 @@ def build_grid(space: str, window, resolution, alg: HTypeAlgebra = None) -> Samp
         uc, ue = _axis_centers(u_lo, u_hi, nu)
         nu_dim = alg.nu
         wu = (np.exp(-nu_dim * ue[:-1]) - np.exp(-nu_dim * ue[1:])) / nu_dim
-        grids = np.meshgrid(*axes, uc, indexing="ij")
-        n = grids[0].size
-        flat = [g.reshape(n) for g in grids]
-        X = np.stack(flat[: alg.p], axis=1) if alg.p else np.zeros((n, 0))
-        Z = np.stack(flat[alg.p : alg.p + alg.q], axis=1)
-        # weight of a cell = product of horizontal steps times the height factor;
-        # the u axis is last, so wu broadcasts along it
+        shape = tuple(list(nx_list) + list(nz_list) + [nu])
+        # weight of a cell = product of horizontal steps times the height
+        # factor; the u axis is last, so the factor repeats per horizontal cell
         cell = math.prod(steps) if steps else 1.0
-        weights = (cell * np.broadcast_to(wu, grids[-1].shape)).reshape(n).copy()
-        a = np.exp(flat[-1])
         return SampleGrid(
             space="na",
-            weights=weights,
-            values=np.zeros(n),
+            weights=np.tile(cell * wu, math.prod(shape[:-1])),
+            values=np.zeros(math.prod(shape)),
             window=(tuple(map(tuple, x_boxes)), tuple(map(tuple, z_boxes)), (u_lo, u_hi)),
-            shape=tuple(list(nx_list) + list(nz_list) + [nu]),
-            X=X,
-            Z=Z,
-            a=a,
+            shape=shape,
             alg=alg,
-            axes=(*axes, a[:nu]),
+            axes=(*axes, np.exp(uc)),
         )
     raise ValueError(f"unknown space {space!r}")
 

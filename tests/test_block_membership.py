@@ -2,6 +2,7 @@
 the bits the full-grid (resp. all-samples) evaluation gives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,83 @@ def h2_grid():
 # centres on the grid lattice plus centres off the window, so that members
 # stick out on every side
 OFF_WINDOW = np.array([[-3.6, 0.4], [3.3, 2.0], [0.1, 5.5], [1.0, 0.15]])
+
+
+def meshgrid_build(space, window, resolution, alg=None):
+    """Per-point columns and weights as the lattice was once built: a
+    meshgrid of every axis, flattened, with the heights taken through
+    np.exp over the whole flattened log-height lattice."""
+    def centers(lo, hi, n):
+        edges = np.linspace(lo, hi, n + 1)
+        return 0.5 * (edges[:-1] + edges[1:]), edges
+
+    if space == "h2":
+        (x_lo, x_hi, u_lo, u_hi), (nx, nu) = window, resolution
+        xc, _ = centers(x_lo, x_hi, nx)
+        uc, ue = centers(u_lo, u_hi, nu)
+        wu = np.exp(-ue[:-1]) - np.exp(-ue[1:])
+        Xg, Ug = np.meshgrid(xc, uc, indexing="ij")
+        n = Xg.size
+        weights = np.broadcast_to(((x_hi - x_lo) / nx * wu)[None, :], Xg.shape).reshape(n).copy()
+        return {"x": Xg.reshape(n).copy(), "y": np.exp(Ug.reshape(n)), "weights": weights}
+    x_boxes, z_boxes, (u_lo, u_hi) = window
+    nx_list, nz_list, nu = resolution
+    axes, steps = [], []
+    for (lo, hi), n in zip(list(x_boxes) + list(z_boxes), list(nx_list) + list(nz_list)):
+        axes.append(centers(lo, hi, n)[0])
+        steps.append((hi - lo) / n)
+    uc, ue = centers(u_lo, u_hi, nu)
+    wu = (np.exp(-alg.nu * ue[:-1]) - np.exp(-alg.nu * ue[1:])) / alg.nu
+    grids = np.meshgrid(*axes, uc, indexing="ij")
+    n = grids[0].size
+    flat = [g.reshape(n) for g in grids]
+    X = np.stack(flat[: alg.p], axis=1) if alg.p else np.zeros((n, 0))
+    Z = np.stack(flat[alg.p : alg.p + alg.q], axis=1)
+    cell = math.prod(steps) if steps else 1.0
+    weights = (cell * np.broadcast_to(wu, grids[-1].shape)).reshape(n).copy()
+    return {"X": X, "Z": Z, "a": np.exp(flat[-1]), "weights": weights}
+
+
+GRID_CASES = [
+    ("h2", (-3.0, 3.0, -1.5, 1.5), (40, 24), None),
+    ("h2", (-2.7, 4.1, -9.3, 5.9), (33, 71), None),
+    ("na", ([(-2, 2)] * 2, [(-3, 3)], (-2, 1)), ([3, 4], [5], 6), HEI1),
+    ("na", ([(-3.1, 2.9), (-0.7, 1.3)], [(-4.4, 3.3)], (-7.7, 4.1)), ([7, 5], [9], 41), HEI1),
+    ("na", ([], [(-2.5, 1.5), (-0.3, 3.9)], (-6.1, 2.3)), ([], [6, 7], 29), AB2),
+]
+
+
+@pytest.mark.parametrize("space, window, resolution, alg", GRID_CASES)
+def test_grid_columns_and_weights_match_meshgrid_construction(space, window, resolution, alg):
+    g = ms.build_grid(space, window, resolution, alg=alg)
+    want = meshgrid_build(space, window, resolution, alg)
+    for name, col in want.items():
+        got = getattr(g, name)
+        assert got.shape == col.shape and got.dtype == col.dtype
+        assert got.tobytes() == col.tobytes(), name
+
+
+def test_grid_coordinates_are_built_per_access():
+    g = na_grid()
+    assert g.X is not g.X and np.array_equal(g.X, g.X)
+    with pytest.raises(AttributeError):
+        g.x
+    with pytest.raises(AttributeError):
+        h2_grid().a
+
+
+def test_na_grid_allocates_at_most_24_bytes_per_cell():
+    # the na-cover overlap grid: 8^4 x 10 x 30 = 1,228,800 cells on dr-heisenberg:2
+    shape = ([8] * 4, [10], 30)
+    cells = 8**4 * 10 * 30
+    tracemalloc.start()
+    try:
+        g = ms.build_grid("na", ([(-8.0, 8.0)] * 4, [(-8.0, 8.0)], (-9.0, 3.0)), shape, alg=HEI2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.size == cells
+    assert peak <= 24 * cells
 
 
 def test_grid_is_an_exact_tensor_of_its_axes():
@@ -226,7 +304,8 @@ def test_maximal_fn_cylinders_match_full_grid(kind):
     g = na_grid()
     fam = cylinder_family(kind)
     # grid points inside and outside the family's reach, and one off the lattice
-    points = [ht.SPoint(g.X[k], g.Z[k], float(g.a[k])) for k in range(0, g.size, 97)]
+    X, Z, a = g.X, g.Z, g.a
+    points = [ht.SPoint(X[k], Z[k], float(a[k])) for k in range(0, g.size, 97)]
     points.append(ht.spoint(HEI1, [0.25, -0.5], [0.4], 1.7))
     hits = 0
     for x in points:
@@ -393,6 +472,17 @@ def test_overlap_profile_heisenberg2_matches_full_grid():
     fam = ex.build_maximal_family(HEI2, ex.random_admissible_cylinders(HEI2, 20, rng), seed=11)
     grid = ms.build_grid("na", ([(-8.0, 8.0)] * 4, [(-8.0, 8.0)], (-9.0, 3.0)), ([5] * 4, [6], 12), alg=HEI2)
     prof = ex.overlap_profile(fam, grid)
+    assert (prof.omega_k, prof.g_measure) == full_overlap(fam, grid)
+
+
+def test_overlap_profile_counts_past_255_members_match_full_grid():
+    # 300 cylinders about nearby centres, all holding the cells just above
+    # the identity, so the tallies need more than 8 bits
+    cyls = [dr.Cylinder(NPoint(np.array([0.001 * k, 0.0]), np.array([0.0])), 1.0 + 0.01 * k, 2.0) for k in range(300)]
+    fam = ex.MaximalFamily(HEI1, cyls)
+    grid = ms.build_grid("na", ([(-1.5, 1.5)] * 2, [(-1.5, 1.5)], (-3.0, 1.5)), ([4, 4], [5], 6), alg=HEI1)
+    prof = ex.overlap_profile(fam, grid)
+    assert prof.omega_k[-1][0] > 255 and prof.omega_k[-1][1] > 0
     assert (prof.omega_k, prof.g_measure) == full_overlap(fam, grid)
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from hypmax import drsets as dr
@@ -56,6 +57,27 @@ def test_na_abelian_grid_matches_h2_grid():
     gh = ms.build_grid("h2", (-1.0, 1.0, -1.0, 1.0), (12, 9))
     gn = ms.build_grid("na", ([], [(-1.0, 1.0)], (-1.0, 1.0)), ([], [12], 9), alg=AB1)
     assert gn.total_measure() == pytest.approx(gh.total_measure(), rel=1e-12)
+
+
+def test_set_values_keeps_scalar_and_per_point_results():
+    g = ms.build_grid("h2", (-1.0, 1.0, -1.0, 1.0), (8, 4))
+    assert np.array_equal(g.set_values(lambda x, y: 2.5).values, np.full(32, 2.5))
+    assert np.array_equal(g.set_values(lambda x, y: x * y).values, g.x * g.y)
+    n = ms.build_grid("na", ([(-1.0, 1.0)] * 2, [(-0.5, 0.5)], (-1.0, 1.0)), ([3, 2], [4], 5), alg=HEI1)
+    assert np.array_equal(n.set_values(lambda X, Z, a: -1.0).values, np.full(120, -1.0))
+    assert np.array_equal(n.set_values(lambda X, Z, a: X[:, 1] + Z[:, 0] * a).values, n.X[:, 1] + n.Z[:, 0] * n.a)
+
+
+def test_set_values_rejects_a_result_of_another_shape():
+    # an (n, 1) result used to broadcast to an (n, n) array of values
+    g = ms.build_grid("h2", (-1.0, 1.0, -1.0, 1.0), (8, 4))
+    with pytest.raises(ValueError):
+        g.set_values(lambda x, y: x[:, None])
+    n = ms.build_grid("na", ([(-1.0, 1.0)] * 2, [(-0.5, 0.5)], (-1.0, 1.0)), ([3, 2], [4], 5), alg=HEI1)
+    with pytest.raises(ValueError):
+        n.set_values(lambda X, Z, a: a[:, None])
+    with pytest.raises(ValueError):
+        n.set_values(lambda X, Z, a: X)
 
 
 # ------------------------------------------------------------- integration
