@@ -21,7 +21,7 @@ from .htype import HTypeAlgebra, NPoint, SPoint
 from .report import ExperimentReport, VolumeEstimate
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Cylinder:
     n0: NPoint
     a0: float
@@ -46,7 +46,7 @@ class Cylinder:
         return self
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class AdmissibleCylinder:
     n0: NPoint
     j: int

@@ -86,35 +86,135 @@ def _probe_points(alg, c, n_dirs: int, rng):
     return ht.left_translate_batch(alg, c.n0, X, Z)
 
 
+def _containment_refuted(alg, inner, X, Z, r, h, n_dirs: int, rng):
+    """Per row k: True when a certified point of ``inner`` lies outside the
+    cylinder whose base ball has radius r[k] about (X[k], Z[k]) at base
+    height h[k].  Returns the verdicts and the rows that drew directions.
+
+    A row is refuted outright when the base of ``inner`` is wider (by more
+    than 1e-12) or lower.  Every other row draws n_dirs probe directions;
+    the draws of all rows come from one ``rng.standard_normal`` call, in
+    row order, which is the stream one call per row would take.  Each row
+    tests the 2 (p + q) axis probes and its own n_dirs random probes, with
+    its own centre per translated point; every step is row by row, so a
+    row's verdict has the bits of a one-row call."""
+    refuted = (inner.base_radius > r + 1e-12) | (inner.base_height < h - 1e-12)
+    drew = np.flatnonzero(~refuted)
+    if drew.size:
+        m, n_ax = drew.size, 2 * (alg.p + alg.q)
+        PX, PZ = _probe_points(alg, inner, m * n_dirs, rng)
+        probe = np.hstack([np.broadcast_to(np.arange(n_ax), (m, n_ax)), n_ax + np.arange(m * n_dirs).reshape(m, n_dirs)])
+        own = np.repeat(drew, n_ax + n_dirs)
+        Xd, Zd = ht.left_translate_batch(alg, ht.n_inv(NPoint(X[own], Z[own])), PX[probe.ravel()], PZ[probe.ravel()])
+        refuted[drew] = (ht.gauge_batch(Xd, Zd) >= r[own]).reshape(m, -1).any(axis=1)
+    return refuted, drew
+
+
 def _refutes_containment(alg, inner, outer, n_dirs: int, rng) -> bool:
     """True when a certified point of ``inner`` lies outside ``outer``."""
-    if inner.base_radius > outer.base_radius + 1e-12:
-        return True
-    if inner.base_height < outer.base_height - 1e-12:
-        return True  # inner reaches below the outer base
-    X, Z = _probe_points(alg, inner, n_dirs, rng)
-    Xd, Zd = ht.left_translate_batch(alg, ht.n_inv(outer.n0), X, Z)
-    return bool((ht.gauge_batch(Xd, Zd) >= outer.base_radius).any())
+    X, Z, r = ms.cylinder_bases(alg, [outer])
+    return bool(_containment_refuted(alg, inner, X, Z, r, np.array([outer.base_height]), n_dirs, rng)[0][0])
+
+
+def _heights(cyls):
+    return np.array([c.base_height for c in cyls])
 
 
 def verify_maximal_family(fam: MaximalFamily, n_dirs: int = 24, seed: int = 0) -> list:
-    """Exhaustive O(n^2) invariant check; returns human-readable violations."""
+    """Exhaustive O(n^2) invariant check; returns human-readable violations.
+
+    Each member is tested against all others in one disjointness call and
+    one refutation call, which draws in the order of one call per pair."""
     rng = np.random.default_rng(seed)
-    cyls = fam.cylinders
+    alg, cyls = fam.alg, fam.cylinders
+    X, Z, r = ms.cylinder_bases(alg, cyls)
+    h, logs = _heights(cyls), np.array([c.base_log for c in cyls])
     out = []
     for i, ci in enumerate(cyls):
-        for k, ck in enumerate(cyls):
-            if i == k:
-                continue
-            if i < k and ci.base_log == ck.base_log:
-                if not _certified_disjoint(fam.alg, ci, ck):
-                    out.append(f"members {i},{k} share horocycle {ci.base_log} but overlap")
-            if not _refutes_containment(fam.alg, ci, ck, n_dirs, rng):
+        rest = np.delete(np.arange(len(cyls)), i)
+        refuted, _ = _containment_refuted(alg, ci, X[rest], Z[rest], r[rest], h[rest], n_dirs, rng)
+        later = rest[(rest > i) & (logs[rest] == ci.base_log)]
+        overlap = set(later[~_disjoint_from(alg, ci, X[later], Z[later], r[later])].tolist())
+        for k, ref in zip(rest.tolist(), refuted.tolist()):
+            if k in overlap:
+                out.append(f"members {i},{k} share horocycle {ci.base_log} but overlap")
+            if not ref:
                 out.append(f"member {i} appears to be contained in member {k}")
     return out
 
 
 # ---------------------------------------------------------- Vitali selection
+
+def _radius_groups(r) -> list:
+    """Indices of r in decreasing radius (stable), split into runs of equal
+    radius."""
+    order = np.argsort(-r, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(r[order])) + 1)
+
+
+def _contained_bases(alg, X0, Z0, r, b_lo, b_hi):
+    """Mask of the base balls certified inside a base ball of strictly
+    larger radius, given the boxes (b_lo, b_hi) of ``base_ball_box_batch``.
+
+    Ball s is certified inside ball b when the computed distance
+    D = gauge(n_b^{-1} n_s) satisfies D + r_s <= r_b - margin.  Then every
+    point that the rounded test gauge(n_s^{-1} x) < r_s accepts, the rounded
+    test of b accepts too: by the subadditivity of the gauge, the exact
+    gauge of n_b^{-1} x is at most the exact D plus the exact gauge of
+    n_s^{-1} x, and the margin covers the rounding of all three gauges.
+    Take for T the largest coordinate magnitude in the two boxes (the
+    centres and every accepted x lie in them), TX the largest in their
+    X columns and K the largest sum_ij |c_ijk|.  Each coordinate of a
+    computed translate is then within e = 1e-12 (1 + T + K TX^2) of the
+    exact one, far beyond the few roundings (each at most 2^-53 relative)
+    of its sums and products.  The gauge is the l^4 norm of
+    (|X| / 2, |Z|^(1/2)), so an error of e per coordinate moves it by at
+    most (p + q) e + ((p + q) e)^(1/2), which also covers the rounding of
+    the gauge formula; the margin is three times that.  Internally tangent
+    balls are never certified, nor are balls of equal radius, so a
+    duplicate is kept.
+
+    The radii are visited in decreasing order.  A ball already certified
+    certifies nothing, and only centres not yet certified and of smaller
+    radius are candidates: they are held sorted by their first coordinate,
+    and a ball b takes the slice that its box spans, then the rows inside
+    its box (a certified centre has D < r_b, so it lies in the box).  The
+    balls of one radius go in chunks of 1, 2, 4, ... balls; the pairs of a
+    chunk are tested in one translation with one centre per row, so a
+    family with no smaller centre in a larger box makes none."""
+    inside = np.zeros(r.size, dtype=bool)
+    # column-major centres and box sides, for the per-coordinate gathers
+    cent, lo_t, hi_t = np.hstack([X0, Z0]).T.copy(), b_lo.T.copy(), b_hi.T.copy()
+    reach = np.maximum(np.abs(b_lo), np.abs(b_hi))
+    t, tx = reach.max(axis=1), reach[:, : alg.p].max(axis=1, initial=0.0)
+    K = np.abs(alg.bracket_coeffs).sum(axis=(0, 1)).max(initial=0.0)
+    live = np.argsort(cent[0], kind="stable")
+    # the smallest radius has no smaller centre to certify
+    for group in _radius_groups(r)[:-1]:
+        live = live[r[live] < r[group[0]]]
+        big = group[~inside[group]]
+        # in a dense family the first balls certify most centres, and the
+        # later, larger chunks search only the rest
+        k0, k1 = 0, 1
+        while k0 < big.size and live.size:
+            chunk, k0, k1 = big[k0:k1], k1, 2 * k1 + 1
+            ends = cent[0, live].searchsorted(
+                np.stack([lo_t[0, chunk], np.nextafter(hi_t[0, chunk], -np.inf)]), side="right"
+            )
+            n = ends[1] - ends[0]
+            b = np.repeat(chunk, n)
+            s = live[np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - ends[0], n)]
+            for c, lo_k, hi_k in zip(cent[1:], lo_t[1:], hi_t[1:]):
+                box = (c[s] > lo_k[b]) & (c[s] < hi_k[b])
+                b, s = b[box], s[box]
+            if s.size:
+                D = ht.gauge_batch(*ht.left_translate_batch(alg, ht.n_inv(NPoint(X0[b], Z0[b])), X0[s], Z0[s]))
+                T, TX = np.maximum(t[b], t[s]), np.maximum(tx[b], tx[s])
+                err = (alg.p + alg.q) * 1e-12 * (1.0 + T + K * TX * TX)
+                inside[s[D + r[s] <= r[b] - 3.0 * (err + np.sqrt(err))]] = True
+                live = live[~inside[live]]
+    return inside
+
 
 def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"):
     """Measure of the union of same-horocycle cylinders.
@@ -124,6 +224,12 @@ def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"
     needed.  q = 1 abelian base balls are intervals and are merged
     exactly; otherwise Monte Carlo over a bounding box.  Returns
     (measure, stderr).
+
+    Before sampling, the base balls that ``_contained_bases`` certifies
+    inside a larger base ball are dropped: whatever their test accepts,
+    the larger ball's test accepts too (gauge subadditivity, with a margin
+    for rounding), so the hit set is unchanged.  The bounding box is still
+    taken over every base, so the samples are the same.
 
     The Monte Carlo samples are sorted once by the first horizontal
     coordinate.  Base balls are visited largest first, and each tests only
@@ -162,8 +268,11 @@ def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"
     # (one after the other, so that only one old array is alive at a time)
     cols, hits = np.ascontiguousarray(rows.T), 0
     b_lo, b_hi = ms.base_ball_box_batch(alg, X0, Z0, r)
-    order = np.argsort(-r, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(r[order])) + 1):
+    contained = _contained_bases(alg, X0, Z0, r, b_lo, b_hi)
+    for group in _radius_groups(r):
+        group = group[~contained[group]]
+        if not group.size:
+            continue
         outside = np.ones(cols.shape[1], dtype=bool)
         # the slice holds exactly the samples with b_lo < X_1 < b_hi; X_1 < b
         # is X_1 <= nextafter(b, -inf), so one side="right" search takes both
@@ -262,7 +371,17 @@ def random_admissible_cylinders(alg, count, rng, j_lo=-2, j_hi=2, r_lo=2, r_hi=6
 def build_maximal_family(alg: HTypeAlgebra, generator, seed: int = 0, n_dirs: int = 24) -> MaximalFamily:
     """Prune a generated batch into a maximal family: drop duplicates and
     members not refutably outside another member, then run the greedy
-    disjoint selection on each base horocycle."""
+    disjoint selection on each base horocycle.
+
+    The result and the random stream are those of testing each member
+    against the others one pair at a time, in index order, until the first
+    pair whose containment is not refuted.  Each member is instead tested
+    against all others in one ``_containment_refuted`` call, which takes
+    the draws of every outer it probes in one pinned order.  When some
+    outer k is not refuted, the generator is rewound to its state before
+    the call and draws again what the pairs up to k would have drawn; then
+    the reverse test for k > i draws its own, and the member goes on with
+    the outers after k."""
     rng = np.random.default_rng(seed)
     cyls = list(generator)
     # duplicates: identical lattice data and identical centers
@@ -274,18 +393,25 @@ def build_maximal_family(alg: HTypeAlgebra, generator, seed: int = 0, n_dirs: in
         ):
             uniq.append(c)
     # drop members that cannot be refuted as subsets of another member
+    X, Z, r = ms.cylinder_bases(alg, uniq)
+    h = _heights(uniq)
     kept = []
     for i, c in enumerate(uniq):
-        contained = False
-        for k, d in enumerate(uniq):
-            if i == k:
-                continue
-            if not _refutes_containment(alg, c, d, n_dirs, rng):
-                # symmetric ties (identical geometry is impossible after
-                # dedup): keep the earlier one
-                if k < i or _refutes_containment(alg, d, c, n_dirs, rng):
-                    contained = True
-                    break
+        contained, rest = False, np.delete(np.arange(len(uniq)), i)
+        while rest.size and not contained:
+            state = rng.bit_generator.state
+            refuted, drew = _containment_refuted(alg, c, X[rest], Z[rest], r[rest], h[rest], n_dirs, rng)
+            if refuted.all():
+                break
+            f = int(refuted.argmin())
+            # one pair at a time, the draws would stop after outer f
+            rng.bit_generator.state = state
+            rng.standard_normal((int(np.count_nonzero(drew <= f)) * n_dirs, alg.p + alg.q))
+            k = int(rest[f])
+            # symmetric ties (identical geometry is impossible after dedup):
+            # keep the earlier one
+            contained = k < i or _refutes_containment(alg, uniq[k], c, n_dirs, rng)
+            rest = rest[f + 1 :]
         if not contained:
             kept.append(c)
     final = []

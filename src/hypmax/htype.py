@@ -6,6 +6,14 @@ structure coefficients.  The group N = exp(v + z) carries the gauge
 a > 0 acting by anisotropic dilations.  The degenerate abelian case with
 q = 1 reproduces the hyperbolic upper half-plane under (Z, a) <-> (x, y).
 
+The gauge is subadditive, |n m| <= |n| + |m| (J. Cygan, Proc. AMS 83
+(1981) 69-70), so d(n, m) = |n^{-1} m| obeys the triangle inequality.
+Two certificates in ``experiments`` rest on it: bases whose centres are at
+least the sum of their radii apart are disjoint (the greedy selection),
+and a base ball whose centre lies within r_b - r_s of a larger centre lies
+inside that larger ball (the Vitali union measure drops it before
+sampling, with a margin for rounding).
+
 Every bracket [X, X'] (``bracket``, the group laws and
 ``left_translate_batch``) goes through one kernel,
 ``HTypeAlgebra.bracket_batch``: for each z coordinate k it starts at 0.0
@@ -145,13 +153,13 @@ def validate_algebra(alg: HTypeAlgebra, samples: int = 10_000, seed: int = 0) ->
 
 # ------------------------------------------------------------------ points
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class NPoint:
     X: np.ndarray
     Z: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SPoint:
     X: np.ndarray
     Z: np.ndarray

@@ -99,6 +99,60 @@ def per_candidate_greedy(alg, cyls):
     return kept
 
 
+def per_pair_refutes(alg, inner, outer, n_dirs, rng):
+    """One containment refutation per (inner, outer) pair: the prechecks,
+    then 2 (p + q) axis probes and n_dirs random probes of ``inner`` at
+    gauge (1 - 1e-9) r, drawn by one call of their own."""
+    if inner.base_radius > outer.base_radius + 1e-12 or inner.base_height < outer.base_height - 1e-12:
+        return True
+    d = alg.p + alg.q
+    dirs = np.vstack([np.eye(d), -np.eye(d), rng.standard_normal((n_dirs, d))])
+    X, Z = dirs[:, : alg.p], dirs[:, alg.p :]
+    scale = ((1.0 - 1e-9) * inner.base_radius / ht.gauge_batch(X, Z)) ** 2
+    X, Z = ht.left_translate_batch(alg, inner.n0, np.sqrt(scale)[:, None] * X, scale[:, None] * Z)
+    return bool((ht.gauge_batch(*ht.left_translate_batch(alg, ht.n_inv(outer.n0), X, Z)) >= outer.base_radius).any())
+
+
+def per_pair_maximal_family(alg, cyls, rng, n_dirs=24):
+    """The maximal family one pair at a time: each member against the
+    others in index order until the first pair not refuted, with the reverse
+    test when that member comes later; then the per-candidate greedy on
+    each horocycle."""
+    uniq = []
+    for c in cyls:
+        if not any(
+            c.j == d.j and c.R == d.R and np.array_equal(c.n0.X, d.n0.X) and np.array_equal(c.n0.Z, d.n0.Z)
+            for d in uniq
+        ):
+            uniq.append(c)
+    kept = []
+    for i, c in enumerate(uniq):
+        contained = False
+        for k, d in enumerate(uniq):
+            if k != i and not per_pair_refutes(alg, c, d, n_dirs, rng):
+                if k < i or per_pair_refutes(alg, d, c, n_dirs, rng):
+                    contained = True
+                    break
+        if not contained:
+            kept.append(c)
+    logs = sorted({c.base_log for c in kept})
+    return [s for log in logs for s in per_candidate_greedy(alg, [c for c in kept if c.base_log == log])]
+
+
+def per_pair_violations(fam, rng, n_dirs=24):
+    """``verify_maximal_family`` one pair at a time, through ``dist_n``."""
+    out = []
+    for i, ci in enumerate(fam.cylinders):
+        for k, ck in enumerate(fam.cylinders):
+            if i == k:
+                continue
+            if i < k and ci.base_log == ck.base_log and ht.dist_n(fam.alg, ci.n0, ck.n0) < ci.base_radius + ck.base_radius:
+                out.append(f"members {i},{k} share horocycle {ci.base_log} but overlap")
+            if not per_pair_refutes(fam.alg, ci, ck, n_dirs, rng):
+                out.append(f"member {i} appears to be contained in member {k}")
+    return out
+
+
 # -------------------------------------------------------------- half-plane
 
 def h2_grid():
@@ -577,6 +631,8 @@ def test_union_measure_tests_no_sample_after_its_hit(monkeypatch):
 
     def spy(alg, n0, X, Z):
         out = translate(alg, n0, X, Z)
+        if n0.X.ndim == 2:
+            return out  # one centre per row: the containment certificate, not a sample test
         keys = [tuple(row) for row in np.hstack([X, Z])]
         again.extend(k for k in keys if k in held)
         hit = ht.gauge_batch(*out) < radius[tuple(n0.X) + tuple(n0.Z)]
@@ -588,6 +644,123 @@ def test_union_measure_tests_no_sample_after_its_hit(monkeypatch):
     monkeypatch.undo()
     assert got == unsorted_union_measure(HEI2, fam, 20_000, 3)
     assert again == [] and len(held) > 1000
+
+
+
+def nested_batch(alg, rng):
+    """Random admissible cylinders with duplicates (the same object, and
+    copies), members nested in a later and in an earlier member, and
+    near-copies whose containment is refuted neither way."""
+    base = ex.random_admissible_cylinders(alg, 30, rng, r_lo=3)
+
+    def shifted(c, j, R, eps):
+        return dr.AdmissibleCylinder(NPoint(c.n0.X + eps, c.n0.Z + eps), j, R)
+
+    inner = [shifted(c, c.j - 1, c.R - 1, 1e-3) for c in base[:6]]
+    twins = [shifted(c, c.j, c.R, 1e-15) for c in base[6:9]]
+    copies = [dr.AdmissibleCylinder(NPoint(c.n0.X.copy(), c.n0.Z.copy()), c.j, c.R) for c in base[9:12]]
+    return inner[:3] + base[:15] + twins + inner[3:] + base[15:] + base[:2] + copies
+
+
+@pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
+def test_maximal_family_matches_per_pair_oracle(alg):
+    """One refutation call per member keeps the members, in the order, and
+    leaves the generator in the state of one refutation per pair."""
+    for trial in range(3):
+        batch = nested_batch(alg, np.random.default_rng(trial))
+        rng, ref_rng = np.random.default_rng(100 + trial), np.random.default_rng(100 + trial)
+        fam = ex.build_maximal_family(alg, batch, seed=rng)
+        ref = per_pair_maximal_family(alg, batch, ref_rng)
+        assert [id(c) for c in fam.cylinders] == [id(c) for c in ref]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert 1 < len(fam.cylinders) < len(batch) - 12
+
+
+@pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
+def test_verify_maximal_family_matches_per_pair_oracle(alg):
+    """A batch that was never pruned has overlaps and containments: the
+    violations and the random stream are those of one test per pair."""
+    fam = ex.MaximalFamily(alg, nested_batch(alg, np.random.default_rng(3)))
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = ex.verify_maximal_family(fam, seed=rng)
+    assert got == per_pair_violations(fam, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert any("contained" in v for v in got) and any("overlap" in v for v in got)
+
+
+def horocycle_cylinder(alg, X, Z, j):
+    return dr.AdmissibleCylinder(NPoint(np.asarray(X, float), np.asarray(Z, float)), j, j + 2)
+
+
+def contained_mask(alg, cyls):
+    X0, Z0, r = ms.cylinder_bases(alg, cyls)
+    return ex._contained_bases(alg, X0, Z0, r, *ms.base_ball_box_batch(alg, X0, Z0, r))
+
+
+@pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_union_measure_certifies_nested_chains(alg, scale):
+    """Chains of bases each nested in the next, duplicates of a chain member
+    (kept: equal radii certify nothing), and internally tangent pairs,
+    which must not be certified: the union matches the unsorted loop."""
+    rng = np.random.default_rng(int(scale * 1e3) % 97)
+    d = alg.p + alg.q
+    fam, nested = [], []
+    for _ in range(4):
+        at = NPoint(scale * rng.uniform(-1, 1, alg.p), scale * rng.uniform(-1, 1, alg.q))
+        steps = np.outer(0.05 * np.arange(5), np.ones(d))
+        X, Z = ht.left_translate_batch(alg, at, steps[:, : alg.p], steps[:, alg.p :])
+        chain = [horocycle_cylinder(alg, X[j], Z[j], j) for j in range(5)]
+        twin = horocycle_cylinder(alg, X[2].copy(), Z[2].copy(), 2)
+        fam += chain + [chain[2], twin]
+        nested += chain[:4] + [twin]
+    # a radius-1 base about a point at gauge distance e - 1 from the centre
+    # of a radius-e base, which it touches from inside; the pairs lie beyond
+    # the boxes of the chains
+    gap = math.e - 1.0
+    for k in range(3):
+        at = np.eye(d)[0] * (3e3 + 100.0 * k) + rng.uniform(-1, 1, d)
+        big = horocycle_cylinder(alg, at[: alg.p], at[alg.p :], 2)
+        step = np.eye(d)[0] * (2 * gap if alg.p else gap**2)
+        X, Z = ht.left_translate_batch(alg, big.n0, step[None, : alg.p], step[None, alg.p :])
+        small = horocycle_cylinder(alg, X[0], Z[0], 0)
+        assert abs(ht.dist_n(alg, big.n0, small.n0) + small.base_radius - big.base_radius) < 1e-9
+        fam += [small, big]
+    inside = contained_mask(alg, fam)
+    assert {id(c) for c, flag in zip(fam, inside) if flag} == {id(c) for c in nested}
+    assert ex._union_base_measure(alg, fam, 20_000, 2) == unsorted_union_measure(alg, fam, 20_000, 2)
+
+
+@pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
+def test_union_measure_sparse_family_matches_unsorted_loop(alg):
+    rng = np.random.default_rng(14)
+    fam = ex.random_horocycle_family(alg, 2000, -2, rng, spread=60.0)
+    got = ex._union_base_measure(alg, fam, 5_000, 6)
+    assert got == unsorted_union_measure(alg, fam, 5_000, 6)
+    assert got[0] > 0
+
+
+@pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
+def test_union_measure_without_nested_centres_makes_no_certificate_translate(alg, monkeypatch):
+    """No smaller centre lies in the box of a larger base (the centres are
+    1,000 apart along the first coordinate): no candidate pair, so no
+    translation with one centre per row."""
+    rng = np.random.default_rng(15)
+    fam = ex.random_horocycle_family(alg, 300, -2, rng, spread=5.0)
+    for k, c in enumerate(fam):
+        (c.n0.X if alg.p else c.n0.Z)[0] = 1e3 * k
+    X0, Z0, r = ms.cylinder_bases(alg, fam)
+    lo, hi = ms.base_ball_box_batch(alg, X0, Z0, r)
+    cent = np.hstack([X0, Z0])
+    in_box = ((cent[None, :, :] > lo[:, None, :]) & (cent[None, :, :] < hi[:, None, :])).all(axis=2)
+    assert not (in_box & (r[None, :] < r[:, None])).any()
+    calls = []
+    translate = ht.left_translate_batch
+    monkeypatch.setattr(ht, "left_translate_batch", lambda alg, n0, X, Z: calls.append(n0.X.ndim) or translate(alg, n0, X, Z))
+    got = ex._union_base_measure(alg, fam, 20_000, 5)
+    monkeypatch.undo()
+    assert 2 not in calls and calls
+    assert got == unsorted_union_measure(alg, fam, 20_000, 5)
 
 
 def test_left_translate_matches_expanded_group_law():
