@@ -6,11 +6,32 @@ half-ball maximal operators (balls, special half planes, half balls,
 trigona, infinite rectangles and their admissible hulls, modified half
 balls), closed-form areas, boundary markers and the affine isometries
 w -> w*Im(z0) + Re(z0).
+
+A member is one frozen ``H2Set``; a family of members can also be held as
+columns, an ``H2Family``: one kind code and the floats x, y, radius (and
+the integer j of an admissible rectangle) per member, with no object per
+member.  Every membership test, one set against many points
+(``contains_mask``) or many sets against one point
+(``H2Family.contains_point``), goes through one strict-predicate kernel,
+``mask``, whose per-radius constants sinh^2(R/2), e^{-R} and e^{R} are
+computed once per radius with ``math`` (``radius_terms``), so a column
+member tests exactly as its ``H2Set`` does.  Boxes (``bounding_boxes``)
+and areas (``areas``) of a family likewise take their ``math`` constants
+once per distinct radius; ``bounding_box`` and ``area`` are their
+one-member forms.
+
+Rectangles, plain and admissible, are separable on a tensor grid: the
+test is |x - zx| < zy and y > e^{-R} zy, one condition per axis.  On a
+sorted x axis the rounded difference x - zx is monotone and keeps the sign
+of x - zx, so |x - zx| < zy holds on one contiguous run of indices; on a
+sorted y axis y > e^{-R} zy holds on a suffix.  The cells of a rectangle
+are therefore one sub-block of the grid, found from those two runs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -101,6 +122,156 @@ def modified_half_ball(z: HPoint, R: float) -> H2Set:
     return H2Set(SetKind.MODIFIED_HALF_BALL, z, R)
 
 
+# the kind code of an H2Family member is the position of its SetKind here
+KINDS = tuple(SetKind)
+_CODE = {k: i for i, k in enumerate(KINDS)}
+# the j column of a member without a height exponent
+_NO_J = np.iinfo(np.int64).min
+_ROW = np.dtype([("kind", np.int8), ("x", float), ("y", float), ("radius", float), ("j", np.int64)])
+
+
+def _row(s) -> tuple:
+    if not isinstance(s, H2Set):
+        raise TypeError(f"an H2Family holds H2Set members, got {type(s)}")
+    r = math.nan if s.radius is None else s.radius
+    return (_CODE[s.kind], s.center.x, s.center.y, r, _NO_J if s.j is None else s.j)
+
+
+class H2Family:
+    """A family of half-plane sets held as columns: ``kind`` (int8, the
+    position of the member's ``SetKind`` in ``tuple(SetKind)``), the
+    float64 arrays ``x``, ``y`` (the centre) and ``radius`` (NaN for a half
+    plane), and the int64 array ``j`` (the height exponent of an admissible
+    rectangle; the minimum int64 for a member without one).
+
+    It behaves as the sequence of ``H2Set`` it stands for: ``len``,
+    ``fam[i]`` builds the member as an ``H2Set`` (``fam[rows]`` with a
+    slice or an index array is a sub-family), iteration yields the members
+    in order, and ``+`` joins it with another family or a list of
+    ``H2Set`` in either order.  The constructor refuses, with the same
+    error, every member that ``H2Set`` or ``HPoint`` would refuse.
+    """
+
+    __slots__ = ("kind", "x", "y", "radius", "j")
+
+    def __init__(self, kind, x, y, radius=None, j=None):
+        if isinstance(kind, SetKind):
+            kind = _CODE[kind]
+        n = np.broadcast(*(np.asarray(np.nan if v is None else v) for v in (kind, x, y, radius, j))).shape
+        if len(n) > 1:
+            raise ValueError("H2Family columns must be one-dimensional")
+        cols = []
+        for v, dtype, missing in ((kind, np.int8, None), (x, float, None), (y, float, None),
+                                  (radius, float, math.nan), (j, np.int64, _NO_J)):
+            col = np.empty(n, dtype)
+            col[...] = missing if v is None else v
+            cols.append(col.reshape(-1))
+        self._set(*cols)
+        if ((self.kind < 0) | (self.kind >= len(KINDS))).any():
+            raise ValueError("unknown set kind code")
+        self._check()
+
+    def _set(self, kind, x, y, radius, j) -> "H2Family":
+        self.kind, self.x, self.y, self.radius, self.j = kind, x, y, radius, j
+        return self
+
+    @classmethod
+    def _columns(cls, kind, x, y, radius, j) -> "H2Family":
+        """A family over columns already checked."""
+        return object.__new__(cls)._set(kind, x, y, radius, j)
+
+    @classmethod
+    def of(cls, sets) -> "H2Family":
+        """The family of an iterable of ``H2Set``, in one pass; a family is
+        returned as it is.  The members are valid already, as ``H2Set``
+        checks itself."""
+        if isinstance(sets, H2Family):
+            return sets
+        rows = np.fromiter((_row(s) for s in sets), dtype=_ROW)
+        return cls._columns(*(np.ascontiguousarray(rows[name]) for name in _ROW.names))
+
+    def _check(self) -> None:
+        """Raise the error of the first member that ``H2Set`` refuses.
+
+        The mask below flags a superset of the refused members (the e^j
+        test is tighter than ``math.isclose``'s), and each flagged member is
+        then built as an ``H2Set``, which raises for it with its own
+        message or passes it."""
+        k, y, r, j = self.kind, self.y, self.radius, self.j
+        adm = k == _CODE[SetKind.ADMISSIBLE_RECTANGLE]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ej = np.exp(np.where(adm, j, 0).astype(float))
+            bad = ~(y > 0) | np.where(k == _CODE[SetKind.HALF_PLANE], ~np.isnan(r), ~(r > 0))
+            bad |= (k == _CODE[SetKind.MODIFIED_HALF_BALL]) & ~(r >= 1)
+            bad |= adm & ((j == _NO_J) | ~np.isfinite(r) | (r != np.floor(r)) | (r < 2)
+                          | ~(np.abs(y - ej) <= 0.5e-12 * np.maximum(y, ej)))
+        for i in np.flatnonzero(bad).tolist():
+            self[i]
+
+    def __len__(self) -> int:
+        return self.x.size
+
+    def _cols(self) -> tuple:
+        return self.kind, self.x, self.y, self.radius, self.j
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) or (isinstance(i, np.ndarray) and i.ndim == 1):
+            return H2Family._columns(*(c[i] for c in self._cols()))
+        i, n = operator.index(i), len(self)
+        if not -n <= i < n:
+            raise IndexError("H2Family index out of range")
+        return _member(*(c[i].item() for c in self._cols()))
+
+    def __iter__(self):
+        return (_member(*row) for row in zip(*(c.tolist() for c in self._cols())))
+
+    def __add__(self, other):
+        if isinstance(other, (list, tuple)):
+            other = H2Family.of(other)
+        if not isinstance(other, H2Family):
+            return NotImplemented
+        return H2Family._columns(*(np.concatenate(p) for p in zip(self._cols(), other._cols())))
+
+    def __radd__(self, other):
+        if not isinstance(other, (list, tuple)):
+            return NotImplemented
+        return H2Family.of(other) + self
+
+    def __repr__(self) -> str:
+        return f"H2Family({len(self)} members)"
+
+    def groups(self):
+        """(SetKind, rows) for each kind present, rows the int indices of its
+        members in family order."""
+        for code in np.flatnonzero(np.bincount(self.kind, minlength=len(KINDS))).tolist():
+            yield KINDS[code], np.flatnonzero(self.kind == code)
+
+    def per_kind_radius(self, fn, width: int) -> np.ndarray:
+        """(len, width) float array: row i is fn(kind_i, radius_i), evaluated
+        once per distinct (kind, radius) of the family; a half plane is
+        passed its radius NaN."""
+        out = np.empty((len(self), width))
+        for kind, rows in self.groups():
+            u, inv = np.unique(self.radius[rows], return_inverse=True)
+            out[rows] = np.array([fn(kind, R) for R in u.tolist()], dtype=float).reshape(-1, width)[inv]
+        return out
+
+    def contains_point(self, x, y) -> np.ndarray:
+        """Bool array, one per member: strict membership of the point (x, y),
+        with one call of ``mask`` per kind and the verdicts of ``contains``."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        terms = radius_terms(self)
+        out = np.zeros(len(self), dtype=bool)
+        for kind, rows in self.groups():
+            s2, em, ep = terms[rows].T
+            out[rows] = mask(kind, self.x[rows], self.y[rows], s2, em, ep, x, y)
+        return out
+
+
+def _member(code: int, x: float, y: float, radius: float, j: int) -> H2Set:
+    return H2Set(KINDS[code], HPoint(x, y), None if radius != radius else radius, None if j == _NO_J else j)
+
+
 @dataclass(frozen=True)
 class BoundaryMarkers:
     """Euclidean data of the geodesic ball together with the points where
@@ -122,32 +293,72 @@ def distance(z: HPoint, w: HPoint) -> float:
 
 
 def contains_mask(s: H2Set, x, y):
-    """Vectorized strict membership of points (x, y) in the open set s."""
+    """Vectorized strict membership of points (x, y) in the open set s: one
+    call of ``mask``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    zx, zy = s.center.x, s.center.y
-    kind = s.kind
-    if kind is SetKind.BALL:
-        return _ball_mask(zx, zy, s.radius, x, y)
-    if kind is SetKind.HALF_PLANE:
-        return (x - zx) ** 2 + y * y < zy * zy
-    if kind is SetKind.HALF_BALL:
-        return _ball_mask(zx, zy, s.radius, x, y) & ((x - zx) ** 2 + y * y < zy * zy)
-    if kind is SetKind.TRIGONON:
-        return ((x - zx) ** 2 + y * y < zy * zy) & (y > math.exp(-s.radius) * zy)
-    if kind in (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
-        return (np.abs(x - zx) < zy) & (y > math.exp(-s.radius) * zy)
+    return mask(s.kind, s.center.x, s.center.y, *_terms(s.kind, s.radius), x, y)
+
+
+def _terms(kind: SetKind, R) -> tuple:
+    """(s2, em, ep) = (sinh^2(R/2), e^{-R}, e^{R}) as ``math`` computes them,
+    NaN for each one the predicate of ``kind`` does not read (so a large R
+    overflows only where the predicate needs e^R)."""
+    nan = math.nan
+    if kind in (SetKind.BALL, SetKind.HALF_BALL):
+        return math.sinh(R / 2.0) ** 2, nan, nan
+    if kind in (SetKind.TRIGONON, SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
+        return nan, math.exp(-R), nan
     if kind is SetKind.MODIFIED_HALF_BALL:
-        base = _ball_mask(zx, zy, s.radius, x, y) & ((x - zx) ** 2 + y * y < zy * zy)
-        sat = _ball_mask(zx, math.exp(s.radius) * zy, 1.0, x, y)
-        return base | sat
+        return math.sinh(R / 2.0) ** 2, nan, math.exp(R)
+    return nan, nan, nan
+
+
+def radius_terms(fam: "H2Family") -> np.ndarray:
+    """(m, 3): the constants (s2, em, ep) of ``mask`` per member, computed
+    once per distinct (kind, radius)."""
+    return fam.per_kind_radius(_terms, 3)
+
+
+def mask(kind: SetKind, zx, zy, s2, em, ep, x, y):
+    """The strict membership predicate of every kind: points (x, y) in the
+    open set of ``kind`` about (zx, zy) with the radius constants
+    s2 = sinh^2(R/2), em = e^{-R}, ep = e^{R} of ``_terms``.  Centres and
+    constants may be arrays (one per member) and broadcast against x, y;
+    every element is the same float expression either way."""
+    if kind is SetKind.BALL:
+        return _ball_mask(zx, zy, s2, x, y)
+    if kind is SetKind.HALF_PLANE:
+        return _in_half_plane(zx, zy, x, y)
+    if kind is SetKind.HALF_BALL:
+        return _ball_mask(zx, zy, s2, x, y) & _in_half_plane(zx, zy, x, y)
+    if kind is SetKind.TRIGONON:
+        return _in_half_plane(zx, zy, x, y) & (y > em * zy)
+    if kind in (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
+        return (np.abs(x - zx) < zy) & (y > em * zy)
+    if kind is SetKind.MODIFIED_HALF_BALL:
+        base = _ball_mask(zx, zy, s2, x, y) & _in_half_plane(zx, zy, x, y)
+        return base | _ball_mask(zx, ep * zy, _SINH2_HALF, x, y)
     raise ValueError(f"unknown kind {kind}")
 
 
-def _ball_mask(zx, zy, R, x, y):
+# sinh^2(1/2): the constant of the unit satellite ball of a modified half ball
+_SINH2_HALF = math.sinh(1.0 / 2.0) ** 2
+
+
+def _in_half_plane(zx, zy, x, y):
+    # the special half plane, the half disc |w - Re z|^2 < (Im z)^2.  Squares
+    # are products, so a scalar and an array give the same bits (a scalar's
+    # ** 2 rounds through pow, which differs from x * x in the last bit for
+    # some x)
+    dx = x - zx
+    return dx * dx + y * y < zy * zy
+
+
+def _ball_mask(zx, zy, s2, x, y):
     # d(z, w) < R  <=>  |z - w|^2 < 4 Im z Im w sinh^2(R/2)
-    s2 = math.sinh(R / 2.0) ** 2
-    return (x - zx) ** 2 + (y - zy) ** 2 < 4.0 * zy * y * s2
+    dx, dy = x - zx, y - zy
+    return dx * dx + dy * dy < 4.0 * zy * y * s2
 
 
 def contains(s: H2Set, w: HPoint) -> bool:
@@ -159,7 +370,16 @@ def area(s: H2Set) -> float:
 
     Raises for the half plane, which has infinite measure.
     """
-    kind, R = s.kind, s.radius
+    return _area(s.kind, s.radius)
+
+
+def areas(fam: "H2Family") -> np.ndarray:
+    """``area`` of every member, computed once per distinct (kind, radius).
+    Raises as ``area`` does when the family holds a half plane."""
+    return fam.per_kind_radius(_area, 1)[:, 0]
+
+
+def _area(kind: SetKind, R) -> float:
     if kind is SetKind.BALL:
         return 4.0 * math.pi * math.sinh(R / 2.0) ** 2
     if kind is SetKind.HALF_BALL:
@@ -237,20 +457,36 @@ def transform_set(z0: HPoint, s: H2Set) -> H2Set:
 
 
 def bounding_box(s: H2Set):
-    """(x_lo, x_hi, y_lo, y_hi) enclosing s; y_hi may be inf."""
-    zx, zy, R = s.center.x, s.center.y, s.radius
-    kind = s.kind
+    """(x_lo, x_hi, y_lo, y_hi) enclosing s; y_hi may be inf.  A one-row
+    call of ``bounding_boxes``."""
+    return tuple(bounding_boxes(H2Family.of([s]))[0].tolist())
+
+
+def _box_terms(kind: SetKind, R) -> tuple:
+    """(a, b, c) with box (zx - zy a, zx + zy a, zy b, zy c); for a modified
+    half ball a = e^R and the half width is max(zy, zy e^R sinh 1)."""
     if kind is SetKind.BALL:
-        sh = zy * math.sinh(R)
-        return (zx - sh, zx + sh, zy * math.exp(-R), zy * math.exp(R))
+        return math.sinh(R), math.exp(-R), math.exp(R)
     if kind is SetKind.HALF_PLANE:
-        return (zx - zy, zx + zy, 0.0, zy)
+        return 1.0, 0.0, 1.0
     if kind in (SetKind.HALF_BALL, SetKind.TRIGONON):
-        return (zx - zy, zx + zy, zy * math.exp(-R), zy)
+        return 1.0, math.exp(-R), 1.0
     if kind in (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
-        return (zx - zy, zx + zy, zy * math.exp(-R), math.inf)
+        return 1.0, math.exp(-R), math.inf
     if kind is SetKind.MODIFIED_HALF_BALL:
-        sat_half_width = zy * math.exp(R) * math.sinh(1.0)
-        half_width = max(zy, sat_half_width)
-        return (zx - half_width, zx + half_width, zy * math.exp(-R), zy * math.exp(R + 1.0))
+        return math.exp(R), math.exp(-R), math.exp(R + 1.0)
     raise ValueError(f"unknown kind {kind}")
+
+
+def bounding_boxes(fam: "H2Family") -> np.ndarray:
+    """(m, 4): row i is the box (x_lo, x_hi, y_lo, y_hi) enclosing member i;
+    y_hi may be inf.  The ``math`` constants are taken once per distinct
+    (kind, radius), and multiplying them by zy (exact for 1, 0 and inf)
+    rounds as the one-member formulas do."""
+    a, b, c = fam.per_kind_radius(_box_terms, 3).T
+    zx, zy = fam.x, fam.y
+    half = zy * a
+    mhb = fam.kind == _CODE[SetKind.MODIFIED_HALF_BALL]
+    # the satellite ball of a modified half ball is wider than its half ball
+    half[mhb] = np.maximum(zy[mhb], half[mhb] * math.sinh(1.0))
+    return np.column_stack([zx - half, zx + half, zy * b, zy * c])

@@ -8,6 +8,12 @@ counts the cells whose centres lie in the member, so each value is a grid
 estimate of the continuum average that can err in either direction; it is
 not a certified bound.
 
+A half-plane family is an ``hyp2.H2Family`` (what ``h2_lattice`` and
+``admissible_family_for_grid`` return) or a list of ``H2Set``, which
+``maximal_field`` and ``maximal_fn`` turn into columns first; a witness
+index is a position in either, and ``MaxField.members`` is the family as
+the caller passed it.  Cylinder families are lists.
+
 ``maximal_field`` does each family's work once, before its member loop.
 ``measure.member_blocks`` computes the block of every member in one pass:
 the axis-aligned sub-block of the tensor grid outside which the member
@@ -15,7 +21,17 @@ holds no point.  The index range of the support of f is found once per
 axis, and only the members whose block meets that range are masked,
 summed and painted.  Skipping the others is exact: such a block holds
 only cells with |f| = 0, so the member's numerator is exactly 0.0 and it
-would paint no point, as a full-grid loop would skip it too.
+would paint no point, as a full-grid loop would skip it too.  Areas and
+the predicate's radius constants are taken once per distinct (kind,
+radius), and the loop reads plain floats from the columns.  A rectangle
+(plain or admissible) needs no 2-D mask: its cells are one sub-block of
+the grid (see ``hyp2``), so its numerator sums ``wv[block].ravel()``, the
+same floats in the same C order as a masked gather, and it paints the
+sub-block directly.
+
+``maximal_fn`` tests the point against every half-plane member in one
+vectorized call per kind and takes numerators only for the members that
+contain it; it keeps the first member that attains the maximum.
 """
 
 from __future__ import annotations
@@ -27,8 +43,9 @@ from typing import Optional
 import numpy as np
 
 from . import drsets, hyp2
-from .hyp2 import H2Set, HPoint, SetKind
-from .measure import SampleGrid, block_mask, member_blocks, membership_mask
+from .hyp2 import H2Family, H2Set, SetKind
+from .measure import SampleGrid, block_mask, member_blocks
+from .measure import membership_mask  # noqa: F401  (perfbench/tracing.py wraps maxop.membership_mask)
 from .report import ExperimentReport
 
 
@@ -46,32 +63,45 @@ def grid_centers(grid: SampleGrid, max_per_axis: int = 24) -> np.ndarray:
     return np.column_stack([Xg.ravel(), Yg.ravel()])
 
 
-def h2_lattice(kind: str, centers, radii) -> list:
+def h2_lattice(kind: str, centers, radii) -> H2Family:
     """Half-plane sets of one kind, named as in ``SetKind``, over the
-    lattice centers x radii, in that product order."""
+    lattice centers x radii, in that product order, as columns."""
     k = SetKind(kind)
-    return [H2Set(k, HPoint(float(cx), float(cy)), float(R)) for cx, cy in centers for R in radii]
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    n = radii.size
+    return H2Family(k, np.repeat(centers[:, 0], n), np.repeat(centers[:, 1], n), np.tile(radii, len(centers)))
 
 
-def admissible_family_for_grid(grid: SampleGrid, k_max: int, max_x: int = 64) -> list:
+def admissible_family_for_grid(grid: SampleGrid, k_max: int, max_x: int = 64) -> H2Family:
     """Admissible rectangles whose lattice is induced by the grid: x on the
     cell lattice, j spanning the window heights, K = 2..k_max, in the
-    product order xs x js x Ks."""
+    product order xs x js x Ks, as columns."""
     xs = grid.axes[0]
     xs = xs[:: max(1, len(xs) // max_x)]
     _, _, u_lo, u_hi = grid.window
-    js = range(math.floor(u_lo), math.ceil(u_hi) + 1)
-    return [hyp2.admissible_rectangle(float(x), j, K) for x in xs for j in js for K in range(2, k_max + 1)]
+    js = np.arange(math.floor(u_lo), math.ceil(u_hi) + 1)
+    ks = np.arange(2, k_max + 1)
+    per_x = js.size * ks.size
+    # centre heights e^j as math.exp gives them, as admissible_rectangle does
+    heights = np.repeat([math.exp(j) for j in js.tolist()], ks.size)
+    return H2Family(
+        SetKind.ADMISSIBLE_RECTANGLE,
+        np.repeat(xs, per_x),
+        np.tile(heights, xs.size),
+        np.tile(ks.astype(float), xs.size * js.size),
+        np.tile(np.repeat(js, ks.size), xs.size),
+    )
 
 
 @dataclass
 class MaxField:
     """Operator values over all grid points, with per-point witness index
-    into ``members``."""
+    into ``members``, the family as the caller passed it."""
 
     values: np.ndarray
     witness_idx: np.ndarray
-    members: list
+    members: object
 
 
 @dataclass
@@ -81,13 +111,9 @@ class MaxResult:
     empty: bool = False
 
 
-def _member_measure(grid: SampleGrid, members: list, omega):
-    """The closed-form measure of a member: ``hyp2.area`` for half-plane
-    sets, ``drsets.cylinder_volume`` with the unit-ball volume ``omega``
-    for cylinders."""
-    if omega is None and not all(isinstance(s, H2Set) for s in members):
+def _check_omega(members, omega) -> None:
+    if omega is None and not isinstance(members, H2Family) and not all(isinstance(s, H2Set) for s in members):
         raise ValueError("cylinder members need omega, the volume of the unit gauge ball")
-    return lambda s: hyp2.area(s) if isinstance(s, H2Set) else drsets.cylinder_volume(grid.alg, s, omega)
 
 
 def _support_range(nz: np.ndarray) -> tuple:
@@ -102,65 +128,129 @@ def _support_range(nz: np.ndarray) -> tuple:
     return lo, hi
 
 
-def maximal_field(grid: SampleGrid, members: list, omega: float = None) -> MaxField:
-    """Operator values at every grid point over the family ``members``;
-    ties keep the earliest member.  Cylinder families need ``omega``."""
-    measure_of = _member_measure(grid, members, omega)
+_SEPARABLE = (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE)
+
+
+def _h2_cells(grid: SampleGrid, fam: H2Family, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(idx, block, mask, area) for each member fam[idx], idx in ``rows``,
+    whose blocks are the rows of (lo, hi): the cells of the member are the
+    True cells of ``mask`` on ``block``, or all of ``block`` when ``mask``
+    is None.  A rectangle with no cell is not yielded.
+
+    Strict membership is one ``hyp2.mask`` call per member, on floats read
+    from the columns.  A rectangle is separable (see ``hyp2``): its cells
+    are the columns that the top row of its block holds (none if that row
+    lies below the rectangle) times the heights above e^{-R} zy, a suffix
+    found by ``searchsorted``, so it needs no 2-D mask."""
+    xs, ys = grid.axes
+    sub = fam[rows]
+    s2, em, ep = hyp2.radius_terms(sub).T
+    area = hyp2.areas(sub)
+    # first height index with y > e^{-R} zy; used by rectangles only
+    top = ys.searchsorted(em * sub.y, side="right")
+    cols = (rows, sub.kind, sub.x, sub.y, s2, em, ep, area, *lo.T, *hi.T, top)
+    for idx, code, zx, zy, a, b, c, measure, x0, y0, x1, y1, t in zip(*(col.tolist() for col in cols)):
+        kind = hyp2.KINDS[code]
+        if kind in _SEPARABLE:
+            inside = np.flatnonzero(hyp2.mask(kind, zx, zy, a, b, c, xs[x0:x1], ys[y1 - 1]))
+            if inside.size:
+                yield idx, (slice(x0 + int(inside[0]), x0 + int(inside[-1]) + 1), slice(max(t, y0), y1)), None, measure
+        else:
+            block = (slice(x0, x1), slice(y0, y1))
+            yield idx, block, hyp2.mask(kind, zx, zy, a, b, c, xs[block[0], None], ys[None, block[1]]), measure
+
+
+def _cylinder_cells(grid: SampleGrid, members, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega: float):
+    """(idx, block, mask, volume) for each cylinder members[idx], idx in
+    ``rows``, whose blocks are the rows of (lo, hi)."""
+    for idx, l, h in zip(rows.tolist(), lo.tolist(), hi.tolist()):
+        s = members[idx]
+        block = tuple(map(slice, l, h))
+        yield idx, block, block_mask(grid, s, block), drsets.cylinder_volume(grid.alg, s, omega)
+
+
+def _cells(grid: SampleGrid, fam, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega: float):
+    """``_h2_cells`` or ``_cylinder_cells``, by the space of the grid."""
+    if grid.space == "h2":
+        return _h2_cells(grid, fam, rows, lo, hi)
+    return _cylinder_cells(grid, fam, rows, lo, hi, omega)
+
+
+def _meets_support(wv: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per block row of (lo, hi): whether it meets the index range of the
+    support of wv.  A block that misses it holds only wv == 0, so its
+    member's integral is exactly 0.0 and the member paints nothing."""
+    s_lo, s_hi = _support_range(wv != 0)
+    return (np.maximum(lo, s_lo) < np.minimum(hi, s_hi)).all(axis=1)
+
+
+def _numerator(wv: np.ndarray, block: tuple, mask) -> float:
+    # a 1-D array of the member's cells in C order, as a full-grid gather
+    # gives them, so numpy's pairwise sum adds the same floats in the same way
+    return float((wv[block].ravel() if mask is None else wv[block][mask]).sum())
+
+
+def maximal_field(grid: SampleGrid, members, omega: float = None) -> MaxField:
+    """Operator values at every grid point over the family ``members`` (an
+    ``H2Family``, a list of ``H2Set`` or a list of cylinders); ties keep
+    the earliest member.  Cylinder families need ``omega``."""
+    _check_omega(members, omega)
+    fam = H2Family.of(members) if grid.space == "h2" else members
     wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
     out = np.zeros(grid.shape)
     widx = np.full(grid.shape, -1, dtype=np.int64)
-    lo, hi = member_blocks(grid, members)
-    s_lo, s_hi = _support_range(wv != 0)
-    # a block that misses the support's index range holds only wv == 0, so
-    # the member's integral would be exactly 0.0 and it would paint nothing
-    meets = (np.maximum(lo, s_lo) < np.minimum(hi, s_hi)).all(axis=1)
-    for idx in np.flatnonzero(meets).tolist():
-        s = members[idx]
-        block = tuple(map(slice, lo[idx].tolist(), hi[idx].tolist()))
-        mask = block_mask(grid, s, block)
-        integ = float(wv[block][mask].sum())
+    lo, hi = member_blocks(grid, fam)
+    rows = np.flatnonzero(_meets_support(wv, lo, hi))
+    for idx, block, mask, measure in _cells(grid, fam, rows, lo[rows], hi[rows], omega):
+        integ = _numerator(wv, block, mask)
         if integ == 0.0:
             continue
-        avg = integ / measure_of(s)
+        avg = integ / measure
         out_b = out[block]
-        better = mask & (avg > out_b)
+        better = avg > out_b if mask is None else mask & (avg > out_b)
         out_b[better] = avg
         widx[block][better] = idx
     return MaxField(out.reshape(grid.size), widx.reshape(grid.size), members)
 
 
-def maximal_fn(grid: SampleGrid, x, members: list, omega: float = None) -> MaxResult:
-    """Operator value at one point with its witness set."""
-    measure_of = _member_measure(grid, members, omega)
+def maximal_fn(grid: SampleGrid, x, members, omega: float = None) -> MaxResult:
+    """Operator value at one point with its witness set (the first member
+    attaining it).  Half-plane members are tested against the point in one
+    call per kind (``H2Family.contains_point``); numerators are taken only
+    for the members that contain it and whose block meets supp f."""
+    _check_omega(members, omega)
     wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
-    best, best_s, hit = 0.0, None, False
-    for s in members:
-        if isinstance(s, H2Set):
-            inside = hyp2.contains(s, x)
-        else:
-            inside = drsets.cylinder_contains(grid.alg, s.as_cylinder(), x)
-        if not inside:
-            continue
-        hit = True
-        block, mask = membership_mask(grid, s)
-        integ = float(wv[block][mask].sum())
-        avg = integ / measure_of(s)
+    if grid.space == "h2":
+        fam = H2Family.of(members)
+        rows = np.flatnonzero(fam.contains_point(x.x, x.y))
+        lo, hi = member_blocks(grid, fam[rows])
+    else:
+        fam = members
+        rows = np.flatnonzero([drsets.cylinder_contains(grid.alg, s.as_cylinder(), x) for s in members])
+        lo, hi = member_blocks(grid, [members[i] for i in rows.tolist()])
+    keep = _meets_support(wv, lo, hi)
+    best, best_idx = 0.0, None
+    for idx, block, mask, measure in _cells(grid, fam, rows[keep], lo[keep], hi[keep], omega):
+        avg = _numerator(wv, block, mask) / measure
         if avg > best:
-            best, best_s = avg, s
-    return MaxResult(best, best_s, empty=not hit)
+            best, best_idx = avg, idx
+    return MaxResult(best, None if best_idx is None else members[best_idx], empty=not rows.size)
 
 
-def level_set_measure(grid: SampleGrid, members: list, alpha: float, fld: MaxField = None) -> float:
-    """Grid measure of { max fn > alpha }; nonincreasing in alpha."""
+def level_set_measure(grid: SampleGrid, members, alpha: float, fld: MaxField = None, omega: float = None) -> float:
+    """Grid measure of { max fn > alpha }; nonincreasing in alpha.
+    Cylinder families need ``omega``."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if fld is None:
-        fld = maximal_field(grid, members)
+        fld = maximal_field(grid, members, omega)
     return float(grid.weights[fld.values > alpha].sum())
 
 
-def level_set_table(grid: SampleGrid, members: list, alphas) -> tuple:
-    fld = maximal_field(grid, members)
+def level_set_table(grid: SampleGrid, members, alphas, omega: float = None) -> tuple:
+    """(rows, field): one (alpha, level-set measure) row per alpha, from one
+    ``maximal_field``.  Cylinder families need ``omega``."""
+    fld = maximal_field(grid, members, omega)
     rows = [(float(a), level_set_measure(grid, members, a, fld)) for a in alphas]
     return rows, fld
 

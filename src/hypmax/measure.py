@@ -20,7 +20,7 @@ import numpy as np
 from . import drsets, hyp2
 from .drsets import AdmissibleCylinder, Cylinder
 from .htype import HTypeAlgebra
-from .hyp2 import H2Set
+from .hyp2 import H2Family, H2Set
 from .report import VolumeEstimate
 
 
@@ -170,6 +170,8 @@ _DESCRIPTORS = {"h2": H2Set, "na": (Cylinder, AdmissibleCylinder)}
 
 
 def _check_descriptors(grid: SampleGrid, members) -> None:
+    if isinstance(members, H2Family):
+        members = members[:1]  # one kind of descriptor: check the first
     want = _DESCRIPTORS[grid.space]
     for s in members:
         if isinstance(s, want):
@@ -186,15 +188,15 @@ def member_blocks(grid: SampleGrid, members) -> tuple:
     axis-aligned sub-block [lo, hi) of the grid lattice that can meet
     members[i]; every point outside it lies outside the member.
 
-    Half-plane sets take their block from ``hyp2.bounding_box``, cylinders
-    from ``base_ball_box_batch`` and the height suffix above the base; both
-    are padded by one cell per side.  Rows may be empty (lo >= hi on some
+    Half-plane sets (an ``H2Family`` or a list of ``H2Set``) take their
+    blocks from ``hyp2.bounding_boxes``, cylinders from
+    ``base_ball_box_batch`` and the height suffix above the base; both are
+    padded by one cell per side.  Rows may be empty (lo >= hi on some
     axis)."""
     _check_descriptors(grid, members)
     m = len(members)
     if grid.space == "h2":
-        # filled from a generator, so no list of per-member tuples is held
-        box = np.fromiter((v for s in members for v in hyp2.bounding_box(s)), float, 4 * m).reshape(m, 4)
+        box = hyp2.bounding_boxes(H2Family.of(members))
         lo, hi = box[:, 0::2], box[:, 1::2]
     else:
         cyls = [s.as_cylinder() for s in members]

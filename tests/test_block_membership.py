@@ -440,26 +440,38 @@ def misses_support(g, lo, hi):
 def test_members_off_the_support_are_never_masked(kind, monkeypatch):
     if kind.endswith("cylinder"):
         g, fam, omega = na_grid(), cylinder_family(kind), OMEGA_HEI1
-        owner, attr, arg = dr, "cylinder_contains_batch", 1
+        owner, attr = dr, "cylinder_contains_batch"
+
+        # a cylinder reaches the mask as its as_cylinder() twin, with the same n0
+        def key(c):
+            return (id(c.n0), c.a0, c.R)
+
+        def member_key(s):
+            return key(s.as_cylinder())
+
+        def called(args):
+            return key(args[1])
     else:
         g, omega = h2_grid(), None
         fam = h2_family(g, kind)
-        owner, attr, arg = h2, "contains_mask", 0
+        owner, attr = h2, "mask"
+
+        # a half-plane member reaches the kernel as its kind and centre
+        def member_key(s):
+            return (s.kind, s.center.x, s.center.y)
+
+        def called(args):
+            return args[:3]
     g.values = small_support_values(g, "cell")
     lo, hi = ms.member_blocks(g, fam)
     missing = misses_support(g, lo, hi)
     assert 0 < missing.sum() < len(fam)
 
-    # a cylinder reaches the mask as its as_cylinder() twin, with the same n0
-    def key(s):
-        return (id(s.n0), s.a0, s.R) if kind.endswith("cylinder") else id(s)
-
     seen = []
     inner = getattr(owner, attr)
-    monkeypatch.setattr(owner, attr, lambda *a: seen.append(key(a[arg])) or inner(*a))
+    monkeypatch.setattr(owner, attr, lambda *a: seen.append(called(a)) or inner(*a))
     mx.maximal_field(g, fam, omega=omega)
-    expected = [key(s.as_cylinder()) if kind.endswith("cylinder") else key(s) for s in fam]
-    assert seen == [k for k, miss in zip(expected, missing) if not miss]
+    assert seen == [member_key(s) for s, miss in zip(fam, missing) if not miss]
 
 
 def span_oracle(centres, lo, hi):

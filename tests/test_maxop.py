@@ -131,6 +131,28 @@ def test_level_sets_monotone_and_trivial_cases():
     assert mx.level_set_measure(g, fam, 1e-12, fld) == pytest.approx(reach, rel=1e-12)
 
 
+def test_level_set_table_on_cylinders_takes_omega():
+    from hypmax import drsets, htype
+
+    # the README's dr-heisenberg:1 grid and admissible cylinders
+    hei = htype.heisenberg(1)
+    na = ms.build_grid("na", ([(-3.0, 3.0)] * 2, [(-4.0, 4.0)], (-3.0, 2.0)), ([7, 8], [9], 10), alg=hei)
+    na.set_values(lambda X, Z, a: 1.0 / (1.0 + a))
+    cylinders = [drsets.AdmissibleCylinder(htype.identity_n(hei), j, R) for j in (-1, 0, 1) for R in (2, 3)]
+    omega = 2 * math.pi**2
+    alphas = [2.0 ** (-m) for m in range(-1, 4)]
+    rows, fld = mx.level_set_table(na, cylinders, alphas, omega=omega)
+    ref = mx.maximal_field(na, cylinders, omega=omega)
+    assert np.array_equal(fld.values, ref.values)
+    assert np.array_equal(fld.witness_idx, ref.witness_idx)
+    assert rows == [(a, float(na.weights[ref.values > a].sum())) for a in alphas]
+    # the ladder runs from an empty level set to a nonempty one
+    assert rows[0][1] == 0.0 < rows[-1][1]
+    assert mx.level_set_measure(na, cylinders, alphas[-1], omega=omega) == rows[-1][1]
+    with pytest.raises(ValueError, match="omega"):
+        mx.level_set_table(na, cylinders, alphas)
+
+
 # ------------------------------------------------------------------ L log L
 
 def test_llogl_lambda_value():

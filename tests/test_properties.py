@@ -5,7 +5,7 @@ admissible hulls over arbitrary admissible inputs."""
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from hypmax import drsets as dr
 from hypmax import htype as ht
@@ -13,9 +13,6 @@ from hypmax import hyp2 as h2
 from hypmax import maxop as mx
 from hypmax.hyp2 import HPoint
 
-
-settings.register_profile("hypmax", deadline=None, derandomize=True, max_examples=200)
-settings.load_profile("hypmax")
 
 finite_x = st.floats(min_value=-50.0, max_value=50.0)
 log_y = st.floats(min_value=-5.0, max_value=5.0)
