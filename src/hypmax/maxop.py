@@ -31,7 +31,12 @@ sub-block directly.
 
 ``maximal_fn`` tests the point against every half-plane member in one
 vectorized call per kind and takes numerators only for the members that
-contain it; it keeps the first member that attains the maximum.
+contain it; it keeps the first member that attains the maximum.  On a
+cylinder family it tests the point member by member, then shares
+``_cells`` and ``_meets_support`` with ``maximal_field``: the blocks of
+all containing cylinders come from one ``member_blocks`` call, and a
+containing cylinder whose block misses supp f gets no numerator (it is
+exactly 0.0 and attains no maximum).
 """
 
 from __future__ import annotations
@@ -216,8 +221,9 @@ def maximal_field(grid: SampleGrid, members, omega: float = None) -> MaxField:
 def maximal_fn(grid: SampleGrid, x, members, omega: float = None) -> MaxResult:
     """Operator value at one point with its witness set (the first member
     attaining it).  Half-plane members are tested against the point in one
-    call per kind (``H2Family.contains_point``); numerators are taken only
-    for the members that contain it and whose block meets supp f."""
+    call per kind (``H2Family.contains_point``), cylinders one by one;
+    for either family, numerators are taken only for the members that
+    contain it and whose block meets supp f."""
     _check_omega(members, omega)
     wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
     if grid.space == "h2":

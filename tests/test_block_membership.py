@@ -428,6 +428,30 @@ def test_maximal_field_cylinders_small_support_matches_full_grid(kind, case):
     assert_field_matches_full_grid(g, cylinder_family(kind), case, OMEGA_HEI1)
 
 
+@pytest.mark.parametrize("case", SUPPORTS)
+@pytest.mark.parametrize("kind", ["admissible_cylinder", "cylinder"])
+def test_maximal_fn_cylinders_small_support_matches_full_grid(kind, case):
+    # maximal_fn skips containing cylinders whose block misses supp f: the
+    # value, the first-max witness and the empty flag stay the full-grid ones
+    g = na_grid()
+    g.values = small_support_values(g, case)
+    fam = cylinder_family(kind)
+    wv = g.weights * np.abs(g.values)
+    averages = [float(wv[full_mask(g, s)].sum()) / member_measure(g, s, OMEGA_HEI1) for s in fam]
+    X, Z, a = g.X, g.Z, g.a
+    points = [ht.SPoint(X[k], Z[k], float(a[k])) for k in range(0, g.size, 97)]
+    zero_members_met = 0
+    for x in points:
+        inside = [i for i, s in enumerate(fam) if dr.cylinder_contains(g.alg, s.as_cylinder(), x)]
+        best = max((averages[i] for i in inside), default=0.0)
+        res = mx.maximal_fn(g, x, fam, omega=OMEGA_HEI1)
+        assert res.value == best
+        assert res.empty == (not inside)
+        assert res.witness is (fam[next(i for i in inside if averages[i] == best)] if best > 0 else None)
+        zero_members_met += sum(averages[i] == 0.0 for i in inside)
+    assert zero_members_met > 0
+
+
 def misses_support(g, lo, hi):
     """Per member: its block and the index box of supp f are disjoint."""
     idx = np.nonzero((g.weights * np.abs(g.values)).reshape(g.shape))
@@ -456,16 +480,24 @@ def test_members_off_the_support_are_never_masked(kind, monkeypatch):
         fam = h2_family(g, kind)
         owner, attr = h2, "mask"
 
-        # a half-plane member reaches the kernel as its kind and centre
+        # a half-plane member reaches the kernel as its kind, centre and
+        # radius constants (s2, em, ep); NaN marks a constant the kind does
+        # not read and is keyed as -1.0, since NaN != NaN
+        def key(vals):
+            return tuple(-1.0 if v != v else v for v in vals)
+
         def member_key(s):
-            return (s.kind, s.center.x, s.center.y)
+            return key((s.kind, s.center.x, s.center.y, *h2._terms(s.kind, s.radius)))
 
         def called(args):
-            return args[:3]
+            return key(args[:6])
     g.values = small_support_values(g, "cell")
     lo, hi = ms.member_blocks(g, fam)
     missing = misses_support(g, lo, hi)
     assert 0 < missing.sum() < len(fam)
+
+    # the key tells every member of the family apart
+    assert len(set(map(member_key, fam))) == len(fam)
 
     seen = []
     inner = getattr(owner, attr)
