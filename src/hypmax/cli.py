@@ -345,7 +345,7 @@ def cmd_eta(cfg) -> ExperimentReport:
     if m_range is None:
         raise UsageError("eta requires a dyadic ladder like 2^-6..2^-14")
     try:
-        rep = ex.dirac_level_growth(m_range, seed=_int(cfg, "seed"))
+        rep = ex.dirac_level_growth(m_range)
     except ValueError as exc:
         raise UsageError(f"--alpha-ladder {cfg.alpha_ladder!r}: {exc}") from None
     rep.meta = _meta(cfg) | rep.meta

@@ -33,9 +33,6 @@ class MaximalFamily:
     cylinders: list
     label: str = ""
 
-    def base_logs(self):
-        return sorted({c.base_log for c in self.cylinders})
-
 
 def _disjoint_from(alg, c, X, Z, r):
     """Per row i: the base of c is certified disjoint from the base ball of
@@ -533,9 +530,7 @@ def overlap_report(prof: OverlapProfile, r_values=(1, 2, 3)) -> ExperimentReport
 
 # ------------------------------------------------- point-mass level growth
 
-def dirac_level_growth(
-    m_values=range(6, 15), r_step: float = 0.125, r_cap: float = None, seed: int = 0
-) -> ExperimentReport:
+def dirac_level_growth(m_values=range(6, 15), r_step: float = 0.125, r_cap: float = None) -> ExperimentReport:
     """Level sets of the sharpest trigonon average seen by a unit point
     mass at the origin of the half-plane.
 

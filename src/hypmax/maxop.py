@@ -9,34 +9,29 @@ estimate of the continuum average that can err in either direction; it is
 not a certified bound.
 
 A half-plane family is an ``hyp2.H2Family`` (what ``h2_lattice`` and
-``admissible_family_for_grid`` return) or a list of ``H2Set``, which
-``maximal_field`` and ``maximal_fn`` turn into columns first; a witness
-index is a position in either, and ``MaxField.members`` is the family as
-the caller passed it.  Cylinder families are lists.
+``admissible_family_for_grid`` return) or a list of ``H2Set``, which the
+operators turn into columns first; a witness index is a position in
+either, and ``MaxField.members`` is the family as the caller passed it.  Cylinder families are lists.
 
-``maximal_field`` does each family's work once, before its member loop.
-``measure.member_blocks`` computes the block of every member in one pass:
-the axis-aligned sub-block of the tensor grid outside which the member
-holds no point.  The index range of the support of f is found once per
-axis, and only the members whose block meets that range are masked,
-summed and painted.  Skipping the others is exact: such a block holds
-only cells with |f| = 0, so the member's numerator is exactly 0.0 and it
-would paint no point, as a full-grid loop would skip it too.  Areas and
-the predicate's radius constants are taken once per distinct (kind,
-radius), and the loop reads plain floats from the columns.  A rectangle
-(plain or admissible) needs no 2-D mask: its cells are one sub-block of
-the grid (see ``hyp2``), so its numerator sums ``wv[block].ravel()``, the
-same floats in the same C order as a masked gather, and it paints the
-sub-block directly.
+Both operators read one member pass, ``_member_pass``: it yields
+(idx, block, mask, average) for each member whose cells hold part of
+supp f, in family order.  ``measure.member_blocks`` computes the block of
+every member at once: the axis-aligned sub-block of the tensor grid
+outside which the member holds no point.  Only the members whose block
+meets the index range of supp f are masked, each once; skipping the
+others is exact, since their average is exactly 0.0.  Areas and the
+predicate's radius constants are taken once per distinct (kind, radius).
+A rectangle (plain or admissible) needs no 2-D mask: its cells are one
+sub-block of the grid (see ``hyp2``), whose numerator sums
+``wv[block].ravel()``, the same floats in the same C order as a masked
+gather.
 
-``maximal_fn`` tests the point against every half-plane member in one
-vectorized call per kind and takes numerators only for the members that
-contain it; it keeps the first member that attains the maximum.  On a
-cylinder family it tests the point member by member, then shares
-``_cells`` and ``_meets_support`` with ``maximal_field``: the blocks of
-all containing cylinders come from one ``member_blocks`` call, and a
-containing cylinder whose block misses supp f gets no numerator (it is
-exactly 0.0 and attains no maximum).
+``member_averages`` is the pass as a table: one average per member, 0.0
+where the member holds no cell of supp f.  ``maximal_field`` paints each
+yielded average onto the member's cells where it beats the value there.
+``maximal_fn`` finds the members that contain the point (one vectorized
+call per half-plane kind, one test per cylinder) and takes the first
+maximum of their ``member_averages``.
 """
 
 from __future__ import annotations
@@ -136,11 +131,17 @@ def _support_range(nz: np.ndarray) -> tuple:
 _SEPARABLE = (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE)
 
 
-def _h2_cells(grid: SampleGrid, fam: H2Family, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """(idx, block, mask, area) for each member fam[idx], idx in ``rows``,
-    whose blocks are the rows of (lo, hi): the cells of the member are the
-    True cells of ``mask`` on ``block``, or all of ``block`` when ``mask``
-    is None.  A rectangle with no cell is not yielded.
+def _numerator(wv: np.ndarray, block: tuple, mask) -> float:
+    # a 1-D array of the member's cells in C order, as a full-grid gather
+    # gives them, so numpy's pairwise sum adds the same floats in the same way
+    return float((wv[block].ravel() if mask is None else wv[block][mask]).sum())
+
+
+def _h2_cells(grid: SampleGrid, fam: H2Family, wv: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(idx, block, mask, average) for each member fam[idx], idx in
+    ``rows``, whose blocks are the rows of (lo, hi) and whose cells hold
+    part of supp wv: the cells of the member are the True cells of ``mask``
+    on ``block``, or all of ``block`` when ``mask`` is None.
 
     Strict membership is one ``hyp2.mask`` call per member, on floats read
     from the columns.  A rectangle is separable (see ``hyp2``): its cells
@@ -158,59 +159,64 @@ def _h2_cells(grid: SampleGrid, fam: H2Family, rows: np.ndarray, lo: np.ndarray,
         kind = hyp2.KINDS[code]
         if kind in _SEPARABLE:
             inside = np.flatnonzero(hyp2.mask(kind, zx, zy, a, b, c, xs[x0:x1], ys[y1 - 1]))
-            if inside.size:
-                yield idx, (slice(x0 + int(inside[0]), x0 + int(inside[-1]) + 1), slice(max(t, y0), y1)), None, measure
+            if not inside.size:
+                continue
+            block, mask = (slice(x0 + int(inside[0]), x0 + int(inside[-1]) + 1), slice(max(t, y0), y1)), None
         else:
             block = (slice(x0, x1), slice(y0, y1))
-            yield idx, block, hyp2.mask(kind, zx, zy, a, b, c, xs[block[0], None], ys[None, block[1]]), measure
+            mask = hyp2.mask(kind, zx, zy, a, b, c, xs[block[0], None], ys[None, block[1]])
+        integ = _numerator(wv, block, mask)
+        if integ:
+            yield idx, block, mask, integ / measure
 
 
-def _cylinder_cells(grid: SampleGrid, members, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega: float):
-    """(idx, block, mask, volume) for each cylinder members[idx], idx in
-    ``rows``, whose blocks are the rows of (lo, hi)."""
+def _cylinder_cells(
+    grid: SampleGrid, members, wv: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega: float
+):
+    """(idx, block, mask, average) for each cylinder members[idx], idx in
+    ``rows``, whose blocks are the rows of (lo, hi) and whose cells hold
+    part of supp wv."""
     for idx, l, h in zip(rows.tolist(), lo.tolist(), hi.tolist()):
         s = members[idx]
         block = tuple(map(slice, l, h))
-        yield idx, block, block_mask(grid, s, block), drsets.cylinder_volume(grid.alg, s, omega)
+        mask = block_mask(grid, s, block)
+        integ = _numerator(wv, block, mask)
+        if integ:
+            yield idx, block, mask, integ / drsets.cylinder_volume(grid.alg, s, omega)
 
 
-def _cells(grid: SampleGrid, fam, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega: float):
-    """``_h2_cells`` or ``_cylinder_cells``, by the space of the grid."""
-    if grid.space == "h2":
-        return _h2_cells(grid, fam, rows, lo, hi)
-    return _cylinder_cells(grid, fam, rows, lo, hi, omega)
-
-
-def _meets_support(wv: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per block row of (lo, hi): whether it meets the index range of the
-    support of wv.  A block that misses it holds only wv == 0, so its
-    member's integral is exactly 0.0 and the member paints nothing."""
+def _member_pass(grid: SampleGrid, members, omega: float):
+    """(idx, block, mask, average) for each member members[idx] whose
+    cells hold part of supp f, in family order; only the members whose
+    block meets the index range of supp f reach the cell generator."""
+    _check_omega(members, omega)
+    fam = H2Family.of(members) if grid.space == "h2" else members
+    wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
+    lo, hi = member_blocks(grid, fam)
     s_lo, s_hi = _support_range(wv != 0)
-    return (np.maximum(lo, s_lo) < np.minimum(hi, s_hi)).all(axis=1)
+    rows = np.flatnonzero((np.maximum(lo, s_lo) < np.minimum(hi, s_hi)).all(axis=1))
+    if grid.space == "h2":
+        return _h2_cells(grid, fam, wv, rows, lo[rows], hi[rows])
+    return _cylinder_cells(grid, fam, wv, rows, lo[rows], hi[rows], omega)
 
 
-def _numerator(wv: np.ndarray, block: tuple, mask) -> float:
-    # a 1-D array of the member's cells in C order, as a full-grid gather
-    # gives them, so numpy's pairwise sum adds the same floats in the same way
-    return float((wv[block].ravel() if mask is None else wv[block][mask]).sum())
+def member_averages(grid: SampleGrid, members, omega: float = None) -> np.ndarray:
+    """One grid average of |f| per member of ``members``, in family order;
+    0.0 for a member that holds no cell of supp f.  Cylinder families need
+    ``omega``."""
+    out = np.zeros(len(members))
+    for idx, _, _, avg in _member_pass(grid, members, omega):
+        out[idx] = avg
+    return out
 
 
 def maximal_field(grid: SampleGrid, members, omega: float = None) -> MaxField:
     """Operator values at every grid point over the family ``members`` (an
     ``H2Family``, a list of ``H2Set`` or a list of cylinders); ties keep
     the earliest member.  Cylinder families need ``omega``."""
-    _check_omega(members, omega)
-    fam = H2Family.of(members) if grid.space == "h2" else members
-    wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
     out = np.zeros(grid.shape)
     widx = np.full(grid.shape, -1, dtype=np.int64)
-    lo, hi = member_blocks(grid, fam)
-    rows = np.flatnonzero(_meets_support(wv, lo, hi))
-    for idx, block, mask, measure in _cells(grid, fam, rows, lo[rows], hi[rows], omega):
-        integ = _numerator(wv, block, mask)
-        if integ == 0.0:
-            continue
-        avg = integ / measure
+    for idx, block, mask, avg in _member_pass(grid, members, omega):
         out_b = out[block]
         better = avg > out_b if mask is None else mask & (avg > out_b)
         out_b[better] = avg
@@ -220,27 +226,21 @@ def maximal_field(grid: SampleGrid, members, omega: float = None) -> MaxField:
 
 def maximal_fn(grid: SampleGrid, x, members, omega: float = None) -> MaxResult:
     """Operator value at one point with its witness set (the first member
-    attaining it).  Half-plane members are tested against the point in one
-    call per kind (``H2Family.contains_point``), cylinders one by one;
-    for either family, numerators are taken only for the members that
-    contain it and whose block meets supp f."""
+    attaining it): the first maximum of ``member_averages`` over the members
+    that contain the point.  Half-plane members are tested in one call per
+    kind (``H2Family.contains_point``), cylinders one by one."""
+    # on the whole family: a point that no member contains still needs omega
     _check_omega(members, omega)
-    wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
     if grid.space == "h2":
         fam = H2Family.of(members)
         rows = np.flatnonzero(fam.contains_point(x.x, x.y))
-        lo, hi = member_blocks(grid, fam[rows])
+        sub = fam[rows]
     else:
-        fam = members
         rows = np.flatnonzero([drsets.cylinder_contains(grid.alg, s.as_cylinder(), x) for s in members])
-        lo, hi = member_blocks(grid, [members[i] for i in rows.tolist()])
-    keep = _meets_support(wv, lo, hi)
-    best, best_idx = 0.0, None
-    for idx, block, mask, measure in _cells(grid, fam, rows[keep], lo[keep], hi[keep], omega):
-        avg = _numerator(wv, block, mask) / measure
-        if avg > best:
-            best, best_idx = avg, idx
-    return MaxResult(best, None if best_idx is None else members[best_idx], empty=not rows.size)
+        sub = [members[i] for i in rows.tolist()]
+    avg = member_averages(grid, sub, omega)
+    best = float(avg.max(initial=0.0))
+    return MaxResult(best, members[int(rows[avg.argmax()])] if best > 0 else None, empty=not rows.size)
 
 
 def level_set_measure(grid: SampleGrid, members, alpha: float, fld: MaxField = None, omega: float = None) -> float:

@@ -91,12 +91,6 @@ class SampleGrid:
         return self
 
 
-@dataclass(frozen=True)
-class IntegralResult:
-    value: float
-    truncated: bool
-
-
 def _axis_centers(lo: float, hi: float, n: int):
     if not hi > lo:
         raise ValueError("degenerate window")
@@ -155,7 +149,7 @@ def build_grid(space: str, window, resolution, alg: HTypeAlgebra = None) -> Samp
     raise ValueError(f"unknown space {space!r}")
 
 
-# ------------------------------------------------------------- integration
+# ----------------------------------------------------------- member blocks
 
 def _spans(axes, lo, hi) -> tuple:
     """(i0, i1), each of shape (m, len(axes)): per row, the cells [i0, i1) of
@@ -271,34 +265,6 @@ def base_ball_box_batch(alg: HTypeAlgebra, X0, Z0, r) -> tuple:
     x_half = x_half + 1e-9 * (aX0 + x_half)
     z_half = z_half + 1e-9 * (np.abs(Z0) + z_half + cx * (aX0.max(axis=1, initial=0.0)[:, None] + 2.0 * r))
     return np.hstack([X0 - x_half, Z0 - z_half]), np.hstack([X0 + x_half, Z0 + z_half])
-
-
-def _h2_box_contains(window, bbox) -> bool:
-    x_lo, x_hi, u_lo, u_hi = window
-    bx_lo, bx_hi, by_lo, by_hi = bbox
-    return (
-        bx_lo >= x_lo
-        and bx_hi <= x_hi
-        and by_lo >= math.exp(u_lo)
-        and by_hi <= math.exp(u_hi)
-    )
-
-
-def is_truncated(grid: SampleGrid, s) -> bool:
-    """True when the descriptor sticks out of the grid window."""
-    if isinstance(s, H2Set):
-        return not _h2_box_contains(grid.window, hyp2.bounding_box(s))
-    # cylinders extend to infinite height, hence always exceed a finite window
-    return True
-
-
-def integrate_set(grid: SampleGrid, s) -> IntegralResult:
-    """Sum of weight * value over cells whose centers lie in s."""
-    block, sub = membership_mask(grid, s)
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[block] = sub
-    val = float(np.sum(grid.weights * grid.values * mask.reshape(grid.size)))
-    return IntegralResult(val, is_truncated(grid, s))
 
 
 # -------------------------------------------------------------- Monte Carlo

@@ -403,6 +403,11 @@ def h2_family(g, kind):
     return mx.h2_lattice(kind, centers, mx.radius_ladder(1.0, 4))
 
 
+def full_averages(grid, members, omega=None):
+    wv = grid.weights * np.abs(grid.values)
+    return [float(wv[full_mask(grid, s)].sum()) / member_measure(grid, s, omega) for s in members]
+
+
 def assert_field_matches_full_grid(g, fam, case, omega=None):
     fld = mx.maximal_field(g, fam, omega=omega)
     values, widx = full_maximal_field(g, fam, omega)
@@ -410,6 +415,7 @@ def assert_field_matches_full_grid(g, fam, case, omega=None):
     assert np.array_equal(fld.witness_idx, widx)
     # f = 0 paints nothing; every other support is met by some member
     assert (widx >= 0).any() == (case != "zero")
+    assert mx.member_averages(g, fam, omega).tolist() == full_averages(g, fam, omega)
 
 
 @pytest.mark.parametrize("case", SUPPORTS)
@@ -429,22 +435,31 @@ def test_maximal_field_cylinders_small_support_matches_full_grid(kind, case):
 
 
 @pytest.mark.parametrize("case", SUPPORTS)
-@pytest.mark.parametrize("kind", ["admissible_cylinder", "cylinder"])
-def test_maximal_fn_cylinders_small_support_matches_full_grid(kind, case):
-    # maximal_fn skips containing cylinders whose block misses supp f: the
-    # value, the first-max witness and the empty flag stay the full-grid ones
-    g = na_grid()
+@pytest.mark.parametrize("kind", H2_KINDS + ["admissible_cylinder", "cylinder"])
+def test_maximal_fn_small_support_matches_full_grid(kind, case):
+    # maximal_fn skips containing members whose block misses supp f: the
+    # value, the first-max witness (the caller's own object) and the empty
+    # flag stay the full-grid ones
+    if kind.endswith("cylinder"):
+        g, fam, omega = na_grid(), cylinder_family(kind), OMEGA_HEI1
+        X, Z, a = g.X, g.Z, g.a
+        points = [ht.SPoint(X[k], Z[k], float(a[k])) for k in range(0, g.size, 97)]
+
+        def contains(s, x):
+            return dr.cylinder_contains(g.alg, s.as_cylinder(), x)
+    else:
+        g, omega = h2_grid(), None
+        fam = list(h2_family(g, kind))
+        # every grid point lies in some member; the last point lies in none
+        points = [h2.HPoint(float(x), float(y)) for x, y in zip(g.x[::37], g.y[::37])] + [h2.HPoint(40.0, 1.0)]
+        contains = h2.contains
     g.values = small_support_values(g, case)
-    fam = cylinder_family(kind)
-    wv = g.weights * np.abs(g.values)
-    averages = [float(wv[full_mask(g, s)].sum()) / member_measure(g, s, OMEGA_HEI1) for s in fam]
-    X, Z, a = g.X, g.Z, g.a
-    points = [ht.SPoint(X[k], Z[k], float(a[k])) for k in range(0, g.size, 97)]
+    averages = full_averages(g, fam, omega)
     zero_members_met = 0
     for x in points:
-        inside = [i for i, s in enumerate(fam) if dr.cylinder_contains(g.alg, s.as_cylinder(), x)]
+        inside = [i for i, s in enumerate(fam) if contains(s, x)]
         best = max((averages[i] for i in inside), default=0.0)
-        res = mx.maximal_fn(g, x, fam, omega=OMEGA_HEI1)
+        res = mx.maximal_fn(g, x, fam, omega=omega)
         assert res.value == best
         assert res.empty == (not inside)
         assert res.witness is (fam[next(i for i in inside if averages[i] == best)] if best > 0 else None)

@@ -83,7 +83,8 @@ def test_field_agrees_with_pointwise():
     fld = mx.maximal_field(g, fam)
     for k in (0, 57, 213, 400):
         res = mx.maximal_fn(g, h2.HPoint(float(g.x[k]), float(g.y[k])), fam)
-        assert res.value == pytest.approx(float(fld.values[k]), rel=1e-12, abs=1e-300)
+        assert res.value == fld.values[k]
+        assert res.witness == fam[fld.witness_idx[k]]
 
 
 # --------------------------------------------------- operator properties
