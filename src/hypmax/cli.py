@@ -298,12 +298,12 @@ def cmd_levelset(cfg) -> ExperimentReport:
     return rep
 
 
-# the overlap grid has 10^p 12^q 36 cells and costs 16 bytes per cell
-# (weights and values); the whole command peaks at about 45 MB RSS on
-# dr-abelian:4 (746,496 cells) and 80 MB on dr-heisenberg:2 (4,320,000).
-# The cap admits dr-heisenberg:1-2 and dr-abelian:1-4, and refuses
-# dr-heisenberg:3 (432,000,000 cells, 3.5 GB of weights alone) and
-# dr-abelian:5 and up before anything is allocated
+# the overlap grid has 10^p 12^q 36 cells and stores 8 bytes per cell (its
+# values; the cell weights are one factor per height); the whole command
+# peaks at about 40 MB RSS on dr-abelian:4 (746,496 cells) and 48 MB on
+# dr-heisenberg:2 (4,320,000).  The cap admits dr-heisenberg:1-2 and
+# dr-abelian:1-4, and refuses dr-heisenberg:3 (432,000,000 cells, 3.5 GB
+# of values alone) and dr-abelian:5 and up before anything is allocated
 OVERLAP_MAX_CELLS = 5_000_000
 
 

@@ -233,7 +233,9 @@ def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"
     the samples of its slice that lie in its ``measure.base_ball_box`` and
     are not yet known to be inside the union; after each radius the
     columns are compacted to the samples still outside.  The hit set is an
-    OR of the same per-sample tests, so it does not depend on the order."""
+    OR of the same per-sample tests, so it does not depend on the order,
+    and ``gauge_batch`` pins its sums, so a test does not depend on the
+    layout of the samples either."""
     u = cyls[0].base_height
     nu = alg.nu
     tail = u**-nu / nu
@@ -256,14 +258,14 @@ def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"
     hi = np.concatenate([(X0 + 2 * r[:, None]).max(axis=0), (Z0 + pad[:, None]).max(axis=0)])
     rows = rng.uniform(lo, hi, (samples, alg.p + alg.q))
     # sorted by the first horizontal coordinate, each base ball meets one
-    # contiguous slice (|X_1 - X0_1| < 2r, or |Z_1 - Z0_1| < r^2 when p = 0)
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    # cols (column-major, for the box tests) and rows (row-major, for the
-    # translations) hold the samples still outside the union; within a
-    # radius group, outside drops those a ball of the group already holds,
-    # and after the group both are compacted to the samples it left outside
-    # (one after the other, so that only one old array is alive at a time)
-    cols, hits = np.ascontiguousarray(rows.T), 0
+    # contiguous slice (|X_1 - X0_1| < 2r, or |Z_1 - Z0_1| < r^2 when p = 0).
+    # cols holds the samples still outside the union column-major, one
+    # contiguous row per coordinate, for the box tests and the candidate
+    # gathers; within a radius group, outside drops those a ball of the group
+    # already holds, and after the group cols is compacted to the samples it
+    # left outside
+    cols, hits = np.ascontiguousarray(rows[np.argsort(rows[:, 0], kind="stable")].T), 0
+    del rows
     b_lo, b_hi = ms.base_ball_box_batch(alg, X0, Z0, r)
     contained = _contained_bases(alg, X0, Z0, r, b_lo, b_hi)
     for group in _radius_groups(r):
@@ -281,12 +283,13 @@ def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"
                 in_box &= (seg > b_lo[i, k]) & (seg < b_hi[i, k])
             idx = j0 + np.flatnonzero(in_box)
             if idx.size:
-                cand = rows[idx]
-                Xd, Zd = ht.left_translate_batch(alg, ht.n_inv(cyls[i].n0), cand[:, : alg.p], cand[:, alg.p :])
+                # one row per coordinate; the transposed views are the
+                # candidates' (k, p) and (k, q) points, column-major
+                cand = cols.take(idx, axis=1)
+                Xd, Zd = ht.left_translate_batch(alg, ht.n_inv(cyls[i].n0), cand[: alg.p].T, cand[alg.p :].T)
                 outside[idx[ht.gauge_batch(Xd, Zd) < r[i]]] = False
         hits += outside.size - int(np.count_nonzero(outside))
         cols = cols[:, outside]
-        rows = rows[outside]
     box = float(np.prod(hi - lo))
     frac = hits / samples
     stderr = box * math.sqrt(frac * (1 - frac) / samples) * tail
@@ -503,11 +506,14 @@ def overlap_profile(fam: MaximalFamily, grid: ms.SampleGrid) -> OverlapProfile:
     for c, c_lo, c_hi in zip(fam.cylinders, lo.tolist(), hi.tolist()):
         block = tuple(map(slice, c_lo, c_hi))
         counts[block] += ms.block_mask(grid, c, block)
-    counts = counts.reshape(grid.size)
+    # one row per horizontal cell: selecting from the broadcast per-height
+    # weights yields the cells' weights in C order, as grid.weights would
+    counts = counts.reshape(-1, grid.shape[-1])
+    weights = np.broadcast_to(grid.height_weights, counts.shape)
     out = []
     for k in range(1, int(counts.max(initial=0)) + 1):
-        out.append((k, float(grid.weights[counts == k].sum())))
-    return OverlapProfile(fam.alg.nu, out, float(grid.weights[counts >= 1].sum()))
+        out.append((k, float(weights[counts == k].sum())))
+    return OverlapProfile(fam.alg.nu, out, float(weights[counts >= 1].sum()))
 
 
 def overlap_report(prof: OverlapProfile, r_values=(1, 2, 3)) -> ExperimentReport:

@@ -22,8 +22,16 @@ and adds X[i] X'[j] c[i, j, k] over the nonzero coefficients in row-major
 ``np.einsum`` summed the same products, so the kernel gives einsum's bits;
 the order is pinned because on H^2 and higher another order (column-major
 (j, i), say) rounds differently in most rows, and the greedy selections and
-union measures compare these sums against radii.  ``gauge_batch`` keeps its
-einsum: it is not a bracket.
+union measures compare these sums against radii.
+
+``gauge_batch`` pins its sums of squares the same way: |X|^2 and |Z|^2 add
+one coordinate column at a time, in index order.  ``np.einsum`` chose its
+order by the layout of its input: on C-ordered rows with p >= 3 it paired
+the coordinates (x0^2 + x2^2) + (x1^2 + x3^2) for p = 4, while on
+column-major input, or with p <= 2, it added them in index order.  The
+gauge is compared against radii and the unit, so its bits must not depend
+on whether the caller holds its points as rows or as columns; where
+p, q <= 2 the pinned sums are einsum's bits.
 """
 
 from __future__ import annotations
@@ -251,9 +259,21 @@ def gauge(n: NPoint) -> float:
     return float(gauge_batch(n.X[None, :], n.Z[None, :])[0])
 
 
+def _sum_squares(A):
+    """Per row, the squares A[:, i]**2 added in index order i = 0, 1, ...
+    (see the module docstring); 0.0 for rows with no coordinate.  Starting
+    from the first square instead of 0.0 gives the same bits: 0.0 + s = s
+    for every square s."""
+    out = A[:, 0] * A[:, 0] if A.shape[1] else np.zeros(A.shape[0])
+    for col in A.T[1:]:
+        out += col * col
+    return out
+
+
 def gauge_batch(X, Z):
-    x4 = np.einsum("ni,ni->n", X, X) ** 2
-    return (x4 / 16.0 + np.einsum("nk,nk->n", Z, Z)) ** 0.25
+    """Gauge of the rows (X, Z): |X|^2 and |Z|^2 are summed one coordinate
+    column at a time, in index order, whatever the layout of X and Z."""
+    return (_sum_squares(X) ** 2 / 16.0 + _sum_squares(Z)) ** 0.25
 
 
 def left_translate_batch(alg: HTypeAlgebra, n0: NPoint, X, Z) -> tuple:

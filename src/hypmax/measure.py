@@ -31,15 +31,17 @@ class SampleGrid:
     ``space`` is 'h2' or 'na'.  The points form a tensor lattice of
     ``shape`` in C order, with the height axis last; ``axes`` holds the
     sorted centres of each axis (y resp. a for the height axis).
-    ``weights`` are the exact Riemannian cell measures and ``values`` the
-    samples of f, one per point.  Nothing else is stored per point: the
-    coordinates x, y (for 'h2') and X (n, p), Z (n, q), heights a (for
-    'na') are read-only properties that build their column from ``axes``
-    on every access, so every access allocates a new array.
+    ``values`` holds the samples of f, one per point, and is the only
+    per-point array stored.  A cell's exact Riemannian measure is the
+    product of the horizontal steps and a factor of its height, so
+    ``height_weights`` holds one cell measure per height index.  The
+    per-cell ``weights``, the coordinates x, y (for 'h2') and X (n, p),
+    Z (n, q), heights a (for 'na') are read-only properties built on
+    every access, so every access allocates a new array.
     """
 
     space: str
-    weights: np.ndarray
+    height_weights: np.ndarray
     values: np.ndarray
     window: tuple
     shape: tuple
@@ -48,7 +50,13 @@ class SampleGrid:
 
     @property
     def size(self) -> int:
-        return self.weights.size
+        return math.prod(self.shape)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The exact measure of every cell, in C order: ``height_weights``
+        repeated once per horizontal cell."""
+        return np.tile(self.height_weights, self.size // self.shape[-1])
 
     def _coords(self, space: str, k0: int, k1: int) -> np.ndarray:
         """(n, k1 - k0): axes k0..k1-1 of the lattice as per-point columns."""
@@ -113,8 +121,7 @@ def build_grid(space: str, window, resolution, alg: HTypeAlgebra = None) -> Samp
         wu = np.exp(-ue[:-1]) - np.exp(-ue[1:])
         return SampleGrid(
             space="h2",
-            # the height axis is last, so the per-height factor repeats per x
-            weights=np.tile(dx * wu, nx),
+            height_weights=dx * wu,
             values=np.zeros(nx * nu),
             window=tuple(window),
             shape=(nx, nu),
@@ -134,12 +141,11 @@ def build_grid(space: str, window, resolution, alg: HTypeAlgebra = None) -> Samp
         nu_dim = alg.nu
         wu = (np.exp(-nu_dim * ue[:-1]) - np.exp(-nu_dim * ue[1:])) / nu_dim
         shape = tuple(list(nx_list) + list(nz_list) + [nu])
-        # weight of a cell = product of horizontal steps times the height
-        # factor; the u axis is last, so the factor repeats per horizontal cell
+        # weight of a cell = product of horizontal steps times the height factor
         cell = math.prod(steps) if steps else 1.0
         return SampleGrid(
             space="na",
-            weights=np.tile(cell * wu, math.prod(shape[:-1])),
+            height_weights=cell * wu,
             values=np.zeros(math.prod(shape)),
             window=(tuple(map(tuple, x_boxes)), tuple(map(tuple, z_boxes)), (u_lo, u_hi)),
             shape=shape,

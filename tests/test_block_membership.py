@@ -237,11 +237,40 @@ def test_na_grid_allocates_at_most_24_bytes_per_cell():
     tracemalloc.start()
     try:
         g = ms.build_grid("na", ([(-8.0, 8.0)] * 4, [(-8.0, 8.0)], (-9.0, 3.0)), shape, alg=HEI2)
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert g.size == cells
     assert peak <= 24 * cells
+    # of the per-cell arrays only the values stay: one double per cell
+    assert held <= 8 * cells + 65_536
+
+
+def tiled_weights(space, window, resolution, alg=None):
+    """The per-cell weights as the grid once stored them: the per-height
+    factor tiled once per horizontal cell."""
+    if space == "h2":
+        (x_lo, x_hi, u_lo, u_hi), (nx, nu) = window, resolution
+        ue = np.linspace(u_lo, u_hi, nu + 1)
+        return np.tile((x_hi - x_lo) / nx * (np.exp(-ue[:-1]) - np.exp(-ue[1:])), nx)
+    x_boxes, z_boxes, (u_lo, u_hi) = window
+    nx_list, nz_list, nu = resolution
+    sizes = list(nx_list) + list(nz_list)
+    cell = math.prod((hi - lo) / n for (lo, hi), n in zip(list(x_boxes) + list(z_boxes), sizes)) if sizes else 1.0
+    ue = np.linspace(u_lo, u_hi, nu + 1)
+    wu = (np.exp(-alg.nu * ue[:-1]) - np.exp(-alg.nu * ue[1:])) / alg.nu
+    return np.tile(cell * wu, math.prod(sizes))
+
+
+@pytest.mark.parametrize("space, window, resolution, alg", GRID_CASES)
+def test_grid_weights_and_total_measure_match_the_tiled_weights(space, window, resolution, alg):
+    g = ms.build_grid(space, window, resolution, alg=alg)
+    want = tiled_weights(space, window, resolution, alg)
+    assert g.weights.tobytes() == want.tobytes() and g.size == want.size
+    assert g.total_measure() == float(want.sum())
+    # one weight per height is stored, and no per-cell weight array
+    assert g.height_weights.shape == (g.shape[-1],)
+    assert [name for name, v in vars(g).items() if isinstance(v, np.ndarray) and v.size == g.size] == ["values"]
 
 
 def test_grid_is_an_exact_tensor_of_its_axes():
@@ -638,6 +667,19 @@ def test_union_measure_one_radius_matches_unsorted_loop(alg):
     fam = ex.random_horocycle_family(alg, 150, -2, rng, r_lo=3, r_hi=3)
     got = ex._union_base_measure(alg, fam, 20_000, 8)
     assert got == unsorted_union_measure(alg, fam, 20_000, 8)
+    assert got[0] > 0
+
+
+def test_union_measure_at_the_vitali_benchmark_shape_matches_unsorted_loop():
+    """1,000 dr-heisenberg:1 bases on one horocycle with 50,000 samples, as
+    a Vitali request of the benchmark draws them: certification leaves one
+    radius group, whose balls gather their candidates from the columns."""
+    rng = np.random.default_rng(16)
+    fam = ex.random_horocycle_family(HEI1, 1000, -2, rng)
+    r = ms.cylinder_bases(HEI1, fam)[2]
+    assert len({float(v) for v, inside in zip(r, contained_mask(HEI1, fam)) if not inside}) == 1
+    got = ex._union_base_measure(HEI1, fam, 50_000, 17)
+    assert got == unsorted_union_measure(HEI1, fam, 50_000, 17)
     assert got[0] > 0
 
 

@@ -177,6 +177,57 @@ def test_gauge_homogeneity_under_dilation():
             assert ht.gauge(ht.dilate(a, n)) == pytest.approx(math.sqrt(a) * g, rel=1e-12)
 
 
+def gauge_rows(p, q, n=500, seed=23):
+    """Rows (X, Z) spread over eleven orders of magnitude, with exact zeros,
+    so that sums of squares in another order round differently."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-6, 6, (n, p))
+    Z = rng.standard_normal((n, q)) * 10.0 ** rng.integers(-6, 6, (n, q))
+    X[::9] = 0.0
+    Z[::11] = -0.0
+    return X, Z
+
+
+def layouts(A):
+    """A in C order, in F order, as the transpose of a C array and as every
+    other row of a larger array."""
+    wide = np.repeat(A, 2, axis=0)
+    return [np.ascontiguousarray(A), np.asfortranarray(A), np.ascontiguousarray(A.T).T, wide[::2]]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("p", [0, 1, 2, 4, 6])
+def test_gauge_batch_sums_squares_in_index_order_for_every_layout(p, q):
+    X, Z = gauge_rows(p, q)
+    want = ht.gauge_batch(np.ascontiguousarray(X), np.ascontiguousarray(Z))
+    for Xl, Zl in zip(layouts(X), layouts(Z)):
+        assert same_bits(ht.gauge_batch(Xl, Zl), want)
+    # the sums in index order, one Python float at a time
+    rows = range(0, X.shape[0], 7)
+    x2, z2 = np.zeros(len(rows)), np.zeros(len(rows))
+    for j, k in enumerate(rows):
+        for v in X[k]:
+            x2[j] += v * v
+        for v in Z[k]:
+            z2[j] += v * v
+        # the scalar gauge is one row of the batch
+        assert ht.gauge(ht.NPoint(X[k], Z[k])) == want[k]
+    assert same_bits((x2**2 / 16.0 + z2) ** 0.25, want[::7])
+    # stride-0 rows give the bits of the same rows written out
+    Xb, Zb = np.broadcast_to(X[3], X.shape), np.broadcast_to(Z[3], Z.shape)
+    assert same_bits(ht.gauge_batch(Xb, Zb), ht.gauge_batch(Xb.copy(), Zb.copy()))
+    assert same_bits(ht.gauge_batch(Xb, Zb), np.full(X.shape[0], want[3]))
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_gauge_batch_matches_einsum_bit_for_bit_up_to_two_coordinates(p, q):
+    X, Z = gauge_rows(p, q)
+    for Xl, Zl in zip(layouts(X), layouts(Z)):
+        want = (np.einsum("ni,ni->n", Xl, Xl) ** 2 / 16.0 + np.einsum("nk,nk->n", Zl, Zl)) ** 0.25
+        assert same_bits(ht.gauge_batch(Xl, Zl), want)
+
+
 def test_dist_n_left_invariance():
     rng = np.random.default_rng(9)
     for _ in range(500):
