@@ -41,10 +41,6 @@ class Cylinder:
     def base_radius(self) -> float:
         return math.sqrt(self.a0)
 
-    def as_cylinder(self) -> "Cylinder":
-        """Itself, so that both cylinder kinds convert alike."""
-        return self
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class AdmissibleCylinder:
@@ -73,9 +69,6 @@ class AdmissibleCylinder:
     def base_radius(self) -> float:
         return math.exp(self.j / 2.0)
 
-    def as_cylinder(self) -> Cylinder:
-        return Cylinder(self.n0, self.a0, float(self.R))
-
 
 # -------------------------------------------------------------- membership
 
@@ -86,13 +79,13 @@ def cylinder_contains(alg: HTypeAlgebra, c, x: SPoint) -> bool:
 
 
 def cylinder_contains_batch(alg: HTypeAlgebra, c, X, Z, a):
-    """Strict membership of points (X, Z, a) in the open cylinder c.
+    """Strict membership of points (X, Z, a) in the open cylinder c, either
+    kind, read through its ``n0``, ``base_radius`` and ``base_height``.
 
     ``a`` holds one height per row of X and Z, shape (n,), or k heights per
     row, shape (n, k); the verdict has the shape of ``a``.  The gauge is
     evaluated once per row either way."""
-    g = ht.gauge_batch(*ht.left_translate_batch(alg, ht.n_inv(c.n0), X, Z))
-    inside = g < c.base_radius
+    inside = ht.dist_n_batch(alg, c.n0, X, Z) < c.base_radius
     if np.ndim(a) == 2:
         inside = inside[:, None]
     return inside & (a > c.base_height)
@@ -233,9 +226,7 @@ def annulus_check(alg: HTypeAlgebra, a: float, samples: int = 10_000, seed: int 
     Z = rng.standard_normal((samples, alg.q))
     g_raw = ht.gauge_batch(X, Z)
     target = rng.uniform(1.0, math.sqrt(math.e - 1.0), samples)
-    scale = (target / g_raw) ** 2
-    X = np.sqrt(scale)[:, None] * X
-    Z = scale[:, None] * Z
+    X, Z = ht.dilate_batch((target / g_raw) ** 2, X, Z)
     g = ht.gauge_batch(X, Z)
 
     a1_low, a2_low = ht.alpha_bounds(a)

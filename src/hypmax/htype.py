@@ -12,7 +12,9 @@ Two certificates in ``experiments`` rest on it: bases whose centres are at
 least the sum of their radii apart are disjoint (the greedy selection),
 and a base ball whose centre lies within r_b - r_s of a larger centre lies
 inside that larger ball (the Vitali union measure drops it before
-sampling, with a margin for rounding).
+sampling, with a margin for rounding).  Every such distance, in the
+membership, covering and containment tests and in ``dist_n``, goes through
+one kernel, ``dist_n_batch``: the gauge of the left translate by n0^{-1}.
 
 Every bracket [X, X'] (``bracket``, the group laws and
 ``left_translate_batch``) goes through one kernel,
@@ -233,7 +235,9 @@ def random_downward_tangents(alg: HTypeAlgebra, count: int, rng) -> tuple:
 # --------------------------------------------------------------- group laws
 
 def n_mul(alg: HTypeAlgebra, n1: NPoint, n2: NPoint) -> NPoint:
-    return NPoint(n1.X + n2.X, n1.Z + n2.Z + 0.5 * alg.bracket(n1.X, n2.X))
+    """n1 n2: a one-row call of ``left_translate_batch``."""
+    X, Z = left_translate_batch(alg, n1, n2.X[None, :], n2.Z[None, :])
+    return NPoint(X[0], Z[0])
 
 
 def n_inv(n: NPoint) -> NPoint:
@@ -290,13 +294,26 @@ def left_translate_batch(alg: HTypeAlgebra, n0: NPoint, X, Z) -> tuple:
     return X0 + X, Zt
 
 
+def dist_n_batch(alg: HTypeAlgebra, n0: NPoint, X, Z):
+    """Gauge distance |n0^{-1} n| of the rows n = (X, Z) from n0, which is
+    one centre or one centre per row as in ``left_translate_batch``."""
+    return gauge_batch(*left_translate_batch(alg, n_inv(n0), X, Z))
+
+
 def dist_n(alg: HTypeAlgebra, n1: NPoint, n2: NPoint) -> float:
-    return gauge(n_mul(alg, n_inv(n1), n2))
+    return float(dist_n_batch(alg, n1, n2.X[None, :], n2.Z[None, :])[0])
+
+
+def dilate_batch(a, X, Z) -> tuple:
+    """Rows of the anisotropic dilation (sqrt(a) X, a Z), one factor per
+    row; scales the gauge by sqrt(a)."""
+    return np.sqrt(a)[:, None] * X, a[:, None] * Z
 
 
 def dilate(a: float, n: NPoint) -> NPoint:
-    """Anisotropic dilation (sqrt(a) X, a Z); scales the gauge by sqrt(a)."""
-    return NPoint(math.sqrt(a) * n.X, a * n.Z)
+    """A one-row call of ``dilate_batch``."""
+    X, Z = dilate_batch(np.array([a], dtype=float), n.X[None, :], n.Z[None, :])
+    return NPoint(X[0], Z[0])
 
 
 # ---------------------------------------------------------------- distances

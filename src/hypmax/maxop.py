@@ -236,7 +236,7 @@ def maximal_fn(grid: SampleGrid, x, members, omega: float = None) -> MaxResult:
         rows = np.flatnonzero(fam.contains_point(x.x, x.y))
         sub = fam[rows]
     else:
-        rows = np.flatnonzero([drsets.cylinder_contains(grid.alg, s.as_cylinder(), x) for s in members])
+        rows = np.flatnonzero([drsets.cylinder_contains(grid.alg, s, x) for s in members])
         sub = [members[i] for i in rows.tolist()]
     avg = member_averages(grid, sub, omega)
     best = float(avg.max(initial=0.0))

@@ -199,9 +199,8 @@ def member_blocks(grid: SampleGrid, members) -> tuple:
         box = hyp2.bounding_boxes(H2Family.of(members))
         lo, hi = box[:, 0::2], box[:, 1::2]
     else:
-        cyls = [s.as_cylinder() for s in members]
-        b_lo, b_hi = base_ball_box_batch(grid.alg, *cylinder_bases(grid.alg, cyls))
-        lo = np.column_stack([b_lo, [c.base_height for c in cyls]])
+        b_lo, b_hi = base_ball_box_batch(grid.alg, *cylinder_bases(grid.alg, members))
+        lo = np.column_stack([b_lo, [c.base_height for c in members]])
         hi = np.column_stack([b_hi, np.full(m, math.inf)])
     return _spans(grid.axes, lo, hi)
 
@@ -212,7 +211,7 @@ def block_mask(grid: SampleGrid, s, block: tuple) -> np.ndarray:
     if grid.space == "h2":
         xs, ys = grid.axes
         return hyp2.contains_mask(s, xs[block[0], None], ys[None, block[1]])
-    alg, c = grid.alg, s.as_cylinder()
+    alg = grid.alg
     *horiz, heights = grid.axes
     # the base-ball test runs once per horizontal point of the block and is
     # broadcast along the height axis, where the cylinder is a suffix
@@ -222,7 +221,7 @@ def block_mask(grid: SampleGrid, s, block: tuple) -> np.ndarray:
     X = np.stack(flat[: alg.p], axis=1) if alg.p else np.zeros((m, 0))
     Z = np.stack(flat[alg.p :], axis=1)
     a = heights[block[-1]]
-    mask = drsets.cylinder_contains_batch(alg, c, X, Z, np.broadcast_to(a, (m, a.size)))
+    mask = drsets.cylinder_contains_batch(alg, s, X, Z, np.broadcast_to(a, (m, a.size)))
     return mask.reshape(pts[0].shape + a.shape)
 
 
@@ -311,7 +310,7 @@ def mc_volume(space: str, s, box, samples: int, seed: int, alg: HTypeAlgebra = N
         if alg is None:
             raise ValueError("na sampling requires an algebra")
         X, Z, a, total = sample_na_box(alg, box, samples, rng)
-        mask = drsets.cylinder_contains_batch(alg, s.as_cylinder(), X, Z, a)
+        mask = drsets.cylinder_contains_batch(alg, s, X, Z, a)
     else:
         raise ValueError(f"unknown space {space!r}")
     frac = float(mask.mean())

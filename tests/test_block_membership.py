@@ -25,7 +25,7 @@ AB2 = ht.degenerate_abelian(2)
 def full_mask(grid, s):
     if isinstance(s, h2.H2Set):
         return h2.contains_mask(s, grid.x, grid.y)
-    return dr.cylinder_contains_batch(grid.alg, s.as_cylinder(), grid.X, grid.Z, grid.a)
+    return dr.cylinder_contains_batch(grid.alg, s, grid.X, grid.Z, grid.a)
 
 
 def member_measure(grid, s, omega):
@@ -341,7 +341,7 @@ def full_maximal_fn(grid, x, members, omega=None):
         inside = [h2.contains(s, x) for s in members]
     else:
         X, Z, a = x.X[None], x.Z[None], np.array([x.a])
-        inside = [dr.cylinder_contains_batch(grid.alg, s.as_cylinder(), X, Z, a)[0] for s in members]
+        inside = [dr.cylinder_contains_batch(grid.alg, s, X, Z, a)[0] for s in members]
     averages = (
         float(wv[full_mask(grid, s)].sum()) / member_measure(grid, s, omega) for s, ok in zip(members, inside) if ok
     )
@@ -475,7 +475,7 @@ def test_maximal_fn_small_support_matches_full_grid(kind, case):
         points = [ht.SPoint(X[k], Z[k], float(a[k])) for k in range(0, g.size, 97)]
 
         def contains(s, x):
-            return dr.cylinder_contains(g.alg, s.as_cylinder(), x)
+            return dr.cylinder_contains(g.alg, s, x)
     else:
         g, omega = h2_grid(), None
         fam = list(h2_family(g, kind))
@@ -510,15 +510,12 @@ def test_members_off_the_support_are_never_masked(kind, monkeypatch):
         g, fam, omega = na_grid(), cylinder_family(kind), OMEGA_HEI1
         owner, attr = dr, "cylinder_contains_batch"
 
-        # a cylinder reaches the mask as its as_cylinder() twin, with the same n0
-        def key(c):
-            return (id(c.n0), c.a0, c.R)
-
+        # a cylinder reaches the mask as the member object itself
         def member_key(s):
-            return key(s.as_cylinder())
+            return id(s)
 
         def called(args):
-            return key(args[1])
+            return id(args[1])
     else:
         g, omega = h2_grid(), None
         fam = h2_family(g, kind)
@@ -565,9 +562,8 @@ def test_member_blocks_rows_match_membership_mask(kind):
         fam = cylinder_family(kind)
         boxes = []
         for s in fam:
-            c = s.as_cylinder()
-            b_lo, b_hi = ms.base_ball_box(g.alg, c)
-            boxes.append((list(b_lo) + [c.base_height], list(b_hi) + [math.inf]))
+            b_lo, b_hi = ms.base_ball_box(g.alg, s)
+            boxes.append((list(b_lo) + [s.base_height], list(b_hi) + [math.inf]))
     else:
         g = h2_grid()
         if kind == "half_plane":
@@ -693,8 +689,7 @@ def test_batched_disjointness_matches_dist_n(alg):
         X, Z, r = ms.cylinder_bases(alg, fam)
         for c in fam:
             dist = [ht.dist_n(alg, c.n0, s.n0) for s in fam]
-            got = ht.gauge_batch(*ht.left_translate_batch(alg, ht.n_inv(c.n0), X, Z))
-            assert np.array_equal(got, dist)
+            assert np.array_equal(ht.dist_n_batch(alg, c.n0, X, Z), dist)
             per_pair = [d >= c.base_radius + s.base_radius for d, s in zip(dist, fam)]
             assert list(ex._disjoint_from(alg, c, X, Z, r)) == per_pair
             assert [ex._certified_disjoint(alg, c, s) for s in fam] == per_pair
@@ -749,10 +744,14 @@ def test_union_measure_tests_no_sample_after_its_hit(monkeypatch):
 
 
 def nested_batch(alg, rng):
-    """Random admissible cylinders with duplicates (the same object, and
-    copies), members nested in a later and in an earlier member, and
-    near-copies whose containment is refuted neither way."""
+    """Random admissible cylinders with duplicates (the same object, copies,
+    and a copy whose centre has -0.0 where the original has 0.0), members
+    nested in a later and in an earlier member, and near-copies whose
+    containment is refuted neither way."""
     base = ex.random_admissible_cylinders(alg, 30, rng, r_lo=3)
+    base[12].n0.Z[0] = 0.0
+    signed = NPoint(base[12].n0.X.copy(), base[12].n0.Z.copy())
+    signed.Z[0] = -0.0
 
     def shifted(c, j, R, eps):
         return dr.AdmissibleCylinder(NPoint(c.n0.X + eps, c.n0.Z + eps), j, R)
@@ -760,7 +759,9 @@ def nested_batch(alg, rng):
     inner = [shifted(c, c.j - 1, c.R - 1, 1e-3) for c in base[:6]]
     twins = [shifted(c, c.j, c.R, 1e-15) for c in base[6:9]]
     copies = [dr.AdmissibleCylinder(NPoint(c.n0.X.copy(), c.n0.Z.copy()), c.j, c.R) for c in base[9:12]]
-    return inner[:3] + base[:15] + twins + inner[3:] + base[15:] + base[:2] + copies
+    return inner[:3] + base[:15] + twins + inner[3:] + base[15:] + base[:2] + copies + [
+        dr.AdmissibleCylinder(signed, base[12].j, base[12].R)
+    ]
 
 
 @pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)

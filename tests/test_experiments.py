@@ -153,7 +153,7 @@ def test_stacked_chain_is_maximal_family(alg):
     assert not ex.verify_maximal_family(fam)
     # all members contain the identity
     e = ht.identity(alg)
-    assert all(dr.cylinder_contains(alg, c.as_cylinder(), e) for c in fam.cylinders)
+    assert all(dr.cylinder_contains(alg, c, e) for c in fam.cylinders)
 
 
 # ----------------------------------------------------------------- overlap

@@ -239,6 +239,24 @@ def test_dist_n_left_invariance():
         assert abs(d0 - d1) < 1e-10 * max(1.0, d0)
 
 
+@pytest.mark.parametrize("alg", [ht.heisenberg(d) for d in (1, 2, 3)] + [ht.degenerate_abelian(3)], ids=lambda a: a.label)
+def test_dist_n_batch_rows_are_dist_n_bit_for_bit(alg):
+    """With one centre and with one centre per row, every row of
+    ``dist_n_batch`` is ``dist_n`` of that pair and the gauge of the
+    expanded translate n0^{-1} n, bit for bit."""
+    X, Z = gauge_rows(alg.p, alg.q, seed=31)
+    X0, Z0 = gauge_rows(alg.p, alg.q, seed=37)
+    points = [ht.NPoint(x, z) for x, z in zip(X, Z)]
+    for k in range(4):
+        n0 = ht.NPoint(X0[k], Z0[k])
+        got = ht.dist_n_batch(alg, n0, X, Z)
+        assert same_bits(got, np.array([ht.dist_n(alg, n0, n) for n in points]))
+        assert same_bits(got, ht.gauge_batch(*einsum_translate(alg, -n0.X, -n0.Z, X, Z, "i,nj,ijk->nk")))
+    got = ht.dist_n_batch(alg, ht.NPoint(X0, Z0), X, Z)
+    assert same_bits(got, np.array([ht.dist_n(alg, ht.NPoint(x, z), n) for x, z, n in zip(X0, Z0, points)]))
+    assert same_bits(got, ht.gauge_batch(*einsum_translate(alg, -X0, -Z0, X, Z, "ni,nj,ijk->nk")))
+
+
 # --------------------------------------------------------------- distances
 
 def test_vertical_distance_identity_exact():
