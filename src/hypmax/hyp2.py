@@ -15,17 +15,25 @@ member.  Every membership test, one set against many points
 (``H2Family.contains_point``), goes through one strict-predicate kernel,
 ``mask``, whose per-radius constants sinh^2(R/2), e^{-R} and e^{R} are
 computed once per radius with ``math`` (``radius_terms``), so a column
-member tests exactly as its ``H2Set`` does.  Boxes (``bounding_boxes``)
-and areas (``areas``) of a family likewise take their ``math`` constants
-once per distinct radius; ``bounding_box`` and ``area`` are their
-one-member forms.
+member tests exactly as its ``H2Set`` does.  ``mask`` is the composition
+``radius_test(centre_terms(...))``: ``centre_terms`` evaluates what does
+not read the radius (the half disc, the two sides of the ball inequality
+before its factor sinh^2(R/2), the strip of a rectangle), and
+``radius_test`` finishes the predicate of one radius from them.  A caller
+that tests several radii about one centre may evaluate the centre terms
+once and slice them, and gets the bits of ``mask`` for each radius.
+Boxes (``bounding_boxes``) and areas (``areas``) of a family likewise take
+their ``math`` constants once per distinct radius; ``bounding_box`` and
+``area`` are their one-member forms.
 
 Rectangles, plain and admissible, are separable on a tensor grid: the
 test is |x - zx| < zy and y > e^{-R} zy, one condition per axis.  On a
 sorted x axis the rounded difference x - zx is monotone and keeps the sign
 of x - zx, so |x - zx| < zy holds on one contiguous run of indices; on a
 sorted y axis y > e^{-R} zy holds on a suffix.  The cells of a rectangle
-are therefore one sub-block of the grid, found from those two runs.
+are therefore one sub-block of the grid, found from those two runs.  A
+trigonon is the half disc above the same height, so its cells are the half
+disc's cells on that suffix of heights.
 """
 
 from __future__ import annotations
@@ -326,39 +334,80 @@ def mask(kind: SetKind, zx, zy, s2, em, ep, x, y):
     s2 = sinh^2(R/2), em = e^{-R}, ep = e^{R} of ``_terms``.  Centres and
     constants may be arrays (one per member) and broadcast against x, y;
     every element is the same float expression either way."""
-    if kind is SetKind.BALL:
-        return _ball_mask(zx, zy, s2, x, y)
-    if kind is SetKind.HALF_PLANE:
-        return _in_half_plane(zx, zy, x, y)
-    if kind is SetKind.HALF_BALL:
-        return _ball_mask(zx, zy, s2, x, y) & _in_half_plane(zx, zy, x, y)
-    if kind is SetKind.TRIGONON:
-        return _in_half_plane(zx, zy, x, y) & (y > em * zy)
+    return radius_test(kind, centre_terms(kind, zx, zy, x, y), zx, zy, s2, em, ep, x, y)
+
+
+def centre_terms(kind: SetKind, zx, zy, x, y) -> tuple:
+    """The terms of the predicate of ``kind`` about (zx, zy) at the points
+    (x, y) that do not read the radius: for balls, half balls and modified
+    half balls the ball's sides |z - w|^2 and 4 Im z Im w (before the factor
+    sinh^2(R/2)), for every kind but the ball and the rectangles the half
+    disc |w - Re z|^2 < (Im z)^2, and for rectangles the strip
+    |x - zx| < zy.  Each term has the broadcast shape of its operands, so on
+    a tensor block (x a column, y a row) 4 Im z Im w is one row."""
     if kind in (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
-        return (np.abs(x - zx) < zy) & (y > em * zy)
-    if kind is SetKind.MODIFIED_HALF_BALL:
-        base = _ball_mask(zx, zy, s2, x, y) & _in_half_plane(zx, zy, x, y)
-        return base | _ball_mask(zx, ep * zy, _SINH2_HALF, x, y)
+        return (np.abs(x - zx) < zy,)
+    dxx = _dx2(zx, x)
+    if kind is SetKind.BALL:
+        return _ball_sides(dxx, zy, y)
+    # the special half plane: the half disc
+    half_disc = dxx + y * y < zy * zy
+    if kind in (SetKind.HALF_PLANE, SetKind.TRIGONON):
+        return (half_disc,)
+    if kind in (SetKind.HALF_BALL, SetKind.MODIFIED_HALF_BALL):
+        return (*_ball_sides(dxx, zy, y), half_disc)
     raise ValueError(f"unknown kind {kind}")
+
+
+def radius_test(kind: SetKind, terms: tuple, zx, zy, s2, em, ep, x, y):
+    """The predicate of ``kind`` from its ``centre_terms`` (evaluated at the
+    same points) and the radius constants of ``mask``.  Trigona and
+    rectangles lie above the height ``cut_height(em, zy)``; a modified half
+    ball's satellite ball is centred at a radius-dependent height, so it is
+    evaluated here in full."""
+    if kind is SetKind.BALL:
+        return _ball_test(*terms, s2)
+    if kind is SetKind.HALF_PLANE:
+        return terms[0]
+    if kind in (SetKind.TRIGONON, SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
+        return terms[0] & (y > cut_height(em, zy))
+    lhs, rhs, half_disc = terms
+    base = _ball_test(lhs, rhs, s2) & half_disc
+    if kind is SetKind.HALF_BALL:
+        return base
+    if kind is SetKind.MODIFIED_HALF_BALL:
+        return base | _ball_test(*_ball_sides(_dx2(zx, x), ep * zy, y), _SINH2_HALF)
+    raise ValueError(f"unknown kind {kind}")
+
+
+def cut_height(em, zy):
+    """e^{-R} zy: a trigonon or rectangle holds only points strictly above
+    it.  On a sorted height axis those points are the suffix that
+    ``searchsorted(cut_height(em, zy), side="right")`` starts."""
+    return em * zy
 
 
 # sinh^2(1/2): the constant of the unit satellite ball of a modified half ball
 _SINH2_HALF = math.sinh(1.0 / 2.0) ** 2
 
 
-def _in_half_plane(zx, zy, x, y):
-    # the special half plane, the half disc |w - Re z|^2 < (Im z)^2.  Squares
-    # are products, so a scalar and an array give the same bits (a scalar's
-    # ** 2 rounds through pow, which differs from x * x in the last bit for
-    # some x)
+def _dx2(zx, x):
+    # squares are products, so a scalar and an array give the same bits (a
+    # scalar's ** 2 rounds through pow, which differs from x * x in the last
+    # bit for some x)
     dx = x - zx
-    return dx * dx + y * y < zy * zy
+    return dx * dx
 
 
-def _ball_mask(zx, zy, s2, x, y):
-    # d(z, w) < R  <=>  |z - w|^2 < 4 Im z Im w sinh^2(R/2)
-    dx, dy = x - zx, y - zy
-    return dx * dx + dy * dy < 4.0 * zy * y * s2
+def _ball_sides(dxx, zy, y) -> tuple:
+    # d(z, w) < R  <=>  |z - w|^2 < 4 Im z Im w sinh^2(R/2); the sides before
+    # the factor sinh^2(R/2)
+    dy = y - zy
+    return dxx + dy * dy, 4.0 * zy * y
+
+
+def _ball_test(lhs, rhs, s2):
+    return lhs < rhs * s2
 
 
 def contains(s: H2Set, w: HPoint) -> bool:

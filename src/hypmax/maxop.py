@@ -11,7 +11,8 @@ not a certified bound.
 A half-plane family is an ``hyp2.H2Family`` (what ``h2_lattice`` and
 ``admissible_family_for_grid`` return) or a list of ``H2Set``, which the
 operators turn into columns first; a witness index is a position in
-either, and ``MaxField.members`` is the family as the caller passed it.  Cylinder families are lists.
+either, and ``MaxField.members`` is the family as the caller passed it.
+Cylinder families are lists.
 
 Both operators read one member pass, ``_member_pass``: it yields
 (idx, block, mask, average) for each member whose cells hold part of
@@ -21,8 +22,18 @@ outside which the member holds no point.  Only the members whose block
 meets the index range of supp f are masked, each once; skipping the
 others is exact, since their average is exactly 0.0.  Areas and the
 predicate's radius constants are taken once per distinct (kind, radius).
-A rectangle (plain or admissible) needs no 2-D mask: its cells are one
-sub-block of the grid (see ``hyp2``), whose numerator sums
+
+Half-plane members are masked in centre runs: maximal runs of consecutive
+members with the same kind, centre and block columns, as the product
+orders centres x radii and xs x js x Ks give them.  A run evaluates the
+terms of the predicate that do not read the radius (``hyp2.centre_terms``)
+once, on the union of its members' blocks, and each member reads the slice
+on its own rows.  This is exact: every cell's verdict is the float
+expression of ``hyp2.mask``, only evaluated once per centre, so every
+numerator gathers the same cells in the same C order.  A trigonon's mask
+is the half disc on the heights above its cut e^{-R} zy, a suffix of the
+height axis; a rectangle (plain or admissible) needs no 2-D mask: its
+cells are one sub-block of the grid (see ``hyp2``), whose numerator sums
 ``wv[block].ravel()``, the same floats in the same C order as a masked
 gather.
 
@@ -36,6 +47,7 @@ maximum of their ``member_averages``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -129,6 +141,8 @@ def _support_range(nz: np.ndarray) -> tuple:
 
 
 _SEPARABLE = (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE)
+# the kinds that hold only points above e^{-R} zy
+_CUT_CODES = [hyp2.KINDS.index(k) for k in (SetKind.TRIGONON, *_SEPARABLE)]
 
 
 def _numerator(wv: np.ndarray, block: tuple, mask) -> float:
@@ -137,37 +151,80 @@ def _numerator(wv: np.ndarray, block: tuple, mask) -> float:
     return float((wv[block].ravel() if mask is None else wv[block][mask]).sum())
 
 
+def _centre_runs(*keys) -> list:
+    """[start, stop) of each maximal run of consecutive rows on which every
+    key column is constant."""
+    n = keys[0].size
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    return list(zip(starts.tolist(), np.append(starts[1:], n).tolist()))
+
+
 def _h2_cells(grid: SampleGrid, fam: H2Family, wv: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """(idx, block, mask, average) for each member fam[idx], idx in
     ``rows``, whose blocks are the rows of (lo, hi) and whose cells hold
     part of supp wv: the cells of the member are the True cells of ``mask``
     on ``block``, or all of ``block`` when ``mask`` is None.
 
-    Strict membership is one ``hyp2.mask`` call per member, on floats read
-    from the columns.  A rectangle is separable (see ``hyp2``): its cells
-    are the columns that the top row of its block holds (none if that row
-    lies below the rectangle) times the heights above e^{-R} zy, a suffix
-    found by ``searchsorted``, so it needs no 2-D mask."""
+    The members are walked in centre runs: maximal runs of consecutive
+    rows with the same kind, centre and block columns (a lattice of
+    centres x radii gives one run per centre).  A run evaluates
+    ``hyp2.centre_terms`` once, on its union block (its columns x the union
+    of its members' heights), and each member reads the slice of those
+    terms on its own heights.  Every cell's verdict is the float expression
+    of ``hyp2.mask``, evaluated once per centre instead of once per member,
+    so each mask holds the bits of a ``mask`` call on the member's block.
+
+    A ball, half ball or modified half ball applies ``hyp2.radius_test`` to
+    its slice.  Trigona and rectangles lie above e^{-R} zy, a suffix of the
+    height axis found by ``searchsorted`` for all members at once: their
+    block starts at its first row (it is empty when the suffix misses the
+    block), so the height test holds on every row of it.  A trigonon's mask
+    is then the run's half disc on its rows, a slice.  A rectangle is
+    separable (see ``hyp2``): its cells are the run's strip of columns times
+    its rows, one sub-block with no 2-D mask.  Cutting rows where the mask
+    is all False keeps the other cells in the same C order."""
     xs, ys = grid.axes
     sub = fam[rows]
     s2, em, ep = hyp2.radius_terms(sub).T
     area = hyp2.areas(sub)
-    # first height index with y > e^{-R} zy; used by rectangles only
-    top = ys.searchsorted(em * sub.y, side="right")
-    cols = (rows, sub.kind, sub.x, sub.y, s2, em, ep, area, *lo.T, *hi.T, top)
-    for idx, code, zx, zy, a, b, c, measure, x0, y0, x1, y1, t in zip(*(col.tolist() for col in cols)):
-        kind = hyp2.KINDS[code]
+    x0, y0 = lo.T
+    x1, y1 = hi.T
+    # the first height above the cut; it is at most y1, since a block
+    # reaches above its centre's height zy > e^{-R} zy
+    top = ys.searchsorted(hyp2.cut_height(em, sub.y), side="right")
+    y0 = np.where(np.isin(sub.kind, _CUT_CODES), np.maximum(top, y0), y0)
+    members = list(zip(*(col.tolist() for col in (rows, s2, em, ep, area, y0, y1))))
+    for start, stop in _centre_runs(sub.kind, sub.x, sub.y, x0, x1):
+        kind = hyp2.KINDS[int(sub.kind[start])]
+        zx, zy, c0, c1 = sub.x[start].item(), sub.y[start].item(), int(x0[start]), int(x1[start])
+        run = members[start:stop]
+        u0, u1 = min(m[5] for m in run), max(m[6] for m in run)
+        X, Y = xs[c0:c1, None], ys[None, u0:u1]
+        terms = hyp2.centre_terms(kind, zx, zy, X, Y)
         if kind in _SEPARABLE:
-            inside = np.flatnonzero(hyp2.mask(kind, zx, zy, a, b, c, xs[x0:x1], ys[y1 - 1]))
-            if not inside.size:
+            # the strip |x - zx| < zy is one run of columns, on every row
+            strip = np.flatnonzero(terms[0][:, 0])
+            if not strip.size:
                 continue
-            block, mask = (slice(x0 + int(inside[0]), x0 + int(inside[-1]) + 1), slice(max(t, y0), y1)), None
-        else:
-            block = (slice(x0, x1), slice(y0, y1))
-            mask = hyp2.mask(kind, zx, zy, a, b, c, xs[block[0], None], ys[None, block[1]])
-        integ = _numerator(wv, block, mask)
-        if integ:
-            yield idx, block, mask, integ / measure
+            cols = slice(c0 + int(strip[0]), c0 + int(strip[-1]) + 1)
+        for idx, a, b, c, measure, r0, r1 in run:
+            own = slice(r0 - u0, r1 - u0)
+            if kind in _SEPARABLE:
+                block, mask = (cols, slice(r0, r1)), None
+            elif kind is SetKind.TRIGONON:
+                block, mask = (slice(c0, c1), slice(r0, r1)), terms[0][:, own]
+            else:
+                block = (slice(c0, c1), slice(r0, r1))
+                mask = hyp2.radius_test(kind, tuple(t[:, own] for t in terms), zx, zy, a, b, c, X, Y[:, own])
+            integ = _numerator(wv, block, mask)
+            if integ:
+                yield idx, block, mask, integ / measure
+        # the run's terms go before the next run computes its own
+        del terms
 
 
 def _cylinder_cells(
@@ -301,7 +358,14 @@ def comparison_constants(r_hi: float = 40.0, n: int = 40_000) -> dict:
     K1 = sup |T_R| / |b_R|              (half-ball average vs trigonon)
     K2 = sup |b_{R+log 2}| / |T_R|      (trigonon average vs half ball)
     K3 = sup 2 e^{ceil(R)+2} / |b_R|    (half ball vs admissible rectangle hull)
+
+    Computed once per (r_hi, n) in a process; each call returns a new dict.
     """
+    return dict(_comparison_constants(r_hi, n))
+
+
+@functools.cache
+def _comparison_constants(r_hi: float, n: int) -> dict:
     R = np.linspace(1.0, r_hi, n)
     T = 2 * np.exp(R) * np.sqrt(1 - np.exp(-2 * R)) - 2 * np.arccos(np.exp(-R))
     b = 2 * np.pi * np.sinh(R / 2) ** 2

@@ -1,11 +1,13 @@
 """Block membership against brute force: every restricted kernel must give
 the bits the full-grid (resp. all-samples) evaluation gives."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypmax import drsets as dr
 from hypmax import experiments as ex
@@ -504,47 +506,206 @@ def misses_support(g, lo, hi):
     return ((lo >= s_hi) | (hi <= s_lo) | (lo >= hi)).any(axis=1)
 
 
+def h2_key(vals):
+    # NaN marks a constant the kind does not read and is keyed as -1.0,
+    # since NaN != NaN
+    return tuple(-1.0 if v != v else v for v in vals)
+
+
+def h2_member_key(s):
+    """A half-plane member as the kernels receive it: its kind, centre and
+    radius constants (s2, em, ep)."""
+    return h2_key((s.kind, s.center.x, s.center.y, *h2._terms(s.kind, s.radius)))
+
+
+def expected_runs(g, fam, keep):
+    """(kind, zx, zy) of each centre run of the kept members: maximal runs of
+    consecutive kept members with the same kind, centre and block columns."""
+    lo, hi = ms.member_blocks(g, fam)
+    keys = [(s.kind, s.center.x, s.center.y, int(lo[i, 0]), int(hi[i, 0])) for i, s in enumerate(fam) if keep[i]]
+    return [k[:3] for k, _ in itertools.groupby(keys)]
+
+
 @pytest.mark.parametrize("kind", H2_KINDS + ["admissible_cylinder", "cylinder"])
 def test_members_off_the_support_are_never_masked(kind, monkeypatch):
     if kind.endswith("cylinder"):
         g, fam, omega = na_grid(), cylinder_family(kind), OMEGA_HEI1
-        owner, attr = dr, "cylinder_contains_batch"
-
-        # a cylinder reaches the mask as the member object itself
-        def member_key(s):
-            return id(s)
-
-        def called(args):
-            return id(args[1])
     else:
         g, omega = h2_grid(), None
         fam = h2_family(g, kind)
-        owner, attr = h2, "mask"
-
-        # a half-plane member reaches the kernel as its kind, centre and
-        # radius constants (s2, em, ep); NaN marks a constant the kind does
-        # not read and is keyed as -1.0, since NaN != NaN
-        def key(vals):
-            return tuple(-1.0 if v != v else v for v in vals)
-
-        def member_key(s):
-            return key((s.kind, s.center.x, s.center.y, *h2._terms(s.kind, s.radius)))
-
-        def called(args):
-            return key(args[:6])
+        # the key tells every member of the family apart
+        assert len(set(map(h2_member_key, fam))) == len(fam)
     g.values = small_support_values(g, "cell")
     lo, hi = ms.member_blocks(g, fam)
     missing = misses_support(g, lo, hi)
     assert 0 < missing.sum() < len(fam)
+    on_support = [s for s, miss in zip(fam, missing) if not miss]
 
-    # the key tells every member of the family apart
-    assert len(set(map(member_key, fam))) == len(fam)
+    seen = {}
 
-    seen = []
-    inner = getattr(owner, attr)
-    monkeypatch.setattr(owner, attr, lambda *a: seen.append(called(a)) or inner(*a))
-    mx.maximal_field(g, fam, omega=omega)
-    assert seen == [member_key(s) for s, miss in zip(fam, missing) if not miss]
+    def spy(owner, attr, called):
+        inner = getattr(owner, attr)
+        calls = seen.setdefault(attr, [])
+        monkeypatch.setattr(owner, attr, lambda *a: calls.append(called(a)) or inner(*a))
+
+    if kind.endswith("cylinder"):
+        # a cylinder reaches the mask as the member object itself
+        spy(dr, "cylinder_contains_batch", lambda a: id(a[1]))
+        mx.maximal_field(g, fam, omega=omega)
+        assert seen["cylinder_contains_batch"] == [id(s) for s in on_support]
+        return
+    cut = ("trigonon", "rectangle", "admissible_rectangle")
+    keys = [h2_member_key(s) for s in on_support]
+    if kind in cut:
+        # the block each on-support member is summed on, in family order: its
+        # columns (a rectangle's strip |x - zx| < zy, and a rectangle with no
+        # column is skipped) times its heights above the cut
+        xs, ys = g.axes
+        blocks = []
+        for (_, zx, zy, _, em, _), a, b in zip(keys, lo[~missing], hi[~missing]):
+            c0, c1 = int(a[0]), int(b[0])
+            r0 = max(int(ys.searchsorted(h2.cut_height(em, zy), side="right")), int(a[1]))
+            if kind != "trigonon":
+                strip = np.flatnonzero(np.abs(xs[c0:c1] - zx) < zy)
+                if not strip.size:
+                    continue
+                c0, c1 = c0 + int(strip[0]), c0 + int(strip[-1]) + 1
+            blocks.append((c0, c1, r0, int(b[1]), kind == "trigonon"))
+        assert len(blocks) > len(on_support) // 2
+        spy(mx, "_numerator", lambda a: (a[1][0].start, a[1][0].stop, a[1][1].start, a[1][1].stop, a[2] is not None))
+    spy(h2, "mask", lambda a: a)
+    spy(h2, "centre_terms", lambda a: tuple(a[:3]))
+    spy(h2, "radius_test", lambda a: h2_key((a[0], *a[2:7])))
+    spy(h2, "cut_height", lambda a: (list(h2_key(a[0].tolist())), a[1].tolist()))
+    mx.maximal_field(g, fam)
+    assert seen["mask"] == []
+    # the centre terms run once per run, and only for runs of members that
+    # meet the support
+    assert seen["centre_terms"] == expected_runs(g, fam, ~missing)
+    # the radius test runs for exactly the members that meet the support, in
+    # family order; for trigona and rectangles it is the height cut, taken in
+    # one call, after which the member's cells are a slice of its run's terms,
+    # summed once per member in family order
+    assert seen["cut_height"] == [([k[4] for k in keys], [k[2] for k in keys])]
+    assert seen["radius_test"] == ([] if kind in cut else keys)
+    if kind in cut:
+        assert seen["_numerator"] == blocks
+
+
+def adversarial_families(g):
+    """Half-plane families whose centre runs are not one per lattice centre.
+    Returns {case: list of H2Set}."""
+    xs, ys = g.axes
+    c = h2.HPoint(0.35, 1.1)
+    d = h2.HPoint(-1.2, 0.6)
+    edges = [h2.HPoint(-3.0, 1.0), h2.HPoint(3.0, 0.5), h2.HPoint(0.2, math.exp(1.5)), h2.HPoint(-0.7, math.exp(-1.5)),
+             h2.HPoint(-3.4, 0.9), h2.HPoint(1.4, 7.0), h2.HPoint(0.5, 0.1)]
+    return {
+        # one centre whose members come in two runs, with another centre between
+        "split_centre": [h2.half_ball(c, 1.0), h2.half_ball(c, 2.0), h2.trigonon(c, 1.0), h2.half_ball(d, 1.5),
+                         h2.half_ball(c, 1.5), h2.half_ball(c, 3.0), h2.trigonon(c, 2.0)],
+        "radii_order": [h2.half_ball(c, R) for R in (3.0, 2.0, 2.0, 1.0, 0.4, 1.0, 3.0)]
+        + [h2.trigonon(d, R) for R in (2.5, 2.5, 0.7, 1.9, 0.7)],
+        "mixed_kinds": [h2.half_ball(c, 1.0), h2.trigonon(c, 1.0), h2.half_ball(c, 2.0), h2.ball(c, 1.0),
+                        h2.ball(c, 1.0), h2.modified_half_ball(c, 1.5), h2.modified_half_ball(c, 1.0),
+                        h2.rectangle(c, 2.0), h2.rectangle(c, 1.0), h2.trigonon(c, 2.0), h2.half_ball(c, 0.5),
+                        h2.admissible_rectangle(0.35, 0, 3), h2.admissible_rectangle(0.35, 0, 2)],
+        "runs_of_one": [h2.half_ball(h2.HPoint(float(x), float(y)), 1.2) if i % 2 else
+                        h2.trigonon(h2.HPoint(float(x), float(y)), 1.2)
+                        for i, (x, y) in enumerate(zip(xs[1::7], ys[::4]))],
+        # heights e^{-R} zy above the top row (and one above the last row of
+        # its block only), and a centre below the window
+        "empty_suffix": [h2.trigonon(h2.HPoint(0.3, 20.0), 1.0), h2.trigonon(h2.HPoint(0.3, 20.0), 3.0),
+                         h2.trigonon(h2.HPoint(-1.0, float(ys[-1]) * math.e * 1.01), 1.0),
+                         h2.trigonon(h2.HPoint(-1.0, float(ys[-1]) * math.e * 1.01), 4.0),
+                         h2.trigonon(h2.HPoint(1.1, 0.15), 0.5)],
+        "window_edge": [kind(z, R) for z in edges for kind in (h2.half_ball, h2.trigonon, h2.ball) for R in (0.6, 2.2)],
+    }
+
+
+def test_adversarial_families_reach_their_cases():
+    g = h2_grid()
+    fams = adversarial_families(g)
+    ys = g.axes[1]
+
+    def runs(fam):
+        return expected_runs(g, fam, np.ones(len(fam), dtype=bool))
+
+    # c's half balls form two runs, with d's and a trigonon between them
+    assert runs(fams["split_centre"]).count((h2.SetKind.HALF_BALL, 0.35, 1.1)) == 2
+    assert len(runs(fams["runs_of_one"])) == len(fams["runs_of_one"])
+    fam = fams["empty_suffix"]
+    lo, hi = ms.member_blocks(g, fam)
+    top = np.array([ys.searchsorted(math.exp(-s.radius) * s.center.y, side="right") for s in fam])
+    # some trigona meet the window with a block but hold no row above their cut
+    assert ((top >= hi[:, 1]) & (lo[:, 1] < hi[:, 1])).sum() >= 2
+
+
+@pytest.mark.parametrize("support", ["full", "ball"])
+@pytest.mark.parametrize("case", ["split_centre", "radii_order", "mixed_kinds", "runs_of_one", "empty_suffix",
+                                  "window_edge"])
+def test_centre_runs_match_full_grid_on_adversarial_families(case, support):
+    g = h2_grid()
+    if support == "ball":
+        g.values = small_support_values(g, "ball")
+    fam = adversarial_families(g)[case]
+    fld = mx.maximal_field(g, fam)
+    values, widx = full_maximal_field(g, fam)
+    assert np.array_equal(fld.values, values)
+    assert np.array_equal(fld.witness_idx, widx)
+    assert fld.members is fam
+    assert mx.member_averages(g, fam).tolist() == full_averages(g, fam)
+
+
+# a pool of centres with repeats, window edges and points beyond the window
+RUN_CENTRES = [(0.35, 1.1), (-1.2, 0.6), (-3.0, 1.0), (3.0, math.exp(-1.5)), (0.2, 6.0), (-3.5, 0.3), (1.0, 0.12)]
+
+
+def h2_members():
+    def build(kind, centre, R, j):
+        x, y = centre
+        if kind is h2.SetKind.ADMISSIBLE_RECTANGLE:
+            return h2.admissible_rectangle(x, j, int(R) + 2)
+        if kind is h2.SetKind.MODIFIED_HALF_BALL:
+            R = max(R, 1.0)
+        return h2.H2Set(kind, h2.HPoint(x, y), R)
+
+    kinds = [h2.SetKind(k) for k in H2_KINDS]
+    radii = st.sampled_from([0.4, 1.0, 1.0, 1.7, 2.5, 3.0])
+    return st.builds(build, st.sampled_from(kinds), st.sampled_from(RUN_CENTRES), radii, st.integers(-2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(h2_members(), min_size=1, max_size=24), st.booleans())
+def test_centre_runs_match_full_grid_on_drawn_families(fam, small_support):
+    g = h2_grid()
+    if small_support:
+        g.values = small_support_values(g, "ball")
+    fld = mx.maximal_field(g, fam)
+    values, widx = full_maximal_field(g, fam)
+    assert np.array_equal(fld.values, values)
+    assert np.array_equal(fld.witness_idx, widx)
+    assert mx.member_averages(g, fam).tolist() == full_averages(g, fam)
+
+
+@pytest.mark.parametrize("case", ["lattice", "split_centre", "mixed_kinds", "runs_of_one"])
+def test_centre_terms_run_once_per_run(case, monkeypatch):
+    g = h2_grid()
+    if case == "lattice":
+        fam = list(mx.h2_lattice("half_ball", mx.grid_centers(g, 4), mx.radius_ladder(1.0, 4)))
+        fam += list(mx.h2_lattice("trigonon", mx.grid_centers(g, 4), mx.radius_ladder(1.0, 4)))
+    else:
+        fam = adversarial_families(g)[case]
+    calls = []
+    terms = h2.centre_terms
+    monkeypatch.setattr(h2, "centre_terms", lambda *a: calls.append(tuple(a[:3])) or terms(*a))
+    mx.member_averages(g, fam)
+    # f is nonzero on every cell, so every member in the window meets supp f
+    want = expected_runs(g, fam, np.ones(len(fam), dtype=bool))
+    assert calls == want
+    if case == "lattice":
+        # one run per centre and kind: the lattice's four radii share it
+        assert len(calls) == 2 * len(mx.grid_centers(g, 4)) < len(fam)
 
 
 def span_oracle(centres, lo, hi):

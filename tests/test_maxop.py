@@ -265,6 +265,25 @@ def test_comparison_constants():
     assert K["K1"] > 4 / math.pi
 
 
+def test_comparison_constants_are_computed_once_per_process(monkeypatch):
+    # the constants of the sweep, each call a new dict with the same bits
+    R = np.linspace(1.0, 40.0, 40_000)
+    T = 2 * np.exp(R) * np.sqrt(1 - np.exp(-2 * R)) - 2 * np.arccos(np.exp(-R))
+    b = 2 * np.pi * np.sinh(R / 2) ** 2
+    b_shift = 2 * np.pi * np.sinh((R + math.log(2)) / 2) ** 2
+    want = {"K1": float((T / b).max()), "K2": float((b_shift / T).max()),
+            "K3": 2.0 * math.exp(4.0) / (2.0 * math.pi * math.sinh(0.5) ** 2)}
+    first = mx.comparison_constants()
+    assert first == want
+    first["K1"] = 0.0
+    calls = []
+    linspace = np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
+    assert mx.comparison_constants() == want
+    assert mx.comparison_constants() is not mx.comparison_constants()
+    assert calls == []
+
+
 def test_operator_compare_random_fields():
     rng = np.random.default_rng(11)
     g = make_grid(window=(-4.0, 4.0, -2.0, 2.0), res=(64, 48))
