@@ -3,9 +3,9 @@ experiments, level-set bound tables, overlap/covering reports, packing
 sums and SVG figures.
 
 Configuration precedence is flags > config file > defaults; the config
-file is flat ``key=value`` lines.  Every stochastic run requires a seed
-(the default seed is 0) and reports are byte-identical for identical
-(config, seed).  Exit status is 0 iff every asserted bound passes, 1 when
+file is flat ``key=value`` lines whose keys are flag names.  Every
+stochastic run requires a seed (the default seed is 0) and reports are
+byte-identical for identical (config, seed).  Exit status is 0 iff every asserted bound passes, 1 when
 one fails, and 2 on invalid input, reported as one ``hypmax: error:`` line
 on stderr.
 """
@@ -127,6 +127,18 @@ def _int(cfg, name: str) -> int:
     return parse_int(cfg.options[name], f"--{name}", _INT_LEAST[name])
 
 
+def parse_point(value) -> tuple:
+    """The --z figure centre x,y, given as a flag or as a config-file
+    string: two numbers, x finite and y positive and finite."""
+    try:
+        zx, zy = (float(v) for v in str(value).split(","))
+    except ValueError:
+        raise UsageError(f"--z {value!r}: expected two comma-separated numbers x,y") from None
+    if not (math.isfinite(zx) and 0.0 < zy < math.inf):
+        raise UsageError(f"--z {value!r}: x must be finite and y positive and finite")
+    return zx, zy
+
+
 def parse_packing_level(value, flag: str) -> int:
     """A packing level from --level/--levels, checked against the range
     that experiments.packing_construct can represent."""
@@ -137,32 +149,40 @@ def parse_packing_level(value, flag: str) -> int:
 
 
 def load_config(path: str) -> dict:
+    """The flat key=value lines of a config file; every key must name a
+    flag (a key of ``DEFAULTS``, with - or _)."""
+    try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh]
+    except OSError as exc:
+        raise UsageError(f"--config {path!r}: {exc.strerror}") from None
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in DEFAULTS:
+            raise UsageError(f"--config {path!r}: unknown key {key!r}")
+        out[key] = val.strip()
     return out
 
 
-def _profile_fn(name: str, support_scale: float = 1.0):
+def _profile_fn(name: str):
     if name == "ball":
-        s = hyp2.ball(HPoint(0.0, 1.0), support_scale)
+        s = hyp2.ball(HPoint(0.0, 1.0), 1.0)
         return lambda x, y: hyp2.contains_mask(s, x, y).astype(float)
     if name == "rect":
-        s = hyp2.rectangle(HPoint(0.0, 1.0), support_scale)
+        s = hyp2.rectangle(HPoint(0.0, 1.0), 1.0)
         return lambda x, y: hyp2.contains_mask(s, x, y).astype(float)
     if name == "height":
         return lambda x, y: np.minimum(1.0 / y, 20.0) * (np.abs(x) < 2.0) * (y < 4.0)
     raise UsageError(f"unknown profile {name!r}")
 
 
-def _family_for(grid, name: str, k_max: int = 6):
+def _family_for(grid, name: str):
     if name == "admissible_rectangle":
-        return mx.admissible_family_for_grid(grid, k_max=k_max)
+        return mx.admissible_family_for_grid(grid, k_max=6)
     try:
         return mx.h2_lattice(name, mx.grid_centers(grid, 12), mx.radius_ladder(1.0, 4))
     except ValueError as exc:
@@ -279,9 +299,8 @@ def cmd_levelset(cfg) -> ExperimentReport:
     window, res = parse_grid(cfg.grid)
     grid = ms.build_grid("h2", window, res)
     grid.set_values(_profile_fn(cfg.profile))
-    k_max = max(4, math.ceil(math.log(1.0 / min(parse_alpha_ladder(cfg.alpha_ladder)[0]))) + 1)
-    fam = mx.admissible_family_for_grid(grid, k_max=k_max)
     alphas, _ = parse_alpha_ladder(cfg.alpha_ladder)
+    fam = mx.admissible_family_for_grid(grid, k_max=max(4, math.ceil(math.log(1.0 / min(alphas))) + 1))
     rows, _fld = mx.level_set_table(grid, fam, alphas)
     lam = mx.llogl_lambda(1.0)
     rep = ExperimentReport("levelset", meta=_meta(cfg))
@@ -370,10 +389,11 @@ def cmd_pack(cfg) -> ExperimentReport:
 
 
 def cmd_figures(cfg) -> str:
+    if cfg.figure not in figures.FIGURES:
+        raise UsageError(f"--figure {cfg.figure!r}: expected one of {' | '.join(figures.FIGURES)}")
     params = {}
     if cfg.figure == "rectangle":
-        zx, zy = (float(v) for v in str(cfg.z).split(","))
-        params = {"z": (zx, zy), "R": parse_radii(cfg.R)[0]}
+        params = {"z": parse_point(cfg.z), "R": parse_radii(cfg.R)[0]}
     elif cfg.figure == "halfballs":
         params = {"level": parse_packing_level(cfg.level, "--level")}
     elif cfg.figure == "packing":
@@ -476,9 +496,8 @@ def _write(cfg, body: str, ext: str) -> None:
 
 
 def main(argv=None) -> int:
-    cfg = resolve_config(argv)
     try:
-        return run(cfg)[0]
+        return run(resolve_config(argv))[0]
     except UsageError as exc:
         print(f"hypmax: error: {exc}", file=sys.stderr)
         return 2

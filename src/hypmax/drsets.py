@@ -120,15 +120,12 @@ def omega_n(alg: HTypeAlgebra, method: str = "analytic", samples: int = 1_000_00
     X = rng.uniform(-2.0, 2.0, (samples, alg.p))
     Z = rng.uniform(-1.0, 1.0, (samples, alg.q))
     # the gauge is row by row, so testing in chunks keeps its temporaries
-    # small and counts the same hits; hits / samples is inside.mean()
+    # small and counts the same hits
     hits = sum(
         int(np.count_nonzero(ht.gauge_batch(X[i : i + _MC_CHUNK], Z[i : i + _MC_CHUNK]) < 1.0))
         for i in range(0, samples, _MC_CHUNK)
     )
-    box = 4.0**alg.p * 2.0**alg.q
-    frac = hits / samples
-    stderr = box * math.sqrt(frac * (1.0 - frac) / samples)
-    return VolumeEstimate(box * frac, stderr, samples, seed)
+    return VolumeEstimate.of_hits(4.0**alg.p * 2.0**alg.q, hits, samples, seed)
 
 
 def cylinder_volume(alg: HTypeAlgebra, c, omega: float) -> float:

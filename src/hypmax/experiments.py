@@ -19,7 +19,7 @@ from . import drsets, htype as ht, hyp2, measure as ms
 from .drsets import AdmissibleCylinder
 from .htype import HTypeAlgebra, NPoint
 from .hyp2 import HPoint
-from .report import ExperimentReport
+from .report import ExperimentReport, VolumeEstimate
 
 
 # ----------------------------------------------------------- family basics
@@ -100,11 +100,15 @@ def _containment_refuted(alg, inner, X, Z, r, h, n_dirs: int, rng):
     return refuted, drew
 
 
+# random probe directions per containment test, besides the 2 (p + q) axes
+_N_DIRS = 24
+
+
 def _heights(cyls):
     return np.array([c.base_height for c in cyls])
 
 
-def verify_maximal_family(fam: MaximalFamily, n_dirs: int = 24, seed: int = 0) -> list:
+def verify_maximal_family(fam: MaximalFamily, seed: int = 0) -> list:
     """Exhaustive O(n^2) invariant check; returns human-readable violations.
 
     Each member is tested against all others in one disjointness call and
@@ -116,7 +120,7 @@ def verify_maximal_family(fam: MaximalFamily, n_dirs: int = 24, seed: int = 0) -
     out = []
     for i, ci in enumerate(cyls):
         rest = np.delete(np.arange(len(cyls)), i)
-        refuted, _ = _containment_refuted(alg, ci, X[rest], Z[rest], r[rest], h[rest], n_dirs, rng)
+        refuted, _ = _containment_refuted(alg, ci, X[rest], Z[rest], r[rest], h[rest], _N_DIRS, rng)
         later = rest[(rest > i) & (logs[rest] == ci.base_log)]
         overlap = set(later[~_disjoint_from(alg, ci, X[later], Z[later], r[later])].tolist())
         for k, ref in zip(rest.tolist(), refuted.tolist()):
@@ -200,14 +204,41 @@ def _contained_bases(alg, X0, Z0, r, b_lo, b_hi):
     return inside
 
 
-def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"):
-    """Measure of the union of same-horocycle cylinders.
+def _union_base_measure(alg, cyls, samples: int, seed: int):
+    """Measure of the union of same-horocycle cylinders, as (measure,
+    stderr).
 
     All bases share one horocycle, so the union is (union of base balls)
     x (height tail) and only the N-Lebesgue measure of the base union is
-    needed.  q = 1 abelian base balls are intervals and are merged
-    exactly; otherwise Monte Carlo over a bounding box.  Returns
-    (measure, stderr).
+    needed, times the measure of the heights above the base.  On the
+    abelian q = 1 backend the base balls are intervals, which
+    ``_interval_union_measure`` merges exactly; otherwise
+    ``_sampled_union_measure`` samples a bounding box."""
+    tail = cyls[0].base_height ** -alg.nu / alg.nu
+    if alg.p == 0 and alg.q == 1:
+        return _interval_union_measure(cyls) * tail, 0.0
+    est = _sampled_union_measure(alg, cyls, samples, seed)
+    return est.mean * tail, est.stderr * tail
+
+
+def _interval_union_measure(cyls) -> float:
+    """The length of the union of the base balls of q = 1 abelian
+    cylinders, the intervals Z0 -+ a0, merged exactly."""
+    ivs = sorted((float(c.n0.Z[0]) - c.a0, float(c.n0.Z[0]) + c.a0) for c in cyls)
+    total, cur_lo, cur_hi = 0.0, *ivs[0]
+    for lo, hi in ivs[1:]:
+        if lo > cur_hi:
+            total += cur_hi - cur_lo
+            cur_lo, cur_hi = lo, hi
+        else:
+            cur_hi = max(cur_hi, hi)
+    total += cur_hi - cur_lo
+    return total
+
+
+def _sampled_union_measure(alg, cyls, samples: int, seed: int) -> VolumeEstimate:
+    """The N-Lebesgue measure of the union of the base balls of
+    same-horocycle cylinders, by Monte Carlo over a bounding box.
 
     Before sampling, the base balls that ``_contained_bases`` certifies
     inside a larger base ball are dropped: whatever their test accepts,
@@ -223,20 +254,6 @@ def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"
     OR of the same per-sample tests, so it does not depend on the order,
     and ``gauge_batch`` pins its sums, so a test does not depend on the
     layout of the samples either."""
-    u = cyls[0].base_height
-    nu = alg.nu
-    tail = u**-nu / nu
-    if method == "exact" or (method == "auto" and alg.p == 0 and alg.q == 1):
-        ivs = sorted((float(c.n0.Z[0]) - c.a0, float(c.n0.Z[0]) + c.a0) for c in cyls)
-        total, cur_lo, cur_hi = 0.0, *ivs[0]
-        for lo, hi in ivs[1:]:
-            if lo > cur_hi:
-                total += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        total += cur_hi - cur_lo
-        return total * tail, 0.0
     rng = np.random.default_rng(seed)
     X0, Z0, r = ms.cylinder_bases(alg, cyls)
     # the bounding box seeds the sample positions: keep the per-row norm
@@ -276,10 +293,7 @@ def _union_base_measure(alg, cyls, samples: int, seed: int, method: str = "auto"
                 outside[idx[ht.dist_n_batch(alg, cyls[i].n0, cand[: alg.p].T, cand[alg.p :].T) < r[i]]] = False
         hits += outside.size - int(np.count_nonzero(outside))
         cols = cols[:, outside]
-    box = float(np.prod(hi - lo))
-    frac = hits / samples
-    stderr = box * math.sqrt(frac * (1 - frac) / samples) * tail
-    return box * frac * tail, stderr
+    return VolumeEstimate.of_hits(float(np.prod(hi - lo)), hits, samples, seed)
 
 
 def vitali_select(alg: HTypeAlgebra, family: list, samples: int = 100_000, seed: int = 0, omega: float = None):
@@ -341,20 +355,22 @@ def random_horocycle_family(alg, count, base_log, rng, r_lo=2, r_hi=6, spread=8.
     return out
 
 
-def random_admissible_cylinders(alg, count, rng, j_lo=-2, j_hi=2, r_lo=2, r_hi=6, spread=6.0):
+def random_admissible_cylinders(alg, count, rng, r_lo=2):
+    """Random admissible cylinders: centre coordinates uniform in [-6, 6),
+    j in -2..2 and R in r_lo..6."""
     out = []
     for _ in range(count):
         out.append(
             AdmissibleCylinder(
-                NPoint(spread * rng.uniform(-1, 1, alg.p), spread * rng.uniform(-1, 1, alg.q)),
-                int(rng.integers(j_lo, j_hi + 1)),
-                int(rng.integers(r_lo, r_hi + 1)),
+                NPoint(6.0 * rng.uniform(-1, 1, alg.p), 6.0 * rng.uniform(-1, 1, alg.q)),
+                int(rng.integers(-2, 3)),
+                int(rng.integers(r_lo, 7)),
             )
         )
     return out
 
 
-def build_maximal_family(alg: HTypeAlgebra, generator, seed: int = 0, n_dirs: int = 24) -> MaximalFamily:
+def build_maximal_family(alg: HTypeAlgebra, generator, seed: int = 0) -> MaximalFamily:
     """Prune a generated batch into a maximal family: drop duplicates and
     members not refutably outside another member, then run the greedy
     disjoint selection on each base horocycle.
@@ -384,18 +400,18 @@ def build_maximal_family(alg: HTypeAlgebra, generator, seed: int = 0, n_dirs: in
         contained, rest = False, np.delete(np.arange(len(uniq)), i)
         while rest.size and not contained:
             state = rng.bit_generator.state
-            refuted, drew = _containment_refuted(alg, c, X[rest], Z[rest], r[rest], h[rest], n_dirs, rng)
+            refuted, drew = _containment_refuted(alg, c, X[rest], Z[rest], r[rest], h[rest], _N_DIRS, rng)
             if refuted.all():
                 break
             f = int(refuted.argmin())
             # one pair at a time, the draws would stop after outer f
             rng.bit_generator.state = state
-            rng.standard_normal((int(np.count_nonzero(drew <= f)) * n_dirs, alg.p + alg.q))
+            rng.standard_normal((int(np.count_nonzero(drew <= f)) * _N_DIRS, alg.p + alg.q))
             k = int(rest[f])
             # symmetric ties (identical geometry is impossible after dedup):
             # keep the earlier one; a later k is refuted against c as outer
             one = slice(i, i + 1)
-            contained = k < i or bool(_containment_refuted(alg, uniq[k], X[one], Z[one], r[one], h[one], n_dirs, rng)[0][0])
+            contained = k < i or bool(_containment_refuted(alg, uniq[k], X[one], Z[one], r[one], h[one], _N_DIRS, rng)[0][0])
             rest = rest[f + 1 :]
         if not contained:
             kept.append(c)
@@ -517,7 +533,11 @@ def overlap_report(prof: OverlapProfile, r_values=(1, 2, 3)) -> ExperimentReport
 
 # ------------------------------------------------- point-mass level growth
 
-def dirac_level_growth(m_values=range(6, 15), r_step: float = 0.125, r_cap: float = None) -> ExperimentReport:
+# the radius step of the point-mass witness ladders
+_R_STEP = 0.125
+
+
+def dirac_level_growth(m_values=range(6, 15)) -> ExperimentReport:
     """Level sets of the sharpest trigonon average seen by a unit point
     mass at the origin of the half-plane.
 
@@ -530,15 +550,14 @@ def dirac_level_growth(m_values=range(6, 15), r_step: float = 0.125, r_cap: floa
     omega = 2.0
     c1, C1 = drsets.sandwich_constants(ht.degenerate_abelian(1), omega)
     alphas = [2.0**-m for m in m_values]
-    if r_cap is None:
-        r_cap = math.log(1.0 / min(alphas)) + 3.0
-    ladder = np.arange(1.0 + r_step, r_cap, r_step)
+    r_cap = math.log(1.0 / min(alphas)) + 3.0
+    ladder = np.arange(1.0 + _R_STEP, r_cap, _R_STEP)
     areas = np.array([hyp2.trigonon_area(R) for R in ladder])
     kappa = omega * (math.sqrt(math.e - 1.0) - 1.0) * math.exp(-1.0) * (1.0 - math.exp(-1.0))
 
     rep = ExperimentReport(
         "dirac_level_growth",
-        meta={"r_step": r_step, "r_cap": float(r_cap), "m_values": list(m_values)},
+        meta={"r_step": _R_STEP, "r_cap": float(r_cap), "m_values": list(m_values)},
     )
     rows = []
     xs, ys = [], []
@@ -599,10 +618,10 @@ def dirac_level_growth(m_values=range(6, 15), r_step: float = 0.125, r_cap: floa
     return rep
 
 
-def dirac_witness_lattice(alpha: float, r_step: float = 0.125, r_cap: float = 12.0):
+def dirac_witness_lattice(alpha: float, r_cap: float = 12.0):
     """All lattice trigona containing the origin with measure below
     1/alpha, as (j, R) pairs, plus the subset maximal under inclusion."""
-    ladder = np.arange(1.0 + r_step, r_cap, r_step)
+    ladder = np.arange(1.0 + _R_STEP, r_cap, _R_STEP)
     cand = []
     for R in ladder:
         if hyp2.trigonon_area(R) >= 1.0 / alpha:
@@ -713,17 +732,22 @@ def _sample_halfball_h2(s, count, rng):
 
 # ------------------------------------------------ modified half-ball sums
 
+# the lens: the intersection of the two satellite balls of radius 1 at
+# -1 + i and 1 + i, which lies in the box (1 - sinh 1, sinh 1 - 1) x (1/e, e)
+_LENS_BALLS = (hyp2.ball(HPoint(-1.0, 1.0), 1.0), hyp2.ball(HPoint(1.0, 1.0), 1.0))
+_LENS_BOX = (1.0 - math.sinh(1.0), math.sinh(1.0) - 1.0, math.exp(-1.0), math.e)
+
+
+def _in_lens(x, y):
+    return hyp2.contains_mask(_LENS_BALLS[0], x, y) & hyp2.contains_mask(_LENS_BALLS[1], x, y)
+
+
 def lens_region_measure(samples: int = 400_000, seed: int = 0):
-    """Monte Carlo measure of the intersection of the two satellite balls
-    of radius 1 at -1+i and 1+i."""
-    b_left = hyp2.ball(HPoint(-1.0, 1.0), 1.0)
-    b_right = hyp2.ball(HPoint(1.0, 1.0), 1.0)
-    rng = np.random.default_rng(seed)
-    box = (1.0 - math.sinh(1.0), math.sinh(1.0) - 1.0, math.exp(-1.0), math.e)
-    x, y, total = ms.sample_h2_box(box, samples, rng)
-    mask = hyp2.contains_mask(b_left, x, y) & hyp2.contains_mask(b_right, x, y)
-    frac = float(mask.mean())
-    return total * frac, total * math.sqrt(frac * (1 - frac) / samples)
+    """(measure, stderr): the Monte Carlo measure of the lens, from
+    ``samples`` draws of the hyperbolic measure on its box."""
+    x, y, total = ms.sample_h2_box(_LENS_BOX, samples, np.random.default_rng(seed))
+    est = VolumeEstimate.of_hits(total, int(np.count_nonzero(_in_lens(x, y))), samples, seed)
+    return est.mean, est.stderr
 
 
 def modified_lp_sums(
@@ -735,7 +759,8 @@ def modified_lp_sums(
     Every point of a level-l half ball sees the witness modified half
     ball built on that member: the satellite ball of the witness sits at
     height 1 and contains the lens, so the average is at least
-    c_l = |lens| / (|half ball| + |unit ball|).
+    c_l = |lens| / |modified half ball| (``hyp2.area``: the half ball's
+    area plus the unit ball's).
     """
     if not 1.0 <= p <= 4.0:
         raise ValueError("p must lie in [1, 4]")
@@ -744,14 +769,12 @@ def modified_lp_sums(
     rng = np.random.default_rng(seed)
     lens, lens_err = lens_region_measure(samples, seed)
     levels = packing_construct(max_level)
-    b_unit = 4.0 * math.pi * math.sinh(0.5) ** 2
 
     rows = []
     increments = []
     witness_ok = True
     for lv in levels:
-        half = 2.0 * math.pi * math.sinh(lv.radius / 2.0) ** 2
-        c_l = lens / (half + b_unit)
+        c_l = lens / hyp2.area(hyp2.modified_half_ball(HPoint(lv.center(0), lv.center_height), lv.radius))
         inc = lv.e_measure * c_l**p
         increments.append(inc)
         # witness verification at sampled points of the level set
@@ -765,10 +788,8 @@ def modified_lp_sums(
             x, y = _sample_halfball_h2(member, n_pts, rng)
             ok &= bool(hyp2.contains_mask(witness, x, y).all())
             # the lens sits inside the witness satellite ball
-            lx, ly, _ = ms.sample_h2_box((1.0 - math.sinh(1.0), math.sinh(1.0) - 1.0, math.exp(-1.0), math.e), 200, rng)
-            lm = hyp2.contains_mask(hyp2.ball(HPoint(-1.0, 1.0), 1.0), lx, ly) & hyp2.contains_mask(
-                hyp2.ball(HPoint(1.0, 1.0), 1.0), lx, ly
-            )
+            lx, ly, _ = ms.sample_h2_box(_LENS_BOX, 200, rng)
+            lm = _in_lens(lx, ly)
             ok &= bool(hyp2.contains_mask(witness, lx[lm], ly[lm]).all())
             avg_bound = lens / hyp2.area(witness)
             ok &= avg_bound >= c_l * (1.0 - 1e-12)

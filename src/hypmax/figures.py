@@ -18,11 +18,12 @@ def _fmt(v: float) -> str:
 class _Canvas:
     """Maps world coordinates (y up) onto a fixed SVG viewport."""
 
-    def __init__(self, x_lo, x_hi, y_lo, y_hi, width=640, height=480, margin=50):
+    def __init__(self, x_lo, x_hi, y_lo, y_hi):
         self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
-        self.w, self.h, self.m = width, height, margin
-        self.sx = (width - 2 * margin) / (x_hi - x_lo)
-        self.sy = (height - 2 * margin) / (y_hi - y_lo)
+        # a 640 x 480 viewport with a 50-pixel margin
+        self.w, self.h, self.m = 640, 480, 50
+        self.sx = (self.w - 2 * self.m) / (x_hi - x_lo)
+        self.sy = (self.h - 2 * self.m) / (y_hi - y_lo)
         self.parts = []
 
     def px(self, x, y):
@@ -31,13 +32,13 @@ class _Canvas:
             self.h - self.m - (y - self.y_lo) * self.sy,
         )
 
-    def line(self, x1, y1, x2, y2, stroke="black", dash=None, width=1.0):
+    def line(self, x1, y1, x2, y2, dash=None, width=1.0):
         a, b = self.px(x1, y1)
         c, d = self.px(x2, y2)
         extra = f' stroke-dasharray="6,4"' if dash else ""
         self.parts.append(
             f'<line x1="{_fmt(a)}" y1="{_fmt(b)}" x2="{_fmt(c)}" y2="{_fmt(d)}" '
-            f'stroke="{stroke}" stroke-width="{width}"{extra} />'
+            f'stroke="black" stroke-width="{width}"{extra} />'
         )
 
     def polygon(self, pts, fill, stroke="none", opacity=1.0):
@@ -46,9 +47,9 @@ class _Canvas:
             f'<polygon points="{coords}" fill="{fill}" stroke="{stroke}" opacity="{opacity}" />'
         )
 
-    def dot(self, x, y, color="red", r=3.5):
+    def dot(self, x, y):
         a, b = self.px(x, y)
-        self.parts.append(f'<circle cx="{_fmt(a)}" cy="{_fmt(b)}" r="{r}" fill="{color}" />')
+        self.parts.append(f'<circle cx="{_fmt(a)}" cy="{_fmt(b)}" r="3.5" fill="red" />')
 
     def text(self, x, y, s, dy=-8, anchor="middle", size=14):
         a, b = self.px(x, y)
@@ -166,18 +167,17 @@ def _axes_figure() -> str:
     return cv.render()
 
 
+# the figure kinds: 'rectangle' (the infinite rectangle with labeled
+# markers), 'halfballs' (one packed row), 'packing' (log-height view of
+# several rows)
+FIGURES = {"rectangle": _rectangle_figure, "halfballs": _halfballs_figure, "packing": _packing_figure}
+
+
 def emit_figure(kind: str = "", params: dict = None) -> str:
-    """SVG document for one of the figure kinds: 'rectangle' (the infinite
-    rectangle with labeled markers), 'halfballs' (one packed row),
-    'packing' (log-height view of several rows); empty kind gives bare
-    axes."""
-    params = params or {}
+    """SVG document for one of the kinds of ``FIGURES``; empty kind gives
+    bare axes."""
     if not kind:
         return _axes_figure()
-    if kind == "rectangle":
-        return _rectangle_figure(params)
-    if kind == "halfballs":
-        return _halfballs_figure(params)
-    if kind == "packing":
-        return _packing_figure(params)
-    raise ValueError(f"unknown figure kind {kind!r}")
+    if kind not in FIGURES:
+        raise ValueError(f"unknown figure kind {kind!r}")
+    return FIGURES[kind](params or {})

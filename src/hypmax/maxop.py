@@ -37,6 +37,10 @@ cells are one sub-block of the grid (see ``hyp2``), whose numerator sums
 ``wv[block].ravel()``, the same floats in the same C order as a masked
 gather.
 
+The constants of ``operator_compare`` (``comparison_constants``) are
+closed forms in the areas of ``hyp2``: each ratio decreases in R, so
+each supremum over R >= 1 is its value (for K3 its limit) at R = 1.
+
 ``member_averages`` is the pass as a table: one average per member, 0.0
 where the member holds no cell of supp f.  ``maximal_field`` paints each
 yielded average onto the member's cells where it beats the value there.
@@ -47,7 +51,6 @@ maximum of their ``member_averages``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -352,30 +355,34 @@ def lp_norm(grid: SampleGrid, p: float) -> float:
 
 # ------------------------------------------------------ operator comparisons
 
-def comparison_constants(r_hi: float = 40.0, n: int = 40_000) -> dict:
-    """Sharp family-comparison constants, maximized numerically over R >= 1:
+def comparison_constants() -> dict:
+    """Sharp family-comparison constants over R >= 1, closed forms in the
+    areas of ``hyp2`` (|b_R| of the half ball, |T_R| of the trigonon):
 
     K1 = sup |T_R| / |b_R|              (half-ball average vs trigonon)
     K2 = sup |b_{R+log 2}| / |T_R|      (trigonon average vs half ball)
     K3 = sup 2 e^{ceil(R)+2} / |b_R|    (half ball vs admissible rectangle hull)
 
-    Computed once per (r_hi, n) in a process; each call returns a new dict.
+    Each supremum is the value at R = 1 (for K3 the limit from above).
+    With |b_R| = pi (cosh R - 1), d|b_R|/dR = pi sinh R and
+    d|T_R|/dR = 2 sqrt(e^{2R} - 1):
+    - |T_R| / |b_R| decreases iff sqrt(e^{2R} - 1)(1 - tanh(R/2)) exceeds
+      arccos e^{-R}; with u = tanh(R/2)^{1/2} these are 2u and 2 arctan u,
+      and u > arctan u for u > 0.  The limit is 4/pi.
+    - |b_{R+log 2}| / |T_R| decreases iff theta (2 + cos theta) > 2 sin theta
+      with theta = arccos e^{-R} in (0, pi/2), which holds as sin theta < theta.
+      The limit is pi/2.
+    - 2 e^{ceil(R)+2} / |b_R| is 2 e^3 / |b_1| at R = 1 and decreases on
+      each (k - 1, k], k >= 2, from the limit e^3 2 e^{k-1} / |b_{k-1}|.
+      As 2 e^R / |b_R| = 4 / (pi (1 - e^{-R})^2) decreases, the largest
+      limit is k = 2's, 2 e^4 / |b_1|.
     """
-    return dict(_comparison_constants(r_hi, n))
-
-
-@functools.cache
-def _comparison_constants(r_hi: float, n: int) -> dict:
-    R = np.linspace(1.0, r_hi, n)
-    T = 2 * np.exp(R) * np.sqrt(1 - np.exp(-2 * R)) - 2 * np.arccos(np.exp(-R))
-    b = 2 * np.pi * np.sinh(R / 2) ** 2
-    b_shift = 2 * np.pi * np.sinh((R + math.log(2)) / 2) ** 2
-    # hull area 2 e^{ceil(R)+2} <= 2 e^{R+3}, and e^R / sinh^2(R/2) peaks at R = 1
-    k3 = 2.0 * math.exp(4.0) / (2.0 * math.pi * math.sinh(0.5) ** 2)
+    b1 = hyp2.area(hyp2.half_ball(hyp2.HPoint(0.0, 1.0), 1.0))
+    t1 = hyp2.trigonon_area(1.0)
     return {
-        "K1": float((T / b).max()),
-        "K2": float((b_shift / T).max()),
-        "K3": k3,
+        "K1": t1 / b1,
+        "K2": hyp2.area(hyp2.half_ball(hyp2.HPoint(0.0, 1.0), 1.0 + math.log(2.0))) / t1,
+        "K3": 2.0 * math.exp(4.0) / b1,
     }
 
 

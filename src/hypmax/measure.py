@@ -313,19 +313,19 @@ def mc_volume(space: str, s, box, samples: int, seed: int, alg: HTypeAlgebra = N
         mask = drsets.cylinder_contains_batch(alg, s, X, Z, a)
     else:
         raise ValueError(f"unknown space {space!r}")
-    frac = float(mask.mean())
-    if frac == 0.0:
+    hits = int(np.count_nonzero(mask))
+    if not hits:
         warnings.warn("Monte Carlo produced zero hits; box likely misses the set")
-    stderr = total * math.sqrt(frac * (1.0 - frac) / samples)
-    return VolumeEstimate(total * frac, stderr, samples, seed)
+    return VolumeEstimate.of_hits(total, hits, samples, seed)
 
 
-def suggested_box_h2(s: H2Set, pad: float = 0.1) -> tuple:
-    """Coordinate box containing s, padded so the estimate is nontrivial."""
+def suggested_box_h2(s: H2Set) -> tuple:
+    """Coordinate box containing s, padded by a tenth of its width and of
+    its heights so the estimate is nontrivial."""
     x_lo, x_hi, y_lo, y_hi = hyp2.bounding_box(s)
     w = x_hi - x_lo
-    x_lo, x_hi = x_lo - pad * w, x_hi + pad * w
-    y_lo = y_lo / (1.0 + pad)
+    x_lo, x_hi = x_lo - 0.1 * w, x_hi + 0.1 * w
+    y_lo = y_lo / 1.1
     if not math.isinf(y_hi):
-        y_hi = y_hi * (1.0 + pad)
+        y_hi = y_hi * 1.1
     return (x_lo, x_hi, y_lo, y_hi)

@@ -4,6 +4,7 @@ estimates, with deterministic JSON/CSV serialization."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,14 @@ class VolumeEstimate:
     stderr: float
     samples: int
     seed: int
+
+    @classmethod
+    def of_hits(cls, total: float, hits: int, samples: int, seed: int) -> "VolumeEstimate":
+        """The binomial estimate total * hits / samples of a box of measure
+        ``total`` in which ``hits`` of ``samples`` exact-measure draws fell in
+        the set, with its standard error."""
+        frac = hits / samples
+        return cls(total * frac, total * math.sqrt(frac * (1.0 - frac) / samples), samples, seed)
 
 
 @dataclass

@@ -161,13 +161,23 @@ def test_exit_code_on_failure(monkeypatch):
         ["areas", "--R", "1,inf"],
         ["eta", "--alpha-ladder", "2^-4..2^-5"],
         ["eta", "--alpha-ladder", "2^-1..2^-2"],
+        ["figures", "--figure", "foo"],
+        ["figures", "--config", "figure=foo"],
+        ["figures", "--z", "1.5"],
+        ["figures", "--z", "a,b"],
+        ["figures", "--z=1.5,-2"],
+        ["figures", "--config", "z=1.5,inf"],
+        ["areas", "--config", None],
+        # a key that is not a flag name
+        ["areas", "--config", "sed=1"],
     ],
 )
 def test_invalid_input_exits_2(argv, tmp_path, capsys):
     if "--config" in argv:
         k = argv.index("--config") + 1
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text(argv[k] + "\n")
+        if argv[k] is not None:  # None stands for a config file that does not exist
+            cfg_file.write_text(argv[k] + "\n")
         argv = argv[:k] + [str(cfg_file)] + argv[k + 1 :]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

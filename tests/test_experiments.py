@@ -81,9 +81,23 @@ def test_vitali_selection_is_maximal(alg, spread):
 def test_vitali_union_measure_exact_vs_mc():
     rng = np.random.default_rng(11)
     fam = ex.random_horocycle_family(AB1, 30, -1, rng)
-    exact, _ = ex._union_base_measure(AB1, fam, 0, 0, method="exact")
-    mc, err = ex._union_base_measure(AB1, fam, 200_000, 3, method="mc")
-    assert abs(mc - exact) < 3 * max(err, 1e-12)
+    exact = ex._interval_union_measure(fam)
+    mc = ex._sampled_union_measure(AB1, fam, 200_000, 3)
+    assert abs(mc.mean - exact) < 3 * max(mc.stderr, 1e-12)
+
+
+def test_union_base_measure_takes_the_half_of_its_backend():
+    """The exact interval merge on the abelian q = 1 backend, sampling on
+    every other, bit for bit, each times the height tail."""
+    rng = np.random.default_rng(4)
+    fam = ex.random_horocycle_family(AB1, 20, -1, rng)
+    tail = fam[0].base_height ** -AB1.nu / AB1.nu
+    assert ex._union_base_measure(AB1, fam, 5_000, 2) == (ex._interval_union_measure(fam) * tail, 0.0)
+    fam = ex.random_horocycle_family(HEI1, 20, -1, rng, spread=4.0)
+    tail = fam[0].base_height ** -HEI1.nu / HEI1.nu
+    est = ex._sampled_union_measure(HEI1, fam, 5_000, 2)
+    assert ex._union_base_measure(HEI1, fam, 5_000, 2) == (est.mean * tail, est.stderr * tail)
+    assert est.stderr > 0
 
 
 def test_vitali_heisenberg_backend():

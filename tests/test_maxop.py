@@ -265,6 +265,23 @@ def test_comparison_constants():
     assert K["K1"] > 4 / math.pi
 
 
+def test_comparison_constants_are_the_ratios_at_R_1():
+    """K1 and K2 are the largest of their area ratios on a 0.01 grid of
+    [1, 60], and at R = 60 the ratios are at their limits 4/pi and pi/2
+    (beyond R ~ 30 the float ratios plateau with 1-ulp noise)."""
+    K = mx.comparison_constants()
+
+    def half(R):
+        return h2.area(h2.half_ball(h2.HPoint(0.0, 1.0), R))
+
+    radii = [1.0 + k / 100 for k in range(5901)]
+    k1 = [h2.trigonon_area(R) / half(R) for R in radii]
+    k2 = [half(R + math.log(2.0)) / h2.trigonon_area(R) for R in radii]
+    assert max(k1) == k1[0] == K["K1"] and max(k2) == k2[0] == K["K2"]
+    assert radii[-1] == 60.0
+    assert abs(k1[-1] - 4 / math.pi) < 1e-12 and abs(k2[-1] - math.pi / 2) < 1e-12
+
+
 def test_comparison_constants_are_computed_once_per_process(monkeypatch):
     # the constants of the sweep, each call a new dict with the same bits
     R = np.linspace(1.0, 40.0, 40_000)

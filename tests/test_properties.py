@@ -12,6 +12,7 @@ from hypmax import htype as ht
 from hypmax import hyp2 as h2
 from hypmax import maxop as mx
 from hypmax.hyp2 import HPoint
+from hypmax.report import VolumeEstimate
 
 
 finite_x = st.floats(min_value=-50.0, max_value=50.0)
@@ -91,3 +92,20 @@ def test_trigonon_membership_consistent_with_markers(R, frac):
     x = m.p_minus.x + frac * (m.p_plus.x - m.p_minus.x)
     y = m.p_minus.y * (1 + 1e-9)
     assert h2.contains(h2.trigonon(z, R + 1e-9), HPoint(x, y))
+
+
+@given(st.integers(1, 1_000_000), st.data(), st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
+def test_of_hits_has_the_bits_of_the_four_former_estimates(samples, data, total, tail):
+    hits = data.draw(st.integers(0, samples))
+    est = VolumeEstimate.of_hits(total, hits, samples, 0)
+    got = (est.mean, est.stderr)
+    # measure.mc_volume and experiments.lens_region_measure: the hit mask's mean
+    frac = float((np.arange(samples) < hits).mean())
+    assert got == (total * frac, total * math.sqrt(frac * (1.0 - frac) / samples))
+    assert got == (total * frac, total * math.sqrt(frac * (1 - frac) / samples))
+    # drsets.omega_n: hits / samples
+    frac = hits / samples
+    assert got == (total * frac, total * math.sqrt(frac * (1.0 - frac) / samples))
+    # the sampled union measure: box * frac, then times the height tail
+    want = (total * frac * tail, total * math.sqrt(frac * (1 - frac) / samples) * tail)
+    assert (est.mean * tail, est.stderr * tail) == want
