@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--nu", type=int, help="homogeneous dimension for levelset tables")
     ap.add_argument("--config", help="flat key=value config file")
     ap.add_argument("--out", help="output path (default: stdout, or $HYPMAX_OUT/<subcommand>.<ext>)")
-    ap.add_argument("--format", choices=["json", "csv", "svg"], help="output format")
+    ap.add_argument("--format", help="output format: json | csv for reports, svg for figures")
     return ap
 
 
@@ -457,11 +457,13 @@ def resolve_config(argv) -> RunConfig:
     args = vars(build_parser().parse_args(argv))
     sub = args.pop("subcommand")
     cfg_path = args.pop("config", None)
-    opts = dict(DEFAULTS)
-    if cfg_path:
-        opts.update(load_config(cfg_path))
-    opts.update({k: v for k, v in args.items() if v is not None})
-    return RunConfig(sub, opts)
+    user = load_config(cfg_path) if cfg_path else {}
+    user.update({k: v for k, v in args.items() if v is not None})
+    # only a format the user set is checked: the default json is a report's
+    formats = ("svg",) if sub == "figures" else ("json", "csv")
+    if user.get("format", formats[0]) not in formats:
+        raise UsageError(f"--format {user['format']!r}: {sub} writes {' | '.join(formats)}")
+    return RunConfig(sub, DEFAULTS | user)
 
 
 def run(cfg: RunConfig):
@@ -471,9 +473,8 @@ def run(cfg: RunConfig):
         _write(cfg, body, "svg")
         return 0, body
     rep = COMMANDS[cfg.subcommand](cfg)
-    fmt = cfg.format if cfg.format in ("json", "csv") else "json"
-    body = rep.to_json() if fmt == "json" else rep.to_csv()
-    _write(cfg, body, fmt)
+    body = rep.to_json() if cfg.format == "json" else rep.to_csv()
+    _write(cfg, body, cfg.format)
     if not rep.all_pass:
         failures = [
             {"name": a.name, "bound": a.bound, "observed": a.observed} for a in rep.failures()

@@ -201,11 +201,6 @@ def sample_halfball_arrays(alg: HTypeAlgebra, R: float, count: int, seed: int):
     return ht.geodesic_batch(alg, X, Z, t, tau)
 
 
-def sample_halfball(alg: HTypeAlgebra, R: float, count: int, seed: int):
-    X, Z, a = sample_halfball_arrays(alg, R, count, seed)
-    return [SPoint(X[i], Z[i], float(a[i])) for i in range(count)]
-
-
 # ------------------------------------------------------------ annulus check
 
 def annulus_check(alg: HTypeAlgebra, a: float, samples: int = 10_000, seed: int = 0) -> ExperimentReport:

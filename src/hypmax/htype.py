@@ -184,13 +184,6 @@ class SPoint:
         return NPoint(self.X, self.Z)
 
 
-@dataclass(frozen=True, eq=False)
-class UnitTangent:
-    X: np.ndarray
-    Z: np.ndarray
-    t: float
-
-
 def npoint(alg: HTypeAlgebra, X=(), Z=()) -> NPoint:
     X = np.atleast_1d(np.asarray(X, dtype=float)).reshape(-1)
     Z = np.atleast_1d(np.asarray(Z, dtype=float)).reshape(-1)
@@ -212,16 +205,6 @@ def identity_n(alg: HTypeAlgebra) -> NPoint:
     return NPoint(np.zeros(alg.p), np.zeros(alg.q))
 
 
-def unit_tangent(alg: HTypeAlgebra, X, Z, t: float) -> UnitTangent:
-    """Tangent vector at the identity, renormalized if within 1e-12 of unit
-    length, rejected otherwise."""
-    n = npoint(alg, X, Z)
-    norm = math.sqrt(float(n.X @ n.X) + float(n.Z @ n.Z) + t * t)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"tangent vector must be unit, |v| = {norm}")
-    return UnitTangent(n.X / norm, n.Z / norm, t / norm)
-
-
 def random_downward_tangents(alg: HTypeAlgebra, count: int, rng) -> tuple:
     """Arrays (X, Z, t) of ``count`` unit tangents drawn uniformly from the
     hemisphere t < 0."""
@@ -233,12 +216,6 @@ def random_downward_tangents(alg: HTypeAlgebra, count: int, rng) -> tuple:
 
 
 # --------------------------------------------------------------- group laws
-
-def n_mul(alg: HTypeAlgebra, n1: NPoint, n2: NPoint) -> NPoint:
-    """n1 n2: a one-row call of ``left_translate_batch``."""
-    X, Z = left_translate_batch(alg, n1, n2.X[None, :], n2.Z[None, :])
-    return NPoint(X[0], Z[0])
-
 
 def n_inv(n: NPoint) -> NPoint:
     return NPoint(-n.X, -n.Z)
@@ -342,17 +319,6 @@ def dist_s(alg: HTypeAlgebra, x: SPoint, y: SPoint) -> float:
 
 # ---------------------------------------------------------------- geodesics
 
-def geodesic(alg: HTypeAlgebra, v: UnitTangent, tau: float) -> SPoint:
-    """Unit-speed geodesic from the identity with initial velocity v,
-    evaluated at time tau >= 0 (v must point non-upward, t <= 0)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    X, Z, a = geodesic_batch(
-        alg, v.X[None, :], v.Z[None, :], np.array([v.t]), np.array([float(tau)])
-    )
-    return SPoint(X[0], Z[0], float(a[0]))
-
-
 def geodesic_batch(alg: HTypeAlgebra, X, Z, t, tau):
     theta = np.tanh(tau / 2.0)
     z2 = np.einsum("nk,nk->n", Z, Z)
@@ -364,10 +330,6 @@ def geodesic_batch(alg: HTypeAlgebra, X, Z, t, tau):
     Zout = (2.0 * theta / chi)[:, None] * Z
     aout = (1.0 - theta**2) / chi
     return Xout, Zout, aout
-
-
-def height(x: SPoint) -> float:
-    return x.a
 
 
 # ------------------------------------------------ boundary shadow machinery

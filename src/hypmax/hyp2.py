@@ -4,8 +4,7 @@ Points are (x, y) with y > 0, metric ds^2 = (dx^2 + dy^2)/y^2 and measure
 dx dy / y^2.  The module provides distances, the set families used by the
 half-ball maximal operators (balls, special half planes, half balls,
 trigona, infinite rectangles and their admissible hulls, modified half
-balls), closed-form areas, boundary markers and the affine isometries
-w -> w*Im(z0) + Re(z0).
+balls), closed-form areas and boundary markers.
 
 A member is one frozen ``H2Set``; a family of members can also be held as
 columns, an ``H2Family``: one kind code and the floats x, y, radius (and
@@ -480,29 +479,6 @@ def admissible_hull(q: H2Set) -> H2Set:
     j = math.ceil(math.log(q.center.y) - 1e-15)
     K = math.ceil(q.radius - 1e-15) + 2
     return admissible_rectangle(q.center.x, j, K)
-
-
-def apply_affine(z0: HPoint, w: HPoint) -> HPoint:
-    """Isometry w -> w * Im(z0) + Re(z0); maps i to z0."""
-    return HPoint(w.x * z0.y + z0.x, w.y * z0.y)
-
-
-def transform_set(z0: HPoint, s: H2Set) -> H2Set:
-    """Image of a descriptor under the affine isometry of z0.
-
-    Kinds are preserved; an admissible rectangle stays admissible only
-    when log Im(z0) is an integer, otherwise the image is the same set
-    described as a plain rectangle.
-    """
-    c = apply_affine(z0, s.center)
-    if s.kind is SetKind.HALF_PLANE:
-        return H2Set(SetKind.HALF_PLANE, c)
-    if s.kind is SetKind.ADMISSIBLE_RECTANGLE:
-        shift = math.log(z0.y)
-        if math.isclose(shift, round(shift), abs_tol=1e-12):
-            return admissible_rectangle(c.x, s.j + round(shift), int(s.radius))
-        return H2Set(SetKind.RECTANGLE, c, s.radius)
-    return H2Set(s.kind, c, s.radius)
 
 
 def bounding_box(s: H2Set):

@@ -303,21 +303,14 @@ def maximal_fn(grid: SampleGrid, x, members, omega: float = None) -> MaxResult:
     return MaxResult(best, members[int(rows[avg.argmax()])] if best > 0 else None, empty=not rows.size)
 
 
-def level_set_measure(grid: SampleGrid, members, alpha: float, fld: MaxField = None, omega: float = None) -> float:
-    """Grid measure of { max fn > alpha }; nonincreasing in alpha.
-    Cylinder families need ``omega``."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if fld is None:
-        fld = maximal_field(grid, members, omega)
-    return float(grid.weights[fld.values > alpha].sum())
-
-
 def level_set_table(grid: SampleGrid, members, alphas, omega: float = None) -> tuple:
-    """(rows, field): one (alpha, level-set measure) row per alpha, from one
-    ``maximal_field``.  Cylinder families need ``omega``."""
+    """(rows, field): one (alpha, grid measure of { max fn > alpha }) row per
+    alpha, from one ``maximal_field``; the measure is nonincreasing in
+    alpha.  Every alpha must be positive.  Cylinder families need ``omega``."""
+    if any(a <= 0 for a in alphas):
+        raise ValueError("alpha must be positive")
     fld = maximal_field(grid, members, omega)
-    rows = [(float(a), level_set_measure(grid, members, a, fld)) for a in alphas]
+    rows = [(float(a), float(grid.weights[fld.values > a].sum())) for a in alphas]
     return rows, fld
 
 
@@ -334,14 +327,6 @@ def llogl_rhs(grid: SampleGrid, alpha: float, lam: float) -> float:
         raise ValueError("alpha and lambda must be positive")
     v = np.abs(grid.values) / alpha
     return float(np.sum(grid.weights * v * np.log1p(v / lam)))
-
-
-def young_check(a: float, b: float, lam: float) -> tuple:
-    """Margin of a b <= 2 lam e^{a/2} + 2 b log(b/lam + 1); (holds, margin)."""
-    if min(a, b, lam) <= 0:
-        raise ValueError("arguments must be positive")
-    margin = 2.0 * lam * math.exp(a / 2.0) + 2.0 * b * math.log1p(b / lam) - a * b
-    return margin >= 0.0, margin
 
 
 def lp_norm(grid: SampleGrid, p: float) -> float:

@@ -170,6 +170,10 @@ def test_exit_code_on_failure(monkeypatch):
         ["areas", "--config", None],
         # a key that is not a flag name
         ["areas", "--config", "sed=1"],
+        # a format the subcommand does not write
+        ["areas", "--format", "svg"],
+        ["areas", "--config", "format=xml"],
+        ["figures", "--format", "csv"],
     ],
 )
 def test_invalid_input_exits_2(argv, tmp_path, capsys):
@@ -211,6 +215,9 @@ def test_out_file_and_env_dir(tmp_path, monkeypatch, capsys):
     status, _ = run_cli(["areas"])
     assert status == 0
     assert (tmp_path / "env" / "areas.json").exists()
+    # figures write svg with no --format, past the report default json
+    assert cli.main(["figures"]) == 0
+    assert (tmp_path / "env" / "figures.svg").read_text().startswith("<svg")
 
 
 # ----------------------------------------------------------------- figures

@@ -230,16 +230,10 @@ def test_sample_halfball_distances_and_heights(alg):
 
 def test_sample_halfball_matches_h2_halfball():
     R = 1.5
-    pts = dr.sample_halfball(AB1, R, 3000, seed=9)
+    X, Z, a = dr.sample_halfball_arrays(AB1, R, 3000, seed=9)
     hb = h2.half_ball(h2.HPoint(0.0, 1.0), R + 1e-9)
-    for x in pts:
-        assert h2.contains(hb, dr.na_to_h2(x))
-
-
-def test_sample_halfball_returns_spoints():
-    pts = dr.sample_halfball(HEI1, 1.0, 10, seed=1)
-    assert len(pts) == 10
-    assert all(isinstance(p, ht.SPoint) for p in pts)
+    for x in zip(X, Z, a):
+        assert h2.contains(hb, dr.na_to_h2(ht.SPoint(*x)))
 
 
 # ------------------------------------------------------------ annulus check

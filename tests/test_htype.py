@@ -76,8 +76,8 @@ def test_restriction_to_height_one_is_n_law():
         X1, X2 = rng.normal(size=(2, 2))
         Z1, Z2 = rng.normal(size=(2, 1))
         s = ht.na_mul(HEI1, ht.spoint(HEI1, X1, Z1, 1.0), ht.spoint(HEI1, X2, Z2, 1.0))
-        n = ht.n_mul(HEI1, ht.NPoint(X1, Z1), ht.NPoint(X2, Z2))
-        assert np.allclose(s.X, n.X, atol=1e-14) and np.allclose(s.Z, n.Z, atol=1e-14)
+        nX, nZ = ht.left_translate_batch(HEI1, ht.NPoint(X1, Z1), X2[None, :], Z2[None, :])
+        assert np.allclose(s.X, nX[0], atol=1e-14) and np.allclose(s.Z, nZ[0], atol=1e-14)
         assert s.a == 1.0
 
 
@@ -235,7 +235,9 @@ def test_dist_n_left_invariance():
         n2 = ht.NPoint(rng.normal(size=2), rng.normal(size=1))
         g = ht.NPoint(rng.normal(size=2), rng.normal(size=1))
         d0 = ht.dist_n(HEI1, n1, n2)
-        d1 = ht.dist_n(HEI1, ht.n_mul(HEI1, g, n1), ht.n_mul(HEI1, g, n2))
+        # g n1 and g n2, through the one left-translation kernel
+        (X1, X2), (Z1, Z2) = ht.left_translate_batch(HEI1, g, np.array([n1.X, n2.X]), np.array([n1.Z, n2.Z]))
+        d1 = ht.dist_n(HEI1, ht.NPoint(X1, Z1), ht.NPoint(X2, Z2))
         assert abs(d0 - d1) < 1e-10 * max(1.0, d0)
 
 
@@ -307,24 +309,19 @@ def test_abelian_backend_matches_half_plane_distance():
 # ---------------------------------------------------------------- geodesics
 
 def test_vertical_geodesic_exact():
-    v = ht.unit_tangent(HEI1, np.zeros(2), np.zeros(1), -1.0)
-    for tau in (0.0, 0.5, 1.0, 3.0):
-        g = ht.geodesic(HEI1, v, tau)
-        assert np.abs(g.X).max(initial=0.0) == 0.0 and np.abs(g.Z).max(initial=0.0) == 0.0
-        assert g.a == pytest.approx(math.exp(-tau), rel=1e-14)
+    taus = np.array([0.0, 0.5, 1.0, 3.0])
+    n = taus.size
+    gx, gz, ga = ht.geodesic_batch(HEI1, np.zeros((n, 2)), np.zeros((n, 1)), np.full(n, -1.0), taus)
+    assert np.abs(gx).max(initial=0.0) == 0.0 and np.abs(gz).max(initial=0.0) == 0.0
+    for a, tau in zip(ga, taus):
+        assert a == pytest.approx(math.exp(-tau), rel=1e-14)
 
 
 def test_geodesic_at_zero_is_identity():
     rng = np.random.default_rng(23)
     X, Z, t = ht.random_downward_tangents(HEI1, 1, rng)
-    v = ht.unit_tangent(HEI1, X[0], Z[0], t[0])
-    g = ht.geodesic(HEI1, v, 0.0)
-    assert g.a == 1.0 and np.abs(g.X).max() == 0.0
-
-
-def test_unit_tangent_validation():
-    with pytest.raises(ValueError):
-        ht.unit_tangent(HEI1, np.array([1.0, 1.0]), np.zeros(1), 0.0)
+    gx, gz, ga = ht.geodesic_batch(HEI1, X, Z, t, np.zeros(1))
+    assert ga[0] == 1.0 and np.abs(gx).max() == 0.0 and np.abs(gz).max() == 0.0
 
 
 @pytest.mark.parametrize("alg", [AB1, HEI1])

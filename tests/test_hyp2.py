@@ -1,5 +1,5 @@
 """Upper half-plane geometry: distances, memberships, closed-form areas,
-boundary markers, admissible hulls and the affine isometries."""
+boundary markers, admissible hulls and invariance under the affine isometries."""
 
 import math
 
@@ -229,12 +229,12 @@ def test_hull_contains_and_ratio_bounds():
 
 
 # ------------------------------------------------------- affine isometries
+# w -> w Im(z0) + Re(z0) is an isometry that maps i to z0; the image of a
+# set is the set of its kind about the image of its centre
 
-def test_affine_defining_properties():
-    w = HPoint(0.4, 2.2)
-    assert h2.apply_affine(I, w) == w
-    z0 = HPoint(2.0, 3.0)
-    assert h2.apply_affine(z0, I) == z0
+
+def affine(z0, x, y):
+    return x * z0.y + z0.x, y * z0.y
 
 
 def test_affine_preserves_distance():
@@ -244,7 +244,7 @@ def test_affine_preserves_distance():
         a = HPoint(rng.uniform(-4, 4), math.exp(rng.uniform(-2, 2)))
         b = HPoint(rng.uniform(-4, 4), math.exp(rng.uniform(-2, 2)))
         d0 = h2.distance(a, b)
-        d1 = h2.distance(h2.apply_affine(z0, a), h2.apply_affine(z0, b))
+        d1 = h2.distance(HPoint(*affine(z0, a.x, a.y)), HPoint(*affine(z0, b.x, b.y)))
         assert abs(d0 - d1) < 1e-12 * max(1.0, d0)
 
 
@@ -261,21 +261,27 @@ def test_affine_transforms_descriptors_consistently():
     ]
     xs, ys = (rng.uniform(-6, 6, 4000), np.exp(rng.uniform(-3, 3, 4000)))
     for s in sets:
-        img = h2.transform_set(z0, s)
-        assert img.kind == s.kind
+        img = h2.H2Set(s.kind, HPoint(*affine(z0, s.center.x, s.center.y)), s.radius)
         before = h2.contains_mask(s, xs, ys)
-        after = h2.contains_mask(img, xs * z0.y + z0.x, ys * z0.y)
+        after = h2.contains_mask(img, *affine(z0, xs, ys))
         assert (before == after).all()
         if s.kind not in (SetKind.HALF_PLANE,):
             assert h2.area(img) == pytest.approx(h2.area(s), rel=1e-13)
 
 
 def test_affine_admissible_rectangle_kind():
+    """An admissible rectangle's image is admissible, with j shifted by
+    log Im z0, when that is an integer, and the plain rectangle of its
+    centre and radius otherwise."""
+    rng = np.random.default_rng(31)
+    xs, ys = (rng.uniform(-6, 6, 4000), np.exp(rng.uniform(-4, 6, 4000)))
     s = h2.admissible_rectangle(0.0, 0, 3)
-    img = h2.transform_set(HPoint(4.0, math.exp(2.0)), s)
-    assert img.kind is SetKind.ADMISSIBLE_RECTANGLE and img.j == 2
-    img2 = h2.transform_set(HPoint(4.0, 2.0), s)
-    assert img2.kind is SetKind.RECTANGLE
+    for z0, img in [
+        (HPoint(4.0, math.exp(2.0)), h2.admissible_rectangle(4.0, 2, 3)),
+        (HPoint(4.0, 2.0), h2.rectangle(HPoint(4.0, 2.0), 3.0)),
+    ]:
+        assert (h2.contains_mask(s, xs, ys) == h2.contains_mask(img, *affine(z0, xs, ys))).all()
+        assert h2.area(img) == h2.area(s)
 
 
 # ------------------------------------------------------- inclusion chains

@@ -122,14 +122,17 @@ def test_level_sets_monotone_and_trivial_cases():
     g = make_grid(window=(-2.0, 2.0, -1.5, 1.5), res=(40, 30))
     g.set_values(indicator(h2.ball(I, 0.5)))
     fam = mx.h2_lattice("rectangle", mx.grid_centers(g, 8), mx.radius_ladder(1.2, 3))
-    rows, fld = mx.level_set_table(g, fam, [2.0 ** (-m) for m in range(0, 10)])
+    rows, fld = mx.level_set_table(g, fam, [1.5] + [2.0 ** (-m) for m in range(0, 10)] + [1e-12])
     meas = [r[1] for r in rows]
     assert all(m2 >= m1 - 1e-15 for m1, m2 in zip(meas, meas[1:]))
     # alpha above sup f: empty level set
-    assert mx.level_set_measure(g, fam, 1.5, fld) == 0.0
+    assert rows[0] == (1.5, 0.0)
     # alpha -> 0 saturates at the measure of the set the family reaches
     reach = float(g.weights[fld.values > 0].sum())
-    assert mx.level_set_measure(g, fam, 1e-12, fld) == pytest.approx(reach, rel=1e-12)
+    assert rows[-1][1] == pytest.approx(reach, rel=1e-12)
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            mx.level_set_table(g, fam, [0.5, alpha])
 
 
 def test_level_set_table_on_cylinders_takes_omega():
@@ -149,7 +152,6 @@ def test_level_set_table_on_cylinders_takes_omega():
     assert rows == [(a, float(na.weights[ref.values > a].sum())) for a in alphas]
     # the ladder runs from an empty level set to a nonempty one
     assert rows[0][1] == 0.0 < rows[-1][1]
-    assert mx.level_set_measure(na, cylinders, alphas[-1], omega=omega) == rows[-1][1]
     with pytest.raises(ValueError, match="omega"):
         mx.level_set_table(na, cylinders, alphas)
 
@@ -173,27 +175,6 @@ def test_llogl_rhs_zero_and_monotonicity():
     g2.values = g.values * 1.3
     assert mx.llogl_rhs(g2, 0.5, 0.1) > base
     assert mx.llogl_rhs(g, 0.5, 0.2) < base
-
-
-def test_young_inequality_examples():
-    ok, margin = mx.young_check(1e-12, 1.0, 1.0)
-    assert ok and margin == pytest.approx(2.0 + 2.0 * math.log(2.0), rel=1e-9)
-    ok, margin = mx.young_check(2.0, 1.0, 1.0)
-    assert ok and margin == pytest.approx(2 * math.e + 2 * math.log(2.0) - 2.0, rel=1e-12)
-
-
-def test_young_inequality_random_sweep():
-    rng = np.random.default_rng(7)
-    n = 1_000_000
-    a = rng.uniform(1e-9, 10.0, n)
-    b = rng.uniform(1e-9, 10.0, n)
-    lam = rng.uniform(1e-9, 10.0, n)
-    margin = 2 * lam * np.exp(a / 2) + 2 * b * np.log1p(b / lam) - a * b
-    assert margin.min() >= 0.0
-    # spot-check the scalar entry point against the vectorized sweep
-    for k in range(0, n, n // 20):
-        ok, m = mx.young_check(a[k], b[k], lam[k])
-        assert ok and m == pytest.approx(margin[k], rel=1e-12)
 
 
 # ------------------------------------------------------------------ lp_norm

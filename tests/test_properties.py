@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from hypmax import drsets as dr
 from hypmax import htype as ht
 from hypmax import hyp2 as h2
-from hypmax import maxop as mx
 from hypmax.hyp2 import HPoint
 from hypmax.report import VolumeEstimate
 
@@ -45,16 +44,6 @@ def test_admissible_hull_property(z, R):
     assert math.e**2 * (1 - 1e-12) <= ratio <= math.e**3 * (1 + 1e-12)
     assert hull.center.y >= z.y * (1 - 1e-12)
     assert hull.center.y * math.exp(-hull.radius) <= z.y * math.exp(-R) * (1 + 1e-12)
-
-
-@given(
-    st.floats(min_value=1e-6, max_value=20.0),
-    st.floats(min_value=1e-6, max_value=20.0),
-    st.floats(min_value=1e-6, max_value=20.0),
-)
-def test_young_margin_nonnegative(a, b, lam):
-    holds, margin = mx.young_check(a, b, lam)
-    assert holds and margin >= 0.0
 
 
 @given(st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
