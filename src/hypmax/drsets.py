@@ -73,22 +73,20 @@ class AdmissibleCylinder:
 # -------------------------------------------------------------- membership
 
 def cylinder_contains(alg: HTypeAlgebra, c, x: SPoint) -> bool:
-    return bool(
-        cylinder_contains_batch(alg, c, x.X[None, :], x.Z[None, :], np.array([x.a]))[0]
-    )
+    return bool(cylinder_contains_batch(alg, c, x.X[:, None], x.Z[:, None], np.array([x.a]))[0])
 
 
 def cylinder_contains_batch(alg: HTypeAlgebra, c, X, Z, a):
     """Strict membership of points (X, Z, a) in the open cylinder c, either
     kind, read through its ``n0``, ``base_radius`` and ``base_height``.
 
-    ``a`` holds one height per row of X and Z, shape (n,), or k heights per
-    row, shape (n, k); the verdict has the shape of ``a``.  The gauge is
-    evaluated once per row either way."""
-    inside = ht.dist_n_batch(alg, c.n0, X, Z) < c.base_radius
-    if np.ndim(a) == 2:
-        inside = inside[:, None]
-    return inside & (a > c.base_height)
+    X and Z are the points' p and q horizontal columns, as in
+    ``htype.dist_n_cols``: (n, p) and (n, q) rows pass as ``X.T`` and
+    ``Z.T``.  The heights ``a`` broadcast against the columns, and the
+    verdict has the broadcast shape; the gauge is evaluated once per
+    horizontal point, so heights along an axis of their own (a grid
+    block's last axis) share it."""
+    return (ht.dist_n_cols(alg, c.n0, X, Z) < c.base_radius) & (a > c.base_height)
 
 
 # ----------------------------------------------------------------- volumes

@@ -53,16 +53,25 @@ def _greedy_disjoint(alg, cyls) -> list:
     Each kept base is tested against all later live candidates in one call,
     with the roles of ``_disjoint_from``: the candidate n_c is the centre,
     so the test is gauge(n_c^{-1} n_b) >= r_c + r_b row by row."""
-    order = sorted(cyls, key=lambda c: (-c.base_radius, tuple(c.n0.X), tuple(c.n0.Z)))
-    X, Z, r = ms.cylinder_bases(alg, order)
-    kept, live = [], np.arange(len(order))
+    X, Z, r = ms.cylinder_bases(alg, cyls)
+    order = _greedy_order(X, Z, r)
+    X, Z, r = X[order], Z[order], r[order]
+    kept, live = [], np.arange(order.size)
     while live.size:
         b, live = live[0], live[1:]
-        kept.append(order[b])
+        kept.append(cyls[order[b]])
         m = live.size
         d = ht.dist_n_batch(alg, NPoint(X[live], Z[live]), np.broadcast_to(X[b], (m, alg.p)), np.broadcast_to(Z[b], (m, alg.q)))
         live = live[d >= r[live] + r[b]]
     return kept
+
+
+def _greedy_order(X, Z, r):
+    """The greedy order of the bases with centres (X, Z) and radii r:
+    decreasing radius, then the centre coordinates X_1.., Z_1.. ascending,
+    ties in input order.  ``np.lexsort`` is stable and compares like the
+    tuple key (-r, tuple(X), tuple(Z)) of ``sorted``, 0.0 equal to -0.0."""
+    return np.lexsort([*Z.T[::-1], *X.T[::-1], -r])
 
 
 def _probe_points(alg, c, n_dirs: int, rng):
@@ -247,17 +256,19 @@ def _sampled_union_measure(alg, cyls, samples: int, seed: int) -> VolumeEstimate
     taken over every base, so the samples are the same.
 
     The Monte Carlo samples are sorted once by the first horizontal
-    coordinate.  Base balls are visited largest first, and each tests only
-    the samples of its slice that lie in its ``measure.base_ball_box`` and
-    are not yet known to be inside the union; after each radius the
-    columns are compacted to the samples still outside.  The hit set is an
-    OR of the same per-sample tests, so it does not depend on the order,
-    and ``gauge_batch`` pins its sums, so a test does not depend on the
-    layout of the samples either."""
+    coordinate; the sort need not be stable, because samples with equal
+    first coordinates fall in the same slices.  Base balls are visited
+    largest first, and each tests only the samples of its slice that lie
+    in its ``measure.base_ball_box`` and are not yet known to be inside the
+    union; after each radius the columns are compacted to the samples
+    still outside.  The hit set is an OR of the same per-sample tests, so
+    it does not depend on the order, and ``gauge_batch`` pins its sums, so
+    a test does not depend on the layout of the samples either."""
     rng = np.random.default_rng(seed)
     X0, Z0, r = ms.cylinder_bases(alg, cyls)
-    # the bounding box seeds the sample positions: keep the per-row norm
-    pad = np.array([np.linalg.norm(c.n0.X) for c in cyls]) * r + np.array([c.a0 for c in cyls])
+    # the bounding box seeds the sample positions: keep the per-row norm,
+    # sqrt(x.dot(x)) as np.linalg.norm takes it for a real vector
+    pad = np.array([math.sqrt(c.n0.X.dot(c.n0.X)) for c in cyls]) * r + np.array([c.a0 for c in cyls])
     lo = np.concatenate([(X0 - 2 * r[:, None]).min(axis=0), (Z0 - pad[:, None]).min(axis=0)])
     hi = np.concatenate([(X0 + 2 * r[:, None]).max(axis=0), (Z0 + pad[:, None]).max(axis=0)])
     rows = rng.uniform(lo, hi, (samples, alg.p + alg.q))
@@ -268,7 +279,7 @@ def _sampled_union_measure(alg, cyls, samples: int, seed: int) -> VolumeEstimate
     # gathers; within a radius group, outside drops those a ball of the group
     # already holds, and after the group cols is compacted to the samples it
     # left outside
-    cols, hits = np.ascontiguousarray(rows[np.argsort(rows[:, 0], kind="stable")].T), 0
+    cols, hits = np.ascontiguousarray(rows[np.argsort(rows[:, 0])].T), 0
     del rows
     b_lo, b_hi = ms.base_ball_box_batch(alg, X0, Z0, r)
     contained = _contained_bases(alg, X0, Z0, r, b_lo, b_hi)

@@ -14,26 +14,35 @@ and a base ball whose centre lies within r_b - r_s of a larger centre lies
 inside that larger ball (the Vitali union measure drops it before
 sampling, with a margin for rounding).  Every such distance, in the
 membership, covering and containment tests and in ``dist_n``, goes through
-one kernel, ``dist_n_batch``: the gauge of the left translate by n0^{-1}.
+one kernel, ``dist_n_cols``: the gauge of the left translate by n0^{-1}.
 
-Every bracket [X, X'] (``bracket``, the group laws and
-``left_translate_batch``) goes through one kernel,
-``HTypeAlgebra.bracket_batch``: for each z coordinate k it starts at 0.0
-and adds X[i] X'[j] c[i, j, k] over the nonzero coefficients in row-major
-(i, j) order.  That is the order in which
-``np.einsum`` summed the same products, so the kernel gives einsum's bits;
-the order is pinned because on H^2 and higher another order (column-major
-(j, i), say) rounds differently in most rows, and the greedy selections and
-union measures compare these sums against radii.
+Every bracket [X, X'] (``bracket``, the group laws and the left
+translations) goes through one kernel, ``HTypeAlgebra.bracket_cols``: for
+each z coordinate k it starts at 0.0 and adds X[i] X'[j] c[i, j, k] over
+the nonzero coefficients in row-major (i, j) order.  That is the order in
+which ``np.einsum`` summed the same products, so the kernel gives einsum's
+bits; the order is pinned because on H^2 and higher another order
+(column-major (j, i), say) rounds differently in most rows, and the greedy
+selections and union measures compare these sums against radii.
 
-``gauge_batch`` pins its sums of squares the same way: |X|^2 and |Z|^2 add
-one coordinate column at a time, in index order.  ``np.einsum`` chose its
+The gauge pins its sums of squares the same way: |X|^2 and |Z|^2 add one
+coordinate column at a time, in index order.  ``np.einsum`` chose its
 order by the layout of its input: on C-ordered rows with p >= 3 it paired
 the coordinates (x0^2 + x2^2) + (x1^2 + x3^2) for p = 4, while on
 column-major input, or with p <= 2, it added them in index order.  The
 gauge is compared against radii and the unit, so its bits must not depend
 on whether the caller holds its points as rows or as columns; where
 p, q <= 2 the pinned sums are einsum's bits.
+
+The kernels work on columns: ``left_translate_cols``, ``gauge_cols`` and
+``dist_n_cols`` take a point set as its p columns X and q columns Z, arrays
+that broadcast together, and every float is one elementwise expression of
+the coordinates of its own point.  An (n, p) matrix passes as its columns
+``X.T``; a tensor block of a grid passes as its axes, each shaped to run
+along its own dimension, so no meshgrid of the block is built and each
+term is formed on the axes it depends on (``measure.block_mask``).
+``gauge_batch``, ``left_translate_batch`` and ``dist_n_batch`` are the same
+kernels on (n, p) and (n, q) rows, with the same bits.
 """
 
 from __future__ import annotations
@@ -76,21 +85,30 @@ class HTypeAlgebra:
 
     def bracket_batch(self, X, Xp):
         """[X, Xp] row by row, shape (n, q), for Xp (n, p) and X either one
-        vector (p,) or one per row (n, p): per k, 0.0 plus the terms
-        X[i] Xp[j] c[i, j, k] in row-major (i, j) order (see the module
-        docstring).  Adding t * -1 and subtracting t round alike, so the
-        unit coefficients skip their multiplication."""
+        vector (p,) or one per row (n, p); ``bracket_cols`` on the columns."""
         out = np.zeros((self.q, Xp.shape[0]))
-        for acc, terms in zip(out, self.bracket_terms):
-            for i, j, c in terms:
-                t = X[..., i] * Xp[:, j]
-                if c == 1.0:
-                    acc += t
-                elif c == -1.0:
-                    acc -= t
-                else:
-                    acc += t * c
+        for acc, col in zip(out, self.bracket_cols(X.T, Xp.T)):
+            acc[...] = col
         return out.T
+
+    def bracket_cols(self, X, Xp) -> list:
+        """[X, Xp] as q columns, for X and Xp given as p columns each (see
+        the module docstring): per k, 0.0 plus the terms X[i] Xp[j]
+        c[i, j, k] in row-major (i, j) order.  Adding t * -1 and subtracting
+        t round alike, so the unit coefficients skip their multiplication."""
+        out = []
+        for terms in self.bracket_terms:
+            acc = 0.0
+            for i, j, c in terms:
+                t = X[i] * Xp[j]
+                if c == 1.0:
+                    acc = acc + t
+                elif c == -1.0:
+                    acc = acc - t
+                else:
+                    acc = acc + t * c
+            out.append(acc)
+        return out
 
     def j_z(self, Z, X):
         """The map J_Z applied to X, defined by <J_Z X, X'> = <Z, [X, X']>."""
@@ -240,40 +258,64 @@ def gauge(n: NPoint) -> float:
     return float(gauge_batch(n.X[None, :], n.Z[None, :])[0])
 
 
-def _sum_squares(A):
-    """Per row, the squares A[:, i]**2 added in index order i = 0, 1, ...
-    (see the module docstring); 0.0 for rows with no coordinate.  Starting
-    from the first square instead of 0.0 gives the same bits: 0.0 + s = s
-    for every square s."""
-    out = A[:, 0] * A[:, 0] if A.shape[1] else np.zeros(A.shape[0])
-    for col in A.T[1:]:
-        out += col * col
-    return out
+def _sum_squares(cols):
+    """The squares of the columns added in index order i = 0, 1, ... (see
+    the module docstring); 0.0 for no column.  Starting from the first
+    square gives the bits of starting from 0.0: 0.0 + s = s for every
+    square s."""
+    out = None
+    for col in cols:
+        out = col * col if out is None else out + col * col
+    return 0.0 if out is None else out
 
 
-def gauge_batch(X, Z):
-    """Gauge of the rows (X, Z): |X|^2 and |Z|^2 are summed one coordinate
-    column at a time, in index order, whatever the layout of X and Z."""
+def gauge_cols(X, Z):
+    """Gauge of the points with columns X and Z: |X|^2 and |Z|^2 are summed
+    one coordinate column at a time, in index order."""
     return (_sum_squares(X) ** 2 / 16.0 + _sum_squares(Z)) ** 0.25
 
 
-def left_translate_batch(alg: HTypeAlgebra, n0: NPoint, X, Z) -> tuple:
-    """Rows of n0 n for the points n = (X, Z): (X0 + X, Z0 + Z + [X0, X]/2).
+def gauge_batch(X, Z):
+    """Gauge of the rows (X, Z), whatever the layout of X and Z."""
+    return gauge_cols(X.T, Z.T)
 
-    n0 is one centre (X0 of shape (p,)) or one centre per row (X0 of shape
-    (n, p), Z0 of shape (n, q)).  Pass ``n_inv(n0)`` for n0^{-1} n; negating
-    n0 negates every term of the bracket exactly, so both directions round
-    like the expanded forms."""
-    X0, Z0 = n0.X, n0.Z
-    Zt = Z0 + Z
+
+def _translate_z_cols(alg: HTypeAlgebra, n0: NPoint, X, Z) -> list:
+    """The z columns Z0 + Z + [X0, X]/2 of n0 n, as in ``left_translate_cols``."""
+    Zt = [z0 + z for z0, z in zip(n0.Z.T, Z)]
     if alg.p:
-        Zt = Zt + 0.5 * alg.bracket_batch(X0, X)
-    return X0 + X, Zt
+        Zt = [zt + 0.5 * b for zt, b in zip(Zt, alg.bracket_cols(n0.X.T, X))]
+    return Zt
+
+
+def left_translate_cols(alg: HTypeAlgebra, n0: NPoint, X, Z) -> tuple:
+    """Columns of n0 n for the points n with columns X and Z:
+    (X0 + X, Z0 + Z + [X0, X]/2).
+
+    n0 is one centre (X0 of shape (p,)) or one centre per point (X0 of
+    shape (n, p), Z0 of shape (n, q)).  Pass ``n_inv(n0)`` for n0^{-1} n;
+    negating n0 negates every term of the bracket exactly, so both
+    directions round like the expanded forms."""
+    return [x0 + x for x0, x in zip(n0.X.T, X)], _translate_z_cols(alg, n0, X, Z)
+
+
+def left_translate_batch(alg: HTypeAlgebra, n0: NPoint, X, Z) -> tuple:
+    """Rows (n, p) and (n, q) of n0 n for the rows n = (X, Z), n0 as in
+    ``left_translate_cols``: X0 + X in one addition of rows, which adds
+    what the columns add, and the z columns stacked."""
+    return n0.X + X, np.array(_translate_z_cols(alg, n0, X.T, Z.T)).T
+
+
+def dist_n_cols(alg: HTypeAlgebra, n0: NPoint, X, Z):
+    """Gauge distance |n0^{-1} n| of the points n with columns X and Z from
+    n0, which is one centre or one centre per point as in
+    ``left_translate_cols``."""
+    return gauge_cols(*left_translate_cols(alg, n_inv(n0), X, Z))
 
 
 def dist_n_batch(alg: HTypeAlgebra, n0: NPoint, X, Z):
-    """Gauge distance |n0^{-1} n| of the rows n = (X, Z) from n0, which is
-    one centre or one centre per row as in ``left_translate_batch``."""
+    """Gauge distance |n0^{-1} n| of the rows n = (X, Z): ``dist_n_cols``
+    through the row forms ``left_translate_batch`` and ``gauge_batch``."""
     return gauge_batch(*left_translate_batch(alg, n_inv(n0), X, Z))
 
 

@@ -207,22 +207,25 @@ def member_blocks(grid: SampleGrid, members) -> tuple:
 
 def block_mask(grid: SampleGrid, s, block: tuple) -> np.ndarray:
     """Strict membership in s of the points of ``block`` (one slice per axis
-    of ``grid.shape``), with the block's shape."""
+    of ``grid.shape``), with the block's shape.
+
+    Both kinds of set are tested on the block's axes, with no point of the
+    block built.  A cylinder's horizontal axes are the columns of
+    ``drsets.cylinder_contains_batch``, each shaped to run along its own
+    dimension of the block, so every term of the translate and of the
+    gauge is formed on the axes it depends on (see ``htype``).  The last
+    dimension of the columns has length 1: the base-ball test gives one
+    verdict per horizontal point, broadcast along the heights, where the
+    cylinder is a suffix.  The heights are passed broadcast to the
+    block's shape, so the verdict has that shape."""
     if grid.space == "h2":
         xs, ys = grid.axes
         return hyp2.contains_mask(s, xs[block[0], None], ys[None, block[1]])
-    alg = grid.alg
-    *horiz, heights = grid.axes
-    # the base-ball test runs once per horizontal point of the block and is
-    # broadcast along the height axis, where the cylinder is a suffix
-    pts = np.meshgrid(*(ax[sl] for ax, sl in zip(horiz, block)), indexing="ij")
-    m = pts[0].size
-    flat = [g.reshape(m) for g in pts]
-    X = np.stack(flat[: alg.p], axis=1) if alg.p else np.zeros((m, 0))
-    Z = np.stack(flat[alg.p :], axis=1)
-    a = heights[block[-1]]
-    mask = drsets.cylinder_contains_batch(alg, s, X, Z, np.broadcast_to(a, (m, a.size)))
-    return mask.reshape(pts[0].shape + a.shape)
+    alg, d = grid.alg, len(block)
+    *horiz, a = (ax[sl] for ax, sl in zip(grid.axes, block))
+    cols = [ax.reshape([-1 if i == k else 1 for i in range(d)]) for k, ax in enumerate(horiz)]
+    shape = tuple(ax.size for ax in horiz) + a.shape
+    return drsets.cylinder_contains_batch(alg, s, cols[: alg.p], cols[alg.p :], np.broadcast_to(a, shape))
 
 
 def membership_mask(grid: SampleGrid, s) -> tuple:
@@ -310,7 +313,7 @@ def mc_volume(space: str, s, box, samples: int, seed: int, alg: HTypeAlgebra = N
         if alg is None:
             raise ValueError("na sampling requires an algebra")
         X, Z, a, total = sample_na_box(alg, box, samples, rng)
-        mask = drsets.cylinder_contains_batch(alg, s, X, Z, a)
+        mask = drsets.cylinder_contains_batch(alg, s, X.T, Z.T, a)
     else:
         raise ValueError(f"unknown space {space!r}")
     hits = int(np.count_nonzero(mask))

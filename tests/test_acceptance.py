@@ -257,7 +257,7 @@ def test_ac12_cross_backend_oracle():
     ys = np.exp(rng.uniform(-4, 2, 10_000))
     for R in (1.5, 2.5):
         c = dr.Cylinder(ht.identity_n(AB1), 1.0, R)
-        got = dr.cylinder_contains_batch(AB1, c, np.zeros((10_000, 0)), xs[:, None], ys)
+        got = dr.cylinder_contains_batch(AB1, c, (), [xs], ys)
         want = h2.contains_mask(h2.rectangle(HPoint(0.0, 1.0), R), xs, ys)
         ok &= bool((got == want).all())
     # forward-geodesic half-ball samples land in the half-plane half ball

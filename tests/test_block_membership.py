@@ -27,7 +27,7 @@ AB2 = ht.degenerate_abelian(2)
 def full_mask(grid, s):
     if isinstance(s, h2.H2Set):
         return h2.contains_mask(s, grid.x, grid.y)
-    return dr.cylinder_contains_batch(grid.alg, s, grid.X, grid.Z, grid.a)
+    return dr.cylinder_contains_batch(grid.alg, s, grid.X.T, grid.Z.T, grid.a)
 
 
 def member_measure(grid, s, omega):
@@ -342,7 +342,7 @@ def full_maximal_fn(grid, x, members, omega=None):
     if isinstance(x, h2.HPoint):
         inside = [h2.contains(s, x) for s in members]
     else:
-        X, Z, a = x.X[None], x.Z[None], np.array([x.a])
+        X, Z, a = x.X[:, None], x.Z[:, None], np.array([x.a])
         inside = [dr.cylinder_contains_batch(grid.alg, s, X, Z, a)[0] for s in members]
     averages = (
         float(wv[full_mask(grid, s)].sum()) / member_measure(grid, s, omega) for s, ok in zip(members, inside) if ok
@@ -752,6 +752,65 @@ def test_member_blocks_reject_foreign_descriptors():
         ms.member_blocks(na_grid(), [h2.half_ball(h2.HPoint(0.0, 1.0), 1.0)])
     with pytest.raises(TypeError):
         ms.member_blocks(na_grid(), [fam[0], "cylinder"])
+
+
+def materialised_block_mask(g, s, block):
+    """The membership of a block's points written out: every point of the
+    block as one row (meshgrid over all its axes), tested through
+    ``cylinder_contains_batch`` on the rows, reshaped to the block."""
+    pts = np.meshgrid(*(ax[sl] for ax, sl in zip(g.axes, block)), indexing="ij")
+    rows = np.stack([q.ravel() for q in pts], axis=1)
+    X, Z, a = rows[:, : g.alg.p], rows[:, g.alg.p : -1], rows[:, -1]
+    return dr.cylinder_contains_batch(g.alg, s, X.T, Z.T, a).reshape(pts[0].shape)
+
+
+def property_grid(alg, n):
+    return ms.build_grid("na", ([(-2.0, 2.0)] * alg.p, [(-3.0, 3.0)] * alg.q, (-3.0, 2.0)), ([n] * alg.p, [n + 1] * alg.q, n + 2), alg=alg)
+
+
+PROPERTY_GRIDS = [property_grid(AB2, 6), property_grid(HEI1, 5), property_grid(HEI2, 4), property_grid(ht.heisenberg(3), 3)]
+
+
+def axis_slices(n):
+    """Slices of an axis of n cells: empty, one cell, clipped by the
+    window's far edge, or any (start past stop included)."""
+    i = st.integers(0, n)
+    return st.one_of(
+        i.map(lambda k: slice(k, k)),
+        st.integers(0, n - 1).map(lambda k: slice(k, k + 1)),
+        st.tuples(i, st.integers(1, 3)).map(lambda t: slice(t[0], n + t[1])),
+        st.tuples(i, i).map(lambda t: slice(*t)),
+    )
+
+
+def drawn_cylinders(alg):
+    """Both kinds of cylinder, with centres inside, on the edge of and
+    beyond the property grid's window."""
+    coords = lambda k, w: st.lists(st.floats(-w, w, allow_subnormal=False), min_size=k, max_size=k)
+    centre = st.builds(lambda X, Z: NPoint(np.array(X, dtype=float), np.array(Z, dtype=float)), coords(alg.p, 3.0), coords(alg.q, 4.0))
+    return st.one_of(
+        st.builds(dr.Cylinder, centre, st.floats(0.02, 6.0), st.floats(1.01, 5.0)),
+        st.builds(dr.AdmissibleCylinder, centre, st.integers(-3, 2), st.integers(2, 5)),
+    )
+
+
+@pytest.mark.parametrize("g", PROPERTY_GRIDS, ids=lambda g: g.alg.label)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_block_mask_matches_materialised_points(g, data):
+    """The block mask, formed on the block's axes, has the bits of the
+    test on the block's points written out row by row: on drawn blocks and
+    on the member's own block, with ``cylinder_contains_batch`` called once
+    per block."""
+    s = data.draw(drawn_cylinders(g.alg), label="cylinder")
+    if data.draw(st.booleans(), label="member block"):
+        block, _ = ms.membership_mask(g, s)
+    else:
+        block = tuple(data.draw(axis_slices(n), label=f"axis {k}") for k, n in enumerate(g.shape))
+    got = ms.block_mask(g, s, block)
+    want = materialised_block_mask(g, s, block)
+    assert got.shape == want.shape == g.values.reshape(g.shape)[block].shape
+    assert np.array_equal(got, want)
 
 
 def test_overlap_profile_matches_full_grid():

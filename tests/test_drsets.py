@@ -56,7 +56,7 @@ def test_cylinder_agrees_with_rectangle_on_h2():
     ys = np.exp(rng.uniform(-4, 2, n))
     for R in (1.5, 2.0, 3.0):
         c = cyl_at_identity(AB1, R)
-        na_mask = dr.cylinder_contains_batch(AB1, c, np.zeros((n, 0)), xs[:, None], ys)
+        na_mask = dr.cylinder_contains_batch(AB1, c, (), [xs], ys)
         h2_mask = h2.contains_mask(h2.rectangle(h2.HPoint(0, 1), R), xs, ys)
         assert (na_mask == h2_mask).all()
 
@@ -178,7 +178,7 @@ def test_hull_contains_and_ratio(alg):
         assert hull.a0 >= a0 - 1e-12 and hull.a0 < math.e * a0 * (1 + 1e-12)
         assert hull.base_height <= c.base_height * (1 + 1e-12)
         X, Z, a = sample_in_cylinder(alg, c, 500, rng)
-        assert dr.cylinder_contains_batch(alg, hull, X, Z, a).all()
+        assert dr.cylinder_contains_batch(alg, hull, X.T, Z.T, a).all()
         ratio = math.exp(alg.nu * (hull.R - c.R))
         assert math.exp(2 * alg.nu) - 1e-9 <= ratio <= math.exp(3 * alg.nu) + 1e-9
 

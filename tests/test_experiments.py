@@ -78,6 +78,27 @@ def test_vitali_selection_is_maximal(alg, spread):
         assert not unblocked_left_out(alg, fam, sel)
 
 
+@pytest.mark.parametrize("alg", [AB1, HEI1, ht.heisenberg(2)], ids=lambda a: a.label)
+def test_greedy_order_is_the_tuple_key_order(alg):
+    """The greedy order from ``np.lexsort`` on the base columns is the order
+    of ``sorted`` with the tuple key (-r, tuple(X), tuple(Z)), ties in input
+    order, on a family with equal radii, equal first coordinates, duplicate
+    centres (the same object and copies) and 0.0 against -0.0."""
+    rng = np.random.default_rng(41)
+    vals = np.array([-1.0, -0.0, 0.0, 0.5])
+    fam = [
+        AdmissibleCylinder(NPoint(rng.choice(vals, alg.p), rng.choice(vals, alg.q)), int(rng.integers(-1, 2)), 2)
+        for _ in range(60)
+    ]
+    fam += fam[:6] + [AdmissibleCylinder(NPoint(c.n0.X.copy(), c.n0.Z.copy()), c.j, c.R) for c in fam[6:12]]
+    X, Z, r = ms.cylinder_bases(alg, fam)
+    first = np.hstack([X, Z])[:, 0]
+    assert len(set(r.tolist())) < len(fam) and len(set(first.tolist())) < len(fam)
+    assert (np.signbit(first) & (first == 0.0)).any() and (~np.signbit(first) & (first == 0.0)).any()
+    want = sorted(fam, key=lambda c: (-c.base_radius, tuple(c.n0.X), tuple(c.n0.Z)))
+    assert [id(fam[i]) for i in ex._greedy_order(X, Z, r)] == [id(c) for c in want]
+
+
 def test_vitali_union_measure_exact_vs_mc():
     rng = np.random.default_rng(11)
     fam = ex.random_horocycle_family(AB1, 30, -1, rng)
