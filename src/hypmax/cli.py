@@ -61,7 +61,30 @@ class UsageError(ValueError):
     """Invalid command-line or config input; exit status 2."""
 
 
+# the most cells of any grid a subcommand builds, checked before anything is
+# allocated.  The overlap grid has 10^p 12^q 36 cells and stores 8 bytes per
+# cell (its values; the cell weights are one factor per height); the whole
+# command peaks at about 40 MB RSS on dr-abelian:4 (746,496 cells) and 48 MB
+# on dr-heisenberg:2 (4,320,000).  The cap admits dr-heisenberg:1-2 and
+# dr-abelian:1-4, and refuses dr-heisenberg:3 (432,000,000 cells, 3.5 GB of
+# values alone) and dr-abelian:5 and up; a --grid of maxfn or levelset above
+# it is refused too
+MAX_GRID_CELLS = 5_000_000
+
+# the half-plane kernels square the heights y = e^u (y * y, and products of
+# y with the families' centre heights) and the weights take e^(-u).  For
+# |u| <= 177, the integer part of -ln(DBL_MIN) / 4 = 177.09..., y * y lies
+# in [e^-354, e^354], inside [2^-511, 2^511]: a normal float with a factor
+# of 2^511 to spare on either side for those products, and e^(+-u) are far
+# from overflow and underflow
+GRID_LOG_HEIGHT_MAX = math.floor(-math.log(sys.float_info.min) / 4.0)
+
+
 def parse_grid(spec: str):
+    """The --grid window and shape x0:x1:u0:u1:nx:nu (u = log y): finite
+    bounds with x0 < x1 and u0 < u1, log-heights within
+    ``GRID_LOG_HEIGHT_MAX`` of 0, and at least one and at most
+    ``MAX_GRID_CELLS`` cells."""
     parts = spec.split(":")
     if len(parts) != 6:
         raise UsageError("grid spec must be x0:x1:u0:u1:nx:nu")
@@ -70,10 +93,19 @@ def parse_grid(spec: str):
         nx, nu = int(parts[4]), int(parts[5])
     except ValueError:
         raise UsageError(f"grid spec {spec!r}: bounds must be numbers and nx, nu integers") from None
+    if not all(map(math.isfinite, (x0, x1, u0, u1))):
+        raise UsageError(f"grid spec {spec!r}: bounds must be finite")
     if not (x0 < x1 and u0 < u1):
         raise UsageError(f"grid spec {spec!r}: need x0 < x1 and u0 < u1")
+    if not -GRID_LOG_HEIGHT_MAX <= u0 < u1 <= GRID_LOG_HEIGHT_MAX:
+        lim = GRID_LOG_HEIGHT_MAX
+        raise UsageError(
+            f"grid spec {spec!r}: log-heights u0, u1 must lie in [-{lim}, {lim}], where y*y and e^(+-u) stay finite and positive"
+        )
     if nx < 1 or nu < 1:
         raise UsageError(f"grid spec {spec!r}: nx and nu must be >= 1")
+    if nx * nu > MAX_GRID_CELLS:
+        raise UsageError(f"grid spec {spec!r}: {nx * nu:,} cells, above the cap of {MAX_GRID_CELLS:,}")
     return (x0, x1, u0, u1), (nx, nu)
 
 
@@ -317,23 +349,14 @@ def cmd_levelset(cfg) -> ExperimentReport:
     return rep
 
 
-# the overlap grid has 10^p 12^q 36 cells and stores 8 bytes per cell (its
-# values; the cell weights are one factor per height); the whole command
-# peaks at about 40 MB RSS on dr-abelian:4 (746,496 cells) and 48 MB on
-# dr-heisenberg:2 (4,320,000).  The cap admits dr-heisenberg:1-2 and
-# dr-abelian:1-4, and refuses dr-heisenberg:3 (432,000,000 cells, 3.5 GB
-# of values alone) and dr-abelian:5 and up before anything is allocated
-OVERLAP_MAX_CELLS = 5_000_000
-
-
 def cmd_overlap(cfg) -> ExperimentReport:
     alg = _algebra(cfg.space)
     exact = alg.p == 0 and alg.q == 1
     shape = ([10] * alg.p, [12] * alg.q, 36)
     cells = math.prod(shape[0] + shape[1]) * shape[2]
-    if not exact and cells > OVERLAP_MAX_CELLS:
+    if not exact and cells > MAX_GRID_CELLS:
         raise UsageError(
-            f"--space {cfg.space!r}: the overlap grid would have {cells:,} cells, above the cap of {OVERLAP_MAX_CELLS:,}"
+            f"--space {cfg.space!r}: the overlap grid would have {cells:,} cells, above the cap of {MAX_GRID_CELLS:,}"
         )
     rng = np.random.default_rng(_int(cfg, "seed"))
     fam = ex.build_maximal_family(
@@ -377,10 +400,9 @@ def cmd_pack(cfg) -> ExperimentReport:
     rep.name = "pack"
     rep.meta = _meta(cfg)
     # the L^p increments are calibrated on the full desk-scale depth 0..4
-    for p in (1.0, 2.0, 3.0):
-        sub = ex.modified_lp_sums(
-            p, 4, samples=_int(cfg, "samples"), check_points=30, seed=_int(cfg, "seed")
-        )
+    ps = (1.0, 2.0, 3.0)
+    subs = ex.modified_lp_sums(ps, 4, samples=_int(cfg, "samples"), check_points=30, seed=_int(cfg, "seed"))
+    for p, sub in zip(ps, subs):
         for t in sub.tables:
             rep.tables.append(type(t)(f"p={p}:{t.name}", t.columns, t.rows))
         for a in sub.assertions:

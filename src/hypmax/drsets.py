@@ -82,11 +82,13 @@ def cylinder_contains_batch(alg: HTypeAlgebra, c, X, Z, a):
 
     X and Z are the points' p and q horizontal columns, as in
     ``htype.dist_n_cols``: (n, p) and (n, q) rows pass as ``X.T`` and
-    ``Z.T``.  The heights ``a`` broadcast against the columns, and the
-    verdict has the broadcast shape; the gauge is evaluated once per
-    horizontal point, so heights along an axis of their own (a grid
-    block's last axis) share it."""
-    return (ht.dist_n_cols(alg, c.n0, X, Z) < c.base_radius) & (a > c.base_height)
+    ``Z.T``.  The base-ball verdict comes from ``htype.dist_below_cols``,
+    once per horizontal point; the height verdict a > base height once per
+    height.  The two are ANDed by broadcasting, so the heights either run
+    with the points (one per point) or along an axis of their own: a grid
+    block passes its heights as a 1-D last axis and its columns with a
+    last dimension of length 1, and the verdict has the block's shape."""
+    return ht.dist_below_cols(alg, c.n0, X, Z, c.base_radius) & (a > c.base_height)
 
 
 # ----------------------------------------------------------------- volumes
@@ -120,7 +122,7 @@ def omega_n(alg: HTypeAlgebra, method: str = "analytic", samples: int = 1_000_00
     # the gauge is row by row, so testing in chunks keeps its temporaries
     # small and counts the same hits
     hits = sum(
-        int(np.count_nonzero(ht.gauge_batch(X[i : i + _MC_CHUNK], Z[i : i + _MC_CHUNK]) < 1.0))
+        int(np.count_nonzero(ht.gauge_below_cols(X[i : i + _MC_CHUNK].T, Z[i : i + _MC_CHUNK].T, 1.0)))
         for i in range(0, samples, _MC_CHUNK)
     )
     return VolumeEstimate.of_hits(4.0**alg.p * 2.0**alg.q, hits, samples, seed)

@@ -38,7 +38,7 @@ def _disjoint_from(alg, c, X, Z, r):
     """Per row i: the base of c is certified disjoint from the base ball of
     radius r[i] about (X[i], Z[i]) by the gauge triangle inequality (centres
     farther apart than the radius sum)."""
-    return ht.dist_n_batch(alg, c.n0, X, Z) >= c.base_radius + r
+    return ~ht.dist_below_cols(alg, c.n0, X.T, Z.T, c.base_radius + r)
 
 
 def _certified_disjoint(alg, c1, c2) -> bool:
@@ -52,7 +52,8 @@ def _greedy_disjoint(alg, cyls) -> list:
 
     Each kept base is tested against all later live candidates in one call,
     with the roles of ``_disjoint_from``: the candidate n_c is the centre,
-    so the test is gauge(n_c^{-1} n_b) >= r_c + r_b row by row."""
+    so the test is gauge(n_c^{-1} n_b) >= r_c + r_b row by row, with the
+    kept base's coordinates as scalar columns."""
     X, Z, r = ms.cylinder_bases(alg, cyls)
     order = _greedy_order(X, Z, r)
     X, Z, r = X[order], Z[order], r[order]
@@ -60,9 +61,7 @@ def _greedy_disjoint(alg, cyls) -> list:
     while live.size:
         b, live = live[0], live[1:]
         kept.append(cyls[order[b]])
-        m = live.size
-        d = ht.dist_n_batch(alg, NPoint(X[live], Z[live]), np.broadcast_to(X[b], (m, alg.p)), np.broadcast_to(Z[b], (m, alg.q)))
-        live = live[d >= r[live] + r[b]]
+        live = live[~ht.dist_below_cols(alg, NPoint(X[live], Z[live]), X[b], Z[b], r[live] + r[b])]
     return kept
 
 
@@ -102,10 +101,10 @@ def _containment_refuted(alg, inner, X, Z, r, h, n_dirs: int, rng):
     if drew.size:
         m, n_ax = drew.size, 2 * (alg.p + alg.q)
         PX, PZ = _probe_points(alg, inner, m * n_dirs, rng)
-        probe = np.hstack([np.broadcast_to(np.arange(n_ax), (m, n_ax)), n_ax + np.arange(m * n_dirs).reshape(m, n_dirs)])
+        probe = np.hstack([np.broadcast_to(np.arange(n_ax), (m, n_ax)), n_ax + np.arange(m * n_dirs).reshape(m, n_dirs)]).ravel()
         own = np.repeat(drew, n_ax + n_dirs)
-        d = ht.dist_n_batch(alg, NPoint(X[own], Z[own]), PX[probe.ravel()], PZ[probe.ravel()])
-        refuted[drew] = (d >= r[own]).reshape(m, -1).any(axis=1)
+        far = ~ht.dist_below_cols(alg, NPoint(X[own], Z[own]), PX[probe].T, PZ[probe].T, r[own])
+        refuted[drew] = far.reshape(m, -1).any(axis=1)
     return refuted, drew
 
 
@@ -262,8 +261,9 @@ def _sampled_union_measure(alg, cyls, samples: int, seed: int) -> VolumeEstimate
     in its ``measure.base_ball_box`` and are not yet known to be inside the
     union; after each radius the columns are compacted to the samples
     still outside.  The hit set is an OR of the same per-sample tests, so
-    it does not depend on the order, and ``gauge_batch`` pins its sums, so
-    a test does not depend on the layout of the samples either."""
+    it does not depend on the order, and ``htype.dist_below_cols`` pins
+    its sums, so a test does not depend on the layout of the samples
+    either."""
     rng = np.random.default_rng(seed)
     X0, Z0, r = ms.cylinder_bases(alg, cyls)
     # the bounding box seeds the sample positions: keep the per-row norm,
@@ -298,10 +298,10 @@ def _sampled_union_measure(alg, cyls, samples: int, seed: int) -> VolumeEstimate
                 in_box &= (seg > b_lo[i, k]) & (seg < b_hi[i, k])
             idx = j0 + np.flatnonzero(in_box)
             if idx.size:
-                # one row per coordinate; the transposed views are the
-                # candidates' (k, p) and (k, q) points, column-major
+                # one row per coordinate: cand[:p] and cand[p:] are the
+                # candidates' p and q columns
                 cand = cols.take(idx, axis=1)
-                outside[idx[ht.dist_n_batch(alg, cyls[i].n0, cand[: alg.p].T, cand[alg.p :].T) < r[i]]] = False
+                outside[idx[ht.dist_below_cols(alg, cyls[i].n0, cand[: alg.p], cand[alg.p :], r[i])]] = False
         hits += outside.size - int(np.count_nonzero(outside))
         cols = cols[:, outside]
     return VolumeEstimate.of_hits(float(np.prod(hi - lo)), hits, samples, seed)
@@ -762,10 +762,11 @@ def lens_region_measure(samples: int = 400_000, seed: int = 0):
 
 
 def modified_lp_sums(
-    p: float, max_level: int, samples: int = 200_000, check_points: int = 100, seed: int = 0
-) -> ExperimentReport:
+    ps, max_level: int, samples: int = 200_000, check_points: int = 100, seed: int = 0
+) -> list:
     """Partial L^p sums of the modified half-ball averages of the lens
-    indicator over the packing levels, with per-level witness checks.
+    indicator over the packing levels, with per-level witness checks: one
+    report for each p of ``ps``, in order.
 
     Every point of a level-l half ball sees the witness modified half
     ball built on that member: the satellite ball of the witness sits at
@@ -774,9 +775,11 @@ def modified_lp_sums(
     area plus the unit ball's).  The witness bound is the containment of
     the lens in the witness: for each sampled member, the witness check
     tests that the witness holds points sampled from the member and from
-    the lens.
+    the lens.  The lens measure, the c_l and the witness verdicts do not
+    depend on p, so they are computed once, from one generator seeded
+    with ``seed``; each report takes the increments |E_l| c_l^p.
     """
-    if not 1.0 <= p <= 4.0:
+    if not all(1.0 <= p <= 4.0 for p in ps):
         raise ValueError("p must lie in [1, 4]")
     if max_level > 4:
         raise ValueError("desk scale: levels 0..4")
@@ -784,13 +787,9 @@ def modified_lp_sums(
     lens, lens_err = lens_region_measure(samples, seed)
     levels = packing_construct(max_level)
 
-    rows = []
-    increments = []
-    witness_ok = True
+    c_ls, oks = [], []
     for lv in levels:
-        c_l = lens / hyp2.area(hyp2.modified_half_ball(HPoint(lv.center(0), lv.center_height), lv.radius))
-        inc = lv.e_measure * c_l**p
-        increments.append(inc)
+        c_ls.append(lens / hyp2.area(hyp2.modified_half_ball(HPoint(lv.center(0), lv.center_height), lv.radius)))
         # witness verification at sampled points of the level set
         members = rng.integers(0, lv.n_count, check_points)
         ok = True
@@ -805,23 +804,30 @@ def modified_lp_sums(
             lx, ly, _ = ms.sample_h2_box(_LENS_BOX, 200, rng)
             lm = _in_lens(lx, ly)
             ok &= bool(hyp2.contains_mask(witness, lx[lm], ly[lm]).all())
-        witness_ok &= ok
-        rows.append([lv.level, c_l, lv.e_measure, inc, "ok" if ok else "FAIL"])
+        oks.append(ok)
 
-    rep = ExperimentReport(
-        "modified_lp_sums",
-        meta={"p": p, "max_level": max_level, "seed": seed, "lens": lens, "lens_stderr": lens_err},
-    )
-    rep.add_table("levels", ["level", "c_l", "E_measure", "increment", "witness"], rows)
-    rep.add_table("partial_sums", ["S_L"], [[float(np.cumsum(increments)[-1])]])
-    rep.check("witness_bounds", 1.0, 1.0, bool(witness_ok))
-    if p <= 1.0:
-        grows = all(b >= a for a, b in zip(increments, increments[1:]))
-        rep.check("increments_grow", 1.0, float(increments[-1] / increments[0]), grows)
-    elif p <= 2.0:
-        ratio = min(increments) / max(increments)
-        rep.check("increments_bounded_below", 0.1, ratio, ratio >= 0.1)
-    else:
-        decay = increments[-1] / increments[0]
-        rep.check("increments_decay", 1e-3, decay, decay < 1e-3)
-    return rep
+    reports = []
+    for p in ps:
+        increments = [lv.e_measure * c_l**p for lv, c_l in zip(levels, c_ls)]
+        rows = [
+            [lv.level, c_l, lv.e_measure, inc, "ok" if ok else "FAIL"]
+            for lv, c_l, inc, ok in zip(levels, c_ls, increments, oks)
+        ]
+        rep = ExperimentReport(
+            "modified_lp_sums",
+            meta={"p": p, "max_level": max_level, "seed": seed, "lens": lens, "lens_stderr": lens_err},
+        )
+        rep.add_table("levels", ["level", "c_l", "E_measure", "increment", "witness"], rows)
+        rep.add_table("partial_sums", ["S_L"], [[float(np.cumsum(increments)[-1])]])
+        rep.check("witness_bounds", 1.0, 1.0, all(oks))
+        if p <= 1.0:
+            grows = all(b >= a for a, b in zip(increments, increments[1:]))
+            rep.check("increments_grow", 1.0, float(increments[-1] / increments[0]), grows)
+        elif p <= 2.0:
+            ratio = min(increments) / max(increments)
+            rep.check("increments_bounded_below", 0.1, ratio, ratio >= 0.1)
+        else:
+            decay = increments[-1] / increments[0]
+            rep.check("increments_decay", 1e-3, decay, decay < 1e-3)
+        reports.append(rep)
+    return reports

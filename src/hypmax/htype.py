@@ -12,9 +12,16 @@ Two certificates in ``experiments`` rest on it: bases whose centres are at
 least the sum of their radii apart are disjoint (the greedy selection),
 and a base ball whose centre lies within r_b - r_s of a larger centre lies
 inside that larger ball (the Vitali union measure drops it before
-sampling, with a margin for rounding).  Every such distance, in the
-membership, covering and containment tests and in ``dist_n``, goes through
-one kernel, ``dist_n_cols``: the gauge of the left translate by n0^{-1}.
+sampling, with a margin for rounding).  Every such distance goes through
+one translate, ``left_translate_cols`` by n0^{-1}, and then one of two
+kernels.  Where the value is needed (``dist_n``, the containment
+certificate's margin) it is ``dist_n_cols``, the gauge of the translate.
+Where it is only compared with a radius (the membership, covering,
+disjointness and containment tests, and the unit-ball Monte Carlo) the
+verdict is ``dist_below_cols`` (``gauge_below_cols`` for a gauge), which
+reads it from the fourth power |X|^4/16 + |Z|^2 and takes the quarter
+power only where that lies within a relative 1e-9 of r^4, with the bits
+of ``dist_n_cols(...) < r``.
 
 Every bracket [X, X'] (``bracket``, the group laws and the left
 translations) goes through one kernel, ``HTypeAlgebra.bracket_cols``: for
@@ -34,10 +41,11 @@ gauge is compared against radii and the unit, so its bits must not depend
 on whether the caller holds its points as rows or as columns; where
 p, q <= 2 the pinned sums are einsum's bits.
 
-The kernels work on columns: ``left_translate_cols``, ``gauge_cols`` and
-``dist_n_cols`` take a point set as its p columns X and q columns Z, arrays
-that broadcast together, and every float is one elementwise expression of
-the coordinates of its own point.  An (n, p) matrix passes as its columns
+The kernels work on columns: ``left_translate_cols``, ``gauge_cols``,
+``dist_n_cols`` and the verdicts ``gauge_below_cols`` and
+``dist_below_cols`` take a point set as its p columns X and q columns Z,
+arrays that broadcast together, and every float is one elementwise
+expression of the coordinates of its own point.  An (n, p) matrix passes as its columns
 ``X.T``; a tensor block of a grid passes as its axes, each shaped to run
 along its own dimension, so no meshgrid of the block is built and each
 term is formed on the axes it depends on (``measure.block_mask``).
@@ -269,10 +277,59 @@ def _sum_squares(cols):
     return 0.0 if out is None else out
 
 
+def _gauge4_cols(X, Z):
+    """The fourth power |X|^4/16 + |Z|^2 of the gauge, with |X|^2 and |Z|^2
+    summed one coordinate column at a time, in index order."""
+    return _sum_squares(X) ** 2 / 16.0 + _sum_squares(Z)
+
+
 def gauge_cols(X, Z):
-    """Gauge of the points with columns X and Z: |X|^2 and |Z|^2 are summed
-    one coordinate column at a time, in index order."""
-    return (_sum_squares(X) ** 2 / 16.0 + _sum_squares(Z)) ** 0.25
+    """Gauge of the points with columns X and Z: the quarter power of
+    ``_gauge4_cols``."""
+    return _gauge4_cols(X, Z) ** 0.25
+
+
+# relative half-width of the band about r^4 inside which ``gauge_below_cols``
+# takes the quarter power, and the absolute floor that covers r^4 below the
+# normal range
+_BELOW_BAND = 1e-9
+_BELOW_FLOOR = np.finfo(float).tiny
+
+
+def gauge_below_cols(X, Z, r):
+    """The verdict gauge < r for the points with columns X and Z, with the
+    bits of ``gauge_cols(X, Z) < r``; r is a scalar or an array that
+    broadcasts to the points' shape, with r >= 0.
+
+    The verdict is read from the fourth power s (``_gauge4_cols``, the
+    float ``gauge_cols`` takes the root of) against r^4, computed as
+    (r r)(r r): s < r^4 (1 - 1e-9) is below, s > r^4 (1 + 1e-9) is not.
+    Only where s lies in that band is the quarter power taken, on the
+    contiguous gather of those s, which numpy's ``power`` evaluates element
+    by element as on the whole array.  Why the bits match: the two products
+    put the computed r^4 within 2^-51 of the exact one, relative, and
+    numpy's quarter power is within a few units in the last place
+    (<= 1e-15, relative) of the exact root.  Outside the band the exact
+    root of s differs from r by at least 2.4e-10 relative (about a quarter
+    of the band), so the computed root and r compare as s and the computed
+    r^4 do.  The absolute floor ``np.finfo(float).tiny`` added to the band
+    keeps this true where r^4 is subnormal or zero; r = inf puts every s in
+    the band, and a NaN r or s is not below, as in the root's comparison."""
+    return _quarter_root_below(_gauge4_cols(X, Z), r)
+
+
+def _quarter_root_below(s, r):
+    """s^(1/4) < r from the fourth powers (see ``gauge_below_cols``)."""
+    r2 = r * r
+    r4 = r2 * r2
+    band = _BELOW_BAND * r4 + _BELOW_FLOOR
+    out = s < r4 - band
+    near = s <= r4 + band
+    near ^= out
+    if np.count_nonzero(near):
+        near = np.nonzero(near)
+        out[near] = s[near] ** 0.25 < (np.broadcast_to(r, s.shape)[near] if isinstance(r, np.ndarray) else r)
+    return out
 
 
 def gauge_batch(X, Z):
@@ -313,10 +370,17 @@ def dist_n_cols(alg: HTypeAlgebra, n0: NPoint, X, Z):
     return gauge_cols(*left_translate_cols(alg, n_inv(n0), X, Z))
 
 
+def dist_below_cols(alg: HTypeAlgebra, n0: NPoint, X, Z, r):
+    """The verdict |n0^{-1} n| < r for the points n with columns X and Z,
+    n0 as in ``dist_n_cols``: ``gauge_below_cols`` of the same translate,
+    so it has the bits of ``dist_n_cols(alg, n0, X, Z) < r``."""
+    return gauge_below_cols(*left_translate_cols(alg, n_inv(n0), X, Z), r)
+
+
 def dist_n_batch(alg: HTypeAlgebra, n0: NPoint, X, Z):
     """Gauge distance |n0^{-1} n| of the rows n = (X, Z): ``dist_n_cols``
-    through the row forms ``left_translate_batch`` and ``gauge_batch``."""
-    return gauge_batch(*left_translate_batch(alg, n_inv(n0), X, Z))
+    on the columns ``X.T`` and ``Z.T``."""
+    return dist_n_cols(alg, n0, X.T, Z.T)
 
 
 def dist_n(alg: HTypeAlgebra, n1: NPoint, n2: NPoint) -> float:

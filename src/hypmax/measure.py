@@ -214,18 +214,17 @@ def block_mask(grid: SampleGrid, s, block: tuple) -> np.ndarray:
     ``drsets.cylinder_contains_batch``, each shaped to run along its own
     dimension of the block, so every term of the translate and of the
     gauge is formed on the axes it depends on (see ``htype``).  The last
-    dimension of the columns has length 1: the base-ball test gives one
-    verdict per horizontal point, broadcast along the heights, where the
-    cylinder is a suffix.  The heights are passed broadcast to the
-    block's shape, so the verdict has that shape."""
+    dimension of the columns has length 1, and the heights are passed as
+    the block's 1-D last axis: the base-ball test gives one verdict per
+    horizontal point, the height test one per height, and their AND
+    broadcasts to the block's shape, where the cylinder is a suffix."""
     if grid.space == "h2":
         xs, ys = grid.axes
         return hyp2.contains_mask(s, xs[block[0], None], ys[None, block[1]])
     alg, d = grid.alg, len(block)
     *horiz, a = (ax[sl] for ax, sl in zip(grid.axes, block))
     cols = [ax.reshape([-1 if i == k else 1 for i in range(d)]) for k, ax in enumerate(horiz)]
-    shape = tuple(ax.size for ax in horiz) + a.shape
-    return drsets.cylinder_contains_batch(alg, s, cols[: alg.p], cols[alg.p :], np.broadcast_to(a, shape))
+    return drsets.cylinder_contains_batch(alg, s, cols[: alg.p], cols[alg.p :], a)
 
 
 def membership_mask(grid: SampleGrid, s) -> tuple:

@@ -232,8 +232,9 @@ def test_ac10_weak_11_failure_trend():
 
 def test_ac11_lp_divergence_trend():
     ok = True
-    for p, key in ((1.0, "increments_grow"), (2.0, "increments_bounded_below"), (3.0, "increments_decay")):
-        rep = ex.modified_lp_sums(p, 4, samples=250_000, check_points=100, seed=11)
+    cases = ((1.0, "increments_grow"), (2.0, "increments_bounded_below"), (3.0, "increments_decay"))
+    reps = ex.modified_lp_sums([p for p, _ in cases], 4, samples=250_000, check_points=100, seed=11)
+    for (p, key), rep in zip(cases, reps):
         ok &= rep.all_pass
         ok &= any(a.name == key and a.passed for a in rep.assertions)
         ok &= any(a.name == "witness_bounds" and a.passed for a in rep.assertions)

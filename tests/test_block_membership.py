@@ -813,6 +813,33 @@ def test_block_mask_matches_materialised_points(g, data):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("g", PROPERTY_GRIDS, ids=lambda g: g.alg.label)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cylinder_contains_batch_with_one_dimensional_heights_matches_the_block_form(g, data):
+    """Heights passed as a block's 1-D last axis give the verdict of the
+    same heights broadcast to the block's shape, and of the two tests
+    written out on the whole block.  Each horizontal axis also holds the
+    cylinder's centre coordinate, so the block meets the base ball, and
+    the heights include the base height and its neighbours, where the
+    strict height test decides."""
+    s = data.draw(drawn_cylinders(g.alg), label="cylinder")
+    block = tuple(data.draw(axis_slices(n), label=f"axis {k}") for k, n in enumerate(g.shape[:-1]))
+    centre = np.concatenate([s.n0.X, s.n0.Z])
+    horiz = [np.append(ax[sl], c) for ax, sl, c in zip(g.axes, block, centre)]
+    h = s.base_height
+    a = np.concatenate([g.axes[-1], [np.nextafter(h, 0.0), h, np.nextafter(h, np.inf)]])
+    d = len(g.shape)
+    cols = [ax.reshape([-1 if i == k else 1 for i in range(d)]) for k, ax in enumerate(horiz)]
+    X, Z = cols[: g.alg.p], cols[g.alg.p :]
+    shape = tuple(ax.size for ax in horiz) + a.shape
+    got = dr.cylinder_contains_batch(g.alg, s, X, Z, a)
+    assert got.shape == shape
+    assert np.array_equal(got, dr.cylinder_contains_batch(g.alg, s, X, Z, np.broadcast_to(a, shape)))
+    written_out = (ht.dist_n_cols(g.alg, s.n0, X, Z) < s.base_radius) & (np.broadcast_to(a, shape) > h)
+    assert np.array_equal(got, written_out)
+
+
 def test_overlap_profile_matches_full_grid():
     fam = ex.stacked_chain(HEI1, 6)
     grid = ms.build_grid(
@@ -868,8 +895,8 @@ def test_union_measure_skips_covered_samples(alg, monkeypatch):
     copies = [dr.AdmissibleCylinder(NPoint(c.n0.X.copy(), c.n0.Z.copy()), c.j, c.R) for c in small[:10]]
     fam = small[:30] + [big] + small[30:] + small[:5] + copies + apart + [big]
     calls = []
-    translate = ht.left_translate_batch
-    monkeypatch.setattr(ht, "left_translate_batch", lambda *a: calls.append(1) or translate(*a))
+    translate = ht.left_translate_cols
+    monkeypatch.setattr(ht, "left_translate_cols", lambda *a: calls.append(1) or translate(*a))
     got = ex._union_base_measure(alg, fam, 20_000, 4)
     assert len(calls) < len(fam) // 2
     monkeypatch.undo()
@@ -924,8 +951,8 @@ def test_greedy_matches_per_candidate_oracle(alg, spread, monkeypatch):
     fam = ex.random_horocycle_family(alg, 300, -2, rng, spread=spread)
     fam += fam[:5] + [dr.AdmissibleCylinder(NPoint(c.n0.X.copy(), c.n0.Z.copy()), c.j, c.R) for c in fam[5:10]]
     calls = []
-    translate = ht.left_translate_batch
-    monkeypatch.setattr(ht, "left_translate_batch", lambda *a: calls.append(1) or translate(*a))
+    translate = ht.left_translate_cols
+    monkeypatch.setattr(ht, "left_translate_cols", lambda *a: calls.append(1) or translate(*a))
     kept = ex._greedy_disjoint(alg, fam)
     monkeypatch.undo()
     assert [id(c) for c in kept] == [id(c) for c in per_candidate_greedy(alg, fam)]
@@ -943,19 +970,19 @@ def test_union_measure_tests_no_sample_after_its_hit(monkeypatch):
     assert len({c.base_radius for c in fam}) == 5
     radius = {tuple(-c.n0.X) + tuple(-c.n0.Z): c.base_radius for c in fam}
     held, again = set(), []
-    translate = ht.left_translate_batch
+    translate = ht.left_translate_cols
 
     def spy(alg, n0, X, Z):
         out = translate(alg, n0, X, Z)
         if n0.X.ndim == 2:
             return out  # one centre per row: the containment certificate, not a sample test
-        keys = [tuple(row) for row in np.hstack([X, Z])]
+        keys = [tuple(row) for row in np.vstack([X, Z]).T]
         again.extend(k for k in keys if k in held)
-        hit = ht.gauge_batch(*out) < radius[tuple(n0.X) + tuple(n0.Z)]
+        hit = ht.gauge_cols(*out) < radius[tuple(n0.X) + tuple(n0.Z)]
         held.update(k for k, h in zip(keys, hit) if h)
         return out
 
-    monkeypatch.setattr(ht, "left_translate_batch", spy)
+    monkeypatch.setattr(ht, "left_translate_cols", spy)
     got = ex._union_base_measure(HEI2, fam, 20_000, 3)
     monkeypatch.undo()
     assert got == unsorted_union_measure(HEI2, fam, 20_000, 3)
@@ -1077,8 +1104,8 @@ def test_union_measure_without_nested_centres_makes_no_certificate_translate(alg
     in_box = ((cent[None, :, :] > lo[:, None, :]) & (cent[None, :, :] < hi[:, None, :])).all(axis=2)
     assert not (in_box & (r[None, :] < r[:, None])).any()
     calls = []
-    translate = ht.left_translate_batch
-    monkeypatch.setattr(ht, "left_translate_batch", lambda alg, n0, X, Z: calls.append(n0.X.ndim) or translate(alg, n0, X, Z))
+    translate = ht.left_translate_cols
+    monkeypatch.setattr(ht, "left_translate_cols", lambda alg, n0, X, Z: calls.append(n0.X.ndim) or translate(alg, n0, X, Z))
     got = ex._union_base_measure(alg, fam, 20_000, 5)
     monkeypatch.undo()
     assert 2 not in calls and calls

@@ -174,6 +174,13 @@ def test_exit_code_on_failure(monkeypatch):
         ["areas", "--format", "svg"],
         ["areas", "--config", "format=xml"],
         ["figures", "--format", "csv"],
+        # non-finite bounds, log-heights whose squares overflow or vanish, and
+        # a grid above the cell cap
+        ["maxfn", "--grid=-inf:4:-2:2:8:8"],
+        ["maxfn", "--grid=-4:4:-2:800:8:8"],
+        ["maxfn", "--grid=-4:4:-800:2:8:8"],
+        ["levelset", "--grid=-4:4:-800:2:8:8"],
+        ["maxfn", "--grid=-4:4:-2:2:100000:100000"],
     ],
 )
 def test_invalid_input_exits_2(argv, tmp_path, capsys):
@@ -192,6 +199,20 @@ def test_invalid_input_exits_2(argv, tmp_path, capsys):
 
 class Admitted(Exception):
     pass
+
+
+def test_pack_measures_the_lens_once(monkeypatch):
+    """The lens measure, c_l and the witness checks do not depend on p, so
+    one pack run estimates the lens once for its three L^p blocks."""
+    calls = []
+    lens = ex.lens_region_measure
+    monkeypatch.setattr(ex, "lens_region_measure", lambda *a: calls.append(a) or lens(*a))
+    status, body = run_cli(["pack", "--levels", "2", "--samples", "20000"])
+    assert status == 0
+    assert len(calls) == 1
+    assert [t["name"] for t in json.loads(body)["tables"]][1:] == [
+        f"p={p}:{name}" for p in (1.0, 2.0, 3.0) for name in ("levels", "partial_sums")
+    ]
 
 
 @pytest.mark.parametrize("spec", ["dr-heisenberg:1", "dr-heisenberg:2"] + [f"dr-abelian:{q}" for q in (1, 2, 3, 4)])

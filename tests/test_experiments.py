@@ -402,11 +402,19 @@ def test_lens_region_measure_vs_quadrature():
 
 @pytest.mark.parametrize("p,key", [(1.0, "increments_grow"), (2.0, "increments_bounded_below"), (3.0, "increments_decay")])
 def test_modified_lp_sums(p, key):
-    rep = ex.modified_lp_sums(p, 4, samples=150_000, check_points=40, seed=7)
+    (rep,) = ex.modified_lp_sums([p], 4, samples=150_000, check_points=40, seed=7)
     assert rep.all_pass, rep.to_json()
     assert any(a.name == key for a in rep.assertions)
 
 
+def test_modified_lp_sums_share_their_p_independent_work():
+    """The reports of one call over several p equal those of one call per
+    p: the lens, c_l and witness draws come from the same seeded stream."""
+    together = ex.modified_lp_sums([1.0, 2.0, 3.0], 3, samples=20_000, check_points=20, seed=3)
+    alone = [ex.modified_lp_sums([p], 3, samples=20_000, check_points=20, seed=3)[0] for p in (1.0, 2.0, 3.0)]
+    assert [r.to_json() for r in together] == [r.to_json() for r in alone]
+
+
 def test_modified_lp_domain():
     with pytest.raises(ValueError):
-        ex.modified_lp_sums(5.0, 2)
+        ex.modified_lp_sums([5.0], 2)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypmax import htype as ht
 from hypmax import hyp2 as h2
@@ -257,6 +258,54 @@ def test_dist_n_batch_rows_are_dist_n_bit_for_bit(alg):
     got = ht.dist_n_batch(alg, ht.NPoint(X0, Z0), X, Z)
     assert same_bits(got, np.array([ht.dist_n(alg, ht.NPoint(x, z), n) for x, z, n in zip(X0, Z0, points)]))
     assert same_bits(got, ht.gauge_batch(*einsum_translate(alg, -X0, -Z0, X, Z, "ni,nj,ijk->nk")))
+
+
+@pytest.mark.parametrize("r", [1.0, math.e, math.e**2, 0.7, 3.3])
+def test_quarter_root_verdict_at_every_float_near_r4(r):
+    """At each of the 401 floats s within 200 units in the last place of
+    fl(r^4), the verdict from the fourth powers is s^(1/4) < r taken on
+    the whole array; the band-free test s < fl(r^4) differs on some of
+    them, so the band is what makes the verdicts agree."""
+    s = (np.float64(r**4).view(np.int64) + np.arange(-200, 201)).view(np.float64)
+    want = s**0.25 < r
+    assert np.array_equal(ht._quarter_root_below(s, r), want)
+    assert not np.array_equal(s < r**4, want)
+
+
+BELOW_ALGS = [ht.degenerate_abelian(2), HEI1, ht.heisenberg(2), ht.heisenberg(3)]
+
+
+@pytest.mark.parametrize("alg", BELOW_ALGS, ids=lambda a: a.label)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dist_below_cols_is_the_distance_verdict_bit_for_bit(alg, data):
+    """``dist_below_cols`` equals ``dist_n_cols(...) < r`` bit for bit: with
+    one centre or one centre per point, r one scalar or one per point, and
+    on block-shaped columns, each coordinate along its own axis as
+    ``measure.block_mask`` passes them.  The radii lie a few units in the
+    last place from the distances themselves, where the fourth powers
+    alone can give another verdict."""
+    form = data.draw(st.sampled_from(["one centre", "centre per point", "block"]), label="form")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    dim = alg.p + alg.q
+    if form == "block":
+        axes = [rng.uniform(-3.0, 3.0, 3) for _ in range(dim)]
+        cols = [ax.reshape([-1 if i == k else 1 for i in range(dim)]) for k, ax in enumerate(axes)]
+    else:
+        cols = list((rng.uniform(-3.0, 3.0, (200, dim)) * 10.0 ** rng.integers(-3, 2, (200, dim))).T)
+    rows = (200,) if form == "centre per point" else ()
+    n0 = ht.NPoint(rng.uniform(-2.0, 2.0, rows + (alg.p,)), rng.uniform(-2.0, 2.0, rows + (alg.q,)))
+    X, Z = cols[: alg.p], cols[alg.p :]
+    dist = ht.dist_n_cols(alg, n0, X, Z)
+    shift = data.draw(st.integers(-4, 4), label="ulps")
+    if data.draw(st.booleans(), label="one r per point"):
+        r = dist + shift * np.spacing(dist)
+    else:
+        at = dist.flat[data.draw(st.integers(0, dist.size - 1), label="r from point")]
+        r = float(at + shift * np.spacing(at))
+    got = ht.dist_below_cols(alg, n0, X, Z, r)
+    assert got.shape == dist.shape
+    assert np.array_equal(got, dist < r)
 
 
 # --------------------------------------------------------------- distances
