@@ -79,12 +79,37 @@ MAX_GRID_CELLS = 5_000_000
 # from overflow and underflow
 GRID_LOG_HEIGHT_MAX = math.floor(-math.log(sys.float_info.min) / 4.0)
 
+# the half-plane kernels square the difference x - zx of a grid point and a
+# member's centre, both inside the window (``hyp2._dx2``), and add to it the
+# square of a difference of heights, which the bound above keeps within
+# 2^1022 (y * y and its 2^511 to spare).  For |x| <= 2^510 the difference
+# is at most 2^511 and its square at most 2^1022, so the sum stays within
+# 2^1023, below the largest float (2 - 2^-52) 2^1023; the cell widths
+# (x1 - x0) / nx and their products with the height weights stay far below
+GRID_X_MAX = 2.0**510
+
+# the largest radius of each subcommand that reads --R, from the largest
+# expression it forms.  areas forms the ball area 4 pi sinh^2(R/2) < pi e^R
+# (the half ball, trigonon, rectangle (2 e^R) and modified half ball are
+# smaller), finite for R <= ln(DBL_MAX / pi) = 708.63...  volume samples
+# the ball about (0, 1) in its padded box |x| < 1.2 sinh R < 0.6 e^R,
+# e^-R / 1.1 < y < 1.1 e^R: the box measure 2.4 sinh(R) (1.1 e^R - e^-R / 1.1)
+# < 1.32 e^(2R) and the ball test's x^2 + (y - 1)^2 < (0.6^2 + 1.1^2) e^(2R)
+# stay below 2 e^(2R) (the other sets' boxes are smaller), finite for
+# R <= ln(DBL_MAX / 2) / 2 = 354.54...  The rectangle figure forms only
+# e^-R Im z, which underflows to 0.0 without error, so any finite R draws
+RADIUS_MAX = {
+    "areas": math.floor(math.log(sys.float_info.max / math.pi)),
+    "volume": math.floor(math.log(sys.float_info.max / 2.0) / 2.0),
+    "figures": math.inf,
+}
+
 
 def parse_grid(spec: str):
     """The --grid window and shape x0:x1:u0:u1:nx:nu (u = log y): finite
-    bounds with x0 < x1 and u0 < u1, log-heights within
-    ``GRID_LOG_HEIGHT_MAX`` of 0, and at least one and at most
-    ``MAX_GRID_CELLS`` cells."""
+    bounds with x0 < x1 and u0 < u1, x within ``GRID_X_MAX`` and
+    log-heights within ``GRID_LOG_HEIGHT_MAX`` of 0, and at least one and
+    at most ``MAX_GRID_CELLS`` cells."""
     parts = spec.split(":")
     if len(parts) != 6:
         raise UsageError("grid spec must be x0:x1:u0:u1:nx:nu")
@@ -97,6 +122,10 @@ def parse_grid(spec: str):
         raise UsageError(f"grid spec {spec!r}: bounds must be finite")
     if not (x0 < x1 and u0 < u1):
         raise UsageError(f"grid spec {spec!r}: need x0 < x1 and u0 < u1")
+    if not -GRID_X_MAX <= x0 < x1 <= GRID_X_MAX:
+        raise UsageError(
+            f"grid spec {spec!r}: x0, x1 must lie in [-2^510, 2^510], where squared differences of x stay finite"
+        )
     if not -GRID_LOG_HEIGHT_MAX <= u0 < u1 <= GRID_LOG_HEIGHT_MAX:
         lim = GRID_LOG_HEIGHT_MAX
         raise UsageError(
@@ -138,15 +167,19 @@ def parse_int(value, flag: str, least: int = None) -> int:
     return n
 
 
-def parse_radii(value) -> list:
-    """The --R comma list of radii, given as a flag or as a config-file
-    string, each checked to be positive and finite."""
+def parse_radii(cfg) -> list:
+    """The --R comma list of radii of the run ``cfg``, given as a flag or as
+    a config-file string, each checked to be positive, finite and at most
+    the ``RADIUS_MAX`` of its subcommand."""
+    value, most = cfg.R, RADIUS_MAX[cfg.subcommand]
     try:
         radii = [float(v) for v in str(value).split(",")]
     except ValueError:
         raise UsageError(f"--R {value!r}: expected a comma list of numbers") from None
     if not all(0.0 < R < math.inf for R in radii):
         raise UsageError(f"--R {value!r}: every radius must be positive and finite")
+    if not all(R <= most for R in radii):
+        raise UsageError(f"--R {value!r}: {cfg.subcommand} takes radii up to {most}, where its areas and boxes stay finite")
     return radii
 
 
@@ -251,7 +284,7 @@ def cmd_areas(cfg) -> ExperimentReport:
     rep = ExperimentReport("areas", meta=_meta(cfg))
     rows = []
     ok = True
-    for R in parse_radii(cfg.R):
+    for R in parse_radii(cfg):
         z = HPoint(0.0, 1.0)
         ball = hyp2.area(hyp2.ball(z, R))
         half = hyp2.area(hyp2.half_ball(z, R))
@@ -277,7 +310,7 @@ def cmd_volume(cfg) -> ExperimentReport:
             "trigonon": hyp2.trigonon,
             "rectangle": hyp2.rectangle,
         }
-        for R in parse_radii(cfg.R):
+        for R in parse_radii(cfg):
             for name, mk in makers.items():
                 s = mk(HPoint(0.0, 1.0), R)
                 est = ms.mc_volume("h2", s, ms.suggested_box_h2(s), samples, seed)
@@ -415,7 +448,7 @@ def cmd_figures(cfg) -> str:
         raise UsageError(f"--figure {cfg.figure!r}: expected one of {' | '.join(figures.FIGURES)}")
     params = {}
     if cfg.figure == "rectangle":
-        params = {"z": parse_point(cfg.z), "R": parse_radii(cfg.R)[0]}
+        params = {"z": parse_point(cfg.z), "R": parse_radii(cfg)[0]}
     elif cfg.figure == "halfballs":
         params = {"level": parse_packing_level(cfg.level, "--level")}
     elif cfg.figure == "packing":

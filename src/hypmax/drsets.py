@@ -218,8 +218,7 @@ def annulus_check(alg: HTypeAlgebra, a: float, samples: int = 10_000, seed: int 
     Z = rng.standard_normal((samples, alg.q))
     g_raw = ht.gauge_batch(X, Z)
     target = rng.uniform(1.0, math.sqrt(math.e - 1.0), samples)
-    X, Z = ht.dilate_batch((target / g_raw) ** 2, X, Z)
-    g = ht.gauge_batch(X, Z)
+    g = ht.gauge_cols(*ht.dilate_cols((target / g_raw) ** 2, X.T, Z.T))
 
     a1_low, a2_low = ht.alpha_bounds(a)
     a1_up, _ = ht.alpha_bounds(a / math.e)

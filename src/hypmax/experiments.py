@@ -74,14 +74,15 @@ def _greedy_order(X, Z, r):
 
 
 def _probe_points(alg, c, n_dirs: int, rng):
-    """Points just inside the base ball of c at gauge (1 - 1e-9) * radius:
-    the +-coordinate-axis extremes plus random directions."""
+    """The p columns X and q columns Z of points just inside the base ball
+    of c at gauge (1 - 1e-9) * radius: the +-coordinate-axis extremes plus
+    random directions."""
     axes = np.vstack([np.eye(alg.p + alg.q), -np.eye(alg.p + alg.q)])
     rand = rng.standard_normal((n_dirs, alg.p + alg.q))
     dirs = np.vstack([axes, rand])
     X, Z = dirs[:, : alg.p], dirs[:, alg.p :]
     scale = ((1.0 - 1e-9) * c.base_radius / ht.gauge_batch(X, Z)) ** 2
-    return ht.left_translate_batch(alg, c.n0, *ht.dilate_batch(scale, X, Z))
+    return ht.left_translate_cols(alg, c.n0, *ht.dilate_cols(scale, X.T, Z.T))
 
 
 def _containment_refuted(alg, inner, X, Z, r, h, n_dirs: int, rng):
@@ -103,7 +104,8 @@ def _containment_refuted(alg, inner, X, Z, r, h, n_dirs: int, rng):
         PX, PZ = _probe_points(alg, inner, m * n_dirs, rng)
         probe = np.hstack([np.broadcast_to(np.arange(n_ax), (m, n_ax)), n_ax + np.arange(m * n_dirs).reshape(m, n_dirs)]).ravel()
         own = np.repeat(drew, n_ax + n_dirs)
-        far = ~ht.dist_below_cols(alg, NPoint(X[own], Z[own]), PX[probe].T, PZ[probe].T, r[own])
+        PX, PZ = [x[probe] for x in PX], [z[probe] for z in PZ]
+        far = ~ht.dist_below_cols(alg, NPoint(X[own], Z[own]), PX, PZ, r[own])
         refuted[drew] = far.reshape(m, -1).any(axis=1)
     return refuted, drew
 
@@ -204,7 +206,7 @@ def _contained_bases(alg, X0, Z0, r, b_lo, b_hi):
                 box = (c[s] > lo_k[b]) & (c[s] < hi_k[b])
                 b, s = b[box], s[box]
             if s.size:
-                D = ht.dist_n_batch(alg, NPoint(X0[b], Z0[b]), X0[s], Z0[s])
+                D = ht.dist_n_cols(alg, NPoint(X0[b], Z0[b]), X0[s].T, Z0[s].T)
                 T, TX = np.maximum(t[b], t[s]), np.maximum(tx[b], tx[s])
                 err = (alg.p + alg.q) * 1e-12 * (1.0 + T + K * TX * TX)
                 inside[s[D + r[s] <= r[b] - 3.0 * (err + np.sqrt(err))]] = True
@@ -258,12 +260,12 @@ def _sampled_union_measure(alg, cyls, samples: int, seed: int) -> VolumeEstimate
     coordinate; the sort need not be stable, because samples with equal
     first coordinates fall in the same slices.  Base balls are visited
     largest first, and each tests only the samples of its slice that lie
-    in its ``measure.base_ball_box`` and are not yet known to be inside the
-    union; after each radius the columns are compacted to the samples
-    still outside.  The hit set is an OR of the same per-sample tests, so
-    it does not depend on the order, and ``htype.dist_below_cols`` pins
-    its sums, so a test does not depend on the layout of the samples
-    either."""
+    in its box (``measure.base_ball_box_batch``) and are not yet known to
+    be inside the union; after each radius the columns are compacted to
+    the samples still outside.  The hit set is an OR of the same
+    per-sample tests, so it does not depend on the order, and
+    ``htype.dist_below_cols`` pins its sums, so a test does not depend on
+    the layout of the samples either."""
     rng = np.random.default_rng(seed)
     X0, Z0, r = ms.cylinder_bases(alg, cyls)
     # the bounding box seeds the sample positions: keep the per-row norm,

@@ -89,8 +89,8 @@ def _halfball_outline(z: HPoint, R: float, n: int = 64):
 
 
 def _rectangle_figure(params) -> str:
-    z = HPoint(*params.get("z", (1.5, 2.0)))
-    R = float(params.get("R", 1.0))
+    z = HPoint(*params["z"])
+    R = float(params["R"])
     base = math.exp(-R) * z.y
     x_lo, x_hi = z.x - 2.0 * z.y, z.x + 2.0 * z.y
     y_hi = z.y * 2.5
@@ -114,7 +114,7 @@ def _rectangle_figure(params) -> str:
 
 
 def _halfballs_figure(params) -> str:
-    level = int(params.get("level", 0))
+    level = int(params["level"])
     lv = packing_construct(level)[level]
     height = lv.center_height
     R = lv.radius
@@ -139,7 +139,7 @@ def _halfballs_figure(params) -> str:
 
 
 def _packing_figure(params) -> str:
-    max_level = int(params.get("levels", 2))
+    max_level = int(params["levels"])
     levels = packing_construct(max_level)
     # log-height rendering keeps the exponentially sinking rows visible
     u_lo = -(2.0**max_level) * 2.0 - 0.5
@@ -160,24 +160,16 @@ def _packing_figure(params) -> str:
     return cv.render()
 
 
-def _axes_figure() -> str:
-    cv = _Canvas(-1.0, 1.0, 0.0, 1.0)
-    cv.line(-1.0, 0.0, 1.0, 0.0, width=1.5)
-    cv.line(0.0, 0.0, 0.0, 1.0, width=1.0, dash=True)
-    return cv.render()
-
-
 # the figure kinds: 'rectangle' (the infinite rectangle with labeled
 # markers), 'halfballs' (one packed row), 'packing' (log-height view of
 # several rows)
 FIGURES = {"rectangle": _rectangle_figure, "halfballs": _halfballs_figure, "packing": _packing_figure}
 
 
-def emit_figure(kind: str = "", params: dict = None) -> str:
-    """SVG document for one of the kinds of ``FIGURES``; empty kind gives
-    bare axes."""
-    if not kind:
-        return _axes_figure()
+def emit_figure(kind: str, params: dict) -> str:
+    """SVG document for one of the kinds of ``FIGURES``, drawn from every
+    parameter of that kind: 'rectangle' reads z and R, 'halfballs' level
+    and 'packing' levels."""
     if kind not in FIGURES:
         raise ValueError(f"unknown figure kind {kind!r}")
-    return FIGURES[kind](params or {})
+    return FIGURES[kind](params)

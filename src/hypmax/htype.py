@@ -23,14 +23,15 @@ reads it from the fourth power |X|^4/16 + |Z|^2 and takes the quarter
 power only where that lies within a relative 1e-9 of r^4, with the bits
 of ``dist_n_cols(...) < r``.
 
-Every bracket [X, X'] (``bracket``, the group laws and the left
-translations) goes through one kernel, ``HTypeAlgebra.bracket_cols``: for
-each z coordinate k it starts at 0.0 and adds X[i] X'[j] c[i, j, k] over
-the nonzero coefficients in row-major (i, j) order.  That is the order in
-which ``np.einsum`` summed the same products, so the kernel gives einsum's
-bits; the order is pinned because on H^2 and higher another order
-(column-major (j, i), say) rounds differently in most rows, and the greedy
-selections and union measures compare these sums against radii.
+Every bracket [X, X'] (the group laws, the left translations and
+``validate_algebra``) goes through one kernel,
+``HTypeAlgebra.bracket_cols``: for each z coordinate k it starts at 0.0
+and adds X[i] X'[j] c[i, j, k] over the nonzero coefficients in
+row-major (i, j) order.  That is the order in which ``np.einsum`` summed
+the same products, so the kernel gives einsum's bits; the order is pinned
+because on H^2 and higher another order (column-major (j, i), say)
+rounds differently in most rows, and the greedy selections and union
+measures compare these sums against radii.
 
 The gauge pins its sums of squares the same way: |X|^2 and |Z|^2 add one
 coordinate column at a time, in index order.  ``np.einsum`` chose its
@@ -42,15 +43,21 @@ on whether the caller holds its points as rows or as columns; where
 p, q <= 2 the pinned sums are einsum's bits.
 
 The kernels work on columns: ``left_translate_cols``, ``gauge_cols``,
-``dist_n_cols`` and the verdicts ``gauge_below_cols`` and
-``dist_below_cols`` take a point set as its p columns X and q columns Z,
-arrays that broadcast together, and every float is one elementwise
-expression of the coordinates of its own point.  An (n, p) matrix passes as its columns
-``X.T``; a tensor block of a grid passes as its axes, each shaped to run
-along its own dimension, so no meshgrid of the block is built and each
-term is formed on the axes it depends on (``measure.block_mask``).
-``gauge_batch``, ``left_translate_batch`` and ``dist_n_batch`` are the same
-kernels on (n, p) and (n, q) rows, with the same bits.
+``dist_n_cols``, ``dilate_cols`` and the verdicts ``gauge_below_cols``
+and ``dist_below_cols`` take a point set as its p columns X and q columns
+Z, arrays that broadcast together, and every float is one elementwise
+expression of the coordinates of its own point.  An (n, p) matrix passes
+as its columns ``X.T``, and a single point as length-1 columns
+(``dist_n``); a tensor block of a grid passes as its axes, each shaped to
+run along its own dimension, so no meshgrid of the block is built and
+each term is formed on the axes it depends on (``measure.block_mask``).
+
+Two row forms stay beside the column kernels.  ``gauge_batch`` is
+``gauge_cols`` on (n, p) and (n, q) rows: the benchmark's tracer looks it
+and ``dist_n`` up by name, and counts the rows ``gauge_batch`` is given.
+``HTypeAlgebra.j_z_batch`` sums with ``np.einsum`` on rows, and that
+summation order fixes the residual bytes that ``validate_algebra``
+reports.
 """
 
 from __future__ import annotations
@@ -86,18 +93,6 @@ class HTypeAlgebra:
     def nu(self) -> float:
         """Homogeneous dimension p/2 + q."""
         return self.p / 2.0 + self.q
-
-    def bracket(self, X, Xp):
-        """[X, X'] in z coordinates."""
-        return self.bracket_batch(np.atleast_2d(X), np.atleast_2d(Xp))[0]
-
-    def bracket_batch(self, X, Xp):
-        """[X, Xp] row by row, shape (n, q), for Xp (n, p) and X either one
-        vector (p,) or one per row (n, p); ``bracket_cols`` on the columns."""
-        out = np.zeros((self.q, Xp.shape[0]))
-        for acc, col in zip(out, self.bracket_cols(X.T, Xp.T)):
-            acc[...] = col
-        return out.T
 
     def bracket_cols(self, X, Xp) -> list:
         """[X, Xp] as q columns, for X and Xp given as p columns each (see
@@ -171,8 +166,13 @@ def validate_algebra(alg: HTypeAlgebra, samples: int = 10_000, seed: int = 0) ->
     Xp = rng.standard_normal((samples, p))
     Z = rng.standard_normal((samples, q))
     res = {}
-    br = alg.bracket_batch(X, Xp)
-    res["antisymmetry"] = float(np.abs(br + alg.bracket_batch(Xp, X)).max())
+
+    def bracket_rows(A, B):
+        # [A, B] as (n, q) rows; with p = 0 every column is the scalar 0.0
+        return np.broadcast_to(np.column_stack(alg.bracket_cols(A.T, B.T)), (samples, q))
+
+    br = bracket_rows(X, Xp)
+    res["antisymmetry"] = float(np.abs(br + bracket_rows(Xp, X)).max())
     jzx = alg.j_z_batch(Z, X)
     lhs = np.einsum("ni,ni->n", jzx, Xp)
     rhs = np.einsum("nk,nk->n", Z, br)
@@ -251,7 +251,7 @@ def na_mul(alg: HTypeAlgebra, x: SPoint, y: SPoint) -> SPoint:
     rs = math.sqrt(x.a)
     return SPoint(
         x.X + rs * y.X,
-        x.Z + x.a * y.Z + 0.5 * rs * alg.bracket(x.X, y.X),
+        x.Z + x.a * y.Z + 0.5 * rs * np.array(alg.bracket_cols(x.X, y.X)),
         x.a * y.a,
     )
 
@@ -356,13 +356,6 @@ def left_translate_cols(alg: HTypeAlgebra, n0: NPoint, X, Z) -> tuple:
     return [x0 + x for x0, x in zip(n0.X.T, X)], _translate_z_cols(alg, n0, X, Z)
 
 
-def left_translate_batch(alg: HTypeAlgebra, n0: NPoint, X, Z) -> tuple:
-    """Rows (n, p) and (n, q) of n0 n for the rows n = (X, Z), n0 as in
-    ``left_translate_cols``: X0 + X in one addition of rows, which adds
-    what the columns add, and the z columns stacked."""
-    return n0.X + X, np.array(_translate_z_cols(alg, n0, X.T, Z.T)).T
-
-
 def dist_n_cols(alg: HTypeAlgebra, n0: NPoint, X, Z):
     """Gauge distance |n0^{-1} n| of the points n with columns X and Z from
     n0, which is one centre or one centre per point as in
@@ -377,26 +370,18 @@ def dist_below_cols(alg: HTypeAlgebra, n0: NPoint, X, Z, r):
     return gauge_below_cols(*left_translate_cols(alg, n_inv(n0), X, Z), r)
 
 
-def dist_n_batch(alg: HTypeAlgebra, n0: NPoint, X, Z):
-    """Gauge distance |n0^{-1} n| of the rows n = (X, Z): ``dist_n_cols``
-    on the columns ``X.T`` and ``Z.T``."""
-    return dist_n_cols(alg, n0, X.T, Z.T)
-
-
 def dist_n(alg: HTypeAlgebra, n1: NPoint, n2: NPoint) -> float:
-    return float(dist_n_batch(alg, n1, n2.X[None, :], n2.Z[None, :])[0])
+    """|n1^{-1} n2|: ``dist_n_cols`` on the length-1 columns of n2 (arrays,
+    as a numpy scalar's squares and quarter power round through ``pow``)."""
+    return float(dist_n_cols(alg, n1, n2.X[:, None], n2.Z[:, None])[0])
 
 
-def dilate_batch(a, X, Z) -> tuple:
-    """Rows of the anisotropic dilation (sqrt(a) X, a Z), one factor per
-    row; scales the gauge by sqrt(a)."""
-    return np.sqrt(a)[:, None] * X, a[:, None] * Z
-
-
-def dilate(a: float, n: NPoint) -> NPoint:
-    """A one-row call of ``dilate_batch``."""
-    X, Z = dilate_batch(np.array([a], dtype=float), n.X[None, :], n.Z[None, :])
-    return NPoint(X[0], Z[0])
+def dilate_cols(a, X, Z) -> tuple:
+    """Columns (sqrt(a) X, a Z) of the anisotropic dilation of the points
+    with columns X and Z, by one factor a per point; scales the gauge by
+    sqrt(a)."""
+    rs = np.sqrt(a)
+    return [rs * x for x in X], [a * z for z in Z]
 
 
 # ---------------------------------------------------------------- distances

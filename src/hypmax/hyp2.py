@@ -153,9 +153,8 @@ class H2Family:
 
     It behaves as the sequence of ``H2Set`` it stands for: ``len``,
     ``fam[i]`` builds the member as an ``H2Set`` (``fam[rows]`` with a
-    slice or an index array is a sub-family), iteration yields the members
-    in order, and ``+`` joins it with another family or a list of
-    ``H2Set`` in either order.  The constructor refuses, with the same
+    slice or an index array is a sub-family), and iteration yields the
+    members in order.  The constructor refuses, with the same
     error, every member that ``H2Set`` or ``HPoint`` would refuse.
     """
 
@@ -231,18 +230,6 @@ class H2Family:
 
     def __iter__(self):
         return (_member(*row) for row in zip(*(c.tolist() for c in self._cols())))
-
-    def __add__(self, other):
-        if isinstance(other, (list, tuple)):
-            other = H2Family.of(other)
-        if not isinstance(other, H2Family):
-            return NotImplemented
-        return H2Family._columns(*(np.concatenate(p) for p in zip(self._cols(), other._cols())))
-
-    def __radd__(self, other):
-        if not isinstance(other, (list, tuple)):
-            return NotImplemented
-        return H2Family.of(other) + self
 
     def __repr__(self) -> str:
         return f"H2Family({len(self)} members)"

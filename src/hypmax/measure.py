@@ -111,48 +111,37 @@ def build_grid(space: str, window, resolution, alg: HTypeAlgebra = None) -> Samp
 
     For 'h2': window = (x_lo, x_hi, u_lo, u_hi), resolution = (nx, nu).
     For 'na': window = (x_boxes, z_boxes, (u_lo, u_hi)) with one (lo, hi)
-    pair per coordinate of v and z, resolution likewise nested.
+    pair per coordinate of v and z, resolution likewise nested.  The
+    half-plane is the lattice with one horizontal axis and nu = 1.
     """
     if space == "h2":
-        (x_lo, x_hi, u_lo, u_hi), (nx, nu) = window, resolution
-        xc, _ = _axis_centers(x_lo, x_hi, nx)
-        uc, ue = _axis_centers(u_lo, u_hi, nu)
-        dx = (x_hi - x_lo) / nx
-        wu = np.exp(-ue[:-1]) - np.exp(-ue[1:])
-        return SampleGrid(
-            space="h2",
-            height_weights=dx * wu,
-            values=np.zeros(nx * nu),
-            window=tuple(window),
-            shape=(nx, nu),
-            axes=(xc, np.exp(uc)),
-        )
-    if space == "na":
+        (x_lo, x_hi, u_lo, u_hi), (nx, n_u) = window, resolution
+        boxes, counts, nu = [(x_lo, x_hi)], [nx], 1.0
+        window = tuple(window)
+    elif space == "na":
         if alg is None:
             raise ValueError("na grid requires an algebra")
         x_boxes, z_boxes, (u_lo, u_hi) = window
-        nx_list, nz_list, nu = resolution
-        axes, steps = [], []
-        for (lo, hi), n in zip(list(x_boxes) + list(z_boxes), list(nx_list) + list(nz_list)):
-            c, _ = _axis_centers(lo, hi, n)
-            axes.append(c)
-            steps.append((hi - lo) / n)
-        uc, ue = _axis_centers(u_lo, u_hi, nu)
-        nu_dim = alg.nu
-        wu = (np.exp(-nu_dim * ue[:-1]) - np.exp(-nu_dim * ue[1:])) / nu_dim
-        shape = tuple(list(nx_list) + list(nz_list) + [nu])
-        # weight of a cell = product of horizontal steps times the height factor
-        cell = math.prod(steps) if steps else 1.0
-        return SampleGrid(
-            space="na",
-            height_weights=cell * wu,
-            values=np.zeros(math.prod(shape)),
-            window=(tuple(map(tuple, x_boxes)), tuple(map(tuple, z_boxes)), (u_lo, u_hi)),
-            shape=shape,
-            alg=alg,
-            axes=(*axes, np.exp(uc)),
-        )
-    raise ValueError(f"unknown space {space!r}")
+        nx_list, nz_list, n_u = resolution
+        boxes, counts, nu = [*x_boxes, *z_boxes], [*nx_list, *nz_list], alg.nu
+        window = (tuple(map(tuple, x_boxes)), tuple(map(tuple, z_boxes)), (u_lo, u_hi))
+    else:
+        raise ValueError(f"unknown space {space!r}")
+    axes = [_axis_centers(lo, hi, n)[0] for (lo, hi), n in zip(boxes, counts)]
+    uc, ue = _axis_centers(u_lo, u_hi, n_u)
+    wu = (np.exp(-nu * ue[:-1]) - np.exp(-nu * ue[1:])) / nu
+    shape = (*counts, n_u)
+    # weight of a cell = product of horizontal steps times the height factor
+    cell = math.prod((hi - lo) / n for (lo, hi), n in zip(boxes, counts))
+    return SampleGrid(
+        space=space,
+        height_weights=cell * wu,
+        values=np.zeros(math.prod(shape)),
+        window=window,
+        shape=shape,
+        alg=alg,
+        axes=(*axes, np.exp(uc)),
+    )
 
 
 # ----------------------------------------------------------- member blocks
@@ -248,17 +237,11 @@ def cylinder_bases(alg: HTypeAlgebra, cyls) -> tuple:
     return X, Z, np.array([c.base_radius for c in cyls])
 
 
-def base_ball_box(alg: HTypeAlgebra, c) -> tuple:
-    """(lo, hi) over the p + q horizontal coordinates: an open box holding
-    every point that the rounded test gauge(n0^{-1} n) < r of the cylinder
-    c accepts.  A one-row call of ``base_ball_box_batch``."""
-    lo, hi = base_ball_box_batch(alg, c.n0.X[None, :], c.n0.Z[None, :], np.array([c.base_radius]))
-    return lo[0], hi[0]
-
-
 def base_ball_box_batch(alg: HTypeAlgebra, X0, Z0, r) -> tuple:
-    """(lo, hi), each of shape (m, p + q): row i is the open box of
-    ``base_ball_box`` for the base ball of radius r[i] about (X0[i], Z0[i])."""
+    """(lo, hi), each of shape (m, p + q): row i is an open box over the
+    p + q horizontal coordinates holding every point that the rounded test
+    gauge(n0^{-1} n) < r[i] of the base ball about n0 = (X0[i], Z0[i])
+    accepts."""
     r = np.asarray(r, dtype=float)[:, None]
     aX0 = np.abs(X0)
     # gauge < r gives |X - X0| < 2r and |Z - Z0 - [X0, X - X0]/2| < r^2 (the

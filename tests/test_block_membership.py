@@ -111,8 +111,8 @@ def per_pair_refutes(alg, inner, outer, n_dirs, rng):
     dirs = np.vstack([np.eye(d), -np.eye(d), rng.standard_normal((n_dirs, d))])
     X, Z = dirs[:, : alg.p], dirs[:, alg.p :]
     scale = ((1.0 - 1e-9) * inner.base_radius / ht.gauge_batch(X, Z)) ** 2
-    X, Z = ht.left_translate_batch(alg, inner.n0, np.sqrt(scale)[:, None] * X, scale[:, None] * Z)
-    return bool((ht.gauge_batch(*ht.left_translate_batch(alg, ht.n_inv(outer.n0), X, Z)) >= outer.base_radius).any())
+    X, Z = ht.left_translate_cols(alg, inner.n0, np.sqrt(scale) * X.T, scale * Z.T)
+    return bool((ht.dist_n_cols(alg, outer.n0, X, Z) >= outer.base_radius).any())
 
 
 def per_pair_maximal_family(alg, cyls, rng, n_dirs=24):
@@ -302,8 +302,8 @@ def test_maximal_field_admissible_rectangles_match_full_grid():
     g = h2_grid()
     # the grid's lattice followed by two columns off the window, in product order
     js = range(math.floor(-1.5), math.ceil(1.5) + 1)
-    fam = mx.admissible_family_for_grid(g, k_max=6)
-    fam += [h2.admissible_rectangle(x, j, K) for x in (-3.4, 3.7) for j in js for K in range(2, 7)]
+    off = [h2.admissible_rectangle(x, j, K) for x in (-3.4, 3.7) for j in js for K in range(2, 7)]
+    fam = h2.H2Family.of([*mx.admissible_family_for_grid(g, k_max=6), *off])
     # every admissible rectangle is unbounded above, so it reaches the window top
     assert all(math.isinf(h2.bounding_box(s)[3]) for s in fam)
     fld = mx.maximal_field(g, fam)
@@ -414,7 +414,7 @@ def small_support_values(g, case):
             return h2.contains_mask(h2.ball(h2.HPoint(1.2, 0.6), 0.5), g.x, g.y).astype(float)
         # a gauge ball of radius 1.2 about an off-origin centre, over a band of heights
         n0 = NPoint(np.array([0.5, -1.0]), np.array([1.0]))
-        inside = ht.gauge_batch(*ht.left_translate_batch(g.alg, ht.n_inv(n0), g.X, g.Z)) < 1.2
+        inside = ht.dist_n_cols(g.alg, n0, g.X.T, g.Z.T) < 1.2
         return (inside & (g.a > 0.2) & (g.a < 1.0)).astype(float)
     if case == "edge":
         v[(slice(0, 2),) + tuple(slice(k // 2, k // 2 + 2) for k in g.shape[1:-1]) + (slice(-3, None),)] = 1.5
@@ -723,7 +723,7 @@ def test_member_blocks_rows_match_membership_mask(kind):
         fam = cylinder_family(kind)
         boxes = []
         for s in fam:
-            b_lo, b_hi = ms.base_ball_box(g.alg, s)
+            (b_lo,), (b_hi,) = ms.base_ball_box_batch(g.alg, *ms.cylinder_bases(g.alg, [s]))
             boxes.append((list(b_lo) + [s.base_height], list(b_hi) + [math.inf]))
     else:
         g = h2_grid()
@@ -936,7 +936,7 @@ def test_batched_disjointness_matches_dist_n(alg):
         X, Z, r = ms.cylinder_bases(alg, fam)
         for c in fam:
             dist = [ht.dist_n(alg, c.n0, s.n0) for s in fam]
-            assert np.array_equal(ht.dist_n_batch(alg, c.n0, X, Z), dist)
+            assert np.array_equal(ht.dist_n_cols(alg, c.n0, X.T, Z.T), dist)
             per_pair = [d >= c.base_radius + s.base_radius for d, s in zip(dist, fam)]
             assert list(ex._disjoint_from(alg, c, X, Z, r)) == per_pair
             assert [ex._certified_disjoint(alg, c, s) for s in fam] == per_pair
@@ -1058,9 +1058,9 @@ def test_union_measure_certifies_nested_chains(alg, scale):
     for _ in range(4):
         at = NPoint(scale * rng.uniform(-1, 1, alg.p), scale * rng.uniform(-1, 1, alg.q))
         steps = np.outer(0.05 * np.arange(5), np.ones(d))
-        X, Z = ht.left_translate_batch(alg, at, steps[:, : alg.p], steps[:, alg.p :])
-        chain = [horocycle_cylinder(alg, X[j], Z[j], j) for j in range(5)]
-        twin = horocycle_cylinder(alg, X[2].copy(), Z[2].copy(), 2)
+        X, Z = ht.left_translate_cols(alg, at, steps[:, : alg.p].T, steps[:, alg.p :].T)
+        chain = [horocycle_cylinder(alg, [x[j] for x in X], [z[j] for z in Z], j) for j in range(5)]
+        twin = horocycle_cylinder(alg, [x[2] for x in X], [z[2] for z in Z], 2)
         fam += chain + [chain[2], twin]
         nested += chain[:4] + [twin]
     # a radius-1 base about a point at gauge distance e - 1 from the centre
@@ -1071,8 +1071,8 @@ def test_union_measure_certifies_nested_chains(alg, scale):
         at = np.eye(d)[0] * (3e3 + 100.0 * k) + rng.uniform(-1, 1, d)
         big = horocycle_cylinder(alg, at[: alg.p], at[alg.p :], 2)
         step = np.eye(d)[0] * (2 * gap if alg.p else gap**2)
-        X, Z = ht.left_translate_batch(alg, big.n0, step[None, : alg.p], step[None, alg.p :])
-        small = horocycle_cylinder(alg, X[0], Z[0], 0)
+        X, Z = ht.left_translate_cols(alg, big.n0, step[: alg.p], step[alg.p :])
+        small = horocycle_cylinder(alg, X, Z, 0)
         assert abs(ht.dist_n(alg, big.n0, small.n0) + small.base_radius - big.base_radius) < 1e-9
         fam += [small, big]
     inside = contained_mask(alg, fam)
@@ -1117,10 +1117,10 @@ def test_left_translate_matches_expanded_group_law():
     X, Z = rng.standard_normal((50, HEI2.p)), rng.standard_normal((50, HEI2.q))
     n0 = NPoint(rng.standard_normal(HEI2.p), rng.standard_normal(HEI2.q))
     shift = np.einsum("i,nj,ijk->nk", n0.X, X, HEI2.bracket_coeffs)
-    Xf, Zf = ht.left_translate_batch(HEI2, n0, X, Z)
-    assert np.array_equal(Xf, n0.X + X) and np.array_equal(Zf, n0.Z + Z + 0.5 * shift)
-    Xb, Zb = ht.left_translate_batch(HEI2, ht.n_inv(n0), X, Z)
-    assert np.array_equal(Xb, X - n0.X) and np.array_equal(Zb, Z - n0.Z - 0.5 * shift)
+    Xf, Zf = ht.left_translate_cols(HEI2, n0, X.T, Z.T)
+    assert np.array_equal(Xf, (n0.X + X).T) and np.array_equal(Zf, (n0.Z + Z + 0.5 * shift).T)
+    Xb, Zb = ht.left_translate_cols(HEI2, ht.n_inv(n0), X.T, Z.T)
+    assert np.array_equal(Xb, (X - n0.X).T) and np.array_equal(Zb, (Z - n0.Z - 0.5 * shift).T)
 
 
 @pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
@@ -1131,10 +1131,10 @@ def test_base_ball_box_holds_every_accepted_point(alg, scale, a0):
     rng = np.random.default_rng(4)
     c = dr.Cylinder(NPoint(scale * rng.standard_normal(alg.p), scale * rng.standard_normal(alg.q)), a0, 2.0)
     X, Z = ex._probe_points(alg, c, 2000, rng)
-    accepted = ht.gauge_batch(*ht.left_translate_batch(alg, ht.n_inv(c.n0), X, Z)) < c.base_radius
+    accepted = ht.dist_n_cols(alg, c.n0, X, Z) < c.base_radius
     assert accepted.any()
-    lo, hi = ms.base_ball_box(alg, c)
-    pts = np.hstack([X, Z])[accepted]
+    (lo,), (hi,) = ms.base_ball_box_batch(alg, *ms.cylinder_bases(alg, [c]))
+    pts = np.column_stack([*X, *Z])[accepted]
     assert ((pts > lo) & (pts < hi)).all()
 
 
@@ -1147,5 +1147,5 @@ def test_base_ball_box_batch_rows_match_one_row_calls(alg):
     ]
     lo, hi = ms.base_ball_box_batch(alg, *ms.cylinder_bases(alg, cyls))
     for i, c in enumerate(cyls):
-        lo1, hi1 = ms.base_ball_box(alg, c)
+        (lo1,), (hi1,) = ms.base_ball_box_batch(alg, *ms.cylinder_bases(alg, [c]))
         assert np.array_equal(lo[i], lo1) and np.array_equal(hi[i], hi1)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,12 @@ def test_exit_code_on_failure(monkeypatch):
         ["areas", "--R=-1"],
         ["areas", "--R", "nan"],
         ["areas", "--R", "1,inf"],
+        # radii whose areas or sampling boxes overflow
+        ["areas", "--R", "709"],
+        ["areas", "--R", "1,710"],
+        ["areas", "--config", "R=708.0000001"],
+        ["volume", "--R", "355"],
+        ["volume", "--R", "800"],
         ["eta", "--alpha-ladder", "2^-4..2^-5"],
         ["eta", "--alpha-ladder", "2^-1..2^-2"],
         ["figures", "--figure", "foo"],
@@ -181,6 +188,10 @@ def test_exit_code_on_failure(monkeypatch):
         ["maxfn", "--grid=-4:4:-800:2:8:8"],
         ["levelset", "--grid=-4:4:-800:2:8:8"],
         ["maxfn", "--grid=-4:4:-2:2:100000:100000"],
+        # x bounds whose squared differences overflow
+        ["maxfn", "--grid=-1e160:1e160:-2:2:8:8"],
+        ["levelset", "--grid=-4:3.4e153:-2:2:8:8"],
+        ["maxfn", "--config", "grid=-3.4e153:4:-2:2:8:8"],
     ],
 )
 def test_invalid_input_exits_2(argv, tmp_path, capsys):
@@ -195,6 +206,45 @@ def test_invalid_input_exits_2(argv, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("hypmax: error: ")
+
+
+def finite_numbers(node) -> bool:
+    if isinstance(node, dict):
+        return all(finite_numbers(v) for v in node.values())
+    if isinstance(node, list):
+        return all(finite_numbers(v) for v in node)
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+X_MAX = repr(cli.GRID_X_MAX)
+U_MAX = cli.GRID_LOG_HEIGHT_MAX
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["areas", "--R", str(cli.RADIUS_MAX["areas"])],
+        ["volume", "--R", str(cli.RADIUS_MAX["volume"]), "--samples", "2000"],
+        ["figures", "--R", "1e300"],
+        *(
+            ["maxfn", f"--grid=-{X_MAX}:{X_MAX}:-{U_MAX}:{U_MAX}:16:16", "--family", family, "--profile", "height"]
+            for family in ("half_ball", "trigonon", "rectangle", "ball", "modified_half_ball", "admissible_rectangle")
+        ),
+        ["levelset", f"--grid=-{X_MAX}:{X_MAX}:-{U_MAX}:{U_MAX}:16:16"],
+    ],
+)
+def test_numeric_input_at_its_bound_runs_clean(argv):
+    """At the largest radius and grid bounds the CLI admits, no numpy
+    overflow is raised and every number of the report is finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        status, body = run_cli(argv)
+    if argv[0] == "figures":
+        assert status == 0 and body.startswith("<svg")
+        return
+    assert finite_numbers(json.loads(body))
+    # the Monte Carlo of volume finds no hit in so large a box; its verdict is not checked here
+    assert status == 0 or argv[0] == "volume"
 
 
 class Admitted(Exception):
@@ -289,11 +339,9 @@ def test_figure_halfballs_matches_linspace_oracle(level):
     assert svg == _halfballs_svg_from_linspace(level)
 
 
-def test_figure_empty_params_minimal():
-    svg = figures.emit_figure("")
-    assert svg.startswith("<svg") and "<line" in svg
+def test_figure_unknown_kind_raises():
     with pytest.raises(ValueError):
-        figures.emit_figure("nope")
+        figures.emit_figure("nope", {})
 
 
 def test_figure_deterministic():

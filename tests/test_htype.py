@@ -77,8 +77,8 @@ def test_restriction_to_height_one_is_n_law():
         X1, X2 = rng.normal(size=(2, 2))
         Z1, Z2 = rng.normal(size=(2, 1))
         s = ht.na_mul(HEI1, ht.spoint(HEI1, X1, Z1, 1.0), ht.spoint(HEI1, X2, Z2, 1.0))
-        nX, nZ = ht.left_translate_batch(HEI1, ht.NPoint(X1, Z1), X2[None, :], Z2[None, :])
-        assert np.allclose(s.X, nX[0], atol=1e-14) and np.allclose(s.Z, nZ[0], atol=1e-14)
+        nX, nZ = ht.left_translate_cols(HEI1, ht.NPoint(X1, Z1), X2, Z2)
+        assert np.allclose(s.X, nX, atol=1e-14) and np.allclose(s.Z, nZ, atol=1e-14)
         assert s.a == 1.0
 
 
@@ -112,6 +112,13 @@ def same_bits(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+def translate_rows(alg, n0, X, Z):
+    """Rows (n, p) and (n, q) of n0 n for the rows n = (X, Z):
+    ``left_translate_cols`` on their columns."""
+    Xt, Zt = ht.left_translate_cols(alg, n0, X.T, Z.T)
+    return np.reshape(Xt, X.T.shape).T, np.reshape(Zt, Z.T.shape).T
+
+
 def einsum_translate(alg, X0, Z0, X, Z, form):
     """The einsum left translations the kernel replaces: one centre
     ("i,nj,ijk->nk") or one centre per row ("ni,nj,ijk->nk")."""
@@ -133,23 +140,26 @@ def test_bracket_kernel_matches_einsum_bit_for_bit(alg, scale):
     for sign in (1.0, -1.0):  # n0 and n0^{-1}
         for r in range(4):
             n0 = ht.NPoint(sign * X0[r], sign * Z0[r])
-            got = ht.left_translate_batch(alg, n0, X, Z)
+            got = translate_rows(alg, n0, X, Z)
             want = einsum_translate(alg, n0.X, n0.Z, X, Z, "i,nj,ijk->nk")
             assert all(same_bits(g, w) for g, w in zip(got, want))
         rows = ht.NPoint(sign * X0, sign * Z0)
-        got = ht.left_translate_batch(alg, rows, X, Z)
+        got = translate_rows(alg, rows, X, Z)
         want = einsum_translate(alg, rows.X, rows.Z, X, Z, "ni,nj,ijk->nk")
         assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=lambda a: a.label)
-def test_bracket_batch_matches_einsum_bit_for_bit(alg):
+def test_bracket_cols_matches_einsum_bit_for_bit(alg):
+    """On columns, and on one point's scalar coordinates (``na_mul``)."""
     rng = np.random.default_rng(22)
     for scale in (1e-6, 1.0, 1e6):
         X, Xp = scale * rng.standard_normal((300, alg.p)), scale * rng.standard_normal((300, alg.p))
         want = np.einsum("ni,nj,ijk->nk", X, Xp, alg.bracket_coeffs) if alg.p else np.zeros((300, alg.q))
-        assert same_bits(alg.bracket_batch(X, Xp), want)
-        assert same_bits(alg.bracket(X[0], Xp[0]), want[0])
+        got = alg.bracket_cols(X.T, Xp.T)
+        assert len(got) == alg.q
+        assert all(same_bits(np.broadcast_to(g, w.shape), w) for g, w in zip(got, want.T))
+        assert same_bits(np.array(alg.bracket_cols(X[0], Xp[0]), dtype=float), want[0])
 
 
 def test_bracket_terms_are_the_nonzero_coefficients_in_row_major_order():
@@ -170,12 +180,12 @@ def test_gauge_values():
 def test_gauge_homogeneity_under_dilation():
     rng = np.random.default_rng(7)
     for alg in (AB1, HEI1):
-        for _ in range(2000):
-            n = ht.NPoint(rng.normal(size=alg.p), rng.normal(size=alg.q))
-            g = ht.gauge(n)
-            assert abs(ht.gauge(ht.dilate(4.0, n)) - 2.0 * g) < 1e-12 * max(1.0, g)
-            a = math.exp(rng.normal())
-            assert ht.gauge(ht.dilate(a, n)) == pytest.approx(math.sqrt(a) * g, rel=1e-12)
+        X, Z = rng.normal(size=(2000, alg.p)), rng.normal(size=(2000, alg.q))
+        g = ht.gauge_batch(X, Z)
+        g4 = ht.gauge_cols(*ht.dilate_cols(np.full(2000, 4.0), X.T, Z.T))
+        assert (np.abs(g4 - 2.0 * g) < 1e-12 * np.maximum(1.0, g)).all()
+        a = np.exp(rng.normal(size=2000))
+        assert ht.gauge_cols(*ht.dilate_cols(a, X.T, Z.T)) == pytest.approx(np.sqrt(a) * g, rel=1e-12)
 
 
 def gauge_rows(p, q, n=500, seed=23):
@@ -237,25 +247,25 @@ def test_dist_n_left_invariance():
         g = ht.NPoint(rng.normal(size=2), rng.normal(size=1))
         d0 = ht.dist_n(HEI1, n1, n2)
         # g n1 and g n2, through the one left-translation kernel
-        (X1, X2), (Z1, Z2) = ht.left_translate_batch(HEI1, g, np.array([n1.X, n2.X]), np.array([n1.Z, n2.Z]))
+        (X1, X2), (Z1, Z2) = translate_rows(HEI1, g, np.array([n1.X, n2.X]), np.array([n1.Z, n2.Z]))
         d1 = ht.dist_n(HEI1, ht.NPoint(X1, Z1), ht.NPoint(X2, Z2))
         assert abs(d0 - d1) < 1e-10 * max(1.0, d0)
 
 
 @pytest.mark.parametrize("alg", [ht.heisenberg(d) for d in (1, 2, 3)] + [ht.degenerate_abelian(3)], ids=lambda a: a.label)
-def test_dist_n_batch_rows_are_dist_n_bit_for_bit(alg):
-    """With one centre and with one centre per row, every row of
-    ``dist_n_batch`` is ``dist_n`` of that pair and the gauge of the
+def test_dist_n_cols_rows_are_dist_n_bit_for_bit(alg):
+    """With one centre and with one centre per row, every point of
+    ``dist_n_cols`` is ``dist_n`` of that pair and the gauge of the
     expanded translate n0^{-1} n, bit for bit."""
     X, Z = gauge_rows(alg.p, alg.q, seed=31)
     X0, Z0 = gauge_rows(alg.p, alg.q, seed=37)
     points = [ht.NPoint(x, z) for x, z in zip(X, Z)]
     for k in range(4):
         n0 = ht.NPoint(X0[k], Z0[k])
-        got = ht.dist_n_batch(alg, n0, X, Z)
+        got = ht.dist_n_cols(alg, n0, X.T, Z.T)
         assert same_bits(got, np.array([ht.dist_n(alg, n0, n) for n in points]))
         assert same_bits(got, ht.gauge_batch(*einsum_translate(alg, -n0.X, -n0.Z, X, Z, "i,nj,ijk->nk")))
-    got = ht.dist_n_batch(alg, ht.NPoint(X0, Z0), X, Z)
+    got = ht.dist_n_cols(alg, ht.NPoint(X0, Z0), X.T, Z.T)
     assert same_bits(got, np.array([ht.dist_n(alg, ht.NPoint(x, z), n) for x, z, n in zip(X0, Z0, points)]))
     assert same_bits(got, ht.gauge_batch(*einsum_translate(alg, -X0, -Z0, X, Z, "ni,nj,ijk->nk")))
 

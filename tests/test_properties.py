@@ -61,7 +61,7 @@ def test_gauge_homogeneity(xv, zv, log_a):
     alg = ht.heisenberg(1)
     n = ht.npoint(alg, xv, [zv])
     a = math.exp(log_a)
-    lhs = ht.gauge(ht.dilate(a, n))
+    lhs = float(ht.gauge_cols(*ht.dilate_cols(np.array([a]), n.X[:, None], n.Z[:, None]))[0])
     rhs = math.sqrt(a) * ht.gauge(n)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
 

@@ -39,9 +39,6 @@ KEEP = {
     "maxop.operator_compare": "the h2-field benchmark workload",
     "hyp2.half_plane": "the constructor of a special half plane, a set kind the README lists",
     "htype.identity": "the identity of S, the counterpart of identity_n",
-    # one-row forms that tests compare the batch kernels against
-    "htype.dilate": "the one-row form of dilate_batch",
-    "measure.base_ball_box": "the one-row form of base_ball_box_batch",
     # looked up by name in perfbench/tracing.py
     "htype.dist_n": "a traced layer of the benchmark",
 }
