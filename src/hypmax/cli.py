@@ -104,6 +104,23 @@ RADIUS_MAX = {
     "figures": math.inf,
 }
 
+# the smallest alpha 2^-m of each subcommand that reads --alpha-ladder, from
+# the largest expression it forms.  levelset: |f| <= 20 and the weights sum
+# to at most 2^511 e^177 (GRID_X_MAX, GRID_LOG_HEIGHT_MAX), so its check's
+# 1.02 * 4 sum w (|f|/alpha) log1p(|f|/(alpha lam)), lam = 0.0377..., stays
+# below 2^773 2^m log1p(530 2^m) < 2^1024 for m <= 243 (its admissible
+# rectangles then reach K = 170).  eta: its chain check squares e^j - 1 for
+# j < R_alpha = floor(ln(c1 / (C1^2 e alpha))), finite for j <= 354, so for
+# R_alpha <= 355, which holds for m <= 518
+ALPHA_EXPONENT_MAX = {"levelset": 243, "eta": 518}
+
+# the rectangle figure maps Re z -+ 2 Im z onto 540 pixels, printed to 4
+# decimals.  Each rounded end is off by at most 2^-53 (|Re z| + 2 Im z), so
+# for |Re z| <= 2^31 Im z by at most 135 (2^31 + 2) 2^-53 < 5e-5 pixels.
+# Im z in [2^-1000, 2^990] keeps both ends and both scales normal and finite
+Z_RE_PER_IM_MAX = 2.0**31
+Z_IM_RANGE = (2.0**-1000, 2.0**990)
+
 
 def parse_grid(spec: str):
     """The --grid window and shape x0:x1:u0:u1:nx:nu (u = log y): finite
@@ -138,20 +155,27 @@ def parse_grid(spec: str):
     return (x0, x1, u0, u1), (nx, nu)
 
 
-def parse_alpha_ladder(spec: str):
-    """'2^-3..2^-10' gives the dyadic ladder; otherwise comma floats."""
+def parse_alpha_ladder(cfg):
+    """The --alpha-ladder of the run ``cfg`` as (alphas, exponents):
+    '2^-3..2^-10' gives the dyadic ladder 2^-m and the list of its m, comma
+    floats give None.  Every alpha must lie in [2^-m, 2^1023], m the
+    subcommand's ``ALPHA_EXPONENT_MAX``."""
+    spec, most = str(cfg.alpha_ladder), ALPHA_EXPONENT_MAX[cfg.subcommand]
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
             m1 = int(lo.replace("2^", ""))
             m2 = int(hi.replace("2^", ""))
             ms_range = range(min(-m1, -m2), max(-m1, -m2) + 1)
-            return [2.0**-m for m in ms_range], list(ms_range)
-        vals = [float(v) for v in spec.split(",")]
+        else:
+            vals, ms_range = [float(v) for v in spec.split(",")], None
     except ValueError:
         raise UsageError(f"alpha ladder {spec!r}: expected 2^-a..2^-b or comma floats") from None
-    if not all(0.0 < v < math.inf for v in vals):
-        raise UsageError(f"alpha ladder {spec!r}: every alpha must be positive and finite")
+    # a dyadic ladder is checked on its exponents, before any 2^-m is formed
+    if ms_range is not None and -1023 <= ms_range[0] and ms_range[-1] <= most:
+        return [2.0**-m for m in ms_range], list(ms_range)
+    if ms_range is not None or not all(2.0**-most <= v <= 2.0**1023 for v in vals):
+        raise UsageError(f"alpha ladder {spec!r}: {cfg.subcommand} takes alphas in [2^-{most}, 2^1023], where its numbers stay finite")
     return vals, None
 
 
@@ -194,13 +218,14 @@ def _int(cfg, name: str) -> int:
 
 def parse_point(value) -> tuple:
     """The --z figure centre x,y, given as a flag or as a config-file
-    string: two numbers, x finite and y positive and finite."""
+    string: two numbers with y in ``Z_IM_RANGE`` and |x| at most
+    ``Z_RE_PER_IM_MAX`` y."""
     try:
         zx, zy = (float(v) for v in str(value).split(","))
     except ValueError:
         raise UsageError(f"--z {value!r}: expected two comma-separated numbers x,y") from None
-    if not (math.isfinite(zx) and 0.0 < zy < math.inf):
-        raise UsageError(f"--z {value!r}: x must be finite and y positive and finite")
+    if not (Z_IM_RANGE[0] <= zy <= Z_IM_RANGE[1] and abs(zx) <= Z_RE_PER_IM_MAX * zy):
+        raise UsageError(f"--z {value!r}: need 2^-1000 <= y <= 2^990 and |x| <= 2^31 y, where the figure's scale is exact")
     return zx, zy
 
 
@@ -364,7 +389,7 @@ def cmd_levelset(cfg) -> ExperimentReport:
     window, res = parse_grid(cfg.grid)
     grid = ms.build_grid("h2", window, res)
     grid.set_values(_profile_fn(cfg.profile))
-    alphas, _ = parse_alpha_ladder(cfg.alpha_ladder)
+    alphas, _ = parse_alpha_ladder(cfg)
     fam = mx.admissible_family_for_grid(grid, k_max=max(4, math.ceil(math.log(1.0 / min(alphas))) + 1))
     rows, _fld = mx.level_set_table(grid, fam, alphas)
     lam = mx.llogl_lambda(1.0)
@@ -416,7 +441,7 @@ def cmd_vitali(cfg) -> ExperimentReport:
 
 
 def cmd_eta(cfg) -> ExperimentReport:
-    _, m_range = parse_alpha_ladder(cfg.alpha_ladder)
+    _, m_range = parse_alpha_ladder(cfg)
     if m_range is None:
         raise UsageError("eta requires a dyadic ladder like 2^-6..2^-14")
     try:

@@ -5,7 +5,8 @@ A cylinder over n0 at height a0 with parameter R > 1 is, in coordinates,
 the product of the gauge ball of radius sqrt(a0) around n0 with the
 height interval (a0 e^{-R}, infinity).  The admissible subfamily pins
 log a0 to an integer and R to an integer >= 2, so base heights live on
-the integer-log horocycle lattice.
+the integer-log horocycle lattice.  A family of either kind is held as
+columns named like a cylinder's attributes (``CylFamily``).
 """
 
 from __future__ import annotations
@@ -70,15 +71,53 @@ class AdmissibleCylinder:
         return math.exp(self.j / 2.0)
 
 
+class CylFamily:
+    """Cylinders of either kind held as columns named like a cylinder's
+    attributes: ``n0``, one ``NPoint`` with one centre per row, and one
+    float per member in ``base_radius``, ``base_height`` and ``a0``, each
+    copied from the member's own attribute.  ``cylinders`` is the list of
+    the caller's objects, which ``len``, ``fam[i]`` and iteration read;
+    ``fam[rows]`` (a slice, index array or mask) is a sub-family."""
+
+    _COLUMNS = ("base_radius", "base_height", "a0")
+
+    def __init__(self, alg: HTypeAlgebra, cylinders):
+        self.alg, self.cylinders = alg, list(cylinders)
+        m = len(self.cylinders)
+        X = np.array([c.n0.X for c in self.cylinders]).reshape(m, alg.p)
+        self.n0 = NPoint(X, np.array([c.n0.Z for c in self.cylinders]).reshape(m, alg.q))
+        for name in self._COLUMNS:
+            setattr(self, name, np.array([getattr(c, name) for c in self.cylinders], dtype=float))
+
+    @classmethod
+    def of(cls, alg: HTypeAlgebra, cylinders) -> "CylFamily":
+        """The family of a list of cylinders; a family is returned as it is."""
+        return cylinders if isinstance(cylinders, CylFamily) else cls(alg, cylinders)
+
+    def __len__(self) -> int:
+        return len(self.cylinders)
+
+    def __iter__(self):
+        return iter(self.cylinders)
+
+    def __getitem__(self, i):
+        if not isinstance(i, (slice, np.ndarray)):
+            return self.cylinders[i]
+        sub = object.__new__(CylFamily)
+        sub.alg, sub.n0 = self.alg, NPoint(self.n0.X[i], self.n0.Z[i])
+        sub.cylinders = [self.cylinders[k] for k in np.arange(len(self))[i].tolist()]
+        for name in self._COLUMNS:
+            setattr(sub, name, getattr(self, name)[i])
+        return sub
+
+
 # -------------------------------------------------------------- membership
-
-def cylinder_contains(alg: HTypeAlgebra, c, x: SPoint) -> bool:
-    return bool(cylinder_contains_batch(alg, c, x.X[:, None], x.Z[:, None], np.array([x.a]))[0])
-
 
 def cylinder_contains_batch(alg: HTypeAlgebra, c, X, Z, a):
     """Strict membership of points (X, Z, a) in the open cylinder c, either
-    kind, read through its ``n0``, ``base_radius`` and ``base_height``.
+    kind, read through its ``n0``, ``base_radius`` and ``base_height``; a
+    ``CylFamily`` c with the length-1 columns of one point gives one
+    verdict per member, each with the bits of a call on that member.
 
     X and Z are the points' p and q horizontal columns, as in
     ``htype.dist_n_cols``: (n, p) and (n, q) rows pass as ``X.T`` and

@@ -16,61 +16,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import drsets, htype as ht, hyp2, measure as ms
-from .drsets import AdmissibleCylinder
+from .drsets import AdmissibleCylinder, CylFamily
 from .htype import HTypeAlgebra, NPoint
 from .hyp2 import HPoint
 from .report import ExperimentReport, VolumeEstimate
 
 
 # ----------------------------------------------------------- family basics
+# A maximal family is a CylFamily of admissible cylinders, pairwise disjoint
+# on each base horocycle and with no member containing another.
 
-@dataclass
-class MaximalFamily:
-    """Admissible cylinders, pairwise disjoint on each base horocycle and
-    with no member containing another."""
-
-    alg: HTypeAlgebra
-    cylinders: list
-    label: str = ""
-
-
-def _disjoint_from(alg, c, X, Z, r):
-    """Per row i: the base of c is certified disjoint from the base ball of
-    radius r[i] about (X[i], Z[i]) by the gauge triangle inequality (centres
-    farther apart than the radius sum)."""
-    return ~ht.dist_below_cols(alg, c.n0, X.T, Z.T, c.base_radius + r)
+def _disjoint_from(c, fam: CylFamily):
+    """Per member i of the family: the base of c is certified disjoint from
+    the base of fam[i] by the gauge triangle inequality (centres farther
+    apart than the radius sum)."""
+    return ~ht.dist_below_cols(fam.alg, c.n0, fam.n0.X.T, fam.n0.Z.T, c.base_radius + fam.base_radius)
 
 
-def _certified_disjoint(alg, c1, c2) -> bool:
-    return bool(_disjoint_from(alg, c1, c2.n0.X[None, :], c2.n0.Z[None, :], c2.base_radius)[0])
-
-
-def _greedy_disjoint(alg, cyls) -> list:
+def _greedy_disjoint(fam: CylFamily) -> CylFamily:
     """Greedy largest-first selection among cylinders on one horocycle: in
     order of decreasing base radius with a lexicographic center tie-break,
-    keep each cylinder whose base is certified disjoint from every kept base.
+    keep each cylinder whose base is certified disjoint from every kept
+    base; returns the sub-family of the kept members, in the order kept.
 
     Each kept base is tested against all later live candidates in one call,
     with the roles of ``_disjoint_from``: the candidate n_c is the centre,
     so the test is gauge(n_c^{-1} n_b) >= r_c + r_b row by row, with the
     kept base's coordinates as scalar columns."""
-    X, Z, r = ms.cylinder_bases(alg, cyls)
-    order = _greedy_order(X, Z, r)
-    X, Z, r = X[order], Z[order], r[order]
+    order = _greedy_order(fam)
+    X, Z, r = fam.n0.X[order], fam.n0.Z[order], fam.base_radius[order]
     kept, live = [], np.arange(order.size)
     while live.size:
         b, live = live[0], live[1:]
-        kept.append(cyls[order[b]])
-        live = live[~ht.dist_below_cols(alg, NPoint(X[live], Z[live]), X[b], Z[b], r[live] + r[b])]
-    return kept
+        kept.append(order[b])
+        live = live[~ht.dist_below_cols(fam.alg, NPoint(X[live], Z[live]), X[b], Z[b], r[live] + r[b])]
+    return fam[np.array(kept, dtype=np.intp)]
 
 
-def _greedy_order(X, Z, r):
-    """The greedy order of the bases with centres (X, Z) and radii r:
-    decreasing radius, then the centre coordinates X_1.., Z_1.. ascending,
-    ties in input order.  ``np.lexsort`` is stable and compares like the
-    tuple key (-r, tuple(X), tuple(Z)) of ``sorted``, 0.0 equal to -0.0."""
-    return np.lexsort([*Z.T[::-1], *X.T[::-1], -r])
+def _greedy_order(fam: CylFamily):
+    """The greedy order of the bases of the family: decreasing radius, then
+    the centre coordinates X_1.., Z_1.. ascending, ties in input order.
+    ``np.lexsort`` is stable and compares like the tuple key
+    (-r, tuple(X), tuple(Z)) of ``sorted``, 0.0 equal to -0.0."""
+    return np.lexsort([*fam.n0.Z.T[::-1], *fam.n0.X.T[::-1], -fam.base_radius])
 
 
 def _probe_points(alg, c, n_dirs: int, rng):
@@ -85,10 +73,10 @@ def _probe_points(alg, c, n_dirs: int, rng):
     return ht.left_translate_cols(alg, c.n0, *ht.dilate_cols(scale, X.T, Z.T))
 
 
-def _containment_refuted(alg, inner, X, Z, r, h, n_dirs: int, rng):
-    """Per row k: True when a certified point of ``inner`` lies outside the
-    cylinder whose base ball has radius r[k] about (X[k], Z[k]) at base
-    height h[k].  Returns the verdicts and the rows that drew directions.
+def _containment_refuted(inner, outer: CylFamily, n_dirs: int, rng):
+    """Per member k of ``outer``: True when a certified point of ``inner``
+    lies outside the cylinder outer[k].  Returns the verdicts and the rows
+    that drew directions.
 
     A row is refuted outright when the base of ``inner`` is wider (by more
     than 1e-12) or lower.  Every other row draws n_dirs probe directions;
@@ -97,7 +85,8 @@ def _containment_refuted(alg, inner, X, Z, r, h, n_dirs: int, rng):
     tests the 2 (p + q) axis probes and its own n_dirs random probes, with
     its own centre per translated point; every step is row by row, so a
     row's verdict has the bits of a one-row call."""
-    refuted = (inner.base_radius > r + 1e-12) | (inner.base_height < h - 1e-12)
+    alg, r = outer.alg, outer.base_radius
+    refuted = (inner.base_radius > r + 1e-12) | (inner.base_height < outer.base_height - 1e-12)
     drew = np.flatnonzero(~refuted)
     if drew.size:
         m, n_ax = drew.size, 2 * (alg.p + alg.q)
@@ -105,7 +94,7 @@ def _containment_refuted(alg, inner, X, Z, r, h, n_dirs: int, rng):
         probe = np.hstack([np.broadcast_to(np.arange(n_ax), (m, n_ax)), n_ax + np.arange(m * n_dirs).reshape(m, n_dirs)]).ravel()
         own = np.repeat(drew, n_ax + n_dirs)
         PX, PZ = [x[probe] for x in PX], [z[probe] for z in PZ]
-        far = ~ht.dist_below_cols(alg, NPoint(X[own], Z[own]), PX, PZ, r[own])
+        far = ~ht.dist_below_cols(alg, NPoint(outer.n0.X[own], outer.n0.Z[own]), PX, PZ, r[own])
         refuted[drew] = far.reshape(m, -1).any(axis=1)
     return refuted, drew
 
@@ -114,25 +103,19 @@ def _containment_refuted(alg, inner, X, Z, r, h, n_dirs: int, rng):
 _N_DIRS = 24
 
 
-def _heights(cyls):
-    return np.array([c.base_height for c in cyls])
-
-
-def verify_maximal_family(fam: MaximalFamily, seed: int = 0) -> list:
+def verify_maximal_family(fam: CylFamily, seed: int = 0) -> list:
     """Exhaustive O(n^2) invariant check; returns human-readable violations.
 
     Each member is tested against all others in one disjointness call and
     one refutation call, which draws in the order of one call per pair."""
     rng = np.random.default_rng(seed)
-    alg, cyls = fam.alg, fam.cylinders
-    X, Z, r = ms.cylinder_bases(alg, cyls)
-    h, logs = _heights(cyls), np.array([c.base_log for c in cyls])
+    logs = np.array([c.base_log for c in fam])
     out = []
-    for i, ci in enumerate(cyls):
-        rest = np.delete(np.arange(len(cyls)), i)
-        refuted, _ = _containment_refuted(alg, ci, X[rest], Z[rest], r[rest], h[rest], _N_DIRS, rng)
+    for i, ci in enumerate(fam):
+        rest = np.delete(np.arange(len(fam)), i)
+        refuted, _ = _containment_refuted(ci, fam[rest], _N_DIRS, rng)
         later = rest[(rest > i) & (logs[rest] == ci.base_log)]
-        overlap = set(later[~_disjoint_from(alg, ci, X[later], Z[later], r[later])].tolist())
+        overlap = set(later[~_disjoint_from(ci, fam[later])].tolist())
         for k, ref in zip(rest.tolist(), refuted.tolist()):
             if k in overlap:
                 out.append(f"members {i},{k} share horocycle {ci.base_log} but overlap")
@@ -150,9 +133,9 @@ def _radius_groups(r) -> list:
     return np.split(order, np.flatnonzero(np.diff(r[order])) + 1)
 
 
-def _contained_bases(alg, X0, Z0, r, b_lo, b_hi):
-    """Mask of the base balls certified inside a base ball of strictly
-    larger radius, given the boxes (b_lo, b_hi) of ``base_ball_box_batch``.
+def _contained_bases(fam: CylFamily, b_lo, b_hi):
+    """Mask of the members whose base is certified inside a base ball of
+    strictly larger radius, given the boxes (b_lo, b_hi) of ``base_ball_box_batch``.
 
     Ball s is certified inside ball b when the computed distance
     D = gauge(n_b^{-1} n_s) satisfies D + r_s <= r_b - margin.  Then every
@@ -180,6 +163,7 @@ def _contained_bases(alg, X0, Z0, r, b_lo, b_hi):
     balls of one radius go in chunks of 1, 2, 4, ... balls; the pairs of a
     chunk are tested in one translation with one centre per row, so a
     family with no smaller centre in a larger box makes none."""
+    alg, X0, Z0, r = fam.alg, fam.n0.X, fam.n0.Z, fam.base_radius
     inside = np.zeros(r.size, dtype=bool)
     # column-major centres and box sides, for the per-coordinate gathers
     cent, lo_t, hi_t = np.hstack([X0, Z0]).T.copy(), b_lo.T.copy(), b_hi.T.copy()
@@ -214,9 +198,9 @@ def _contained_bases(alg, X0, Z0, r, b_lo, b_hi):
     return inside
 
 
-def _union_base_measure(alg, cyls, samples: int, seed: int):
-    """Measure of the union of same-horocycle cylinders, as (measure,
-    stderr).
+def _union_base_measure(fam: CylFamily, samples: int, seed: int):
+    """Measure of the union of a family of same-horocycle cylinders, as
+    (measure, stderr).
 
     All bases share one horocycle, so the union is (union of base balls)
     x (height tail) and only the N-Lebesgue measure of the base union is
@@ -224,17 +208,18 @@ def _union_base_measure(alg, cyls, samples: int, seed: int):
     abelian q = 1 backend the base balls are intervals, which
     ``_interval_union_measure`` merges exactly; otherwise
     ``_sampled_union_measure`` samples a bounding box."""
-    tail = cyls[0].base_height ** -alg.nu / alg.nu
-    if alg.p == 0 and alg.q == 1:
-        return _interval_union_measure(cyls) * tail, 0.0
-    est = _sampled_union_measure(alg, cyls, samples, seed)
+    tail = fam[0].base_height ** -fam.alg.nu / fam.alg.nu
+    if fam.alg.p == 0 and fam.alg.q == 1:
+        return _interval_union_measure(fam) * tail, 0.0
+    est = _sampled_union_measure(fam, samples, seed)
     return est.mean * tail, est.stderr * tail
 
 
-def _interval_union_measure(cyls) -> float:
+def _interval_union_measure(fam: CylFamily) -> float:
     """The length of the union of the base balls of q = 1 abelian
     cylinders, the intervals Z0 -+ a0, merged exactly."""
-    ivs = sorted((float(c.n0.Z[0]) - c.a0, float(c.n0.Z[0]) + c.a0) for c in cyls)
+    z = fam.n0.Z[:, 0]
+    ivs = sorted(zip((z - fam.a0).tolist(), (z + fam.a0).tolist()))
     total, cur_lo, cur_hi = 0.0, *ivs[0]
     for lo, hi in ivs[1:]:
         if lo > cur_hi:
@@ -246,7 +231,7 @@ def _interval_union_measure(cyls) -> float:
     return total
 
 
-def _sampled_union_measure(alg, cyls, samples: int, seed: int) -> VolumeEstimate:
+def _sampled_union_measure(fam: CylFamily, samples: int, seed: int) -> VolumeEstimate:
     """The N-Lebesgue measure of the union of the base balls of
     same-horocycle cylinders, by Monte Carlo over a bounding box.
 
@@ -267,10 +252,10 @@ def _sampled_union_measure(alg, cyls, samples: int, seed: int) -> VolumeEstimate
     ``htype.dist_below_cols`` pins its sums, so a test does not depend on
     the layout of the samples either."""
     rng = np.random.default_rng(seed)
-    X0, Z0, r = ms.cylinder_bases(alg, cyls)
+    alg, X0, Z0, r = fam.alg, fam.n0.X, fam.n0.Z, fam.base_radius
     # the bounding box seeds the sample positions: keep the per-row norm,
     # sqrt(x.dot(x)) as np.linalg.norm takes it for a real vector
-    pad = np.array([math.sqrt(c.n0.X.dot(c.n0.X)) for c in cyls]) * r + np.array([c.a0 for c in cyls])
+    pad = np.array([math.sqrt(x.dot(x)) for x in X0]) * r + fam.a0
     lo = np.concatenate([(X0 - 2 * r[:, None]).min(axis=0), (Z0 - pad[:, None]).min(axis=0)])
     hi = np.concatenate([(X0 + 2 * r[:, None]).max(axis=0), (Z0 + pad[:, None]).max(axis=0)])
     rows = rng.uniform(lo, hi, (samples, alg.p + alg.q))
@@ -283,8 +268,8 @@ def _sampled_union_measure(alg, cyls, samples: int, seed: int) -> VolumeEstimate
     # left outside
     cols, hits = np.ascontiguousarray(rows[np.argsort(rows[:, 0])].T), 0
     del rows
-    b_lo, b_hi = ms.base_ball_box_batch(alg, X0, Z0, r)
-    contained = _contained_bases(alg, X0, Z0, r, b_lo, b_hi)
+    b_lo, b_hi = ms.base_ball_box_batch(fam)
+    contained = _contained_bases(fam, b_lo, b_hi)
     for group in _radius_groups(r):
         group = group[~contained[group]]
         if not group.size:
@@ -303,15 +288,16 @@ def _sampled_union_measure(alg, cyls, samples: int, seed: int) -> VolumeEstimate
                 # one row per coordinate: cand[:p] and cand[p:] are the
                 # candidates' p and q columns
                 cand = cols.take(idx, axis=1)
-                outside[idx[ht.dist_below_cols(alg, cyls[i].n0, cand[: alg.p], cand[alg.p :], r[i])]] = False
+                outside[idx[ht.dist_below_cols(alg, fam[i].n0, cand[: alg.p], cand[alg.p :], r[i])]] = False
         hits += outside.size - int(np.count_nonzero(outside))
         cols = cols[:, outside]
     return VolumeEstimate.of_hits(float(np.prod(hi - lo)), hits, samples, seed)
 
 
-def vitali_select(alg: HTypeAlgebra, family: list, samples: int = 100_000, seed: int = 0, omega: float = None):
+def vitali_select(alg: HTypeAlgebra, family, samples: int = 100_000, seed: int = 0, omega: float = None):
     """Greedy largest-first disjoint subfamily of same-horocycle admissible
-    cylinders, with the 5^nu union-measure bound report.
+    cylinders, as a list of the caller's cylinders, with the 5^nu
+    union-measure bound report.
 
     Selection order is decreasing base radius with a lexicographic center
     tie-break; a candidate is kept when its base is certified disjoint
@@ -322,11 +308,12 @@ def vitali_select(alg: HTypeAlgebra, family: list, samples: int = 100_000, seed:
     logs = {c.base_log for c in family}
     if len(logs) > 1:
         raise ValueError(f"bases on mixed horocycles: {sorted(logs)}")
-    selected = _greedy_disjoint(alg, family)
+    fam = CylFamily.of(alg, family)
+    selected = _greedy_disjoint(fam)
 
     if omega is None:
         omega = drsets.omega_n(alg) if alg.p == 0 else drsets.omega_n(alg, "mc", 400_000, seed).mean
-    union_all, stderr = _union_base_measure(alg, family, samples, seed)
+    union_all, stderr = _union_base_measure(fam, samples, seed)
     union_sel = sum(drsets.cylinder_volume(alg, c, omega) for c in selected)
     bound = 5.0**alg.nu
     ratio = union_all / union_sel
@@ -343,14 +330,13 @@ def vitali_select(alg: HTypeAlgebra, family: list, samples: int = 100_000, seed:
             ["ratio", ratio, stderr / union_sel],
         ],
     )
-    rep.check("selected_pairwise_disjoint", 0, 0, _all_disjoint(alg, selected))
+    rep.check("selected_pairwise_disjoint", 0, 0, _all_disjoint(selected))
     rep.check("union_bound_5_nu", bound, ratio, union_all <= bound * union_sel + 3 * stderr)
-    return selected, rep
+    return selected.cylinders, rep
 
 
-def _all_disjoint(alg, cyls) -> bool:
-    X, Z, r = ms.cylinder_bases(alg, cyls)
-    return all(_disjoint_from(alg, c, X[i + 1 :], Z[i + 1 :], r[i + 1 :]).all() for i, c in enumerate(cyls))
+def _all_disjoint(fam: CylFamily) -> bool:
+    return all(_disjoint_from(c, fam[i + 1 :]).all() for i, c in enumerate(fam))
 
 
 # ------------------------------------------------------ family construction
@@ -383,10 +369,11 @@ def random_admissible_cylinders(alg, count, rng, r_lo=2):
     return out
 
 
-def build_maximal_family(alg: HTypeAlgebra, generator, seed: int = 0) -> MaximalFamily:
+def build_maximal_family(alg: HTypeAlgebra, generator, seed: int = 0) -> CylFamily:
     """Prune a generated batch into a maximal family: drop duplicates and
     members not refutably outside another member, then run the greedy
-    disjoint selection on each base horocycle.
+    disjoint selection on each base horocycle.  The family's cylinders are
+    the generator's own objects.
 
     The result and the random stream are those of testing each member
     against the others one pair at a time, in index order, until the first
@@ -404,16 +391,14 @@ def build_maximal_family(alg: HTypeAlgebra, generator, seed: int = 0) -> Maximal
     first = {}
     for c in cyls:
         first.setdefault((c.j, c.R, tuple(c.n0.X.tolist()), tuple(c.n0.Z.tolist())), c)
-    uniq = list(first.values())
+    uniq = CylFamily(alg, first.values())
     # drop members that cannot be refuted as subsets of another member
-    X, Z, r = ms.cylinder_bases(alg, uniq)
-    h = _heights(uniq)
     kept = []
     for i, c in enumerate(uniq):
         contained, rest = False, np.delete(np.arange(len(uniq)), i)
         while rest.size and not contained:
             state = rng.bit_generator.state
-            refuted, drew = _containment_refuted(alg, c, X[rest], Z[rest], r[rest], h[rest], _N_DIRS, rng)
+            refuted, drew = _containment_refuted(c, uniq[rest], _N_DIRS, rng)
             if refuted.all():
                 break
             f = int(refuted.argmin())
@@ -423,18 +408,17 @@ def build_maximal_family(alg: HTypeAlgebra, generator, seed: int = 0) -> Maximal
             k = int(rest[f])
             # symmetric ties (identical geometry is impossible after dedup):
             # keep the earlier one; a later k is refuted against c as outer
-            one = slice(i, i + 1)
-            contained = k < i or bool(_containment_refuted(alg, uniq[k], X[one], Z[one], r[one], h[one], _N_DIRS, rng)[0][0])
+            contained = k < i or bool(_containment_refuted(uniq[k], uniq[i : i + 1], _N_DIRS, rng)[0][0])
             rest = rest[f + 1 :]
         if not contained:
             kept.append(c)
     final = []
     for log_h in sorted({c.base_log for c in kept}):
-        final.extend(_greedy_disjoint(alg, [c for c in kept if c.base_log == log_h]))
-    return MaximalFamily(alg, final)
+        final.extend(_greedy_disjoint(CylFamily(alg, [c for c in kept if c.base_log == log_h])))
+    return CylFamily(alg, final)
 
 
-def stacked_chain(alg: HTypeAlgebra, depth: int) -> MaximalFamily:
+def stacked_chain(alg: HTypeAlgebra, depth: int) -> CylFamily:
     """Adversarial maximal family: ``depth`` cylinders with distinct base
     heights e^{-1}..e^{-depth}, all containing the identity, with centers
     staggered so no member contains another."""
@@ -443,7 +427,7 @@ def stacked_chain(alg: HTypeAlgebra, depth: int) -> MaximalFamily:
         offset = (-1.0) ** k * (0.3 + 0.02 * k)
         n0 = NPoint(np.zeros(alg.p), np.full(alg.q, offset) / math.sqrt(alg.q))
         cyls.append(AdmissibleCylinder(n0, 1, k + 1))
-    return MaximalFamily(alg, cyls, label=f"stacked_chain:{depth}")
+    return CylFamily(alg, cyls)
 
 
 # ----------------------------------------------------------- overlap decay
@@ -470,7 +454,7 @@ def a_r_constant(nu: float, r: float) -> float:
     return (math.exp(2 * nu) / (math.exp(nu) - 1.0) * s) ** (1.0 / r)
 
 
-def overlap_profile_exact(fam: MaximalFamily) -> OverlapProfile:
+def overlap_profile_exact(fam: CylFamily) -> OverlapProfile:
     """Exact overlap measures for the abelian q = 1 backend via a sweep
     over the base-interval arrangement.
 
@@ -482,19 +466,15 @@ def overlap_profile_exact(fam: MaximalFamily) -> OverlapProfile:
     if alg.p != 0 or alg.q != 1:
         raise ValueError("exact sweep requires the abelian q = 1 backend")
     nu = alg.nu
-    cyls = fam.cylinders
-    if not cyls:
+    if not fam:
         return OverlapProfile(nu, [], 0.0)
-    endpoints = sorted(
-        {float(c.n0.Z[0]) - c.a0 for c in cyls} | {float(c.n0.Z[0]) + c.a0 for c in cyls}
-    )
+    z = fam.n0.Z[:, 0]
+    endpoints = sorted(set((z - fam.a0).tolist()) | set((z + fam.a0).tolist()))
     acc: dict = {}
     g_total = 0.0
     for lo, hi in zip(endpoints[:-1], endpoints[1:]):
         mid, width = 0.5 * (lo + hi), hi - lo
-        heights = sorted(
-            c.base_height for c in cyls if abs(mid - float(c.n0.Z[0])) < c.a0
-        )
+        heights = sorted(fam.base_height[np.abs(mid - z) < fam.a0].tolist())
         if not heights:
             continue
         if any(h2 - h1 < 1e-15 for h1, h2 in zip(heights, heights[1:])):
@@ -507,13 +487,13 @@ def overlap_profile_exact(fam: MaximalFamily) -> OverlapProfile:
     return OverlapProfile(nu, sorted(acc.items()), g_total)
 
 
-def overlap_profile(fam: MaximalFamily, grid: ms.SampleGrid) -> OverlapProfile:
+def overlap_profile(fam: CylFamily, grid: ms.SampleGrid) -> OverlapProfile:
     """Grid-tally overlap profile for any backend."""
     # a point lies in at most every member, so the tallies fit the smallest
     # unsigned type that holds the family size
-    counts = np.zeros(grid.shape, dtype=np.min_scalar_type(len(fam.cylinders)))
-    lo, hi = ms.member_blocks(grid, fam.cylinders)
-    for c, c_lo, c_hi in zip(fam.cylinders, lo.tolist(), hi.tolist()):
+    counts = np.zeros(grid.shape, dtype=np.min_scalar_type(len(fam)))
+    lo, hi = ms.member_blocks(grid, fam)
+    for c, c_lo, c_hi in zip(fam, lo.tolist(), hi.tolist()):
         block = tuple(map(slice, c_lo, c_hi))
         counts[block] += ms.block_mask(grid, c, block)
     # one row per horizontal cell: selecting from the broadcast per-height

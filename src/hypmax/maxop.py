@@ -12,7 +12,7 @@ A half-plane family is an ``hyp2.H2Family`` (what ``h2_lattice`` and
 ``admissible_family_for_grid`` return) or a list of ``H2Set``, which the
 operators turn into columns first; a witness index is a position in
 either, and ``MaxField.members`` is the family as the caller passed it.
-Cylinder families are lists.
+A cylinder family is a ``drsets.CylFamily`` or a list of cylinders.
 
 Both operators read one member pass, ``_member_pass``: it yields
 (idx, block, mask, average) for each member whose cells hold part of
@@ -45,7 +45,7 @@ each supremum over R >= 1 is its value (for K3 its limit) at R = 1.
 where the member holds no cell of supp f.  ``maximal_field`` paints each
 yielded average onto the member's cells where it beats the value there.
 ``maximal_fn`` finds the members that contain the point (one vectorized
-call per half-plane kind, one test per cylinder) and takes the first
+call per half-plane kind, one for all cylinders) and takes the first
 maximum of their ``member_averages``.
 """
 
@@ -58,6 +58,7 @@ from typing import Optional
 import numpy as np
 
 from . import drsets, hyp2
+from .drsets import CylFamily
 from .hyp2 import H2Family, H2Set, SetKind
 from .measure import SampleGrid, block_mask, member_blocks
 from .measure import membership_mask  # noqa: F401  (perfbench/tracing.py wraps maxop.membership_mask)
@@ -231,13 +232,13 @@ def _h2_cells(grid: SampleGrid, fam: H2Family, wv: np.ndarray, rows: np.ndarray,
 
 
 def _cylinder_cells(
-    grid: SampleGrid, members, wv: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega: float
+    grid: SampleGrid, fam: CylFamily, wv: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega: float
 ):
-    """(idx, block, mask, average) for each cylinder members[idx], idx in
+    """(idx, block, mask, average) for each cylinder fam[idx], idx in
     ``rows``, whose blocks are the rows of (lo, hi) and whose cells hold
     part of supp wv."""
     for idx, l, h in zip(rows.tolist(), lo.tolist(), hi.tolist()):
-        s = members[idx]
+        s = fam[idx]
         block = tuple(map(slice, l, h))
         mask = block_mask(grid, s, block)
         integ = _numerator(wv, block, mask)
@@ -250,9 +251,10 @@ def _member_pass(grid: SampleGrid, members, omega: float):
     cells hold part of supp f, in family order; only the members whose
     block meets the index range of supp f reach the cell generator."""
     _check_omega(members, omega)
-    fam = H2Family.of(members) if grid.space == "h2" else members
+    # the blocks first: member_blocks refuses a member of the other space
+    lo, hi = member_blocks(grid, members)
+    fam = H2Family.of(members) if grid.space == "h2" else CylFamily.of(grid.alg, members)
     wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
-    lo, hi = member_blocks(grid, fam)
     s_lo, s_hi = _support_range(wv != 0)
     rows = np.flatnonzero((np.maximum(lo, s_lo) < np.minimum(hi, s_hi)).all(axis=1))
     if grid.space == "h2":
@@ -272,7 +274,7 @@ def member_averages(grid: SampleGrid, members, omega: float = None) -> np.ndarra
 
 def maximal_field(grid: SampleGrid, members, omega: float = None) -> MaxField:
     """Operator values at every grid point over the family ``members`` (an
-    ``H2Family``, a list of ``H2Set`` or a list of cylinders); ties keep
+    ``H2Family``, a ``CylFamily`` or a list of either's members); ties keep
     the earliest member.  Cylinder families need ``omega``."""
     out = np.zeros(grid.shape)
     widx = np.full(grid.shape, -1, dtype=np.int64)
@@ -288,16 +290,17 @@ def maximal_fn(grid: SampleGrid, x, members, omega: float = None) -> MaxResult:
     """Operator value at one point with its witness set (the first member
     attaining it): the first maximum of ``member_averages`` over the members
     that contain the point.  Half-plane members are tested in one call per
-    kind (``H2Family.contains_point``), cylinders one by one."""
+    kind (``H2Family.contains_point``), cylinders in one batch call."""
     # on the whole family: a point that no member contains still needs omega
     _check_omega(members, omega)
     if grid.space == "h2":
         fam = H2Family.of(members)
-        rows = np.flatnonzero(fam.contains_point(x.x, x.y))
-        sub = fam[rows]
+        inside = fam.contains_point(x.x, x.y)
     else:
-        rows = np.flatnonzero([drsets.cylinder_contains(grid.alg, s, x) for s in members])
-        sub = [members[i] for i in rows.tolist()]
+        fam = CylFamily.of(grid.alg, members)
+        inside = drsets.cylinder_contains_batch(grid.alg, fam, x.X[:, None], x.Z[:, None], np.array([x.a]))
+    rows = np.flatnonzero(inside)
+    sub = fam[rows]
     avg = member_averages(grid, sub, omega)
     best = float(avg.max(initial=0.0))
     return MaxResult(best, members[int(rows[avg.argmax()])] if best > 0 else None, empty=not rows.size)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import drsets, hyp2
-from .drsets import AdmissibleCylinder, Cylinder
+from .drsets import AdmissibleCylinder, CylFamily, Cylinder
 from .htype import HTypeAlgebra
 from .hyp2 import H2Family, H2Set
 from .report import VolumeEstimate
@@ -159,7 +159,7 @@ _DESCRIPTORS = {"h2": H2Set, "na": (Cylinder, AdmissibleCylinder)}
 
 
 def _check_descriptors(grid: SampleGrid, members) -> None:
-    if isinstance(members, H2Family):
+    if isinstance(members, (H2Family, CylFamily)):
         members = members[:1]  # one kind of descriptor: check the first
     want = _DESCRIPTORS[grid.space]
     for s in members:
@@ -178,18 +178,19 @@ def member_blocks(grid: SampleGrid, members) -> tuple:
     members[i]; every point outside it lies outside the member.
 
     Half-plane sets (an ``H2Family`` or a list of ``H2Set``) take their
-    blocks from ``hyp2.bounding_boxes``, cylinders from
-    ``base_ball_box_batch`` and the height suffix above the base; both are
-    padded by one cell per side.  Rows may be empty (lo >= hi on some
-    axis)."""
+    blocks from ``hyp2.bounding_boxes``, cylinders (a ``CylFamily`` or a
+    list) from ``base_ball_box_batch`` and the height suffix above the
+    base; both are padded by one cell per side.  Rows may be empty
+    (lo >= hi on some axis)."""
     _check_descriptors(grid, members)
     m = len(members)
     if grid.space == "h2":
         box = hyp2.bounding_boxes(H2Family.of(members))
         lo, hi = box[:, 0::2], box[:, 1::2]
     else:
-        b_lo, b_hi = base_ball_box_batch(grid.alg, *cylinder_bases(grid.alg, members))
-        lo = np.column_stack([b_lo, [c.base_height for c in members]])
+        fam = CylFamily.of(grid.alg, members)
+        b_lo, b_hi = base_ball_box_batch(fam)
+        lo = np.column_stack([b_lo, fam.base_height])
         hi = np.column_stack([b_hi, np.full(m, math.inf)])
     return _spans(grid.axes, lo, hi)
 
@@ -229,20 +230,12 @@ def membership_mask(grid: SampleGrid, s) -> tuple:
     return block, block_mask(grid, s, block)
 
 
-def cylinder_bases(alg: HTypeAlgebra, cyls) -> tuple:
-    """Centres X (m, p), Z (m, q) and base radii (m,) of the cylinders."""
-    m = len(cyls)
-    X = np.array([c.n0.X for c in cyls]).reshape(m, alg.p)
-    Z = np.array([c.n0.Z for c in cyls]).reshape(m, alg.q)
-    return X, Z, np.array([c.base_radius for c in cyls])
-
-
-def base_ball_box_batch(alg: HTypeAlgebra, X0, Z0, r) -> tuple:
+def base_ball_box_batch(fam: CylFamily) -> tuple:
     """(lo, hi), each of shape (m, p + q): row i is an open box over the
     p + q horizontal coordinates holding every point that the rounded test
-    gauge(n0^{-1} n) < r[i] of the base ball about n0 = (X0[i], Z0[i])
-    accepts."""
-    r = np.asarray(r, dtype=float)[:, None]
+    gauge(n0^{-1} n) < r of the base ball of fam[i], with centre
+    n0 = (X0[i], Z0[i]) and radius r = fam.base_radius[i], accepts."""
+    alg, X0, Z0, r = fam.alg, fam.n0.X, fam.n0.Z, fam.base_radius[:, None]
     aX0 = np.abs(X0)
     # gauge < r gives |X - X0| < 2r and |Z - Z0 - [X0, X - X0]/2| < r^2 (the
     # bracket is antisymmetric), so |Z_k - Z0_k| < r^2 + r sum_ij |X0_i c_ijk|;

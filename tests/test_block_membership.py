@@ -92,7 +92,9 @@ def per_candidate_greedy(alg, cyls):
     order = sorted(cyls, key=lambda c: (-c.base_radius, tuple(c.n0.X), tuple(c.n0.Z)))
     kept = []
     for c in order:
-        X, Z, r = ms.cylinder_bases(alg, kept)
+        X = np.array([k.n0.X for k in kept]).reshape(len(kept), alg.p)
+        Z = np.array([k.n0.Z for k in kept]).reshape(len(kept), alg.q)
+        r = np.array([k.base_radius for k in kept])
         Zd = -c.n0.Z[None, :] + Z
         if alg.p:
             Zd = Zd + 0.5 * np.einsum("i,nj,ijk->nk", -c.n0.X, X, alg.bracket_coeffs)
@@ -477,7 +479,7 @@ def test_maximal_fn_small_support_matches_full_grid(kind, case):
         points = [ht.SPoint(X[k], Z[k], float(a[k])) for k in range(0, g.size, 97)]
 
         def contains(s, x):
-            return dr.cylinder_contains(g.alg, s, x)
+            return bool(dr.cylinder_contains_batch(g.alg, s, x.X[:, None], x.Z[:, None], np.array([x.a]))[0])
     else:
         g, omega = h2_grid(), None
         fam = list(h2_family(g, kind))
@@ -723,7 +725,7 @@ def test_member_blocks_rows_match_membership_mask(kind):
         fam = cylinder_family(kind)
         boxes = []
         for s in fam:
-            (b_lo,), (b_hi,) = ms.base_ball_box_batch(g.alg, *ms.cylinder_bases(g.alg, [s]))
+            (b_lo,), (b_hi,) = ms.base_ball_box_batch(dr.CylFamily(g.alg, [s]))
             boxes.append((list(b_lo) + [s.base_height], list(b_hi) + [math.inf]))
     else:
         g = h2_grid()
@@ -752,6 +754,11 @@ def test_member_blocks_reject_foreign_descriptors():
         ms.member_blocks(na_grid(), [h2.half_ball(h2.HPoint(0.0, 1.0), 1.0)])
     with pytest.raises(TypeError):
         ms.member_blocks(na_grid(), [fam[0], "cylinder"])
+    # the operators refuse them the same way, before building a family
+    with pytest.raises(ValueError):
+        mx.maximal_field(h2_grid(), fam[:1], omega=1.0)
+    with pytest.raises(ValueError):
+        mx.maximal_field(na_grid(), [h2.half_ball(h2.HPoint(0.0, 1.0), 1.0)], omega=1.0)
 
 
 def materialised_block_mask(g, s, block):
@@ -864,7 +871,7 @@ def test_overlap_profile_counts_past_255_members_match_full_grid():
     # 300 cylinders about nearby centres, all holding the cells just above
     # the identity, so the tallies need more than 8 bits
     cyls = [dr.Cylinder(NPoint(np.array([0.001 * k, 0.0]), np.array([0.0])), 1.0 + 0.01 * k, 2.0) for k in range(300)]
-    fam = ex.MaximalFamily(HEI1, cyls)
+    fam = dr.CylFamily(HEI1, cyls)
     grid = ms.build_grid("na", ([(-1.5, 1.5)] * 2, [(-1.5, 1.5)], (-3.0, 1.5)), ([4, 4], [5], 6), alg=HEI1)
     prof = ex.overlap_profile(fam, grid)
     assert prof.omega_k[-1][0] > 255 and prof.omega_k[-1][1] > 0
@@ -877,7 +884,7 @@ def test_overlap_profile_counts_past_255_members_match_full_grid():
 def test_union_measure_matches_unsorted_loop(alg):
     rng = np.random.default_rng(2)
     fam = ex.random_horocycle_family(alg, 200, -2, rng)
-    got = ex._union_base_measure(alg, fam, 20_000, 9)
+    got = ex._union_base_measure(dr.CylFamily(alg, fam), 20_000, 9)
     assert got == unsorted_union_measure(alg, fam, 20_000, 9)
     assert got[0] > 0
 
@@ -897,7 +904,7 @@ def test_union_measure_skips_covered_samples(alg, monkeypatch):
     calls = []
     translate = ht.left_translate_cols
     monkeypatch.setattr(ht, "left_translate_cols", lambda *a: calls.append(1) or translate(*a))
-    got = ex._union_base_measure(alg, fam, 20_000, 4)
+    got = ex._union_base_measure(dr.CylFamily(alg, fam), 20_000, 4)
     assert len(calls) < len(fam) // 2
     monkeypatch.undo()
     assert got == unsorted_union_measure(alg, fam, 20_000, 4)
@@ -908,7 +915,7 @@ def test_union_measure_skips_covered_samples(alg, monkeypatch):
 def test_union_measure_one_radius_matches_unsorted_loop(alg):
     rng = np.random.default_rng(6)
     fam = ex.random_horocycle_family(alg, 150, -2, rng, r_lo=3, r_hi=3)
-    got = ex._union_base_measure(alg, fam, 20_000, 8)
+    got = ex._union_base_measure(dr.CylFamily(alg, fam), 20_000, 8)
     assert got == unsorted_union_measure(alg, fam, 20_000, 8)
     assert got[0] > 0
 
@@ -919,9 +926,9 @@ def test_union_measure_at_the_vitali_benchmark_shape_matches_unsorted_loop():
     radius group, whose balls gather their candidates from the columns."""
     rng = np.random.default_rng(16)
     fam = ex.random_horocycle_family(HEI1, 1000, -2, rng)
-    r = ms.cylinder_bases(HEI1, fam)[2]
+    r = dr.CylFamily(HEI1, fam).base_radius
     assert len({float(v) for v, inside in zip(r, contained_mask(HEI1, fam)) if not inside}) == 1
-    got = ex._union_base_measure(HEI1, fam, 50_000, 17)
+    got = ex._union_base_measure(dr.CylFamily(HEI1, fam), 50_000, 17)
     assert got == unsorted_union_measure(HEI1, fam, 50_000, 17)
     assert got[0] > 0
 
@@ -933,13 +940,12 @@ def test_batched_disjointness_matches_dist_n(alg):
     rng = np.random.default_rng(8)
     for scale in (1e-3, 1.0, 1e3):
         fam = ex.random_horocycle_family(alg, 40, -2, rng, r_lo=2, r_hi=6, spread=scale)
-        X, Z, r = ms.cylinder_bases(alg, fam)
+        cols = dr.CylFamily(alg, fam)
         for c in fam:
             dist = [ht.dist_n(alg, c.n0, s.n0) for s in fam]
-            assert np.array_equal(ht.dist_n_cols(alg, c.n0, X.T, Z.T), dist)
+            assert np.array_equal(ht.dist_n_cols(alg, c.n0, cols.n0.X.T, cols.n0.Z.T), dist)
             per_pair = [d >= c.base_radius + s.base_radius for d, s in zip(dist, fam)]
-            assert list(ex._disjoint_from(alg, c, X, Z, r)) == per_pair
-            assert [ex._certified_disjoint(alg, c, s) for s in fam] == per_pair
+            assert list(ex._disjoint_from(c, cols)) == per_pair
 
 
 @pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
@@ -953,7 +959,7 @@ def test_greedy_matches_per_candidate_oracle(alg, spread, monkeypatch):
     calls = []
     translate = ht.left_translate_cols
     monkeypatch.setattr(ht, "left_translate_cols", lambda *a: calls.append(1) or translate(*a))
-    kept = ex._greedy_disjoint(alg, fam)
+    kept = ex._greedy_disjoint(dr.CylFamily(alg, fam))
     monkeypatch.undo()
     assert [id(c) for c in kept] == [id(c) for c in per_candidate_greedy(alg, fam)]
     assert 1 < len(kept) < len(fam)
@@ -983,7 +989,7 @@ def test_union_measure_tests_no_sample_after_its_hit(monkeypatch):
         return out
 
     monkeypatch.setattr(ht, "left_translate_cols", spy)
-    got = ex._union_base_measure(HEI2, fam, 20_000, 3)
+    got = ex._union_base_measure(dr.CylFamily(HEI2, fam), 20_000, 3)
     monkeypatch.undo()
     assert got == unsorted_union_measure(HEI2, fam, 20_000, 3)
     assert again == [] and len(held) > 1000
@@ -1029,7 +1035,7 @@ def test_maximal_family_matches_per_pair_oracle(alg):
 def test_verify_maximal_family_matches_per_pair_oracle(alg):
     """A batch that was never pruned has overlaps and containments: the
     violations and the random stream are those of one test per pair."""
-    fam = ex.MaximalFamily(alg, nested_batch(alg, np.random.default_rng(3)))
+    fam = dr.CylFamily(alg, nested_batch(alg, np.random.default_rng(3)))
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     got = ex.verify_maximal_family(fam, seed=rng)
     assert got == per_pair_violations(fam, ref_rng)
@@ -1042,8 +1048,8 @@ def horocycle_cylinder(alg, X, Z, j):
 
 
 def contained_mask(alg, cyls):
-    X0, Z0, r = ms.cylinder_bases(alg, cyls)
-    return ex._contained_bases(alg, X0, Z0, r, *ms.base_ball_box_batch(alg, X0, Z0, r))
+    fam = dr.CylFamily(alg, cyls)
+    return ex._contained_bases(fam, *ms.base_ball_box_batch(fam))
 
 
 @pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
@@ -1077,14 +1083,14 @@ def test_union_measure_certifies_nested_chains(alg, scale):
         fam += [small, big]
     inside = contained_mask(alg, fam)
     assert {id(c) for c, flag in zip(fam, inside) if flag} == {id(c) for c in nested}
-    assert ex._union_base_measure(alg, fam, 20_000, 2) == unsorted_union_measure(alg, fam, 20_000, 2)
+    assert ex._union_base_measure(dr.CylFamily(alg, fam), 20_000, 2) == unsorted_union_measure(alg, fam, 20_000, 2)
 
 
 @pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
 def test_union_measure_sparse_family_matches_unsorted_loop(alg):
     rng = np.random.default_rng(14)
     fam = ex.random_horocycle_family(alg, 2000, -2, rng, spread=60.0)
-    got = ex._union_base_measure(alg, fam, 5_000, 6)
+    got = ex._union_base_measure(dr.CylFamily(alg, fam), 5_000, 6)
     assert got == unsorted_union_measure(alg, fam, 5_000, 6)
     assert got[0] > 0
 
@@ -1098,15 +1104,16 @@ def test_union_measure_without_nested_centres_makes_no_certificate_translate(alg
     fam = ex.random_horocycle_family(alg, 300, -2, rng, spread=5.0)
     for k, c in enumerate(fam):
         (c.n0.X if alg.p else c.n0.Z)[0] = 1e3 * k
-    X0, Z0, r = ms.cylinder_bases(alg, fam)
-    lo, hi = ms.base_ball_box_batch(alg, X0, Z0, r)
-    cent = np.hstack([X0, Z0])
+    cols = dr.CylFamily(alg, fam)
+    r = cols.base_radius
+    lo, hi = ms.base_ball_box_batch(cols)
+    cent = np.hstack([cols.n0.X, cols.n0.Z])
     in_box = ((cent[None, :, :] > lo[:, None, :]) & (cent[None, :, :] < hi[:, None, :])).all(axis=2)
     assert not (in_box & (r[None, :] < r[:, None])).any()
     calls = []
     translate = ht.left_translate_cols
     monkeypatch.setattr(ht, "left_translate_cols", lambda alg, n0, X, Z: calls.append(n0.X.ndim) or translate(alg, n0, X, Z))
-    got = ex._union_base_measure(alg, fam, 20_000, 5)
+    got = ex._union_base_measure(dr.CylFamily(alg, fam), 20_000, 5)
     monkeypatch.undo()
     assert 2 not in calls and calls
     assert got == unsorted_union_measure(alg, fam, 20_000, 5)
@@ -1133,7 +1140,7 @@ def test_base_ball_box_holds_every_accepted_point(alg, scale, a0):
     X, Z = ex._probe_points(alg, c, 2000, rng)
     accepted = ht.dist_n_cols(alg, c.n0, X, Z) < c.base_radius
     assert accepted.any()
-    (lo,), (hi,) = ms.base_ball_box_batch(alg, *ms.cylinder_bases(alg, [c]))
+    (lo,), (hi,) = ms.base_ball_box_batch(dr.CylFamily(alg, [c]))
     pts = np.column_stack([*X, *Z])[accepted]
     assert ((pts > lo) & (pts < hi)).all()
 
@@ -1145,7 +1152,7 @@ def test_base_ball_box_batch_rows_match_one_row_calls(alg):
         dr.Cylinder(NPoint(s * rng.standard_normal(alg.p), s * rng.standard_normal(alg.q)), a0, 2.0)
         for s, a0 in zip(10.0 ** rng.uniform(-3, 3, 300), np.exp(rng.uniform(-16, 16, 300)))
     ]
-    lo, hi = ms.base_ball_box_batch(alg, *ms.cylinder_bases(alg, cyls))
+    lo, hi = ms.base_ball_box_batch(dr.CylFamily(alg, cyls))
     for i, c in enumerate(cyls):
-        (lo1,), (hi1,) = ms.base_ball_box_batch(alg, *ms.cylinder_bases(alg, [c]))
+        (lo1,), (hi1,) = ms.base_ball_box_batch(dr.CylFamily(alg, [c]))
         assert np.array_equal(lo[i], lo1) and np.array_equal(hi[i], hi1)

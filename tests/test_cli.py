@@ -32,10 +32,10 @@ def test_parse_grid():
 
 
 def test_parse_alpha_ladder():
-    vals, m_range = cli.parse_alpha_ladder("2^-3..2^-5")
+    vals, m_range = cli.parse_alpha_ladder(cli.resolve_config(["levelset", "--alpha-ladder", "2^-3..2^-5"]))
     assert vals == [2.0**-3, 2.0**-4, 2.0**-5]
     assert list(m_range) == [3, 4, 5]
-    vals, m_range = cli.parse_alpha_ladder("0.5,0.25")
+    vals, m_range = cli.parse_alpha_ladder(cli.resolve_config(["eta", "--alpha-ladder", "0.5,0.25"]))
     assert vals == [0.5, 0.25] and m_range is None
 
 
@@ -192,6 +192,27 @@ def test_exit_code_on_failure(monkeypatch):
         ["maxfn", "--grid=-1e160:1e160:-2:2:8:8"],
         ["levelset", "--grid=-4:3.4e153:-2:2:8:8"],
         ["maxfn", "--config", "grid=-3.4e153:4:-2:2:8:8"],
+        # alphas below the subcommand's least (1/alpha overflows, the
+        # admissible areas or the L log L sum overflow, 2^-1100 is 0.0,
+        # the eta chain's squared distances overflow), above 2^1023, or a
+        # dyadic end whose power of two overflows
+        ["levelset", "--alpha-ladder", "1e-310"],
+        ["levelset", "--alpha-ladder", "1e-308"],
+        ["levelset", "--alpha-ladder", "1e-305"],
+        ["levelset", "--alpha-ladder", "0.5," + repr(2.0**-244)],
+        ["levelset", "--alpha-ladder", "2^-3..2^-1100"],
+        ["levelset", "--alpha-ladder", "2^-3..2^-244"],
+        ["levelset", "--alpha-ladder", "1e308"],
+        ["levelset", "--config", "alpha_ladder=2^2000..2^1"],
+        ["eta", "--alpha-ladder", "2^-6..2^-900"],
+        ["eta", "--alpha-ladder", "2^-6..2^-1070"],
+        ["eta", "--alpha-ladder", "2^-6..2^-519"],
+        # Re z -+ 2 Im z round to one float, and Im z whose scales overflow
+        ["figures", "--figure", "rectangle", "--z", "1e17,1"],
+        ["figures", "--figure", "rectangle", "--z", "1e308,1"],
+        ["figures", "--z", f"{2.0**31 * 2.0 + 1e-6},2"],
+        ["figures", "--z", "0,1e-320"],
+        ["figures", "--z", "0,1e308"],
     ],
 )
 def test_invalid_input_exits_2(argv, tmp_path, capsys):
@@ -231,16 +252,29 @@ U_MAX = cli.GRID_LOG_HEIGHT_MAX
             for family in ("half_ball", "trigonon", "rectangle", "ball", "modified_half_ball", "admissible_rectangle")
         ),
         ["levelset", f"--grid=-{X_MAX}:{X_MAX}:-{U_MAX}:{U_MAX}:16:16"],
+        # the smallest alphas: on one x cell of the widest window, the
+        # height profile puts |f| = 20 on cells of the largest weights
+        [
+            "levelset", f"--grid=-{X_MAX}:{X_MAX}:-{U_MAX}:{U_MAX}:1:16", "--profile", "height",
+            "--alpha-ladder", f"2^-{cli.ALPHA_EXPONENT_MAX['levelset'] - 1}..2^-{cli.ALPHA_EXPONENT_MAX['levelset']}",
+        ],
+        ["levelset", "--profile", "height", "--alpha-ladder", f"{2.0 ** -cli.ALPHA_EXPONENT_MAX['levelset']!r},{2.0**1023!r}"],
+        ["eta", "--alpha-ladder", f"2^-6..2^-{cli.ALPHA_EXPONENT_MAX['eta']}"],
+        # the widest Re z per Im z at the smallest and largest Im z
+        ["figures", f"--z={2.0**31 * 2.0**-1000!r},{2.0**-1000!r}"],
+        ["figures", f"--z=-{2.0**31 * 2.0**990!r},{2.0**990!r}"],
     ],
 )
 def test_numeric_input_at_its_bound_runs_clean(argv):
-    """At the largest radius and grid bounds the CLI admits, no numpy
-    overflow is raised and every number of the report is finite."""
+    """At the largest radius, grid, alpha and figure-centre bounds the CLI
+    admits, no numpy overflow is raised and every number of the report
+    (or of the figure) is finite."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         status, body = run_cli(argv)
     if argv[0] == "figures":
         assert status == 0 and body.startswith("<svg")
+        assert "nan" not in body and "inf" not in body
         return
     assert finite_numbers(json.loads(body))
     # the Monte Carlo of volume finds no hit in so large a box; its verdict is not checked here

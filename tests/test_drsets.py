@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypmax import drsets as dr
 from hypmax import htype as ht
@@ -17,6 +18,11 @@ HEI1 = ht.heisenberg(1)
 
 def cyl_at_identity(alg, R):
     return dr.Cylinder(ht.identity_n(alg), 1.0, R)
+
+
+def contains(alg, c, x):
+    """Membership of one point: the batch kernel on its length-1 columns."""
+    return bool(dr.cylinder_contains_batch(alg, c, x.X[:, None], x.Z[:, None], np.array([x.a]))[0])
 
 
 def sample_in_cylinder(alg, c, n, rng):
@@ -44,9 +50,9 @@ def sample_in_cylinder(alg, c, n, rng):
 
 def test_cylinder_contains_examples():
     c = cyl_at_identity(HEI1, 2.0)
-    assert dr.cylinder_contains(HEI1, c, ht.identity(HEI1))
+    assert contains(HEI1, c, ht.identity(HEI1))
     boundary = ht.spoint(HEI1, np.zeros(2), np.zeros(1), math.exp(-2.0))
-    assert not dr.cylinder_contains(HEI1, c, boundary)
+    assert not contains(HEI1, c, boundary)
 
 
 def test_cylinder_agrees_with_rectangle_on_h2():
@@ -75,9 +81,64 @@ def test_cylinder_coordinate_form_matches_translate(alg):
     for _ in range(2000):
         x = ht.spoint(alg, rng.normal(size=alg.p) * 2, rng.normal(size=alg.q) * 2, math.exp(rng.uniform(-3, 2)))
         y = ht.na_mul(alg, inv, x)
-        lhs = dr.cylinder_contains(alg, c, x)
+        lhs = contains(alg, c, x)
         rhs = bool(ht.gauge(y.n_part) < 1.0 and y.a > math.exp(-2.0))
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------- families
+
+FAMILY_ALGS = [AB2, HEI1, ht.heisenberg(2), ht.heisenberg(3)]
+
+
+def drawn_family(alg):
+    """Lists of both kinds of cylinder, with signed zeros, repeated members
+    (the same object) and an empty family among the draws."""
+    coord = st.one_of(st.floats(-50.0, 50.0, allow_subnormal=False), st.sampled_from([0.0, -0.0]))
+    centre = st.builds(
+        lambda X, Z: ht.NPoint(np.array(X, dtype=float), np.array(Z, dtype=float)),
+        st.lists(coord, min_size=alg.p, max_size=alg.p),
+        st.lists(coord, min_size=alg.q, max_size=alg.q),
+    )
+    cyl = st.one_of(
+        st.builds(dr.Cylinder, centre, st.floats(1e-6, 1e6), st.floats(1.01, 30.0)),
+        st.builds(dr.AdmissibleCylinder, centre, st.integers(-20, 20), st.integers(2, 30)),
+    )
+    return st.lists(cyl, max_size=12).map(lambda cyls: cyls + cyls[:2])
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("alg", FAMILY_ALGS, ids=lambda a: a.label)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_family_columns_are_the_members_attributes(alg, data):
+    """Every column of a ``CylFamily`` holds each member's own attribute bit
+    for bit, the members are the caller's objects, a sub-family holds the
+    rows it names, and one batch call on a family gives each member's
+    verdict of a call on that member alone."""
+    cyls = data.draw(drawn_family(alg), label="cylinders")
+    fam = dr.CylFamily(alg, cyls)
+    assert len(fam) == len(cyls) and fam.n0.X.shape == (len(cyls), alg.p) and fam.n0.Z.shape == (len(cyls), alg.q)
+    assert all(f is c for f, c in zip(fam, cyls)) and all(fam[i] is c for i, c in enumerate(cyls))
+    for name in ("base_radius", "base_height", "a0"):
+        assert bits(getattr(fam, name)) == bits([getattr(c, name) for c in cyls])
+    for i, c in enumerate(cyls):
+        assert bits(fam.n0.X[i]) == bits(c.n0.X) and bits(fam.n0.Z[i]) == bits(c.n0.Z)
+    picks = st.lists(st.integers(0, len(cyls) - 1), max_size=8) if cyls else st.just([])
+    rows = np.array(data.draw(picks, label="rows"), dtype=np.intp)
+    for key, want in ((rows, rows.tolist()), (slice(1, None, 2), list(range(len(cyls)))[1::2])):
+        sub = fam[key]
+        assert [id(c) for c in sub.cylinders] == [id(cyls[k]) for k in want]
+        assert bits(sub.base_height) == bits([cyls[k].base_height for k in want])
+        assert bits(sub.n0.Z) == bits(np.array([cyls[k].n0.Z for k in want]).reshape(len(want), alg.q))
+    assert dr.CylFamily.of(alg, fam) is fam
+    # a point at the first member's centre, inside it and maybe in others
+    x = ht.SPoint(cyls[0].n0.X, cyls[0].n0.Z, cyls[0].a0) if cyls else ht.identity(alg)
+    one = [bool(dr.cylinder_contains_batch(alg, c, x.X[:, None], x.Z[:, None], np.array([x.a]))[0]) for c in cyls]
+    assert dr.cylinder_contains_batch(alg, fam, x.X[:, None], x.Z[:, None], np.array([x.a])).tolist() == one
 
 
 # ----------------------------------------------------------------- volumes

@@ -49,19 +49,21 @@ def test_vitali_random_families_h2_backend():
         fam = ex.random_horocycle_family(AB1, int(rng.integers(2, 51)), -2, rng)
         sel, rep = ex.vitali_select(AB1, fam, samples=20_000, seed=trial)
         assert rep.all_pass, rep.to_json()
-        assert ex._all_disjoint(AB1, sel)
+        assert ex._all_disjoint(dr.CylFamily(AB1, sel))
 
 
 def unblocked_left_out(alg, family, kept):
     """Brute force over all pairs: the members of ``family`` outside ``kept``
     that meet no kept member on their horocycle with base radius at least
-    their own.  A maximal greedy selection leaves none."""
+    their own, read from ``htype.dist_n`` per pair.  A maximal greedy
+    selection leaves none."""
     kept_ids = {id(c) for c in kept}
     return [
         m for m in family
         if id(m) not in kept_ids
         and not any(
-            s.base_log == m.base_log and s.base_radius >= m.base_radius and not ex._certified_disjoint(alg, m, s)
+            s.base_log == m.base_log and s.base_radius >= m.base_radius
+            and ht.dist_n(alg, m.n0, s.n0) < m.base_radius + s.base_radius
             for s in kept
         )
     ]
@@ -73,7 +75,7 @@ def test_vitali_selection_is_maximal(alg, spread):
     for trial in range(5):
         fam = ex.random_horocycle_family(alg, 60, -2, rng, r_hi=4, spread=spread)
         sel, _rep = ex.vitali_select(alg, fam, samples=2_000, seed=trial, omega=2 * math.pi**2)
-        assert ex._all_disjoint(alg, sel)
+        assert ex._all_disjoint(dr.CylFamily(alg, sel))
         assert 0 < len(sel) < len(fam)
         assert not unblocked_left_out(alg, fam, sel)
 
@@ -91,19 +93,20 @@ def test_greedy_order_is_the_tuple_key_order(alg):
         for _ in range(60)
     ]
     fam += fam[:6] + [AdmissibleCylinder(NPoint(c.n0.X.copy(), c.n0.Z.copy()), c.j, c.R) for c in fam[6:12]]
-    X, Z, r = ms.cylinder_bases(alg, fam)
+    cols = dr.CylFamily(alg, fam)
+    X, Z, r = cols.n0.X, cols.n0.Z, cols.base_radius
     first = np.hstack([X, Z])[:, 0]
     assert len(set(r.tolist())) < len(fam) and len(set(first.tolist())) < len(fam)
     assert (np.signbit(first) & (first == 0.0)).any() and (~np.signbit(first) & (first == 0.0)).any()
     want = sorted(fam, key=lambda c: (-c.base_radius, tuple(c.n0.X), tuple(c.n0.Z)))
-    assert [id(fam[i]) for i in ex._greedy_order(X, Z, r)] == [id(c) for c in want]
+    assert [id(fam[i]) for i in ex._greedy_order(cols)] == [id(c) for c in want]
 
 
 def test_vitali_union_measure_exact_vs_mc():
     rng = np.random.default_rng(11)
-    fam = ex.random_horocycle_family(AB1, 30, -1, rng)
+    fam = dr.CylFamily(AB1, ex.random_horocycle_family(AB1, 30, -1, rng))
     exact = ex._interval_union_measure(fam)
-    mc = ex._sampled_union_measure(AB1, fam, 200_000, 3)
+    mc = ex._sampled_union_measure(fam, 200_000, 3)
     assert abs(mc.mean - exact) < 3 * max(mc.stderr, 1e-12)
 
 
@@ -111,13 +114,13 @@ def test_union_base_measure_takes_the_half_of_its_backend():
     """The exact interval merge on the abelian q = 1 backend, sampling on
     every other, bit for bit, each times the height tail."""
     rng = np.random.default_rng(4)
-    fam = ex.random_horocycle_family(AB1, 20, -1, rng)
+    fam = dr.CylFamily(AB1, ex.random_horocycle_family(AB1, 20, -1, rng))
     tail = fam[0].base_height ** -AB1.nu / AB1.nu
-    assert ex._union_base_measure(AB1, fam, 5_000, 2) == (ex._interval_union_measure(fam) * tail, 0.0)
-    fam = ex.random_horocycle_family(HEI1, 20, -1, rng, spread=4.0)
+    assert ex._union_base_measure(fam, 5_000, 2) == (ex._interval_union_measure(fam) * tail, 0.0)
+    fam = dr.CylFamily(HEI1, ex.random_horocycle_family(HEI1, 20, -1, rng, spread=4.0))
     tail = fam[0].base_height ** -HEI1.nu / HEI1.nu
-    est = ex._sampled_union_measure(HEI1, fam, 5_000, 2)
-    assert ex._union_base_measure(HEI1, fam, 5_000, 2) == (est.mean * tail, est.stderr * tail)
+    est = ex._sampled_union_measure(fam, 5_000, 2)
+    assert ex._union_base_measure(fam, 5_000, 2) == (est.mean * tail, est.stderr * tail)
     assert est.stderr > 0
 
 
@@ -128,6 +131,26 @@ def test_vitali_heisenberg_backend():
         fam = ex.random_horocycle_family(HEI1, 20, -1, rng, spread=4.0)
         sel, rep = ex.vitali_select(HEI1, fam, samples=40_000, seed=trial, omega=omega)
         assert rep.all_pass, rep.to_json()
+
+
+@pytest.mark.parametrize("alg", [AB1, HEI1, ht.heisenberg(2)], ids=lambda a: a.label)
+def test_selections_are_the_callers_objects(alg):
+    """``vitali_select`` returns a list of the family's own cylinders (the
+    benchmark matches them by ``id``), and so does a family passed as a
+    ``CylFamily``; ``build_maximal_family`` keeps the generator's own
+    objects in its ``cylinders`` list."""
+    rng = np.random.default_rng(31)
+    fam = ex.random_horocycle_family(alg, 40, -2, rng, spread=6.0)
+    ids = {id(c) for c in fam}
+    sel, _rep = ex.vitali_select(alg, fam, samples=2_000, seed=1, omega=2.0)
+    assert isinstance(sel, list) and 0 < len(sel) < len(fam)
+    assert all(id(c) in ids for c in sel)
+    sel2, _rep = ex.vitali_select(alg, dr.CylFamily(alg, fam), samples=2_000, seed=1, omega=2.0)
+    assert len(sel2) == len(sel) and all(a is b for a, b in zip(sel2, sel))
+    gen = ex.random_admissible_cylinders(alg, 30, rng)
+    built = ex.build_maximal_family(alg, gen, seed=2)
+    assert isinstance(built, dr.CylFamily) and isinstance(built.cylinders, list) and built.alg is alg
+    assert built.cylinders and all(any(c is g for g in gen) for c in built.cylinders)
 
 
 # --------------------------------------------------------- maximal families
@@ -143,7 +166,7 @@ def test_build_family_one_horocycle_disjoint():
     rng = np.random.default_rng(17)
     gen = ex.random_horocycle_family(AB1, 30, 0, rng)
     fam = ex.build_maximal_family(AB1, gen, seed=2)
-    assert ex._all_disjoint(AB1, fam.cylinders)
+    assert ex._all_disjoint(fam)
     assert not ex.verify_maximal_family(fam)
 
 
@@ -188,13 +211,13 @@ def test_stacked_chain_is_maximal_family(alg):
     assert not ex.verify_maximal_family(fam)
     # all members contain the identity
     e = ht.identity(alg)
-    assert all(dr.cylinder_contains(alg, c, e) for c in fam.cylinders)
+    assert dr.cylinder_contains_batch(alg, fam, e.X[:, None], e.Z[:, None], np.array([e.a])).all()
 
 
 # ----------------------------------------------------------------- overlap
 
 def test_overlap_disjoint_family():
-    fam = ex.MaximalFamily(AB1, [ab_cyl(-5.0, 0, 2), ab_cyl(5.0, 0, 2)])
+    fam = dr.CylFamily(AB1, [ab_cyl(-5.0, 0, 2), ab_cyl(5.0, 0, 2)])
     prof = ex.overlap_profile_exact(fam)
     assert prof.max_overlap() == 1
     assert dict(prof.omega_k)[1] == pytest.approx(prof.g_measure, rel=1e-12)

@@ -28,7 +28,6 @@ KEEP = {
     # test oracles
     "experiments.dirac_witness_lattice": "the oracle for the closed form of eta",
     "experiments.verify_maximal_family": "the oracle that build_maximal_family's family is maximal",
-    "experiments._certified_disjoint": "the per-pair disjointness that the brute-force greedy check reads",
     "hyp2.admissible_hull": "the half-plane hull lemma that K3 rests on",
     "drsets.admissible_hull_cyl": "the cylinder form of the hull lemma",
     "drsets.annulus_check": "the only check of the gauge annulus lemma",
