@@ -6,8 +6,14 @@ Configuration precedence is flags > config file > defaults; the config
 file is flat ``key=value`` lines whose keys are flag names.  Every
 stochastic run requires a seed (the default seed is 0) and reports are
 byte-identical for identical (config, seed).  Exit status is 0 iff every asserted bound passes, 1 when
-one fails, and 2 on invalid input, reported as one ``hypmax: error:`` line
-on stderr.
+one fails, and 2 on invalid input or a report that cannot be written,
+reported as one ``hypmax: error:`` line on stderr.
+
+Importing this module loads only ``hyp2`` and ``report`` of the package
+(and numpy through them).  Each subcommand imports the modules it runs
+inside its ``cmd_*`` function, so a fresh process pays only for those:
+``areas`` and ``figures`` load no other module, ``maxfn`` loads neither
+``experiments`` nor ``figures``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, drsets, experiments as ex, figures, htype as ht, hyp2, maxop as mx, measure as ms
+from . import __version__, hyp2
 from .hyp2 import HPoint
 from .report import ExperimentReport
 
@@ -103,6 +109,15 @@ RADIUS_MAX = {
     "volume": math.floor(math.log(sys.float_info.max / 2.0) / 2.0),
     "figures": math.inf,
 }
+
+# the smallest radius of each subcommand that reads --R.  volume samples the
+# sets about (0, 1), whose heights span a log-height of about R next to 1,
+# where floats are 2^-53 or 2^-52 apart: rounding the sampled heights moves
+# the estimate by about 2^-52 / R of itself.  From R = 2^-32 that bias is
+# 2^-20, below 3 stderr for fewer than 2^40 samples, more than a desk-scale
+# run can hold; at the default 200,000 samples it reached the stderr near
+# R = 1e-14.  areas and the rectangle figure form every value for any R > 0
+RADIUS_MIN = {"areas": 0.0, "volume": 2.0**-32, "figures": 0.0}
 
 # the smallest alpha 2^-m of each subcommand that reads --alpha-ladder, from
 # the largest expression it forms.  levelset: |f| <= 20 and the weights sum
@@ -193,15 +208,17 @@ def parse_int(value, flag: str, least: int = None) -> int:
 
 def parse_radii(cfg) -> list:
     """The --R comma list of radii of the run ``cfg``, given as a flag or as
-    a config-file string, each checked to be positive, finite and at most
-    the ``RADIUS_MAX`` of its subcommand."""
-    value, most = cfg.R, RADIUS_MAX[cfg.subcommand]
+    a config-file string, each checked to be positive, finite and within
+    the ``RADIUS_MIN`` and ``RADIUS_MAX`` of its subcommand."""
+    value, least, most = cfg.R, RADIUS_MIN[cfg.subcommand], RADIUS_MAX[cfg.subcommand]
     try:
         radii = [float(v) for v in str(value).split(",")]
     except ValueError:
         raise UsageError(f"--R {value!r}: expected a comma list of numbers") from None
     if not all(0.0 < R < math.inf for R in radii):
         raise UsageError(f"--R {value!r}: every radius must be positive and finite")
+    if not all(least <= R for R in radii):
+        raise UsageError(f"--R {value!r}: {cfg.subcommand} takes radii from 2^{math.log2(least):.0f}, where its sampled heights resolve the sets")
     if not all(R <= most for R in radii):
         raise UsageError(f"--R {value!r}: {cfg.subcommand} takes radii up to {most}, where its areas and boxes stay finite")
     return radii
@@ -231,10 +248,11 @@ def parse_point(value) -> tuple:
 
 def parse_packing_level(value, flag: str) -> int:
     """A packing level from --level/--levels, checked against the range
-    that experiments.packing_construct can represent."""
+    0..``hyp2.MAX_PACKING_LEVEL`` that ``hyp2.packing_construct`` can
+    represent."""
     level = parse_int(value, flag)
-    if not 0 <= level <= ex.MAX_PACKING_LEVEL:
-        raise UsageError(f"{flag} {level}: packing levels run 0..{ex.MAX_PACKING_LEVEL}")
+    if not 0 <= level <= hyp2.MAX_PACKING_LEVEL:
+        raise UsageError(f"{flag} {level}: packing levels run 0..{hyp2.MAX_PACKING_LEVEL}")
     return level
 
 
@@ -271,6 +289,8 @@ def _profile_fn(name: str):
 
 
 def _family_for(grid, name: str):
+    from . import maxop as mx
+
     if name == "admissible_rectangle":
         return mx.admissible_family_for_grid(grid, k_max=6)
     try:
@@ -285,6 +305,8 @@ def _require_h2(cfg) -> None:
 
 
 def _algebra(spec: str):
+    from . import htype as ht
+
     try:
         return ht.make_algebra(spec)
     except ValueError as exc:
@@ -294,6 +316,8 @@ def _algebra(spec: str):
 # ------------------------------------------------------------- subcommands
 
 def cmd_validate(cfg) -> ExperimentReport:
+    from . import htype as ht
+
     alg = _algebra(cfg.space)
     res = ht.validate_algebra(alg, samples=min(_int(cfg, "samples"), 20_000), seed=_int(cfg, "seed"))
     rep = ExperimentReport("validate", meta=_meta(cfg))
@@ -324,6 +348,8 @@ def cmd_areas(cfg) -> ExperimentReport:
 
 
 def cmd_volume(cfg) -> ExperimentReport:
+    from . import measure as ms
+
     rep = ExperimentReport("volume", meta=_meta(cfg))
     seed, samples = _int(cfg, "seed"), _int(cfg, "samples")
     rows = []
@@ -344,6 +370,8 @@ def cmd_volume(cfg) -> ExperimentReport:
                 ok &= good
                 rows.append([name, R, exact, est.mean, est.stderr, good])
     else:
+        from . import drsets, htype as ht
+
         alg = _algebra(cfg.space)
         omega = drsets.omega_n(alg) if alg.p == 0 else drsets.omega_n(alg, "mc", samples, seed).mean
         for R in (2.0, 3.0):
@@ -360,6 +388,8 @@ def cmd_volume(cfg) -> ExperimentReport:
 
 
 def cmd_maxfn(cfg) -> ExperimentReport:
+    from . import maxop as mx, measure as ms
+
     _require_h2(cfg)
     window, res = parse_grid(cfg.grid)
     grid = ms.build_grid("h2", window, res)
@@ -383,6 +413,8 @@ def cmd_maxfn(cfg) -> ExperimentReport:
 
 
 def cmd_levelset(cfg) -> ExperimentReport:
+    from . import maxop as mx, measure as ms
+
     _require_h2(cfg)
     if _int(cfg, "nu") != 1:
         raise UsageError("level-set tables are computed on the nu = 1 backend")
@@ -408,6 +440,8 @@ def cmd_levelset(cfg) -> ExperimentReport:
 
 
 def cmd_overlap(cfg) -> ExperimentReport:
+    from . import experiments as ex, measure as ms
+
     alg = _algebra(cfg.space)
     exact = alg.p == 0 and alg.q == 1
     shape = ([10] * alg.p, [12] * alg.q, 36)
@@ -432,6 +466,8 @@ def cmd_overlap(cfg) -> ExperimentReport:
 
 
 def cmd_vitali(cfg) -> ExperimentReport:
+    from . import experiments as ex
+
     alg = _algebra(cfg.space)
     rng = np.random.default_rng(_int(cfg, "seed"))
     fam = ex.random_horocycle_family(alg, _int(cfg, "count"), -2, rng)
@@ -441,6 +477,8 @@ def cmd_vitali(cfg) -> ExperimentReport:
 
 
 def cmd_eta(cfg) -> ExperimentReport:
+    from . import experiments as ex
+
     _, m_range = parse_alpha_ladder(cfg)
     if m_range is None:
         raise UsageError("eta requires a dyadic ladder like 2^-6..2^-14")
@@ -453,7 +491,9 @@ def cmd_eta(cfg) -> ExperimentReport:
 
 
 def cmd_pack(cfg) -> ExperimentReport:
-    levels = ex.packing_construct(parse_packing_level(cfg.levels, "--levels"))
+    from . import experiments as ex
+
+    levels = hyp2.packing_construct(parse_packing_level(cfg.levels, "--levels"))
     rep = ex.packing_report(levels, seed=_int(cfg, "seed"))
     rep.name = "pack"
     rep.meta = _meta(cfg)
@@ -469,6 +509,8 @@ def cmd_pack(cfg) -> ExperimentReport:
 
 
 def cmd_figures(cfg) -> str:
+    from . import figures
+
     if cfg.figure not in figures.FIGURES:
         raise UsageError(f"--figure {cfg.figure!r}: expected one of {' | '.join(figures.FIGURES)}")
     params = {}
@@ -521,11 +563,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--alpha-ladder", dest="alpha_ladder", help="dyadic ladder 2^-a..2^-b or comma floats")
     ap.add_argument("--R", help="radius or comma list of radii")
     ap.add_argument("--profile", help="test function: ball | rect | height")
-    ap.add_argument("--levels", type=int, help=f"max packing level, 0..{ex.MAX_PACKING_LEVEL}")
+    ap.add_argument("--levels", type=int, help=f"max packing level, 0..{hyp2.MAX_PACKING_LEVEL}")
     ap.add_argument("--count", type=int, help="generated family size")
     ap.add_argument("--figure", help="figure kind: rectangle | halfballs | packing")
     ap.add_argument("--z", help="figure center as x,y")
-    ap.add_argument("--level", type=int, help=f"packing level for the halfballs figure, 0..{ex.MAX_PACKING_LEVEL}")
+    ap.add_argument("--level", type=int, help=f"packing level for the halfballs figure, 0..{hyp2.MAX_PACKING_LEVEL}")
     ap.add_argument("--nu", type=int, help="homogeneous dimension for levelset tables")
     ap.add_argument("--config", help="flat key=value config file")
     ap.add_argument("--out", help="output path (default: stdout, or $HYPMAX_OUT/<subcommand>.<ext>)")
@@ -569,9 +611,12 @@ def _write(cfg, body: str, ext: str) -> None:
     if out is None and os.environ.get("HYPMAX_OUT"):
         out = os.path.join(os.environ["HYPMAX_OUT"], f"{cfg.subcommand}.{ext}")
     if out:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write(body)
+        try:
+            os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+            with open(out, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc}") from None
     else:
         sys.stdout.write(body + "\n")
 

@@ -633,55 +633,6 @@ def dirac_witness_lattice(alpha: float, r_cap: float = 12.0):
 
 # ------------------------------------------------------------ half-ball packing
 
-# Level 6 is out of reach in float64: its adjacent centres near +-1 are
-# ~6e-28 apart, far below ulp(1) = 2.2e-16, so they round to equal doubles.
-MAX_PACKING_LEVEL = 5
-
-
-@dataclass
-class PackingLevel:
-    level: int
-    rho: float
-    n_count: int
-    e_measure: float
-
-    @property
-    def radius(self) -> float:
-        return 2.0**self.level
-
-    @property
-    def center_height(self) -> float:
-        return math.exp(-(2.0**self.level))
-
-    def center(self, i: int) -> float:
-        """The i-th of the n_count equally spaced centres spanning [-1, 1],
-        bit-equal to ``np.linspace(-1.0, 1.0, n_count)[i]`` (the same
-        formula) without building the row; a one-centre row sits at 0."""
-        n = self.n_count
-        if n == 1:
-            return 0.0
-        if i == n - 1:
-            return 1.0
-        return float(i) * (2.0 / (n - 1)) + -1.0
-
-
-def packing_construct(max_level: int) -> list:
-    """Equally spaced maximal rows of disjoint half balls, level by level:
-    on the horocycle at height e^{-2^l}, n_l = floor(1/rho_l) + 1 translates
-    of the half ball of radius 2^l spanning [-1, 1].  Levels run
-    0..MAX_PACKING_LEVEL (5)."""
-    if not 0 <= max_level <= MAX_PACKING_LEVEL:
-        raise ValueError(f"packing levels run 0..{MAX_PACKING_LEVEL}, got {max_level}")
-    out = []
-    for lev in range(max_level + 1):
-        s = 2.0**lev
-        rho = 2.0 * math.exp(-s) * math.tanh(s)
-        n = int(math.floor(1.0 / rho)) + 1
-        e_meas = n * 2.0 * math.pi * math.sinh(s / 2.0) ** 2
-        out.append(PackingLevel(lev, rho, n, e_meas))
-    return out
-
-
 def packing_report(levels, samples: int = 4000, seed: int = 0) -> ExperimentReport:
     rep = ExperimentReport("packing", meta={"levels": len(levels), "samples": samples, "seed": seed})
     rng = np.random.default_rng(seed)
@@ -767,7 +718,7 @@ def modified_lp_sums(
         raise ValueError("desk scale: levels 0..4")
     rng = np.random.default_rng(seed)
     lens, lens_err = lens_region_measure(samples, seed)
-    levels = packing_construct(max_level)
+    levels = hyp2.packing_construct(max_level)
 
     c_ls, oks = [], []
     for lv in levels:

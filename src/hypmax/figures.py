@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 
 from . import hyp2
-from .experiments import packing_construct
 from .hyp2 import HPoint
 
 
@@ -115,7 +114,7 @@ def _rectangle_figure(params) -> str:
 
 def _halfballs_figure(params) -> str:
     level = int(params["level"])
-    lv = packing_construct(level)[level]
+    lv = hyp2.packing_construct(level)[level]
     height = lv.center_height
     R = lv.radius
     n = lv.n_count
@@ -140,7 +139,7 @@ def _halfballs_figure(params) -> str:
 
 def _packing_figure(params) -> str:
     max_level = int(params["levels"])
-    levels = packing_construct(max_level)
+    levels = hyp2.packing_construct(max_level)
     # log-height rendering keeps the exponentially sinking rows visible
     u_lo = -(2.0**max_level) * 2.0 - 0.5
     cv = _Canvas(-1.6, 1.6, u_lo, 1.0)

@@ -33,6 +33,9 @@ sorted y axis y > e^{-R} zy holds on a suffix.  The cells of a rectangle
 are therefore one sub-block of the grid, found from those two runs.  A
 trigonon is the half disc above the same height, so its cells are the half
 disc's cells on that suffix of heights.
+
+The rows of the half-ball packing (``packing_construct``) are pure
+half-plane geometry too, so the CLI and the figures read them from here.
 """
 
 from __future__ import annotations
@@ -429,7 +432,32 @@ def _area(kind: SetKind, R) -> float:
     raise ValueError("half plane has infinite measure")
 
 
+# below this radius trigonon_area sums the Taylor series of tan t - t
+TRIGONON_SERIES_R = 2.0**-10
+
+# tan t - t = sum of c_k t^(2k+1) for k = 1..5, truncated where the next
+# term is below 2^-51 of the sum for t^2 < 2 TRIGONON_SERIES_R
+_TAN_MINUS_T = (1.0 / 3.0, 2.0 / 15.0, 17.0 / 315.0, 62.0 / 2835.0, 1382.0 / 155925.0)
+
+
 def trigonon_area(R: float) -> float:
+    """2 (tan t - t) with cos t = e^{-R}: the half disc above the height
+    e^{-R} zy, whose corners sit at the angle t from the vertical.
+
+    The closed form 2 e^R sqrt(1 - e^{-2R}) - 2 arccos e^{-R} subtracts two
+    terms of about 2 t, each moved by about 2^-53 / t by the rounding of
+    e^{-R}, from an area of about 2 t^3 / 3, t^2 ~ 2R: a relative error of
+    about 2^-52 / R^2, 2e-10 at R = 2^-10 and over 1 at R = 1e-8.  Below
+    ``TRIGONON_SERIES_R`` the area is the series of tan t - t in
+    t = atan2(sqrt(-expm1(-2R)), e^{-R}), which carries no cancellation;
+    at and above it the closed form is kept to the bit."""
+    if R < TRIGONON_SERIES_R:
+        t = math.atan2(math.sqrt(-math.expm1(-2.0 * R)), math.exp(-R))
+        t2 = t * t
+        acc = 0.0
+        for c in reversed(_TAN_MINUS_T):
+            acc = acc * t2 + c
+        return 2.0 * t * t2 * acc
     return 2.0 * math.exp(R) * math.sqrt(1.0 - math.exp(-2.0 * R)) - 2.0 * math.acos(math.exp(-R))
 
 
@@ -502,3 +530,54 @@ def bounding_boxes(fam: "H2Family") -> np.ndarray:
     # the satellite ball of a modified half ball is wider than its half ball
     half[mhb] = np.maximum(zy[mhb], half[mhb] * math.sinh(1.0))
     return np.column_stack([zx - half, zx + half, zy * b, zy * c])
+
+
+# ------------------------------------------------------------ half-ball packing
+
+# Level 6 is out of reach in float64: its adjacent centres near +-1 are
+# ~6e-28 apart, far below ulp(1) = 2.2e-16, so they round to equal doubles.
+MAX_PACKING_LEVEL = 5
+
+
+@dataclass
+class PackingLevel:
+    level: int
+    rho: float
+    n_count: int
+    e_measure: float
+
+    @property
+    def radius(self) -> float:
+        return 2.0**self.level
+
+    @property
+    def center_height(self) -> float:
+        return math.exp(-(2.0**self.level))
+
+    def center(self, i: int) -> float:
+        """The i-th of the n_count equally spaced centres spanning [-1, 1],
+        bit-equal to ``np.linspace(-1.0, 1.0, n_count)[i]`` (the same
+        formula) without building the row; a one-centre row sits at 0."""
+        n = self.n_count
+        if n == 1:
+            return 0.0
+        if i == n - 1:
+            return 1.0
+        return float(i) * (2.0 / (n - 1)) + -1.0
+
+
+def packing_construct(max_level: int) -> list:
+    """Equally spaced maximal rows of disjoint half balls, level by level:
+    on the horocycle at height e^{-2^l}, n_l = floor(1/rho_l) + 1 translates
+    of the half ball of radius 2^l spanning [-1, 1].  Levels run
+    0..MAX_PACKING_LEVEL (5)."""
+    if not 0 <= max_level <= MAX_PACKING_LEVEL:
+        raise ValueError(f"packing levels run 0..{MAX_PACKING_LEVEL}, got {max_level}")
+    out = []
+    for lev in range(max_level + 1):
+        s = 2.0**lev
+        rho = 2.0 * math.exp(-s) * math.tanh(s)
+        n = int(math.floor(1.0 / rho)) + 1
+        e_meas = n * 2.0 * math.pi * math.sinh(s / 2.0) ** 2
+        out.append(PackingLevel(lev, rho, n, e_meas))
+    return out

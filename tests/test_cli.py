@@ -166,6 +166,9 @@ def test_exit_code_on_failure(monkeypatch):
         ["areas", "--config", "R=708.0000001"],
         ["volume", "--R", "355"],
         ["volume", "--R", "800"],
+        # radii whose sampled heights no longer resolve the sets
+        ["volume", "--R", "2e-10"],
+        ["volume", "--R", "1,1e-300"],
         ["eta", "--alpha-ladder", "2^-4..2^-5"],
         ["eta", "--alpha-ladder", "2^-1..2^-2"],
         ["figures", "--figure", "foo"],
@@ -213,9 +216,19 @@ def test_exit_code_on_failure(monkeypatch):
         ["figures", "--z", f"{2.0**31 * 2.0 + 1e-6},2"],
         ["figures", "--z", "0,1e-320"],
         ["figures", "--z", "0,1e308"],
+        # a report that cannot be written: --out names a directory or a path
+        # under a file, or $HYPMAX_OUT names a file ({tmp} is the test's
+        # tmp_path, which holds the file a_file)
+        ["areas", "--out", "{tmp}"],
+        ["areas", "--out", "{tmp}/a_file/areas.json"],
+        ["HYPMAX_OUT={tmp}/a_file", "areas"],
     ],
 )
-def test_invalid_input_exits_2(argv, tmp_path, capsys):
+def test_invalid_input_exits_2(argv, tmp_path, capsys, monkeypatch):
+    (tmp_path / "a_file").write_text("")
+    argv = [a.replace("{tmp}", str(tmp_path)) if a else a for a in argv]
+    if argv[0].startswith("HYPMAX_OUT="):
+        monkeypatch.setenv("HYPMAX_OUT", argv.pop(0).partition("=")[2])
     if "--config" in argv:
         k = argv.index("--config") + 1
         cfg_file = tmp_path / "bad.cfg"
@@ -271,14 +284,28 @@ def test_numeric_input_at_its_bound_runs_clean(argv):
     (or of the figure) is finite."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        status, body = run_cli(argv)
+        if argv[0] == "volume":
+            # the Monte Carlo of volume finds no hit in so large a box
+            with pytest.warns(UserWarning, match="zero hits"):
+                status, body = run_cli(argv)
+        else:
+            status, body = run_cli(argv)
     if argv[0] == "figures":
         assert status == 0 and body.startswith("<svg")
         assert "nan" not in body and "inf" not in body
         return
     assert finite_numbers(json.loads(body))
-    # the Monte Carlo of volume finds no hit in so large a box; its verdict is not checked here
+    # the verdict of volume's zero-hit Monte Carlo is not checked here
     assert status == 0 or argv[0] == "volume"
+
+
+@pytest.mark.parametrize("R", ["1e-3", "1e-6", "1e-9", repr(cli.RADIUS_MIN["volume"])])
+def test_volume_passes_at_small_radii(R):
+    """The sampling boxes fit the sets down to the smallest radius volume
+    admits: every set gets hits (a zero-hit warning fails the test) and
+    every estimate lies within 3 stderr of its closed form."""
+    status, body = run_cli(["volume", "--R", R, "--samples", "50000"])
+    assert status == 0, body
 
 
 class Admitted(Exception):
@@ -345,7 +372,7 @@ def _halfballs_svg_from_linspace(level):
     """The halfballs figure drawn from the materialised np.linspace row of
     centres, thinned with the stride used before centres were computed on
     demand."""
-    lv = ex.packing_construct(level)[level]
+    lv = hyp2.packing_construct(level)[level]
     height, R = lv.center_height, lv.radius
     centers = np.linspace(-1.0, 1.0, lv.n_count)
     if len(centers) > 64:
@@ -386,20 +413,63 @@ def test_figure_deterministic():
 
 # ----------------------------------------------------------- import path
 
-def test_cli_runs_without_importing_scipy():
-    # other test modules import scipy into this process, so check in a fresh one
-    script = textwrap.dedent(
-        """
-        import sys
-        from hypmax import cli
-        assert "scipy" not in sys.modules, "import hypmax.cli"
-        for argv in (["pack", "--levels", "4"], ["volume", "--space", "dr-heisenberg:1"]):
-            status, _body = cli.run(cli.resolve_config(argv))
-            assert status == 0, argv
-            assert "scipy" not in sys.modules, argv
-        """
-    )
+# a fresh interpreter imports the CLI, runs the subcommands of argv[1] (a
+# JSON list of argument lists) and prints, after the import and after each
+# run, the exit status and the loaded modules of hypmax and scipy
+_IMPORT_PROBE = textwrap.dedent(
+    """
+    import io, json, sys
+    from contextlib import redirect_stdout
+    from hypmax import cli
+
+    def loaded(status):
+        return [status, sorted(m for m in sys.modules if m.split(".")[0] in ("hypmax", "scipy"))]
+
+    seen = [loaded(None)]
+    for argv in json.loads(sys.argv[1]):
+        with redirect_stdout(io.StringIO()):
+            seen.append(loaded(cli.run(cli.resolve_config(argv))[0]))
+    print(json.dumps(seen))
+    """
+)
+
+
+def _import_probe(*argvs) -> list:
+    """(status, set of loaded modules) after importing the CLI, then after
+    each run of ``argvs`` in that order, all in one fresh interpreter."""
     src = str(Path(hypmax.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)], env=env, capture_output=True, text=True, timeout=300
+    )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return [(status, set(mods)) for status, mods in json.loads(proc.stdout)]
+
+
+KERNELS = {f"hypmax.{m}" for m in ("htype", "drsets", "measure", "experiments", "maxop")}
+
+
+def test_cli_runs_without_importing_scipy():
+    """Importing the CLI loads only cli, hyp2 and report of the package;
+    areas and the three figures load none of the kernel modules, and no
+    subcommand loads scipy."""
+    # other test modules import scipy and the whole package into this
+    # process, so the checks run in fresh ones
+    light = [
+        ["areas", "--R", "1,2,3"],
+        ["figures", "--figure", "rectangle"],
+        ["figures", "--figure", "halfballs", "--level", "1"],
+        ["figures", "--figure", "packing", "--levels", "2"],
+    ]
+    seen = _import_probe(*light, ["pack", "--levels", "4"], ["volume", "--space", "dr-heisenberg:1"])
+    assert seen[0] == (None, {"hypmax", "hypmax.cli", "hypmax.hyp2", "hypmax.report"})
+    for argv, (status, mods) in zip(light, seen[1:]):
+        assert status == 0 and not mods & KERNELS, (argv, mods)
+    for status, mods in seen[1:]:
+        assert status == 0 and "scipy" not in mods, mods
+
+
+def test_maxfn_imports_neither_experiments_nor_figures():
+    (_, _), (status, mods) = _import_probe(["maxfn", "--grid=-3:3:-1.5:1.5:20:12"])
+    assert status == 0 and "hypmax.maxop" in mods
+    assert not mods & {"hypmax.experiments", "hypmax.figures", "scipy"}, mods

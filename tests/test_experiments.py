@@ -353,7 +353,7 @@ def test_dirac_chain_difference_mc_oracle():
 # ----------------------------------------------------------------- packing
 
 def test_packing_level_values():
-    levels = ex.packing_construct(4)
+    levels = h2.packing_construct(4)
     assert levels[0].rho == pytest.approx(2 * math.exp(-1) * math.tanh(1), rel=1e-12)
     assert levels[0].n_count == 2
     assert levels[1].rho == pytest.approx(2 * math.exp(-2) * math.tanh(2), rel=1e-12)
@@ -371,7 +371,7 @@ def test_packing_centers_match_linspace():
     index up to level 3, the ends, the middle and 1,000 seeded random
     indices at level 4."""
     rng = np.random.default_rng(11)
-    for lv in ex.packing_construct(4):
+    for lv in h2.packing_construct(4):
         n = lv.n_count
         row = np.linspace(-1.0, 1.0, n)
         if lv.level <= 3:
@@ -382,14 +382,14 @@ def test_packing_centers_match_linspace():
         np.testing.assert_array_equal(got.view(np.int64), row[idx].view(np.int64))
 
 
-@pytest.mark.parametrize("max_level", [-1, ex.MAX_PACKING_LEVEL + 1])
+@pytest.mark.parametrize("max_level", [-1, h2.MAX_PACKING_LEVEL + 1])
 def test_packing_construct_level_range(max_level):
     with pytest.raises(ValueError):
-        ex.packing_construct(max_level)
+        h2.packing_construct(max_level)
 
 
 def test_packing_report_disjointness():
-    levels = ex.packing_construct(4)
+    levels = h2.packing_construct(4)
     rep = ex.packing_report(levels, samples=2000, seed=3)
     assert rep.all_pass, rep.to_json()
 

@@ -111,6 +111,20 @@ def test_closed_form_areas():
     assert expect == pytest.approx(2.6671788111507855, abs=1e-12)
 
 
+@pytest.mark.parametrize("R", [1e-6, 1e-9, 1e-12, 1e-15, 1e-100])
+def test_trigonon_area_at_small_radii(R):
+    """The area is 2 (tan t - t) with cos t = e^{-R}, which is
+    (4 sqrt 2 / 3) R^{3/2} (1 + 0.3 R + O(R^2)); the closed form lost every
+    digit below R ~ 1e-8 to cancellation."""
+    assert h2.trigonon_area(R) == pytest.approx(4.0 * math.sqrt(2.0) / 3.0 * R**1.5 * (1.0 + 0.3 * R), rel=1e-11)
+
+
+def test_trigonon_area_is_continuous_at_the_series_cut():
+    R = h2.TRIGONON_SERIES_R
+    # the closed form errs by up to about 2^-52 / R^2 = 2.3e-10 of itself there
+    assert h2.trigonon_area(R * (1.0 - 2.0**-52)) == pytest.approx(h2.trigonon_area(R), rel=1e-9)
+
+
 def test_area_independent_of_center():
     for kind_ctor in (h2.ball, h2.half_ball, h2.trigonon, h2.rectangle):
         a1 = h2.area(kind_ctor(HPoint(0, 1), 2.5))

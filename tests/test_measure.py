@@ -135,6 +135,42 @@ def test_mc_tiny_radius_warns_zero_hits():
     assert est.mean == 0.0
 
 
+def _former_box_h2(s):
+    """The box suggested_box_h2 gave every set before it was fitted to the
+    small ones: the bounding box, a tenth wider on each side, its heights
+    by a factor 1.1."""
+    x_lo, x_hi, y_lo, y_hi = h2.bounding_box(s)
+    w = x_hi - x_lo
+    return (x_lo - 0.1 * w, x_hi + 0.1 * w, y_lo / 1.1, y_hi * 1.1)
+
+
+@pytest.mark.parametrize("mk", [h2.ball, h2.half_ball, h2.trigonon, h2.rectangle])
+def test_suggested_box_keeps_its_bits_from_radius_1(mk):
+    for R in (1.0, 1.5, 2.0, 3.0, 10.0, 354.0):
+        for z in (I, h2.HPoint(1.5, 2.0), h2.HPoint(-3.0, 0.01)):
+            got, want = ms.suggested_box_h2(mk(z, R)), _former_box_h2(mk(z, R))
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("mk", [h2.ball, h2.half_ball, h2.trigonon, h2.rectangle])
+@pytest.mark.parametrize("R", [1e-9, 1e-4, 0.5])
+def test_suggested_box_holds_the_set_at_small_radii(mk, R):
+    """The fitted box holds every sampled point of the set, and the set
+    fills a fair share of it, so the Monte Carlo gets hits."""
+    s = mk(I, R)
+    box = x_lo, x_hi, y_lo, y_hi = ms.suggested_box_h2(s)
+    # the box widened threefold about its middle, in x and in log y (a
+    # rectangle's box, open above, is cut at y = 4)
+    xm, xh = 0.5 * (x_lo + x_hi), 1.5 * (x_hi - x_lo)
+    um, uh = 0.5 * math.log(y_lo * min(y_hi, 4.0)), 1.5 * math.log(min(y_hi, 4.0) / y_lo)
+    x, y, _ = ms.sample_h2_box((xm - xh, xm + xh, math.exp(um - uh), math.exp(um + uh)), 200_000, np.random.default_rng(1))
+    inside = h2.contains_mask(s, x, y)
+    assert inside.any()
+    assert np.all((x_lo <= x[inside]) & (x[inside] <= x_hi) & (y_lo <= y[inside]) & (y[inside] <= y_hi))
+    est = ms.mc_volume("h2", s, box, 20_000, seed=4)
+    assert est.mean > 0.0 and abs(est.mean - h2.area(s)) <= 4 * est.stderr
+
+
 def test_mc_rectangle_infinite_box():
     s = h2.rectangle(I, 1.0)
     box = (-1.3, 1.3, math.exp(-1.0), math.inf)
