@@ -320,7 +320,7 @@ def cmd_validate(cfg) -> ExperimentReport:
 
     alg = _algebra(cfg.space)
     res = ht.validate_algebra(alg, samples=min(_int(cfg, "samples"), 20_000), seed=_int(cfg, "seed"))
-    rep = ExperimentReport("validate", meta=_meta(cfg))
+    rep = ExperimentReport(meta=_meta(cfg))
     rep.add_table("residuals", ["identity", "residual"], [[k, v] for k, v in res.items()])
     rep.check("antisymmetry", 1e-12, res["antisymmetry"], res["antisymmetry"] < 1e-12)
     for key in ("defining_relation", "h_type", "polarisation"):
@@ -330,7 +330,7 @@ def cmd_validate(cfg) -> ExperimentReport:
 
 def cmd_areas(cfg) -> ExperimentReport:
     _require_h2(cfg)
-    rep = ExperimentReport("areas", meta=_meta(cfg))
+    rep = ExperimentReport(meta=_meta(cfg))
     rows = []
     ok = True
     for R in parse_radii(cfg):
@@ -350,7 +350,7 @@ def cmd_areas(cfg) -> ExperimentReport:
 def cmd_volume(cfg) -> ExperimentReport:
     from . import measure as ms
 
-    rep = ExperimentReport("volume", meta=_meta(cfg))
+    rep = ExperimentReport(meta=_meta(cfg))
     seed, samples = _int(cfg, "seed"), _int(cfg, "samples")
     rows = []
     ok = True
@@ -396,7 +396,7 @@ def cmd_maxfn(cfg) -> ExperimentReport:
     grid.set_values(_profile_fn(cfg.profile))
     fam = _family_for(grid, cfg.family)
     fld = mx.maximal_field(grid, fam)
-    rep = ExperimentReport("maxfn", meta=_meta(cfg))
+    rep = ExperimentReport(meta=_meta(cfg))
     rep.add_table("grid", ["window", "shape", "total_measure"], [[str(window), str(res), grid.total_measure()]])
     rep.add_table(
         "field",
@@ -425,7 +425,7 @@ def cmd_levelset(cfg) -> ExperimentReport:
     fam = mx.admissible_family_for_grid(grid, k_max=max(4, math.ceil(math.log(1.0 / min(alphas))) + 1))
     rows, _fld = mx.level_set_table(grid, fam, alphas)
     lam = mx.llogl_lambda(1.0)
-    rep = ExperimentReport("levelset", meta=_meta(cfg))
+    rep = ExperimentReport(meta=_meta(cfg))
     rep.add_table("grid", ["window", "shape", "total_measure"], [[str(window), str(res), grid.total_measure()]])
     table = []
     ok = True
@@ -460,7 +460,6 @@ def cmd_overlap(cfg) -> ExperimentReport:
         grid = ms.build_grid("na", ([(-8.0, 8.0)] * alg.p, [(-8.0, 8.0)] * alg.q, (-9.0, 3.0)), shape, alg=alg)
         prof = ex.overlap_profile(fam, grid)
     rep = ex.overlap_report(prof)
-    rep.name = "overlap"
     rep.meta = _meta(cfg) | {"family_size": len(fam.cylinders)}
     return rep
 
@@ -495,11 +494,14 @@ def cmd_pack(cfg) -> ExperimentReport:
 
     levels = hyp2.packing_construct(parse_packing_level(cfg.levels, "--levels"))
     rep = ex.packing_report(levels, seed=_int(cfg, "seed"))
-    rep.name = "pack"
     rep.meta = _meta(cfg)
     # the L^p increments are calibrated on the full desk-scale depth 0..4
     ps = (1.0, 2.0, 3.0)
-    subs = ex.modified_lp_sums(ps, 4, samples=_int(cfg, "samples"), check_points=30, seed=_int(cfg, "seed"))
+    samples = _int(cfg, "samples")
+    try:
+        subs = ex.modified_lp_sums(ps, 4, samples=samples, check_points=30, seed=_int(cfg, "seed"))
+    except ValueError as exc:
+        raise UsageError(f"--samples {samples}: {exc}") from None
     for p, sub in zip(ps, subs):
         for t in sub.tables:
             rep.tables.append(type(t)(f"p={p}:{t.name}", t.columns, t.rows))

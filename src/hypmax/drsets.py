@@ -164,7 +164,7 @@ def omega_n(alg: HTypeAlgebra, method: str = "analytic", samples: int = 1_000_00
         int(np.count_nonzero(ht.gauge_below_cols(X[i : i + _MC_CHUNK].T, Z[i : i + _MC_CHUNK].T, 1.0)))
         for i in range(0, samples, _MC_CHUNK)
     )
-    return VolumeEstimate.of_hits(4.0**alg.p * 2.0**alg.q, hits, samples, seed)
+    return VolumeEstimate.of_hits(4.0**alg.p * 2.0**alg.q, hits, samples)
 
 
 def cylinder_volume(alg: HTypeAlgebra, c, omega: float) -> float:
@@ -264,10 +264,7 @@ def annulus_check(alg: HTypeAlgebra, a: float, samples: int = 10_000, seed: int 
     outside_margin = g - a2_low
     inside_margin = a1_up - g / math.sqrt(math.e)
 
-    rep = ExperimentReport(
-        "annulus_check",
-        meta={"space": alg.label, "a": a, "samples": samples, "seed": seed},
-    )
+    rep = ExperimentReport(meta={"space": alg.label, "a": a, "samples": samples, "seed": seed})
     rep.add_table(
         "margins",
         ["quantity", "min", "max"],

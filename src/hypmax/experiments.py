@@ -291,7 +291,7 @@ def _sampled_union_measure(fam: CylFamily, samples: int, seed: int) -> VolumeEst
                 outside[idx[ht.dist_below_cols(alg, fam[i].n0, cand[: alg.p], cand[alg.p :], r[i])]] = False
         hits += outside.size - int(np.count_nonzero(outside))
         cols = cols[:, outside]
-    return VolumeEstimate.of_hits(float(np.prod(hi - lo)), hits, samples, seed)
+    return VolumeEstimate.of_hits(float(np.prod(hi - lo)), hits, samples)
 
 
 def vitali_select(alg: HTypeAlgebra, family, samples: int = 100_000, seed: int = 0, omega: float = None):
@@ -317,10 +317,7 @@ def vitali_select(alg: HTypeAlgebra, family, samples: int = 100_000, seed: int =
     union_sel = sum(drsets.cylinder_volume(alg, c, omega) for c in selected)
     bound = 5.0**alg.nu
     ratio = union_all / union_sel
-    rep = ExperimentReport(
-        "vitali_select",
-        meta={"space": alg.label, "family_size": len(family), "seed": seed, "samples": samples},
-    )
+    rep = ExperimentReport(meta={"space": alg.label, "family_size": len(family), "seed": seed, "samples": samples})
     rep.add_table(
         "measures",
         ["quantity", "value", "stderr"],
@@ -507,7 +504,7 @@ def overlap_profile(fam: CylFamily, grid: ms.SampleGrid) -> OverlapProfile:
 
 
 def overlap_report(prof: OverlapProfile, r_values=(1, 2, 3)) -> ExperimentReport:
-    rep = ExperimentReport("overlap_profile", meta={"nu": prof.nu})
+    rep = ExperimentReport(meta={"nu": prof.nu})
     c = prof.bound_constant
     rows = [
         [k, m, c * prof.g_measure * math.exp(-k), m <= c * prof.g_measure * math.exp(-k) + 1e-9 * prof.g_measure]
@@ -538,8 +535,12 @@ def dirac_level_growth(m_values=range(6, 15)) -> ExperimentReport:
     and radii on a step-1/8 ladder; the level-set measure of
     eta(x) = sup { 1/|T| : T in lattice, T contains x and the origin }
     has a closed form via a band decomposition of the union, so the
-    growth of alpha |E(alpha)| in log(1/alpha) is measured exactly.
+    growth of alpha |E(alpha)| in log(1/alpha) is measured exactly.  The
+    trend is a least-squares line through the rungs; its r^2 is 1 on any
+    two points, so the ladder needs at least three rungs.
     """
+    if len(m_values) < 3:
+        raise ValueError(f"the trend fit needs at least three rungs, got {len(m_values)}")
     omega = 2.0
     c1, C1 = drsets.sandwich_constants(ht.degenerate_abelian(1), omega)
     alphas = [2.0**-m for m in m_values]
@@ -548,10 +549,7 @@ def dirac_level_growth(m_values=range(6, 15)) -> ExperimentReport:
     areas = np.array([hyp2.trigonon_area(R) for R in ladder])
     kappa = omega * (math.sqrt(math.e - 1.0) - 1.0) * math.exp(-1.0) * (1.0 - math.exp(-1.0))
 
-    rep = ExperimentReport(
-        "dirac_level_growth",
-        meta={"r_step": _R_STEP, "r_cap": float(r_cap), "m_values": list(m_values)},
-    )
+    rep = ExperimentReport(meta={"r_step": _R_STEP, "r_cap": float(r_cap), "m_values": list(m_values)})
     rows = []
     xs, ys = [], []
     witness_ok = True
@@ -634,7 +632,7 @@ def dirac_witness_lattice(alpha: float, r_cap: float = 12.0):
 # ------------------------------------------------------------ half-ball packing
 
 def packing_report(levels, samples: int = 4000, seed: int = 0) -> ExperimentReport:
-    rep = ExperimentReport("packing", meta={"levels": len(levels), "samples": samples, "seed": seed})
+    rep = ExperimentReport(meta={"levels": len(levels), "samples": samples, "seed": seed})
     rng = np.random.default_rng(seed)
     rows = []
     disjoint_ok = True
@@ -690,7 +688,7 @@ def lens_region_measure(samples: int = 400_000, seed: int = 0):
     """(measure, stderr): the Monte Carlo measure of the lens, from
     ``samples`` draws of the hyperbolic measure on its box."""
     x, y, total = ms.sample_h2_box(_LENS_BOX, samples, np.random.default_rng(seed))
-    est = VolumeEstimate.of_hits(total, int(np.count_nonzero(_in_lens(x, y))), samples, seed)
+    est = VolumeEstimate.of_hits(total, int(np.count_nonzero(_in_lens(x, y))), samples)
     return est.mean, est.stderr
 
 
@@ -710,7 +708,9 @@ def modified_lp_sums(
     tests that the witness holds points sampled from the member and from
     the lens.  The lens measure, the c_l and the witness verdicts do not
     depend on p, so they are computed once, from one generator seeded
-    with ``seed``; each report takes the increments |E_l| c_l^p.
+    with ``seed``; each report takes the increments |E_l| c_l^p.  Raises
+    ``ValueError`` when the lens estimate draws no hit: every c_l is then
+    0 and the increments have no ratio.
     """
     if not all(1.0 <= p <= 4.0 for p in ps):
         raise ValueError("p must lie in [1, 4]")
@@ -718,6 +718,8 @@ def modified_lp_sums(
         raise ValueError("desk scale: levels 0..4")
     rng = np.random.default_rng(seed)
     lens, lens_err = lens_region_measure(samples, seed)
+    if lens == 0.0:
+        raise ValueError(f"the lens Monte Carlo drew no hit in {samples} samples")
     levels = hyp2.packing_construct(max_level)
 
     c_ls, oks = [], []
@@ -747,8 +749,7 @@ def modified_lp_sums(
             for lv, c_l, inc, ok in zip(levels, c_ls, increments, oks)
         ]
         rep = ExperimentReport(
-            "modified_lp_sums",
-            meta={"p": p, "max_level": max_level, "seed": seed, "lens": lens, "lens_stderr": lens_err},
+            meta={"p": p, "max_level": max_level, "seed": seed, "lens": lens, "lens_stderr": lens_err}
         )
         rep.add_table("levels", ["level", "c_l", "E_measure", "increment", "witness"], rows)
         rep.add_table("partial_sums", ["S_L"], [[float(np.cumsum(increments)[-1])]])

@@ -2,15 +2,16 @@
 
 Points are (x, y) with y > 0, metric ds^2 = (dx^2 + dy^2)/y^2 and measure
 dx dy / y^2.  The module provides distances, the set families used by the
-half-ball maximal operators (balls, special half planes, half balls,
-trigona, infinite rectangles and their admissible hulls, modified half
-balls), closed-form areas and boundary markers.
+half-ball maximal operators (balls, half balls, trigona, infinite
+rectangles, modified half balls), closed-form areas, boundary markers and
+admissible hulls.  Every member has a kind, a centre and a radius; an
+admissible rectangle is the rectangle on the lattice of centres (x, e^j)
+and integer radii K >= 2 (``admissible_rectangle``).
 
 A member is one frozen ``H2Set``; a family of members can also be held as
-columns, an ``H2Family``: one kind code and the floats x, y, radius (and
-the integer j of an admissible rectangle) per member, with no object per
-member.  Every membership test, one set against many points
-(``contains_mask``) or many sets against one point
+columns, an ``H2Family``: one kind code and the floats x, y, radius per
+member, with no object per member.  Every membership test, one set
+against many points (``contains_mask``) or many sets against one point
 (``H2Family.contains_point``), goes through one strict-predicate kernel,
 ``mask``, whose per-radius constants sinh^2(R/2), e^{-R} and e^{R} are
 computed once per radius with ``math`` (``radius_terms``), so a column
@@ -25,11 +26,11 @@ Boxes (``bounding_boxes``) and areas (``areas``) of a family likewise take
 their ``math`` constants once per distinct radius; ``bounding_box`` and
 ``area`` are their one-member forms.
 
-Rectangles, plain and admissible, are separable on a tensor grid: the
-test is |x - zx| < zy and y > e^{-R} zy, one condition per axis.  On a
-sorted x axis the rounded difference x - zx is monotone and keeps the sign
-of x - zx, so |x - zx| < zy holds on one contiguous run of indices; on a
-sorted y axis y > e^{-R} zy holds on a suffix.  The cells of a rectangle
+Rectangles are separable on a tensor grid: the test is |x - zx| < zy and
+y > e^{-R} zy, one condition per axis.  On a sorted x axis the rounded
+difference x - zx is monotone and keeps the sign of x - zx, so
+|x - zx| < zy holds on one contiguous run of indices; on a sorted y axis
+y > e^{-R} zy holds on a suffix.  The cells of a rectangle
 are therefore one sub-block of the grid, found from those two runs.  A
 trigonon is the half disc above the same height, so its cells are the half
 disc's cells on that suffix of heights.
@@ -44,7 +45,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -63,53 +63,30 @@ class HPoint:
 
 class SetKind(Enum):
     BALL = "ball"
-    HALF_PLANE = "half_plane"
     HALF_BALL = "half_ball"
     TRIGONON = "trigonon"
     RECTANGLE = "rectangle"
-    ADMISSIBLE_RECTANGLE = "admissible_rectangle"
     MODIFIED_HALF_BALL = "modified_half_ball"
 
 
 @dataclass(frozen=True)
 class H2Set:
-    """Tagged descriptor of one member of the half-plane set families.
-
-    ``radius`` is the hyperbolic radius R (absent for the half plane).
-    Admissible rectangles store the integer ``j`` with center height e^j
-    and carry an integer radius >= 2.
-    """
+    """Tagged descriptor of one member of the half-plane set families:
+    its kind, its centre and its hyperbolic radius R > 0."""
 
     kind: SetKind
     center: HPoint
-    radius: Optional[float] = None
-    j: Optional[int] = None
+    radius: float
 
     def __post_init__(self):
-        if self.kind is SetKind.HALF_PLANE:
-            if self.radius is not None:
-                raise ValueError("half plane carries no radius")
-            return
-        if self.radius is None or not self.radius > 0:
+        if not self.radius > 0:
             raise ValueError(f"{self.kind.value} requires a positive radius")
-        if self.kind is SetKind.ADMISSIBLE_RECTANGLE:
-            if self.j is None:
-                raise ValueError("admissible rectangle requires the height exponent j")
-            K = self.radius
-            if K != int(K) or K < 2:
-                raise ValueError("admissible rectangle radius must be an integer >= 2")
-            if not math.isclose(self.center.y, math.exp(self.j), rel_tol=1e-12):
-                raise ValueError("admissible rectangle center height must equal e^j")
         if self.kind is SetKind.MODIFIED_HALF_BALL and self.radius < 1:
             raise ValueError("modified half ball requires R >= 1")
 
 
 def ball(z: HPoint, R: float) -> H2Set:
     return H2Set(SetKind.BALL, z, R)
-
-
-def half_plane(z: HPoint) -> H2Set:
-    return H2Set(SetKind.HALF_PLANE, z)
 
 
 def half_ball(z: HPoint, R: float) -> H2Set:
@@ -125,7 +102,11 @@ def rectangle(z: HPoint, R: float) -> H2Set:
 
 
 def admissible_rectangle(x: float, j: int, K: int) -> H2Set:
-    return H2Set(SetKind.ADMISSIBLE_RECTANGLE, HPoint(x, math.exp(j)), float(K), j)
+    """The rectangle of the admissible lattice: centre (x, e^j), radius K,
+    an integer >= 2."""
+    if not (K >= 2 and float(K).is_integer()):
+        raise ValueError("admissible rectangle radius must be an integer >= 2")
+    return rectangle(HPoint(x, math.exp(j)), float(K))
 
 
 def modified_half_ball(z: HPoint, R: float) -> H2Set:
@@ -135,24 +116,19 @@ def modified_half_ball(z: HPoint, R: float) -> H2Set:
 # the kind code of an H2Family member is the position of its SetKind here
 KINDS = tuple(SetKind)
 _CODE = {k: i for i, k in enumerate(KINDS)}
-# the j column of a member without a height exponent
-_NO_J = np.iinfo(np.int64).min
-_ROW = np.dtype([("kind", np.int8), ("x", float), ("y", float), ("radius", float), ("j", np.int64)])
+_ROW = np.dtype([("kind", np.int8), ("x", float), ("y", float), ("radius", float)])
 
 
 def _row(s) -> tuple:
     if not isinstance(s, H2Set):
         raise TypeError(f"an H2Family holds H2Set members, got {type(s)}")
-    r = math.nan if s.radius is None else s.radius
-    return (_CODE[s.kind], s.center.x, s.center.y, r, _NO_J if s.j is None else s.j)
+    return (_CODE[s.kind], s.center.x, s.center.y, s.radius)
 
 
 class H2Family:
     """A family of half-plane sets held as columns: ``kind`` (int8, the
     position of the member's ``SetKind`` in ``tuple(SetKind)``), the
-    float64 arrays ``x``, ``y`` (the centre) and ``radius`` (NaN for a half
-    plane), and the int64 array ``j`` (the height exponent of an admissible
-    rectangle; the minimum int64 for a member without one).
+    float64 arrays ``x``, ``y`` (the centre) and ``radius``.
 
     It behaves as the sequence of ``H2Set`` it stands for: ``len``,
     ``fam[i]`` builds the member as an ``H2Set`` (``fam[rows]`` with a
@@ -161,33 +137,32 @@ class H2Family:
     error, every member that ``H2Set`` or ``HPoint`` would refuse.
     """
 
-    __slots__ = ("kind", "x", "y", "radius", "j")
+    __slots__ = ("kind", "x", "y", "radius")
 
-    def __init__(self, kind, x, y, radius=None, j=None):
+    def __init__(self, kind, x, y, radius):
         if isinstance(kind, SetKind):
             kind = _CODE[kind]
-        n = np.broadcast(*(np.asarray(np.nan if v is None else v) for v in (kind, x, y, radius, j))).shape
+        n = np.broadcast(*(np.asarray(v) for v in (kind, x, y, radius))).shape
         if len(n) > 1:
             raise ValueError("H2Family columns must be one-dimensional")
         cols = []
-        for v, dtype, missing in ((kind, np.int8, None), (x, float, None), (y, float, None),
-                                  (radius, float, math.nan), (j, np.int64, _NO_J)):
+        for v, dtype in ((kind, np.int8), (x, float), (y, float), (radius, float)):
             col = np.empty(n, dtype)
-            col[...] = missing if v is None else v
+            col[...] = v
             cols.append(col.reshape(-1))
         self._set(*cols)
         if ((self.kind < 0) | (self.kind >= len(KINDS))).any():
             raise ValueError("unknown set kind code")
         self._check()
 
-    def _set(self, kind, x, y, radius, j) -> "H2Family":
-        self.kind, self.x, self.y, self.radius, self.j = kind, x, y, radius, j
+    def _set(self, kind, x, y, radius) -> "H2Family":
+        self.kind, self.x, self.y, self.radius = kind, x, y, radius
         return self
 
     @classmethod
-    def _columns(cls, kind, x, y, radius, j) -> "H2Family":
+    def _columns(cls, kind, x, y, radius) -> "H2Family":
         """A family over columns already checked."""
-        return object.__new__(cls)._set(kind, x, y, radius, j)
+        return object.__new__(cls)._set(kind, x, y, radius)
 
     @classmethod
     def of(cls, sets) -> "H2Family":
@@ -200,28 +175,19 @@ class H2Family:
         return cls._columns(*(np.ascontiguousarray(rows[name]) for name in _ROW.names))
 
     def _check(self) -> None:
-        """Raise the error of the first member that ``H2Set`` refuses.
-
-        The mask below flags a superset of the refused members (the e^j
-        test is tighter than ``math.isclose``'s), and each flagged member is
-        then built as an ``H2Set``, which raises for it with its own
-        message or passes it."""
-        k, y, r, j = self.kind, self.y, self.radius, self.j
-        adm = k == _CODE[SetKind.ADMISSIBLE_RECTANGLE]
-        with np.errstate(over="ignore", invalid="ignore"):
-            ej = np.exp(np.where(adm, j, 0).astype(float))
-            bad = ~(y > 0) | np.where(k == _CODE[SetKind.HALF_PLANE], ~np.isnan(r), ~(r > 0))
-            bad |= (k == _CODE[SetKind.MODIFIED_HALF_BALL]) & ~(r >= 1)
-            bad |= adm & ((j == _NO_J) | ~np.isfinite(r) | (r != np.floor(r)) | (r < 2)
-                          | ~(np.abs(y - ej) <= 0.5e-12 * np.maximum(y, ej)))
-        for i in np.flatnonzero(bad).tolist():
-            self[i]
+        """Raise the error of the first member that ``H2Set`` or ``HPoint``
+        refuses: the mask below flags exactly those members, and the first
+        one, built as an ``H2Set``, raises with its own message."""
+        k, y, r = self.kind, self.y, self.radius
+        bad = np.flatnonzero(~(y > 0) | ~(r > 0) | ((k == _CODE[SetKind.MODIFIED_HALF_BALL]) & ~(r >= 1)))
+        if bad.size:
+            self[int(bad[0])]
 
     def __len__(self) -> int:
         return self.x.size
 
     def _cols(self) -> tuple:
-        return self.kind, self.x, self.y, self.radius, self.j
+        return self.kind, self.x, self.y, self.radius
 
     def __getitem__(self, i):
         if isinstance(i, slice) or (isinstance(i, np.ndarray) and i.ndim == 1):
@@ -245,8 +211,7 @@ class H2Family:
 
     def per_kind_radius(self, fn, width: int) -> np.ndarray:
         """(len, width) float array: row i is fn(kind_i, radius_i), evaluated
-        once per distinct (kind, radius) of the family; a half plane is
-        passed its radius NaN."""
+        once per distinct (kind, radius) of the family."""
         out = np.empty((len(self), width))
         for kind, rows in self.groups():
             u, inv = np.unique(self.radius[rows], return_inverse=True)
@@ -265,15 +230,15 @@ class H2Family:
         return out
 
 
-def _member(code: int, x: float, y: float, radius: float, j: int) -> H2Set:
-    return H2Set(KINDS[code], HPoint(x, y), None if radius != radius else radius, None if j == _NO_J else j)
+def _member(code: int, x: float, y: float, radius: float) -> H2Set:
+    return H2Set(KINDS[code], HPoint(x, y), radius)
 
 
 @dataclass(frozen=True)
 class BoundaryMarkers:
     """Euclidean data of the geodesic ball together with the points where
-    the ball circle meets the special half plane boundary (q-) and where
-    the bottom horocycle of the trigonon meets it (p-)."""
+    the ball circle meets the half-disc boundary |w - Re z| = Im z (q-) and
+    where the bottom horocycle of the trigonon meets it (p-)."""
 
     euclid_center: tuple
     euclid_radius: float
@@ -304,11 +269,10 @@ def _terms(kind: SetKind, R) -> tuple:
     nan = math.nan
     if kind in (SetKind.BALL, SetKind.HALF_BALL):
         return math.sinh(R / 2.0) ** 2, nan, nan
-    if kind in (SetKind.TRIGONON, SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
+    if kind in (SetKind.TRIGONON, SetKind.RECTANGLE):
         return nan, math.exp(-R), nan
-    if kind is SetKind.MODIFIED_HALF_BALL:
-        return math.sinh(R / 2.0) ** 2, nan, math.exp(R)
-    return nan, nan, nan
+    # the modified half ball
+    return math.sinh(R / 2.0) ** 2, nan, math.exp(R)
 
 
 def radius_terms(fam: "H2Family") -> np.ndarray:
@@ -330,18 +294,17 @@ def centre_terms(kind: SetKind, zx, zy, x, y) -> tuple:
     """The terms of the predicate of ``kind`` about (zx, zy) at the points
     (x, y) that do not read the radius: for balls, half balls and modified
     half balls the ball's sides |z - w|^2 and 4 Im z Im w (before the factor
-    sinh^2(R/2)), for every kind but the ball and the rectangles the half
+    sinh^2(R/2)), for half balls, trigona and modified half balls the half
     disc |w - Re z|^2 < (Im z)^2, and for rectangles the strip
     |x - zx| < zy.  Each term has the broadcast shape of its operands, so on
     a tensor block (x a column, y a row) 4 Im z Im w is one row."""
-    if kind in (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
+    if kind is SetKind.RECTANGLE:
         return (np.abs(x - zx) < zy,)
     dxx = _dx2(zx, x)
     if kind is SetKind.BALL:
         return _ball_sides(dxx, zy, y)
-    # the special half plane: the half disc
     half_disc = dxx + y * y < zy * zy
-    if kind in (SetKind.HALF_PLANE, SetKind.TRIGONON):
+    if kind is SetKind.TRIGONON:
         return (half_disc,)
     if kind in (SetKind.HALF_BALL, SetKind.MODIFIED_HALF_BALL):
         return (*_ball_sides(dxx, zy, y), half_disc)
@@ -356,9 +319,7 @@ def radius_test(kind: SetKind, terms: tuple, zx, zy, s2, em, ep, x, y):
     evaluated here in full."""
     if kind is SetKind.BALL:
         return _ball_test(*terms, s2)
-    if kind is SetKind.HALF_PLANE:
-        return terms[0]
-    if kind in (SetKind.TRIGONON, SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
+    if kind in (SetKind.TRIGONON, SetKind.RECTANGLE):
         return terms[0] & (y > cut_height(em, zy))
     lhs, rhs, half_disc = terms
     base = _ball_test(lhs, rhs, s2) & half_disc
@@ -404,16 +365,12 @@ def contains(s: H2Set, w: HPoint) -> bool:
 
 
 def area(s: H2Set) -> float:
-    """Closed-form Riemannian area of the descriptor.
-
-    Raises for the half plane, which has infinite measure.
-    """
+    """Closed-form Riemannian area of the descriptor."""
     return _area(s.kind, s.radius)
 
 
 def areas(fam: "H2Family") -> np.ndarray:
-    """``area`` of every member, computed once per distinct (kind, radius).
-    Raises as ``area`` does when the family holds a half plane."""
+    """``area`` of every member, computed once per distinct (kind, radius)."""
     return fam.per_kind_radius(_area, 1)[:, 0]
 
 
@@ -424,12 +381,11 @@ def _area(kind: SetKind, R) -> float:
         return 2.0 * math.pi * math.sinh(R / 2.0) ** 2
     if kind is SetKind.TRIGONON:
         return trigonon_area(R)
-    if kind in (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
+    if kind is SetKind.RECTANGLE:
         return 2.0 * math.exp(R)
-    if kind is SetKind.MODIFIED_HALF_BALL:
-        # the satellite ball is disjoint from the half ball for R >= 1
-        return 2.0 * math.pi * math.sinh(R / 2.0) ** 2 + 4.0 * math.pi * math.sinh(0.5) ** 2
-    raise ValueError("half plane has infinite measure")
+    # the modified half ball: its satellite ball is disjoint from the half
+    # ball for R >= 1
+    return 2.0 * math.pi * math.sinh(R / 2.0) ** 2 + 4.0 * math.pi * math.sinh(0.5) ** 2
 
 
 # below this radius trigonon_area sums the Taylor series of tan t - t
@@ -484,8 +440,8 @@ def boundary_markers(z: HPoint, R: float) -> BoundaryMarkers:
 def admissible_hull(q: H2Set) -> H2Set:
     """Smallest-lattice admissible rectangle containing the rectangle q.
 
-    Same horizontal center, height exponent j = ceil(log Im z), radius
-    K = ceil(R) + 2.  The area ratio e^(K - R) lies in [e^2, e^3).
+    Same horizontal center, center height e^j with j = ceil(log Im z),
+    radius K = ceil(R) + 2.  The area ratio e^(K - R) lies in [e^2, e^3).
     """
     if q.kind is not SetKind.RECTANGLE:
         raise ValueError("admissible_hull expects a rectangle")
@@ -507,21 +463,18 @@ def _box_terms(kind: SetKind, R) -> tuple:
     half ball a = e^R and the half width is max(zy, zy e^R sinh 1)."""
     if kind is SetKind.BALL:
         return math.sinh(R), math.exp(-R), math.exp(R)
-    if kind is SetKind.HALF_PLANE:
-        return 1.0, 0.0, 1.0
     if kind in (SetKind.HALF_BALL, SetKind.TRIGONON):
         return 1.0, math.exp(-R), 1.0
-    if kind in (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
+    if kind is SetKind.RECTANGLE:
         return 1.0, math.exp(-R), math.inf
-    if kind is SetKind.MODIFIED_HALF_BALL:
-        return math.exp(R), math.exp(-R), math.exp(R + 1.0)
-    raise ValueError(f"unknown kind {kind}")
+    # the modified half ball
+    return math.exp(R), math.exp(-R), math.exp(R + 1.0)
 
 
 def bounding_boxes(fam: "H2Family") -> np.ndarray:
     """(m, 4): row i is the box (x_lo, x_hi, y_lo, y_hi) enclosing member i;
     y_hi may be inf.  The ``math`` constants are taken once per distinct
-    (kind, radius), and multiplying them by zy (exact for 1, 0 and inf)
+    (kind, radius), and multiplying them by zy (exact for 1 and inf)
     rounds as the one-member formulas do."""
     a, b, c = fam.per_kind_radius(_box_terms, 3).T
     zx, zy = fam.x, fam.y

@@ -32,7 +32,7 @@ on its own rows.  This is exact: every cell's verdict is the float
 expression of ``hyp2.mask``, only evaluated once per centre, so every
 numerator gathers the same cells in the same C order.  A trigonon's mask
 is the half disc on the heights above its cut e^{-R} zy, a suffix of the
-height axis; a rectangle (plain or admissible) needs no 2-D mask: its
+height axis; a rectangle needs no 2-D mask: its
 cells are one sub-block of the grid (see ``hyp2``), whose numerator sums
 ``wv[block].ravel()``, the same floats in the same C order as a masked
 gather.
@@ -90,9 +90,10 @@ def h2_lattice(kind: str, centers, radii) -> H2Family:
 
 
 def admissible_family_for_grid(grid: SampleGrid, k_max: int, max_x: int = 64) -> H2Family:
-    """Admissible rectangles whose lattice is induced by the grid: x on the
-    cell lattice, j spanning the window heights, K = 2..k_max, in the
-    product order xs x js x Ks, as columns."""
+    """Admissible rectangles (``hyp2.admissible_rectangle``) whose lattice is
+    induced by the grid: x on the cell lattice, centre heights e^j with j
+    spanning the window heights, radii K = 2..k_max, in the product order
+    xs x js x Ks, as columns."""
     xs = grid.axes[0]
     xs = xs[:: max(1, len(xs) // max_x)]
     _, _, u_lo, u_hi = grid.window
@@ -102,11 +103,7 @@ def admissible_family_for_grid(grid: SampleGrid, k_max: int, max_x: int = 64) ->
     # centre heights e^j as math.exp gives them, as admissible_rectangle does
     heights = np.repeat([math.exp(j) for j in js.tolist()], ks.size)
     return H2Family(
-        SetKind.ADMISSIBLE_RECTANGLE,
-        np.repeat(xs, per_x),
-        np.tile(heights, xs.size),
-        np.tile(ks.astype(float), xs.size * js.size),
-        np.tile(np.repeat(js, ks.size), xs.size),
+        SetKind.RECTANGLE, np.repeat(xs, per_x), np.tile(heights, xs.size), np.tile(ks.astype(float), xs.size * js.size)
     )
 
 
@@ -144,9 +141,8 @@ def _support_range(nz: np.ndarray) -> tuple:
     return lo, hi
 
 
-_SEPARABLE = (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE)
 # the kinds that hold only points above e^{-R} zy
-_CUT_CODES = [hyp2.KINDS.index(k) for k in (SetKind.TRIGONON, *_SEPARABLE)]
+_CUT_CODES = [hyp2.KINDS.index(k) for k in (SetKind.TRIGONON, SetKind.RECTANGLE)]
 
 
 def _numerator(wv: np.ndarray, block: tuple, mask) -> float:
@@ -209,7 +205,7 @@ def _h2_cells(grid: SampleGrid, fam: H2Family, wv: np.ndarray, rows: np.ndarray,
         u0, u1 = min(m[5] for m in run), max(m[6] for m in run)
         X, Y = xs[c0:c1, None], ys[None, u0:u1]
         terms = hyp2.centre_terms(kind, zx, zy, X, Y)
-        if kind in _SEPARABLE:
+        if kind is SetKind.RECTANGLE:
             # the strip |x - zx| < zy is one run of columns, on every row
             strip = np.flatnonzero(terms[0][:, 0])
             if not strip.size:
@@ -217,7 +213,7 @@ def _h2_cells(grid: SampleGrid, fam: H2Family, wv: np.ndarray, rows: np.ndarray,
             cols = slice(c0 + int(strip[0]), c0 + int(strip[-1]) + 1)
         for idx, a, b, c, measure, r0, r1 in run:
             own = slice(r0 - u0, r1 - u0)
-            if kind in _SEPARABLE:
+            if kind is SetKind.RECTANGLE:
                 block, mask = (cols, slice(r0, r1)), None
             elif kind is SetKind.TRIGONON:
                 block, mask = (slice(c0, c1), slice(r0, r1)), terms[0][:, own]
@@ -409,10 +405,7 @@ def operator_compare(grid: SampleGrid, ladder_steps: int = 4, max_per_axis: int 
     r2 = worst_ratio(nt_sub, nb)
     r3 = worst_ratio(nb_sub, nq)
 
-    rep = ExperimentReport(
-        "operator_compare",
-        meta={"ladder_steps": ladder_steps, "centers": len(centers)},
-    )
+    rep = ExperimentReport(meta={"ladder_steps": ladder_steps, "centers": len(centers)})
     rep.add_table(
         "constants",
         ["name", "value"],

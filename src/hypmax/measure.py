@@ -294,7 +294,7 @@ def mc_volume(space: str, s, box, samples: int, seed: int, alg: HTypeAlgebra = N
     hits = int(np.count_nonzero(mask))
     if not hits:
         warnings.warn("Monte Carlo produced zero hits; box likely misses the set")
-    return VolumeEstimate.of_hits(total, hits, samples, seed)
+    return VolumeEstimate.of_hits(total, hits, samples)
 
 
 def suggested_box_h2(s: H2Set) -> tuple:

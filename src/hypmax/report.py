@@ -12,20 +12,18 @@ import numpy as np
 
 @dataclass(frozen=True)
 class VolumeEstimate:
-    """Monte Carlo estimate with its standard error; reproducible per seed."""
+    """Monte Carlo estimate with its standard error."""
 
     mean: float
     stderr: float
-    samples: int
-    seed: int
 
     @classmethod
-    def of_hits(cls, total: float, hits: int, samples: int, seed: int) -> "VolumeEstimate":
+    def of_hits(cls, total: float, hits: int, samples: int) -> "VolumeEstimate":
         """The binomial estimate total * hits / samples of a box of measure
         ``total`` in which ``hits`` of ``samples`` exact-measure draws fell in
         the set, with its standard error."""
         frac = hits / samples
-        return cls(total * frac, total * math.sqrt(frac * (1.0 - frac) / samples), samples, seed)
+        return cls(total * frac, total * math.sqrt(frac * (1.0 - frac) / samples))
 
 
 @dataclass
@@ -45,7 +43,6 @@ class Assertion:
 
 @dataclass
 class ExperimentReport:
-    name: str
     meta: dict = field(default_factory=dict)
     tables: list = field(default_factory=list)
     assertions: list = field(default_factory=list)

@@ -320,7 +320,7 @@ def test_membership_block_scatters_to_full_mask():
     # the satellite ball of the modified half ball leaves the box of its half ball
     mhb = h2.modified_half_ball(z, 1.5)
     assert h2.bounding_box(mhb)[3] > h2.bounding_box(h2.half_ball(z, 1.5))[3]
-    sets = [h2.half_plane(z), h2.ball(z, 2.5), mhb, h2.trigonon(h2.HPoint(-2.9, 4.0), 1.2),
+    sets = [h2.ball(z, 2.5), mhb, h2.trigonon(h2.HPoint(-2.9, 4.0), 1.2),
             h2.rectangle(h2.HPoint(2.9, 0.3), 2.0), h2.ball(h2.HPoint(40.0, 1.0), 0.5)]
     for s in sets:
         block, sub = ms.membership_mask(g, s)
@@ -666,15 +666,14 @@ RUN_CENTRES = [(0.35, 1.1), (-1.2, 0.6), (-3.0, 1.0), (3.0, math.exp(-1.5)), (0.
 def h2_members():
     def build(kind, centre, R, j):
         x, y = centre
-        if kind is h2.SetKind.ADMISSIBLE_RECTANGLE:
+        if kind == "admissible_rectangle":
             return h2.admissible_rectangle(x, j, int(R) + 2)
-        if kind is h2.SetKind.MODIFIED_HALF_BALL:
+        if kind == "modified_half_ball":
             R = max(R, 1.0)
-        return h2.H2Set(kind, h2.HPoint(x, y), R)
+        return h2.H2Set(h2.SetKind(kind), h2.HPoint(x, y), R)
 
-    kinds = [h2.SetKind(k) for k in H2_KINDS]
     radii = st.sampled_from([0.4, 1.0, 1.0, 1.7, 2.5, 3.0])
-    return st.builds(build, st.sampled_from(kinds), st.sampled_from(RUN_CENTRES), radii, st.integers(-2, 2))
+    return st.builds(build, st.sampled_from(H2_KINDS), st.sampled_from(RUN_CENTRES), radii, st.integers(-2, 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -718,7 +717,7 @@ def span_oracle(centres, lo, hi):
     return slice(max(i0, 0), min(i1, centres.size))
 
 
-@pytest.mark.parametrize("kind", H2_KINDS + ["half_plane", "admissible_cylinder", "cylinder"])
+@pytest.mark.parametrize("kind", H2_KINDS + ["admissible_cylinder", "cylinder"])
 def test_member_blocks_rows_match_membership_mask(kind):
     if kind.endswith("cylinder"):
         g = na_grid()
@@ -729,10 +728,7 @@ def test_member_blocks_rows_match_membership_mask(kind):
             boxes.append((list(b_lo) + [s.base_height], list(b_hi) + [math.inf]))
     else:
         g = h2_grid()
-        if kind == "half_plane":
-            fam = [h2.half_plane(h2.HPoint(cx, cy)) for cx, cy in np.vstack([mx.grid_centers(g, 8), OFF_WINDOW])]
-        else:
-            fam = h2_family(g, kind)
+        fam = h2_family(g, kind)
         boxes = [(h2.bounding_box(s)[0::2], h2.bounding_box(s)[1::2]) for s in fam]
     lo, hi = ms.member_blocks(g, fam)
     assert lo.shape == hi.shape == (len(fam), len(g.shape))

@@ -113,7 +113,7 @@ def test_subcommands_pass(argv):
 
 def test_exit_code_on_failure(monkeypatch):
     def failing(cfg):
-        rep = ExperimentReport("stub", meta={})
+        rep = ExperimentReport(meta={})
         rep.check("always_fails", 1.0, 2.0, False)
         return rep
 
@@ -210,6 +210,12 @@ def test_exit_code_on_failure(monkeypatch):
         ["eta", "--alpha-ladder", "2^-6..2^-900"],
         ["eta", "--alpha-ladder", "2^-6..2^-1070"],
         ["eta", "--alpha-ladder", "2^-6..2^-519"],
+        # a trend fit on fewer than three rungs, and a lens estimate with no hit
+        ["eta", "--alpha-ladder", "2^-14..2^-14"],
+        ["eta", "--alpha-ladder", "2^-9..2^-9"],
+        ["pack", "--samples", "1", "--seed", "0"],
+        ["pack", "--samples", "2", "--seed", "1"],
+        ["pack", "--samples", "10", "--seed", "2"],
         # Re z -+ 2 Im z round to one float, and Im z whose scales overflow
         ["figures", "--figure", "rectangle", "--z", "1e17,1"],
         ["figures", "--figure", "rectangle", "--z", "1e308,1"],

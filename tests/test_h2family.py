@@ -31,13 +31,11 @@ def old_contains_mask(s, x, y):
     kind = s.kind
     if kind is SetKind.BALL:
         return ball_mask(zx, zy, R)
-    if kind is SetKind.HALF_PLANE:
-        return (x - zx) ** 2 + y * y < zy * zy
     if kind is SetKind.HALF_BALL:
         return ball_mask(zx, zy, R) & ((x - zx) ** 2 + y * y < zy * zy)
     if kind is SetKind.TRIGONON:
         return ((x - zx) ** 2 + y * y < zy * zy) & (y > math.exp(-R) * zy)
-    if kind in (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
+    if kind is SetKind.RECTANGLE:
         return (np.abs(x - zx) < zy) & (y > math.exp(-R) * zy)
     base = ball_mask(zx, zy, R) & ((x - zx) ** 2 + y * y < zy * zy)
     return base | ball_mask(zx, math.exp(R) * zy, 1.0)
@@ -50,11 +48,9 @@ def old_bounding_box(s):
     if kind is SetKind.BALL:
         sh = zy * math.sinh(R)
         return (zx - sh, zx + sh, zy * math.exp(-R), zy * math.exp(R))
-    if kind is SetKind.HALF_PLANE:
-        return (zx - zy, zx + zy, 0.0, zy)
     if kind in (SetKind.HALF_BALL, SetKind.TRIGONON):
         return (zx - zy, zx + zy, zy * math.exp(-R), zy)
-    if kind in (SetKind.RECTANGLE, SetKind.ADMISSIBLE_RECTANGLE):
+    if kind is SetKind.RECTANGLE:
         return (zx - zy, zx + zy, zy * math.exp(-R), math.inf)
     half_width = max(zy, zy * math.exp(R) * math.sinh(1.0))
     return (zx - half_width, zx + half_width, zy * math.exp(-R), zy * math.exp(R + 1.0))
@@ -74,6 +70,7 @@ def first_max_witness(grid, x, members):
 
 # --------------------------------------------------------------- strategies
 
+# "admissible_rectangle" draws a rectangle of the admissible lattice
 RADIUS_KINDS = ["ball", "half_ball", "trigonon", "rectangle", "admissible_rectangle", "modified_half_ball"]
 
 
@@ -147,18 +144,12 @@ def test_lattices_are_the_old_product_order():
 
 
 BAD_MEMBERS = [
-    (SetKind.BALL, 0.0, -1.0, 1.0, None),
-    (SetKind.BALL, 0.0, 0.0, 1.0, None),
-    (SetKind.HALF_PLANE, 0.0, 1.0, 1.0, None),
-    (SetKind.HALF_BALL, 0.0, 1.0, None, None),
-    (SetKind.TRIGONON, 0.0, 1.0, -0.5, None),
-    (SetKind.RECTANGLE, 0.0, 1.0, math.nan, None),
-    (SetKind.MODIFIED_HALF_BALL, 0.0, 1.0, 0.5, None),
-    (SetKind.ADMISSIBLE_RECTANGLE, 0.0, 1.0, 2.0, None),
-    (SetKind.ADMISSIBLE_RECTANGLE, 0.0, 1.0, 2.5, 0),
-    (SetKind.ADMISSIBLE_RECTANGLE, 0.0, 1.0, 1.0, 0),
-    (SetKind.ADMISSIBLE_RECTANGLE, 0.0, 1.5, 3.0, 0),
-    (SetKind.ADMISSIBLE_RECTANGLE, 0.0, 1.0, math.inf, 0),
+    (SetKind.BALL, 0.0, -1.0, 1.0),
+    (SetKind.BALL, 0.0, 0.0, 1.0),
+    (SetKind.TRIGONON, 0.0, 1.0, -0.5),
+    (SetKind.MODIFIED_HALF_BALL, 0.0, 1.0, 0.5),
+    # every kind refuses a NaN radius
+    *((kind, 0.0, 1.0, math.nan) for kind in SetKind),
 ]
 
 
@@ -168,21 +159,20 @@ def refusal(fn):
     return type(info.value), str(info.value)
 
 
-@pytest.mark.parametrize("bad", BAD_MEMBERS, ids=lambda b: f"{b[0].value}-y{b[2]}-R{b[3]}-j{b[4]}")
+@pytest.mark.parametrize("bad", BAD_MEMBERS, ids=lambda b: f"{b[0].value}-y{b[2]}-R{b[3]}")
 def test_columns_refuse_what_h2set_refuses(bad):
-    kind, x, y, R, j = bad
-    want = refusal(lambda: H2Set(kind, HPoint(x, y), R, j))
+    kind, x, y, R = bad
+    want = refusal(lambda: H2Set(kind, HPoint(x, y), R))
     good = h2.admissible_rectangle(0.5, 1, 3)
     # the bad member alone, and after a valid one
-    assert refusal(lambda: H2Family(kind, [x], [y], None if R is None else [R], None if j is None else [j])) == want
+    assert refusal(lambda: H2Family(kind, [x], [y], [R])) == want
     codes = [h2.KINDS.index(good.kind), h2.KINDS.index(kind)]
-    assert refusal(lambda: H2Family(codes, [0.5, x], [good.center.y, y],
-                                    [3.0, math.nan if R is None else R], [1, -(2**63) if j is None else j])) == want
+    assert refusal(lambda: H2Family(codes, [0.5, x], [good.center.y, y], [3.0, R])) == want
 
 
 def test_lattices_refuse_as_before():
     centers = np.array([[0.0, 1.0], [0.5, -1.0]])
-    with pytest.raises(ValueError, match="half plane carries no radius"):
+    with pytest.raises(ValueError, match="'half_plane' is not a valid SetKind"):
         mx.h2_lattice("half_plane", centers[:1], [1.0])
     with pytest.raises(ValueError, match="HPoint requires y > 0, got y=-1.0"):
         mx.h2_lattice("ball", centers, [1.0])

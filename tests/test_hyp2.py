@@ -62,12 +62,6 @@ def test_triangle_inequality_bulk():
 
 # ------------------------------------------------------------- membership
 
-def test_half_plane_membership():
-    T = h2.half_plane(I)
-    assert h2.contains(T, HPoint(0.0, 0.5))
-    assert not h2.contains(T, I)  # boundary point, strict
-
-
 def test_half_ball_contains_perturbed_marker():
     m = h2.boundary_markers(I, 1.0)
     q = m.q_plus
@@ -140,11 +134,6 @@ def test_modified_area_is_sum_of_disjoint_pieces():
     )
 
 
-def test_half_plane_area_raises():
-    with pytest.raises(ValueError):
-        h2.area(h2.half_plane(I))
-
-
 def test_area_monte_carlo_ball():
     # crude grid Monte Carlo oracle for |B_1(i)|, uniform in (x, u=log y)
     rng = np.random.default_rng(3)
@@ -213,16 +202,22 @@ def test_segment_q_in_halfball_closure():
 
 # -------------------------------------------------------- admissible hulls
 
+@pytest.mark.parametrize("K", [2.5, 1, math.inf])
+def test_admissible_rectangle_refuses_radii_off_the_lattice(K):
+    with pytest.raises(ValueError, match="admissible rectangle radius must be an integer >= 2"):
+        h2.admissible_rectangle(0.0, 0, K)
+
+
 def test_hull_example_values():
     q = h2.rectangle(HPoint(0.0, 0.9), 1.5)
     hull = h2.admissible_hull(q)
-    assert hull.j == 0 and hull.radius == 4
+    assert hull.kind is SetKind.RECTANGLE and hull.center.y == 1.0 and hull.radius == 4
     ratio = h2.area(hull) / h2.area(q)
     assert ratio == pytest.approx(math.exp(2.5), rel=1e-12)
 
     q2 = h2.rectangle(I, 2.0)
     hull2 = h2.admissible_hull(q2)
-    assert hull2.j == 0 and hull2.radius == 4
+    assert hull2.center.y == 1.0 and hull2.radius == 4
     assert h2.area(hull2) / h2.area(q2) == pytest.approx(math.e**2, rel=1e-12)
 
 
@@ -270,7 +265,6 @@ def test_affine_transforms_descriptors_consistently():
         h2.half_ball(HPoint(-1.0, 0.8), 2.0),
         h2.trigonon(HPoint(0.0, 1.0), 1.7),
         h2.rectangle(HPoint(2.0, 0.5), 2.2),
-        h2.half_plane(HPoint(0.3, 1.1)),
         h2.modified_half_ball(HPoint(0.0, 1.0), 1.4),
     ]
     xs, ys = (rng.uniform(-6, 6, 4000), np.exp(rng.uniform(-3, 3, 4000)))
@@ -279,14 +273,13 @@ def test_affine_transforms_descriptors_consistently():
         before = h2.contains_mask(s, xs, ys)
         after = h2.contains_mask(img, *affine(z0, xs, ys))
         assert (before == after).all()
-        if s.kind not in (SetKind.HALF_PLANE,):
-            assert h2.area(img) == pytest.approx(h2.area(s), rel=1e-13)
+        assert h2.area(img) == pytest.approx(h2.area(s), rel=1e-13)
 
 
 def test_affine_admissible_rectangle_kind():
-    """An admissible rectangle's image is admissible, with j shifted by
-    log Im z0, when that is an integer, and the plain rectangle of its
-    centre and radius otherwise."""
+    """An admissible rectangle's image is the admissible rectangle with j
+    shifted by log Im z0 when that is an integer, and a rectangle of the
+    same radius off the lattice otherwise."""
     rng = np.random.default_rng(31)
     xs, ys = (rng.uniform(-6, 6, 4000), np.exp(rng.uniform(-4, 6, 4000)))
     s = h2.admissible_rectangle(0.0, 0, 3)

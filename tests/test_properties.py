@@ -86,7 +86,7 @@ def test_trigonon_membership_consistent_with_markers(R, frac):
 @given(st.integers(1, 1_000_000), st.data(), st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
 def test_of_hits_has_the_bits_of_the_four_former_estimates(samples, data, total, tail):
     hits = data.draw(st.integers(0, samples))
-    est = VolumeEstimate.of_hits(total, hits, samples, 0)
+    est = VolumeEstimate.of_hits(total, hits, samples)
     got = (est.mean, est.stderr)
     # measure.mc_volume and experiments.lens_region_measure: the hit mask's mean
     frac = float((np.arange(samples) < hits).mean())

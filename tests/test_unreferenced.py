@@ -36,7 +36,6 @@ KEEP = {
     # public API: the README or the benchmark names it
     "maxop.maximal_fn": "the pointwise operator the README documents",
     "maxop.operator_compare": "the h2-field benchmark workload",
-    "hyp2.half_plane": "the constructor of a special half plane, a set kind the README lists",
     "htype.identity": "the identity of S, the counterpart of identity_n",
     # looked up by name in perfbench/tracing.py
     "htype.dist_n": "a traced layer of the benchmark",
