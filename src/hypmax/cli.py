@@ -228,9 +228,30 @@ def parse_radii(cfg) -> list:
 # family sizes and sample counts positive
 _INT_LEAST = {"seed": 0, "samples": 1, "count": 1, "nu": None}
 
+# the most --samples of each subcommand that reads it.  The Monte Carlo hit
+# counts stream their draws in chunks of measure.MC_CHUNK; what still grows
+# with the count is held to about 1 GB RSS on dr-heisenberg:2 (p + q = 5,
+# the largest space the benchmark runs and the overlap grid admits; it
+# grows with p + q).  volume: drsets.omega_n holds its draws whole, 8 (p + q)
+# bytes a sample, and 25,000,000 samples peaked at 990 MB in 5.5 s.
+# vitali: the union's sample columns, their sort order and one permuted row
+# take 8 (p + q + 2) bytes a sample, and 16,000,000 peaked at 893 MB in
+# 9.6 s.  pack: the lens count streams, so only run time binds, at about
+# 46 ns a sample: 1,000,000,000 samples run for about 46 s.  (Measured on
+# one core of an Intel Xeon, --count 30.)  validate draws
+# min(--samples, 20,000) and takes any count
+SAMPLES_MAX = {"validate": math.inf, "volume": 25_000_000, "vitali": 16_000_000, "pack": 1_000_000_000}
+
 
 def _int(cfg, name: str) -> int:
-    return parse_int(cfg.options[name], f"--{name}", _INT_LEAST[name])
+    """The integer option ``name`` of the run ``cfg``; --samples is checked
+    against the subcommand's ``SAMPLES_MAX`` too, before any draw."""
+    n = parse_int(cfg.options[name], f"--{name}", _INT_LEAST[name])
+    if name == "samples" and n > SAMPLES_MAX[cfg.subcommand]:
+        raise UsageError(
+            f"--samples {n}: {cfg.subcommand} takes at most {SAMPLES_MAX[cfg.subcommand]:,}, where its draws stay within their memory and run-time budget"
+        )
+    return n
 
 
 def parse_point(value) -> tuple:
@@ -467,10 +488,10 @@ def cmd_overlap(cfg) -> ExperimentReport:
 def cmd_vitali(cfg) -> ExperimentReport:
     from . import experiments as ex
 
-    alg = _algebra(cfg.space)
+    samples, alg = _int(cfg, "samples"), _algebra(cfg.space)
     rng = np.random.default_rng(_int(cfg, "seed"))
     fam = ex.random_horocycle_family(alg, _int(cfg, "count"), -2, rng)
-    _sel, rep = ex.vitali_select(alg, fam, samples=_int(cfg, "samples"), seed=_int(cfg, "seed"))
+    _sel, rep = ex.vitali_select(alg, fam, samples=samples, seed=_int(cfg, "seed"))
     rep.meta = _meta(cfg)
     return rep
 
@@ -492,12 +513,12 @@ def cmd_eta(cfg) -> ExperimentReport:
 def cmd_pack(cfg) -> ExperimentReport:
     from . import experiments as ex
 
+    samples = _int(cfg, "samples")
     levels = hyp2.packing_construct(parse_packing_level(cfg.levels, "--levels"))
     rep = ex.packing_report(levels, seed=_int(cfg, "seed"))
     rep.meta = _meta(cfg)
     # the L^p increments are calibrated on the full desk-scale depth 0..4
     ps = (1.0, 2.0, 3.0)
-    samples = _int(cfg, "samples")
     try:
         subs = ex.modified_lp_sums(ps, 4, samples=samples, check_points=30, seed=_int(cfg, "seed"))
     except ValueError as exc:

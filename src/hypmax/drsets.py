@@ -135,9 +135,6 @@ def cylinder_contains_batch(alg: HTypeAlgebra, c, X, Z, a):
 _UNIT_BALL_VOL = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 
-_MC_CHUNK = 65_536
-
-
 def omega_n(alg: HTypeAlgebra, method: str = "analytic", samples: int = 1_000_000, seed: int = 0):
     """Lebesgue volume of the unit gauge ball of N.
 
@@ -155,14 +152,16 @@ def omega_n(alg: HTypeAlgebra, method: str = "analytic", samples: int = 1_000_00
         return math.pi ** (q / 2.0) / math.gamma(q / 2.0 + 1.0)
     if method != "mc":
         raise ValueError("method must be 'analytic' or 'mc'")
+    from .measure import MC_CHUNK  # measure imports this module
+
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2.0, 2.0, (samples, alg.p))
     Z = rng.uniform(-1.0, 1.0, (samples, alg.q))
     # the gauge is row by row, so testing in chunks keeps its temporaries
     # small and counts the same hits
     hits = sum(
-        int(np.count_nonzero(ht.gauge_below_cols(X[i : i + _MC_CHUNK].T, Z[i : i + _MC_CHUNK].T, 1.0)))
-        for i in range(0, samples, _MC_CHUNK)
+        int(np.count_nonzero(ht.gauge_below_cols(X[i : i + MC_CHUNK].T, Z[i : i + MC_CHUNK].T, 1.0)))
+        for i in range(0, samples, MC_CHUNK)
     )
     return VolumeEstimate.of_hits(4.0**alg.p * 2.0**alg.q, hits, samples)
 

@@ -258,39 +258,49 @@ def _sampled_union_measure(fam: CylFamily, samples: int, seed: int) -> VolumeEst
     pad = np.array([math.sqrt(x.dot(x)) for x in X0]) * r + fam.a0
     lo = np.concatenate([(X0 - 2 * r[:, None]).min(axis=0), (Z0 - pad[:, None]).min(axis=0)])
     hi = np.concatenate([(X0 + 2 * r[:, None]).max(axis=0), (Z0 + pad[:, None]).max(axis=0)])
-    rows = rng.uniform(lo, hi, (samples, alg.p + alg.q))
-    # sorted by the first horizontal coordinate, each base ball meets one
-    # contiguous slice (|X_1 - X0_1| < 2r, or |Z_1 - Z0_1| < r^2 when p = 0).
-    # cols holds the samples still outside the union column-major, one
-    # contiguous row per coordinate, for the box tests and the candidate
-    # gathers; within a radius group, outside drops those a ball of the group
-    # already holds, and after the group cols is compacted to the samples it
-    # left outside
-    cols, hits = np.ascontiguousarray(rows[np.argsort(rows[:, 0])].T), 0
-    del rows
+    # the one-shot draws rng.uniform(lo, hi, (samples, p + q)) run row by
+    # row, so they are drawn a chunk of rows at a time, straight into a
+    # column-major array.  cols holds its rows, the samples of one
+    # coordinate each, contiguous for the box tests and the candidate
+    # gathers.  Sorted by the first horizontal coordinate, each base ball
+    # meets one contiguous slice (|X_1 - X0_1| < 2r, or |Z_1 - Z0_1| < r^2
+    # when p = 0); each row is permuted in place.  Within a radius group,
+    # outside drops the samples a ball of the group already holds, and after
+    # the group each row keeps, in place, the samples it left outside
+    chunk, d = ms.MC_CHUNK, alg.p + alg.q
+    cols = np.empty((d, samples))
+    for i in range(0, samples, chunk):
+        cols[:, i : i + chunk] = rng.uniform(lo, hi, (min(chunk, samples - i), d)).T
+    order, cols, hits = np.argsort(cols[0]), list(cols), 0
+    for row in cols:
+        row[:] = row[order]
+    del order
     b_lo, b_hi = ms.base_ball_box_batch(fam)
     contained = _contained_bases(fam, b_lo, b_hi)
     for group in _radius_groups(r):
         group = group[~contained[group]]
         if not group.size:
             continue
-        outside = np.ones(cols.shape[1], dtype=bool)
+        outside = np.ones(cols[0].size, dtype=bool)
         # the slice holds exactly the samples with b_lo < X_1 < b_hi; X_1 < b
         # is X_1 <= nextafter(b, -inf), so one side="right" search takes both
         ends = cols[0].searchsorted(np.stack([b_lo[group, 0], np.nextafter(b_hi[group, 0], -np.inf)]), side="right")
         for i, j0, j1 in zip(group.tolist(), ends[0].tolist(), ends[1].tolist()):
             in_box = outside[j0:j1].copy()
-            for k in range(1, cols.shape[0]):
-                seg = cols[k, j0:j1]
+            for k in range(1, d):
+                seg = cols[k][j0:j1]
                 in_box &= (seg > b_lo[i, k]) & (seg < b_hi[i, k])
             idx = j0 + np.flatnonzero(in_box)
-            if idx.size:
-                # one row per coordinate: cand[:p] and cand[p:] are the
-                # candidates' p and q columns
-                cand = cols.take(idx, axis=1)
-                outside[idx[ht.dist_below_cols(alg, fam[i].n0, cand[: alg.p], cand[alg.p :], r[i])]] = False
-        hits += outside.size - int(np.count_nonzero(outside))
-        cols = cols[:, outside]
+            # the candidates are gathered at most a chunk at a time, one row
+            # per coordinate: cand[:p] and cand[p:] are their p and q columns
+            for piece in (idx[j : j + chunk] for j in range(0, idx.size, chunk)):
+                cand = [row.take(piece) for row in cols]
+                outside[piece[ht.dist_below_cols(alg, fam[i].n0, cand[: alg.p], cand[alg.p :], r[i])]] = False
+        kept = int(np.count_nonzero(outside))
+        hits += outside.size - kept
+        for row in cols:
+            row[:kept] = row[outside]
+        cols = [row[:kept] for row in cols]
     return VolumeEstimate.of_hits(float(np.prod(hi - lo)), hits, samples)
 
 
@@ -686,9 +696,11 @@ def _in_lens(x, y):
 
 def lens_region_measure(samples: int = 400_000, seed: int = 0):
     """(measure, stderr): the Monte Carlo measure of the lens, from
-    ``samples`` draws of the hyperbolic measure on its box."""
-    x, y, total = ms.sample_h2_box(_LENS_BOX, samples, np.random.default_rng(seed))
-    est = VolumeEstimate.of_hits(total, int(np.count_nonzero(_in_lens(x, y))), samples)
+    ``samples`` draws of the hyperbolic measure on its box, counted chunk
+    by chunk (``measure.h2_box_chunks``)."""
+    chunks, total = ms.h2_box_chunks(_LENS_BOX, samples, np.random.default_rng(seed))
+    hits = sum(int(np.count_nonzero(_in_lens(x, y))) for x, y in chunks)
+    est = VolumeEstimate.of_hits(total, hits, samples)
     return est.mean, est.stderr
 
 
@@ -707,8 +719,10 @@ def modified_lp_sums(
     the lens in the witness: for each sampled member, the witness check
     tests that the witness holds points sampled from the member and from
     the lens.  The lens measure, the c_l and the witness verdicts do not
-    depend on p, so they are computed once, from one generator seeded
-    with ``seed``; each report takes the increments |E_l| c_l^p.  Raises
+    depend on p, so they are computed once, from two generators seeded
+    alike with ``seed``: ``lens_region_measure`` draws the lens measure
+    from its own, the witness checks from the other.  Each report takes
+    the increments |E_l| c_l^p.  Raises
     ``ValueError`` when the lens estimate draws no hit: every c_l is then
     0 and the increments have no ratio.
     """

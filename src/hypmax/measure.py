@@ -5,7 +5,9 @@ u = log a), where the Riemannian measure factorizes: on the half-plane a
 cell [x0,x1] x [u0,u1] has exact measure (x1-x0)(e^{-u0} - e^{-u1}); on
 an NA group the height factor is (e^{-nu u0} - e^{-nu u1})/nu.  Monte
 Carlo sampling draws directly from the Riemannian measure restricted to
-a coordinate box, so indicator estimates are plain binomial proportions.
+a coordinate box, so indicator estimates are plain binomial proportions;
+the draws stream in chunks of ``MC_CHUNK`` samples, with the values of one
+draw of each coordinate.
 """
 
 from __future__ import annotations
@@ -252,46 +254,102 @@ def base_ball_box_batch(fam: CylFamily) -> tuple:
 
 # -------------------------------------------------------------- Monte Carlo
 
-def sample_h2_box(box, samples: int, rng) -> tuple:
-    """Draw from the hyperbolic measure restricted to box = (x_lo, x_hi,
-    y_lo, y_hi); y_hi may be inf.  Returns (x, y, box_measure)."""
+# the most samples a Monte Carlo sampler holds at a time, per column: 512 kB
+# of doubles, so a hit count's draws and temporaries stay a few MB whatever
+# the sample count.  A multiple of 64, so the chunks keep every sample's
+# index modulo a SIMD loop's width and numpy's vector loops and their tails
+# meet the same samples as in one pass over all of them
+MC_CHUNK = 65_536
+
+
+def _pcg64_after(state: dict, draws: int) -> np.random.Generator:
+    """A generator on a copy of the PCG64 ``state``, advanced by ``draws``
+    64-bit outputs."""
+    bits = np.random.PCG64(0)
+    bits.state = state
+    return np.random.Generator(bits.advance(draws))
+
+
+def uniform_chunks(rng, bounds, samples: int):
+    """The columns ``rng.uniform(lo_k, hi_k, samples)``, one per (lo_k,
+    hi_k) of ``bounds``, drawn in that order, as an iterator that yields,
+    for each run of at most ``MC_CHUNK`` samples in order, the list of the
+    columns' values on that run, bit for bit those of the one-shot draws.
+    On return ``rng`` is advanced past all the draws, to the state the
+    one-shot draws leave.
+
+    A PCG64 double takes one 64-bit output, so column k of the one-shot
+    draws starts k * samples outputs after ``rng``'s state: it is drawn
+    from a copy of the generator advanced that far, and each chunk takes the
+    next values of every copy.  ``advance`` clears the generator's buffered
+    32-bit half, which doubles do not use, so ``rng`` keeps its own.  Up to
+    one chunk, the columns are drawn from ``rng`` itself."""
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise TypeError("streamed draws need a PCG64 generator")
+    if samples <= MC_CHUNK:
+        return iter([[rng.uniform(lo, hi, samples) for lo, hi in bounds]])
+    start = rng.bit_generator.state
+    gens = [_pcg64_after(start, k * samples) for k in range(len(bounds) + 1)]
+    rng.bit_generator.state = gens.pop().bit_generator.state | {
+        k: start[k] for k in ("has_uint32", "uinteger")
+    }
+    return (
+        [g.uniform(lo, hi, min(MC_CHUNK, samples - i)) for g, (lo, hi) in zip(gens, bounds)]
+        for i in range(0, samples, MC_CHUNK)
+    )
+
+
+def h2_box_chunks(box, samples: int, rng) -> tuple:
+    """(chunks, box_measure): ``samples`` draws from the hyperbolic measure
+    restricted to box = (x_lo, x_hi, y_lo, y_hi), y_hi may be inf, as an
+    iterator of (x, y) over runs of at most ``MC_CHUNK`` samples
+    (``uniform_chunks`` of x and of the height's uniform variable)."""
     x_lo, x_hi, y_lo, y_hi = box
-    inv_hi = 0.0 if math.isinf(y_hi) else 1.0 / y_hi
-    x = rng.uniform(x_lo, x_hi, samples)
-    v = rng.uniform(0.0, 1.0, samples)
-    y = 1.0 / (1.0 / y_lo - v * (1.0 / y_lo - inv_hi))
-    return x, y, (x_hi - x_lo) * (1.0 / y_lo - inv_hi)
+    inv_lo, inv_hi = 1.0 / y_lo, 0.0 if math.isinf(y_hi) else 1.0 / y_hi
+    cols = uniform_chunks(rng, [(x_lo, x_hi), (0.0, 1.0)], samples)
+    chunks = ((x, 1.0 / (inv_lo - v * (inv_lo - inv_hi))) for x, v in cols)
+    return chunks, (x_hi - x_lo) * (inv_lo - inv_hi)
 
 
-def sample_na_box(alg: HTypeAlgebra, box, samples: int, rng) -> tuple:
-    """Draw from the NA Haar measure restricted to box = (x_boxes, z_boxes,
-    (a_lo, a_hi)); a_hi may be inf.  Returns (X, Z, a, box_measure)."""
+def sample_h2_box(box, samples: int, rng) -> tuple:
+    """(x, y, box_measure): all the draws of ``h2_box_chunks`` at once."""
+    chunks, total = h2_box_chunks(box, samples, rng)
+    x, y = (np.concatenate(col) for col in zip(*chunks))
+    return x, y, total
+
+
+def na_box_chunks(alg: HTypeAlgebra, box, samples: int, rng) -> tuple:
+    """(chunks, box_measure): ``samples`` draws from the NA Haar measure
+    restricted to box = (x_boxes, z_boxes, (a_lo, a_hi)), a_hi may be inf,
+    as an iterator of (X, Z, a) over runs of at most ``MC_CHUNK`` samples, X
+    and Z the lists of the p and q horizontal columns (``uniform_chunks``
+    of each coordinate and of the height's uniform variable)."""
     x_boxes, z_boxes, (a_lo, a_hi) = box
-    nu = alg.nu
-    X = np.column_stack([rng.uniform(lo, hi, samples) for lo, hi in x_boxes]) if alg.p else np.zeros((samples, 0))
-    Z = np.column_stack([rng.uniform(lo, hi, samples) for lo, hi in z_boxes])
-    hi_term = 0.0 if math.isinf(a_hi) else a_hi**-nu
-    v = rng.uniform(0.0, 1.0, samples)
-    a = (a_lo**-nu - v * (a_lo**-nu - hi_term)) ** (-1.0 / nu)
-    horiz = math.prod(hi - lo for lo, hi in list(x_boxes) + list(z_boxes))
-    return X, Z, a, horiz * (a_lo**-nu - hi_term) / nu
+    nu, p = alg.nu, alg.p
+    lo_term, hi_term = a_lo**-nu, 0.0 if math.isinf(a_hi) else a_hi**-nu
+    cols = uniform_chunks(rng, [*x_boxes, *z_boxes, (0.0, 1.0)], samples)
+    chunks = ((c[:p], c[p:-1], (lo_term - c[-1] * (lo_term - hi_term)) ** (-1.0 / nu)) for c in cols)
+    horiz = math.prod(hi - lo for lo, hi in [*x_boxes, *z_boxes])
+    return chunks, horiz * (lo_term - hi_term) / nu
 
 
 def mc_volume(space: str, s, box, samples: int, seed: int, alg: HTypeAlgebra = None) -> VolumeEstimate:
     """Seeded Monte Carlo volume of the descriptor s inside a coordinate
-    box; exact-measure sampling makes the indicator a Bernoulli draw."""
+    box; exact-measure sampling makes the indicator a Bernoulli draw.  The
+    hits are counted chunk by chunk (``h2_box_chunks``, ``na_box_chunks``),
+    so the draws held at a time do not grow with ``samples``."""
     rng = np.random.default_rng(seed)
     if space == "h2":
-        x, y, total = sample_h2_box(box, samples, rng)
-        mask = hyp2.contains_mask(s, x, y)
+        chunks, total = h2_box_chunks(box, samples, rng)
+        masks = (hyp2.contains_mask(s, x, y) for x, y in chunks)
     elif space == "na":
         if alg is None:
             raise ValueError("na sampling requires an algebra")
-        X, Z, a, total = sample_na_box(alg, box, samples, rng)
-        mask = drsets.cylinder_contains_batch(alg, s, X.T, Z.T, a)
+        chunks, total = na_box_chunks(alg, box, samples, rng)
+        masks = (drsets.cylinder_contains_batch(alg, s, X, Z, a) for X, Z, a in chunks)
     else:
         raise ValueError(f"unknown space {space!r}")
-    hits = int(np.count_nonzero(mask))
+    hits = sum(int(np.count_nonzero(mask)) for mask in masks)
     if not hits:
         warnings.warn("Monte Carlo produced zero hits; box likely misses the set")
     return VolumeEstimate.of_hits(total, hits, samples)

@@ -152,6 +152,12 @@ def test_exit_code_on_failure(monkeypatch):
         ["vitali", "--config", "count=0"],
         ["overlap", "--seed=-1"],
         ["vitali", "--samples", "0"],
+        # a sample count above the subcommand's cap, before any draw
+        ["volume", "--space", "dr-abelian:1", "--samples", str(cli.SAMPLES_MAX["volume"] + 1)],
+        ["volume", "--space", "h2", "--samples", str(cli.SAMPLES_MAX["volume"] + 1)],
+        ["vitali", "--space", "dr-heisenberg:1", "--count", "5", "--samples", str(cli.SAMPLES_MAX["vitali"] + 1)],
+        ["pack", "--levels", "2", "--samples", str(cli.SAMPLES_MAX["pack"] + 1)],
+        ["pack", "--levels", "2", "--config", "samples=100000000000"],
         # refused by the cell cap before any grid or family is allocated
         ["overlap", "--space", "dr-heisenberg:3"],
         ["overlap", "--space", "dr-abelian:6"],

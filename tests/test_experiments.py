@@ -14,6 +14,7 @@ from hypmax import hyp2 as h2
 from hypmax import measure as ms
 from hypmax.drsets import AdmissibleCylinder
 from hypmax.htype import NPoint
+from hypmax.report import VolumeEstimate
 
 
 AB1 = ht.degenerate_abelian(1)
@@ -108,6 +109,51 @@ def test_vitali_union_measure_exact_vs_mc():
     exact = ex._interval_union_measure(fam)
     mc = ex._sampled_union_measure(fam, 200_000, 3)
     assert abs(mc.mean - exact) < 3 * max(mc.stderr, 1e-12)
+
+
+def _one_shot_union_measure(fam, samples, seed):
+    """The union measure of ``_sampled_union_measure`` with every sample
+    drawn, sorted and gathered at once, as it was before the draws streamed."""
+    rng = np.random.default_rng(seed)
+    alg, X0, Z0, r = fam.alg, fam.n0.X, fam.n0.Z, fam.base_radius
+    pad = np.array([math.sqrt(x.dot(x)) for x in X0]) * r + fam.a0
+    lo = np.concatenate([(X0 - 2 * r[:, None]).min(axis=0), (Z0 - pad[:, None]).min(axis=0)])
+    hi = np.concatenate([(X0 + 2 * r[:, None]).max(axis=0), (Z0 + pad[:, None]).max(axis=0)])
+    rows = rng.uniform(lo, hi, (samples, alg.p + alg.q))
+    cols, hits = np.ascontiguousarray(rows[np.argsort(rows[:, 0])].T), 0
+    b_lo, b_hi = ms.base_ball_box_batch(fam)
+    contained = ex._contained_bases(fam, b_lo, b_hi)
+    for group in ex._radius_groups(r):
+        group = group[~contained[group]]
+        if not group.size:
+            continue
+        outside = np.ones(cols.shape[1], dtype=bool)
+        ends = cols[0].searchsorted(np.stack([b_lo[group, 0], np.nextafter(b_hi[group, 0], -np.inf)]), side="right")
+        for i, j0, j1 in zip(group.tolist(), ends[0].tolist(), ends[1].tolist()):
+            in_box = outside[j0:j1].copy()
+            for k in range(1, cols.shape[0]):
+                seg = cols[k, j0:j1]
+                in_box &= (seg > b_lo[i, k]) & (seg < b_hi[i, k])
+            idx = j0 + np.flatnonzero(in_box)
+            if idx.size:
+                cand = cols.take(idx, axis=1)
+                outside[idx[ht.dist_below_cols(alg, fam[i].n0, cand[: alg.p], cand[alg.p :], r[i])]] = False
+        hits += outside.size - int(np.count_nonzero(outside))
+        cols = cols[:, outside]
+    return VolumeEstimate.of_hits(float(np.prod(hi - lo)), hits, samples)
+
+
+@pytest.mark.parametrize("samples", [ms.MC_CHUNK - 1, 2 * ms.MC_CHUNK + 7])
+@pytest.mark.parametrize(
+    "alg,count", [(HEI1, 1), (HEI1, 25), (ht.heisenberg(2), 8), (ht.degenerate_abelian(2), 12)], ids=lambda v: str(getattr(v, "label", v))
+)
+def test_sampled_union_measure_streams_the_one_shot_estimate(alg, count, samples):
+    """Drawn a chunk of rows at a time, permuted and compacted in place and
+    gathered a chunk at a time, the estimate is the one-shot one bit for
+    bit.  In each family the largest ball holds more than a chunk of the
+    2 C + 7 samples, so its candidates reach the gauge test in pieces."""
+    fam = dr.CylFamily(alg, ex.random_horocycle_family(alg, count, -1, np.random.default_rng(count)))
+    assert ex._sampled_union_measure(fam, samples, 6) == _one_shot_union_measure(fam, samples, 6)
 
 
 def test_union_base_measure_takes_the_half_of_its_backend():
@@ -423,6 +469,20 @@ def test_lens_region_measure_vs_quadrature():
     assert abs(mc - lens_quadrature()) < 3 * err
 
 
+@pytest.mark.parametrize("samples", [ms.MC_CHUNK - 1, 2 * ms.MC_CHUNK + 7])
+def test_lens_region_measure_streams_the_one_shot_estimate(samples):
+    """The lens estimate, and ``sample_h2_box``'s points, from all the draws
+    at once, as before they streamed."""
+    rng, (x_lo, x_hi, y_lo, y_hi) = np.random.default_rng(9), ex._LENS_BOX
+    x = rng.uniform(x_lo, x_hi, samples)
+    y = 1.0 / (1.0 / y_lo - rng.uniform(0.0, 1.0, samples) * (1.0 / y_lo - 1.0 / y_hi))
+    total = (x_hi - x_lo) * (1.0 / y_lo - 1.0 / y_hi)
+    est = VolumeEstimate.of_hits(total, int(np.count_nonzero(ex._in_lens(x, y))), samples)
+    assert ex.lens_region_measure(samples, 9) == (est.mean, est.stderr)
+    sx, sy, s_total = ms.sample_h2_box(ex._LENS_BOX, samples, np.random.default_rng(9))
+    assert (sx.tobytes(), sy.tobytes(), s_total) == (x.tobytes(), y.tobytes(), total)
+
+
 @pytest.mark.parametrize("p,key", [(1.0, "increments_grow"), (2.0, "increments_bounded_below"), (3.0, "increments_decay")])
 def test_modified_lp_sums(p, key):
     (rep,) = ex.modified_lp_sums([p], 4, samples=150_000, check_points=40, seed=7)
@@ -432,7 +492,7 @@ def test_modified_lp_sums(p, key):
 
 def test_modified_lp_sums_share_their_p_independent_work():
     """The reports of one call over several p equal those of one call per
-    p: the lens, c_l and witness draws come from the same seeded stream."""
+    p: the lens, c_l and witness draws come from the same seeded streams."""
     together = ex.modified_lp_sums([1.0, 2.0, 3.0], 3, samples=20_000, check_points=20, seed=3)
     alone = [ex.modified_lp_sums([p], 3, samples=20_000, check_points=20, seed=3)[0] for p in (1.0, 2.0, 3.0)]
     assert [r.to_json() for r in together] == [r.to_json() for r in alone]
