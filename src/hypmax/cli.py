@@ -228,28 +228,51 @@ def parse_radii(cfg) -> list:
 # family sizes and sample counts positive
 _INT_LEAST = {"seed": 0, "samples": 1, "count": 1, "nu": None}
 
-# the most --samples of each subcommand that reads it.  The Monte Carlo hit
-# counts stream their draws in chunks of measure.MC_CHUNK; what still grows
-# with the count is held to about 1 GB RSS on dr-heisenberg:2 (p + q = 5,
-# the largest space the benchmark runs and the overlap grid admits; it
-# grows with p + q).  volume: drsets.omega_n holds its draws whole, 8 (p + q)
-# bytes a sample, and 25,000,000 samples peaked at 990 MB in 5.5 s.
-# vitali: the union's sample columns, their sort order and one permuted row
-# take 8 (p + q + 2) bytes a sample, and 16,000,000 peaked at 893 MB in
-# 9.6 s.  pack: the lens count streams, so only run time binds, at about
-# 46 ns a sample: 1,000,000,000 samples run for about 46 s.  (Measured on
-# one core of an Intel Xeon, --count 30.)  validate draws
-# min(--samples, 20,000) and takes any count
-SAMPLES_MAX = {"validate": math.inf, "volume": 25_000_000, "vitali": 16_000_000, "pack": 1_000_000_000}
+# the most --samples of each subcommand that reads it, where memory does not
+# bind: run time does.  The Monte Carlo hit counts stream their draws in
+# chunks of drsets.MC_CHUNK, so their memory does not grow with the count.
+# volume: 25,000,000 samples ran in 3.5 s on h2 (one radius, four sets) and
+# 3.1 s on dr-abelian:3, at 40 MB RSS; pack: about 46 ns a lens sample, so
+# 1,000,000,000 run for about 46 s (measured on one core of an Intel Xeon).
+# validate draws min(--samples, 20,000); vitali on the abelian q = 1 backend
+# takes its union exactly and draws nothing for it, so both take any count
+SAMPLES_MAX = {"validate": math.inf, "volume": 25_000_000, "vitali": math.inf, "pack": 1_000_000_000}
+
+# the bytes of draws a run may hold whole, whatever its space.  What still
+# grows with --samples takes a fixed number of bytes a sample, which grows
+# with p + q: drsets.omega_n's draws in volume off the abelian backend,
+# 8 (p + q), and the Vitali union's sample columns, their sort order and one
+# permuted row, 8 (p + q + 2).  dr-heisenberg:2 volume at 25,000,000
+# samples (its cap) peaked at 990 MB RSS in 5.5 s and vitali at 16,000,000
+# (--count 30) at 893 MB in 9.6 s; at 2,000,000 samples dr-heisenberg:8
+# (p + q = 17) volume peaked at 296 MB and vitali at 336 MB, about 30 MB
+# above these bytes
+SAMPLES_BUDGET_BYTES = 1_000_000_000
+
+
+def samples_max(cfg):
+    """The most --samples the run ``cfg`` takes: its subcommand's
+    ``SAMPLES_MAX``, and no more than ``SAMPLES_BUDGET_BYTES`` hold of the
+    draws it keeps whole on its space."""
+    held = 0
+    if cfg.subcommand in ("volume", "vitali") and cfg.space != "h2":
+        alg = _algebra(cfg.space)
+        if cfg.subcommand == "volume" and alg.p:
+            held = 8 * (alg.p + alg.q)
+        elif cfg.subcommand == "vitali" and (alg.p, alg.q) != (0, 1):
+            held = 8 * (alg.p + alg.q + 2)
+    most = SAMPLES_MAX[cfg.subcommand]
+    return min(most, SAMPLES_BUDGET_BYTES // held) if held else most
 
 
 def _int(cfg, name: str) -> int:
     """The integer option ``name`` of the run ``cfg``; --samples is checked
-    against the subcommand's ``SAMPLES_MAX`` too, before any draw."""
+    against ``samples_max`` too, before any draw."""
     n = parse_int(cfg.options[name], f"--{name}", _INT_LEAST[name])
-    if name == "samples" and n > SAMPLES_MAX[cfg.subcommand]:
+    most = samples_max(cfg) if name == "samples" else math.inf
+    if n > most:
         raise UsageError(
-            f"--samples {n}: {cfg.subcommand} takes at most {SAMPLES_MAX[cfg.subcommand]:,}, where its draws stay within their memory and run-time budget"
+            f"--samples {n}: {cfg.subcommand} on {cfg.space} takes at most {most:,}, where its draws stay within their memory and run-time budget"
         )
     return n
 

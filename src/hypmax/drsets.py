@@ -135,6 +135,14 @@ def cylinder_contains_batch(alg: HTypeAlgebra, c, X, Z, a):
 _UNIT_BALL_VOL = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 
+# the most samples a Monte Carlo sampler holds at a time, per column: 512 kB
+# of doubles, so a hit count's draws and temporaries stay a few MB whatever
+# the sample count.  A multiple of 64, so the chunks keep every sample's
+# index modulo a SIMD loop's width and numpy's vector loops and their tails
+# meet the same samples as in one pass over all of them
+MC_CHUNK = 65_536
+
+
 def omega_n(alg: HTypeAlgebra, method: str = "analytic", samples: int = 1_000_000, seed: int = 0):
     """Lebesgue volume of the unit gauge ball of N.
 
@@ -152,8 +160,6 @@ def omega_n(alg: HTypeAlgebra, method: str = "analytic", samples: int = 1_000_00
         return math.pi ** (q / 2.0) / math.gamma(q / 2.0 + 1.0)
     if method != "mc":
         raise ValueError("method must be 'analytic' or 'mc'")
-    from .measure import MC_CHUNK  # measure imports this module
-
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2.0, 2.0, (samples, alg.p))
     Z = rng.uniform(-1.0, 1.0, (samples, alg.q))

@@ -267,7 +267,7 @@ def _sampled_union_measure(fam: CylFamily, samples: int, seed: int) -> VolumeEst
     # when p = 0); each row is permuted in place.  Within a radius group,
     # outside drops the samples a ball of the group already holds, and after
     # the group each row keeps, in place, the samples it left outside
-    chunk, d = ms.MC_CHUNK, alg.p + alg.q
+    chunk, d = drsets.MC_CHUNK, alg.p + alg.q
     cols = np.empty((d, samples))
     for i in range(0, samples, chunk):
         cols[:, i : i + chunk] = rng.uniform(lo, hi, (min(chunk, samples - i), d)).T

@@ -6,8 +6,8 @@ cell [x0,x1] x [u0,u1] has exact measure (x1-x0)(e^{-u0} - e^{-u1}); on
 an NA group the height factor is (e^{-nu u0} - e^{-nu u1})/nu.  Monte
 Carlo sampling draws directly from the Riemannian measure restricted to
 a coordinate box, so indicator estimates are plain binomial proportions;
-the draws stream in chunks of ``MC_CHUNK`` samples, with the values of one
-draw of each coordinate.
+the draws stream in chunks of ``drsets.MC_CHUNK`` samples, with the values
+of one draw of each coordinate.
 """
 
 from __future__ import annotations
@@ -254,14 +254,6 @@ def base_ball_box_batch(fam: CylFamily) -> tuple:
 
 # -------------------------------------------------------------- Monte Carlo
 
-# the most samples a Monte Carlo sampler holds at a time, per column: 512 kB
-# of doubles, so a hit count's draws and temporaries stay a few MB whatever
-# the sample count.  A multiple of 64, so the chunks keep every sample's
-# index modulo a SIMD loop's width and numpy's vector loops and their tails
-# meet the same samples as in one pass over all of them
-MC_CHUNK = 65_536
-
-
 def _pcg64_after(state: dict, draws: int) -> np.random.Generator:
     """A generator on a copy of the PCG64 ``state``, advanced by ``draws``
     64-bit outputs."""
@@ -273,36 +265,33 @@ def _pcg64_after(state: dict, draws: int) -> np.random.Generator:
 def uniform_chunks(rng, bounds, samples: int):
     """The columns ``rng.uniform(lo_k, hi_k, samples)``, one per (lo_k,
     hi_k) of ``bounds``, drawn in that order, as an iterator that yields,
-    for each run of at most ``MC_CHUNK`` samples in order, the list of the
-    columns' values on that run, bit for bit those of the one-shot draws.
-    On return ``rng`` is advanced past all the draws, to the state the
-    one-shot draws leave.
+    for each run of at most ``drsets.MC_CHUNK`` samples in order, the list
+    of the columns' values on that run, bit for bit those of the one-shot
+    draws.  On return ``rng`` is advanced past all the draws, to the state
+    the one-shot draws leave.
 
     A PCG64 double takes one 64-bit output, so column k of the one-shot
     draws starts k * samples outputs after ``rng``'s state: it is drawn
     from a copy of the generator advanced that far, and each chunk takes the
     next values of every copy.  ``advance`` clears the generator's buffered
-    32-bit half, which doubles do not use, so ``rng`` keeps its own.  Up to
-    one chunk, the columns are drawn from ``rng`` itself."""
+    32-bit half, which doubles do not use, so ``rng`` keeps its own."""
     if type(rng.bit_generator) is not np.random.PCG64:
         raise TypeError("streamed draws need a PCG64 generator")
-    if samples <= MC_CHUNK:
-        return iter([[rng.uniform(lo, hi, samples) for lo, hi in bounds]])
     start = rng.bit_generator.state
     gens = [_pcg64_after(start, k * samples) for k in range(len(bounds) + 1)]
     rng.bit_generator.state = gens.pop().bit_generator.state | {
         k: start[k] for k in ("has_uint32", "uinteger")
     }
     return (
-        [g.uniform(lo, hi, min(MC_CHUNK, samples - i)) for g, (lo, hi) in zip(gens, bounds)]
-        for i in range(0, samples, MC_CHUNK)
+        [g.uniform(lo, hi, min(drsets.MC_CHUNK, samples - i)) for g, (lo, hi) in zip(gens, bounds)]
+        for i in range(0, samples, drsets.MC_CHUNK)
     )
 
 
 def h2_box_chunks(box, samples: int, rng) -> tuple:
     """(chunks, box_measure): ``samples`` draws from the hyperbolic measure
     restricted to box = (x_lo, x_hi, y_lo, y_hi), y_hi may be inf, as an
-    iterator of (x, y) over runs of at most ``MC_CHUNK`` samples
+    iterator of (x, y) over runs of at most ``drsets.MC_CHUNK`` samples
     (``uniform_chunks`` of x and of the height's uniform variable)."""
     x_lo, x_hi, y_lo, y_hi = box
     inv_lo, inv_hi = 1.0 / y_lo, 0.0 if math.isinf(y_hi) else 1.0 / y_hi
@@ -321,9 +310,10 @@ def sample_h2_box(box, samples: int, rng) -> tuple:
 def na_box_chunks(alg: HTypeAlgebra, box, samples: int, rng) -> tuple:
     """(chunks, box_measure): ``samples`` draws from the NA Haar measure
     restricted to box = (x_boxes, z_boxes, (a_lo, a_hi)), a_hi may be inf,
-    as an iterator of (X, Z, a) over runs of at most ``MC_CHUNK`` samples, X
-    and Z the lists of the p and q horizontal columns (``uniform_chunks``
-    of each coordinate and of the height's uniform variable)."""
+    as an iterator of (X, Z, a) over runs of at most ``drsets.MC_CHUNK``
+    samples, X and Z the lists of the p and q horizontal columns
+    (``uniform_chunks`` of each coordinate and of the height's uniform
+    variable)."""
     x_boxes, z_boxes, (a_lo, a_hi) = box
     nu, p = alg.nu, alg.p
     lo_term, hi_term = a_lo**-nu, 0.0 if math.isinf(a_hi) else a_hi**-nu

@@ -22,6 +22,10 @@ def run_cli(argv):
     return cli.run(cli.resolve_config(argv))
 
 
+def _samples_cap(subcommand: str, space: str):
+    return cli.samples_max(cli.resolve_config([subcommand, "--space", space]))
+
+
 # ----------------------------------------------------------------- parsing
 
 def test_parse_grid():
@@ -152,11 +156,16 @@ def test_exit_code_on_failure(monkeypatch):
         ["vitali", "--config", "count=0"],
         ["overlap", "--seed=-1"],
         ["vitali", "--samples", "0"],
-        # a sample count above the subcommand's cap, before any draw
-        ["volume", "--space", "dr-abelian:1", "--samples", str(cli.SAMPLES_MAX["volume"] + 1)],
-        ["volume", "--space", "h2", "--samples", str(cli.SAMPLES_MAX["volume"] + 1)],
-        ["vitali", "--space", "dr-heisenberg:1", "--count", "5", "--samples", str(cli.SAMPLES_MAX["vitali"] + 1)],
-        ["pack", "--levels", "2", "--samples", str(cli.SAMPLES_MAX["pack"] + 1)],
+        # a sample count above the run's cap, before any draw: run time
+        # binds on h2, the abelian volume and pack, the held draws' bytes
+        # (which grow with p + q) on the others
+        ["volume", "--space", "dr-abelian:1", "--samples", str(_samples_cap("volume", "dr-abelian:1") + 1)],
+        ["volume", "--space", "h2", "--samples", str(_samples_cap("volume", "h2") + 1)],
+        ["volume", "--space", "dr-heisenberg:2", "--samples", str(_samples_cap("volume", "dr-heisenberg:2") + 1)],
+        ["volume", "--space", "dr-heisenberg:8", "--samples", str(_samples_cap("volume", "dr-heisenberg:8") + 1)],
+        ["vitali", "--space", "dr-heisenberg:1", "--count", "5", "--samples", str(_samples_cap("vitali", "dr-heisenberg:1") + 1)],
+        ["vitali", "--space", "dr-heisenberg:8", "--count", "5", "--samples", str(_samples_cap("vitali", "dr-heisenberg:8") + 1)],
+        ["pack", "--levels", "2", "--samples", str(_samples_cap("pack", "h2") + 1)],
         ["pack", "--levels", "2", "--config", "samples=100000000000"],
         # refused by the cell cap before any grid or family is allocated
         ["overlap", "--space", "dr-heisenberg:3"],
@@ -309,6 +318,16 @@ def test_numeric_input_at_its_bound_runs_clean(argv):
     assert finite_numbers(json.loads(body))
     # the verdict of volume's zero-hit Monte Carlo is not checked here
     assert status == 0 or argv[0] == "volume"
+
+
+def test_samples_cap_shrinks_with_the_held_draws():
+    """Where draws are held whole, the cap keeps them to the byte budget,
+    so it falls as p + q grows; where every draw streams, run time binds."""
+    budget = cli.SAMPLES_BUDGET_BYTES
+    assert _samples_cap("volume", "dr-heisenberg:8") == budget // (8 * 17) < _samples_cap("volume", "dr-heisenberg:2")
+    assert _samples_cap("vitali", "dr-heisenberg:8") == budget // (8 * 19) < _samples_cap("vitali", "dr-heisenberg:2")
+    for sub, space in [("volume", "h2"), ("volume", "dr-abelian:3"), ("vitali", "dr-abelian:1"), ("pack", "h2")]:
+        assert _samples_cap(sub, space) == cli.SAMPLES_MAX[sub]
 
 
 @pytest.mark.parametrize("R", ["1e-3", "1e-6", "1e-9", repr(cli.RADIUS_MIN["volume"])])

@@ -143,7 +143,7 @@ def _one_shot_union_measure(fam, samples, seed):
     return VolumeEstimate.of_hits(float(np.prod(hi - lo)), hits, samples)
 
 
-@pytest.mark.parametrize("samples", [ms.MC_CHUNK - 1, 2 * ms.MC_CHUNK + 7])
+@pytest.mark.parametrize("samples", [dr.MC_CHUNK - 1, 2 * dr.MC_CHUNK + 7])
 @pytest.mark.parametrize(
     "alg,count", [(HEI1, 1), (HEI1, 25), (ht.heisenberg(2), 8), (ht.degenerate_abelian(2), 12)], ids=lambda v: str(getattr(v, "label", v))
 )
@@ -469,7 +469,7 @@ def test_lens_region_measure_vs_quadrature():
     assert abs(mc - lens_quadrature()) < 3 * err
 
 
-@pytest.mark.parametrize("samples", [ms.MC_CHUNK - 1, 2 * ms.MC_CHUNK + 7])
+@pytest.mark.parametrize("samples", [dr.MC_CHUNK - 1, 2 * dr.MC_CHUNK + 7])
 def test_lens_region_measure_streams_the_one_shot_estimate(samples):
     """The lens estimate, and ``sample_h2_box``'s points, from all the draws
     at once, as before they streamed."""

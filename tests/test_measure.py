@@ -225,7 +225,7 @@ def test_mc_admissible_cylinder_descriptor():
 
 # ------------------------------------------------------ streamed sampling
 
-C = ms.MC_CHUNK
+C = dr.MC_CHUNK
 BOUNDS = [(-2.0, 3.0), (0.0, 1.0), (-1.5, -0.25), (1e-3, 7.0)]
 
 
@@ -308,8 +308,6 @@ def test_mc_volume_memory_stays_within_a_few_chunks():
     columns of one chunk, whatever the sample count: 2,000,000 samples on
     dr-heisenberg:1 peak below 32 chunk columns (16.8 MB), where holding
     every draw at once took 160 MB."""
-    import tracemalloc
-
     c = dr.Cylinder(ht.identity_n(HEI1), 1.0, 2.0)
     box = ([(-2.2, 2.2)] * 2, [(-1.2, 1.2)], (c.base_height, math.inf))
     tracemalloc.start()
