@@ -5,9 +5,11 @@ sums and SVG figures.
 Configuration precedence is flags > config file > defaults; the config
 file is flat ``key=value`` lines whose keys are flag names.  Every
 stochastic run requires a seed (the default seed is 0) and reports are
-byte-identical for identical (config, seed).  Exit status is 0 iff every asserted bound passes, 1 when
-one fails, and 2 on invalid input or a report that cannot be written,
-reported as one ``hypmax: error:`` line on stderr.
+byte-identical for identical (config, seed).  Exit status is 0 iff every
+asserted bound passes, 1 when one fails, and 2 on invalid input, on a
+Monte Carlo estimate whose draw has no hit (``report.NoHits``) or on a
+report that cannot be written, reported as one ``hypmax: error:`` line on
+stderr.
 
 Importing this module loads only ``hyp2`` and ``report`` of the package
 (and numpy through them).  Each subcommand imports the modules it runs
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import __version__, hyp2
 from .hyp2 import HPoint
-from .report import ExperimentReport
+from .report import ExperimentReport, NoHits
 
 DEFAULTS = {
     "space": "h2",
@@ -249,6 +251,16 @@ SAMPLES_MAX = {"validate": math.inf, "volume": 25_000_000, "vitali": math.inf, "
 # above these bytes
 SAMPLES_BUDGET_BYTES = 1_000_000_000
 
+# the most p + q of a --space, refused in _algebra before anything is built.
+# Whatever its other flags, a run holds arrays whose bytes grow with p + q:
+# the bracket coefficients, 8 p^2 q (0.8 MB at most within this cap);
+# validate's 20,000-row draws and J_Z products, seven of at most
+# 160,000 (p + q); an NA mc_volume chunk, 8 MC_CHUNK (p + q + 1); and the
+# largest, the 400,000 draws of experiments.vitali_select's omega_n,
+# 3,200,000 (p + q).  SAMPLES_BUDGET_BYTES of those admit p + q <= 312:
+# dr-abelian:1-312 and dr-heisenberg:1-155
+MAX_SPACE_DIM = SAMPLES_BUDGET_BYTES // (8 * 400_000)
+
 
 def samples_max(cfg):
     """The most --samples the run ``cfg`` takes: its subcommand's
@@ -351,6 +363,13 @@ def _require_h2(cfg) -> None:
 def _algebra(spec: str):
     from . import htype as ht
 
+    kind, _, dim = spec.partition(":")
+    try:  # p + q of dr-abelian:q and dr-heisenberg:d, read from the spec alone
+        dims = {"dr-abelian": int(dim), "dr-heisenberg": 2 * int(dim) + 1}.get(kind, 0)
+    except ValueError:
+        dims = 0  # not a number: make_algebra refuses the spec
+    if dims > MAX_SPACE_DIM:
+        raise UsageError(f"--space {spec!r}: p + q = {dims:,}, above the cap of {MAX_SPACE_DIM}, where its arrays stay within 1 GB")
     try:
         return ht.make_algebra(spec)
     except ValueError as exc:
@@ -399,15 +418,9 @@ def cmd_volume(cfg) -> ExperimentReport:
     rows = []
     ok = True
     if cfg.space == "h2":
-        makers = {
-            "ball": hyp2.ball,
-            "half_ball": hyp2.half_ball,
-            "trigonon": hyp2.trigonon,
-            "rectangle": hyp2.rectangle,
-        }
         for R in parse_radii(cfg):
-            for name, mk in makers.items():
-                s = mk(HPoint(0.0, 1.0), R)
+            for name in ("ball", "half_ball", "trigonon", "rectangle"):
+                s = hyp2.H2Set(hyp2.SetKind(name), HPoint(0.0, 1.0), R)
                 est = ms.mc_volume("h2", s, ms.suggested_box_h2(s), samples, seed)
                 exact = hyp2.area(s)
                 good = abs(est.mean - exact) <= 3 * est.stderr
@@ -542,10 +555,7 @@ def cmd_pack(cfg) -> ExperimentReport:
     rep.meta = _meta(cfg)
     # the L^p increments are calibrated on the full desk-scale depth 0..4
     ps = (1.0, 2.0, 3.0)
-    try:
-        subs = ex.modified_lp_sums(ps, 4, samples=samples, check_points=30, seed=_int(cfg, "seed"))
-    except ValueError as exc:
-        raise UsageError(f"--samples {samples}: {exc}") from None
+    subs = ex.modified_lp_sums(ps, 4, samples=samples, check_points=30, seed=_int(cfg, "seed"))
     for p, sub in zip(ps, subs):
         for t in sub.tables:
             rep.tables.append(type(t)(f"p={p}:{t.name}", t.columns, t.rows))
@@ -604,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--space", help="h2 | dr-abelian:q | dr-heisenberg:d")
     ap.add_argument("--family", help="set family for maxfn (half_ball, trigonon, rectangle, admissible_rectangle, ...)")
     ap.add_argument("--seed", type=int, help="RNG seed (required for reproducibility; default 0)")
-    ap.add_argument("--samples", type=int, help="Monte Carlo sample count")
+    ap.add_argument("--samples", type=int, help="Monte Carlo sample count (validate draws min(samples, 20000))")
     ap.add_argument("--grid", help="grid window x0:x1:u0:u1:nx:nu (u = log y)")
     ap.add_argument("--alpha-ladder", dest="alpha_ladder", help="dyadic ladder 2^-a..2^-b or comma floats")
     ap.add_argument("--R", help="radius or comma list of radii")
@@ -670,7 +680,7 @@ def _write(cfg, body: str, ext: str) -> None:
 def main(argv=None) -> int:
     try:
         return run(resolve_config(argv))[0]
-    except UsageError as exc:
+    except (UsageError, NoHits) as exc:
         print(f"hypmax: error: {exc}", file=sys.stderr)
         return 2
 

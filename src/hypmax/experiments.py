@@ -311,7 +311,8 @@ def vitali_select(alg: HTypeAlgebra, family, samples: int = 100_000, seed: int =
 
     Selection order is decreasing base radius with a lexicographic center
     tie-break; a candidate is kept when its base is certified disjoint
-    (gauge triangle inequality) from every kept base.
+    (gauge triangle inequality) from every kept base.  A sampled union or
+    unit-ball volume with no hit raises ``report.NoHits``.
     """
     if not family:
         raise ValueError("empty family")
@@ -722,9 +723,8 @@ def modified_lp_sums(
     depend on p, so they are computed once, from two generators seeded
     alike with ``seed``: ``lens_region_measure`` draws the lens measure
     from its own, the witness checks from the other.  Each report takes
-    the increments |E_l| c_l^p.  Raises
-    ``ValueError`` when the lens estimate draws no hit: every c_l is then
-    0 and the increments have no ratio.
+    the increments |E_l| c_l^p.  A lens draw with no hit raises
+    ``report.NoHits``.
     """
     if not all(1.0 <= p <= 4.0 for p in ps):
         raise ValueError("p must lie in [1, 4]")
@@ -732,8 +732,6 @@ def modified_lp_sums(
         raise ValueError("desk scale: levels 0..4")
     rng = np.random.default_rng(seed)
     lens, lens_err = lens_region_measure(samples, seed)
-    if lens == 0.0:
-        raise ValueError(f"the lens Monte Carlo drew no hit in {samples} samples")
     levels = hyp2.packing_construct(max_level)
 
     c_ls, oks = [], []

@@ -460,11 +460,20 @@ def bounding_box(s: H2Set):
 
 def _box_terms(kind: SetKind, R) -> tuple:
     """(a, b, c) with box (zx - zy a, zx + zy a, zy b, zy c); for a modified
-    half ball a = e^R and the half width is max(zy, zy e^R sinh 1)."""
+    half ball a = e^R and the half width is max(zy, zy e^R sinh 1).
+
+    A half ball or a trigonon lies in its half disc, of half width zy.  A
+    half ball lies in its ball too, of half width zy sinh R.  A trigonon's
+    lower corners (zx -+ zy sqrt(1 - e^{-2R}), zy e^{-R}) lie at distance
+    arccosh e^R from z, its farthest points, so it lies in the ball of that
+    radius, of half width zy sqrt(e^{2R} - 1).  Each takes the smaller
+    width: the ball's for R < asinh 1 and R < ln(2)/2."""
     if kind is SetKind.BALL:
         return math.sinh(R), math.exp(-R), math.exp(R)
-    if kind in (SetKind.HALF_BALL, SetKind.TRIGONON):
-        return 1.0, math.exp(-R), 1.0
+    if kind is SetKind.HALF_BALL:
+        return min(1.0, math.sinh(R)), math.exp(-R), 1.0
+    if kind is SetKind.TRIGONON:
+        return min(1.0, math.sqrt(math.expm1(2.0 * R))), math.exp(-R), 1.0
     if kind is SetKind.RECTANGLE:
         return 1.0, math.exp(-R), math.inf
     # the modified half ball

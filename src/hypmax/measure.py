@@ -13,7 +13,6 @@ of one draw of each coordinate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import drsets, hyp2
 from .drsets import AdmissibleCylinder, CylFamily, Cylinder
 from .htype import HTypeAlgebra
-from .hyp2 import H2Family, H2Set, SetKind
+from .hyp2 import H2Family, H2Set
 from .report import VolumeEstimate
 
 
@@ -327,7 +326,8 @@ def mc_volume(space: str, s, box, samples: int, seed: int, alg: HTypeAlgebra = N
     """Seeded Monte Carlo volume of the descriptor s inside a coordinate
     box; exact-measure sampling makes the indicator a Bernoulli draw.  The
     hits are counted chunk by chunk (``h2_box_chunks``, ``na_box_chunks``),
-    so the draws held at a time do not grow with ``samples``."""
+    so the draws held at a time do not grow with ``samples``.  A draw with
+    no hit raises ``report.NoHits`` (``VolumeEstimate.of_hits``)."""
     rng = np.random.default_rng(seed)
     if space == "h2":
         chunks, total = h2_box_chunks(box, samples, rng)
@@ -340,33 +340,15 @@ def mc_volume(space: str, s, box, samples: int, seed: int, alg: HTypeAlgebra = N
     else:
         raise ValueError(f"unknown space {space!r}")
     hits = sum(int(np.count_nonzero(mask)) for mask in masks)
-    if not hits:
-        warnings.warn("Monte Carlo produced zero hits; box likely misses the set")
     return VolumeEstimate.of_hits(total, hits, samples)
 
 
 def suggested_box_h2(s: H2Set) -> tuple:
-    """Coordinate box containing s, fitted to s at small radii and padded by
-    a tenth of its width and of its log-height span (the heights by at most
-    a factor 1.1), so the estimate is nontrivial at every admitted radius.
-
-    ``hyp2.bounding_box`` gives a half ball or a trigonon the width 2 zy of
-    its half disc.  A half ball lies in its ball, of half width zy sinh R.
-    A trigonon's lower corners (zx -+ zy sqrt(1 - e^{-2R}), zy e^{-R}) lie
-    at distance arccosh e^R from z, its farthest points, so it lies in the
-    ball of that radius, of half width zy sqrt(e^{2R} - 1).  Each width is
-    taken where it is below zy, for R < asinh 1 and R < ln(2)/2; at larger
-    radii, and for the heights at R >= 1, the box is the former one to the
-    bit (a factor 1.1 is below (y_hi / y_lo)^0.1 once the span reaches 1).
-    """
+    """Coordinate box containing s: ``hyp2.bounding_box``, which fits s at
+    every radius, padded by a tenth of its width and of its log-height span
+    (the heights by at most a factor 1.1), so the estimate is nontrivial at
+    every admitted radius."""
     x_lo, x_hi, y_lo, y_hi = hyp2.bounding_box(s)
-    zx, zy, R = s.center.x, s.center.y, s.radius
-    if s.kind is SetKind.HALF_BALL:
-        a = min(1.0, math.sinh(R))
-        x_lo, x_hi = zx - zy * a, zx + zy * a
-    elif s.kind is SetKind.TRIGONON:
-        a = min(1.0, math.sqrt(math.expm1(2.0 * R)))
-        x_lo, x_hi = zx - zy * a, zx + zy * a
     w = x_hi - x_lo
     x_lo, x_hi = x_lo - 0.1 * w, x_hi + 0.1 * w
     grow = min(1.1, (y_hi / y_lo) ** 0.1)

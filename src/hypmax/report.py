@@ -10,6 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+class NoHits(ValueError):
+    """A Monte Carlo draw with no hit, whose estimate 0 +- 0 checks nothing."""
+
+
 @dataclass(frozen=True)
 class VolumeEstimate:
     """Monte Carlo estimate with its standard error."""
@@ -21,7 +25,10 @@ class VolumeEstimate:
     def of_hits(cls, total: float, hits: int, samples: int) -> "VolumeEstimate":
         """The binomial estimate total * hits / samples of a box of measure
         ``total`` in which ``hits`` of ``samples`` exact-measure draws fell in
-        the set, with its standard error."""
+        the set, with its standard error.  Raises ``NoHits`` when
+        ``hits == 0``."""
+        if hits == 0:
+            raise NoHits(f"a Monte Carlo estimate drew no hit (samples {samples:,}, box measure {total!r})")
         frac = hits / samples
         return cls(total * frac, total * math.sqrt(frac * (1.0 - frac) / samples))
 

@@ -16,6 +16,7 @@ from hypmax import hyp2 as h2
 from hypmax import maxop as mx
 from hypmax import measure as ms
 from hypmax.htype import NPoint
+from hypmax.report import NoHits
 
 HEI1 = ht.heisenberg(1)
 HEI2 = ht.heisenberg(2)
@@ -80,9 +81,19 @@ def unsorted_union_measure(alg, cyls, samples, seed):
         if alg.p:
             Zd = Zd - 0.5 * np.einsum("i,nj,ijk->nk", X0, X, alg.bracket_coeffs)
         inside |= ht.gauge_batch(Xd, Zd) < c.base_radius
+    if not inside.any():
+        raise NoHits("no sample in the union")
     box = float(np.prod(hi - lo))
     frac = inside.mean()
     return box * frac * tail, box * math.sqrt(frac * (1 - frac) / samples) * tail
+
+
+def union_or_no_hits(union, *args):
+    """union(*args), or the class ``NoHits`` when its draw has no hit."""
+    try:
+        return union(*args)
+    except NoHits:
+        return NoHits
 
 
 def per_candidate_greedy(alg, cyls):
@@ -1079,7 +1090,11 @@ def test_union_measure_certifies_nested_chains(alg, scale):
         fam += [small, big]
     inside = contained_mask(alg, fam)
     assert {id(c) for c, flag in zip(fam, inside) if flag} == {id(c) for c in nested}
-    assert ex._union_base_measure(dr.CylFamily(alg, fam), 20_000, 2) == unsorted_union_measure(alg, fam, 20_000, 2)
+    got = union_or_no_hits(ex._union_base_measure, dr.CylFamily(alg, fam), 20_000, 2)
+    assert got == union_or_no_hits(unsorted_union_measure, alg, fam, 20_000, 2)
+    # at scale 1e3 the Heisenberg box, whose Z sides grow with |X0| r, is so
+    # large that neither the package nor the oracle draws a hit
+    assert (got is NoHits) == (scale == 1e3 and alg.p > 0)
 
 
 @pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
@@ -1109,10 +1124,12 @@ def test_union_measure_without_nested_centres_makes_no_certificate_translate(alg
     calls = []
     translate = ht.left_translate_cols
     monkeypatch.setattr(ht, "left_translate_cols", lambda alg, n0, X, Z: calls.append(n0.X.ndim) or translate(alg, n0, X, Z))
-    got = ex._union_base_measure(dr.CylFamily(alg, fam), 20_000, 5)
+    got = union_or_no_hits(ex._union_base_measure, dr.CylFamily(alg, fam), 20_000, 5)
     monkeypatch.undo()
     assert 2 not in calls and calls
-    assert got == unsorted_union_measure(alg, fam, 20_000, 5)
+    assert got == union_or_no_hits(unsorted_union_measure, alg, fam, 20_000, 5)
+    # the Heisenberg box, whose Z sides grow with |X0| r, draws no hit
+    assert (got is NoHits) == (alg.p > 0)
 
 
 def test_left_translate_matches_expanded_group_law():

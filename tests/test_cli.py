@@ -167,6 +167,18 @@ def test_exit_code_on_failure(monkeypatch):
         ["vitali", "--space", "dr-heisenberg:8", "--count", "5", "--samples", str(_samples_cap("vitali", "dr-heisenberg:8") + 1)],
         ["pack", "--levels", "2", "--samples", str(_samples_cap("pack", "h2") + 1)],
         ["pack", "--levels", "2", "--config", "samples=100000000000"],
+        # a Monte Carlo estimate whose draw has no hit (report.NoHits):
+        # omega_n's box on dr-heisenberg:8, the sets' boxes at R = 14 and at
+        # the largest radius, a Vitali union of one sample, and the union of a
+        # dr-heisenberg:6 family, whose box is too large for 20,000 samples
+        ["volume", "--space", "dr-heisenberg:8"],
+        ["volume", "--R", "14"],
+        ["volume", "--R", str(cli.RADIUS_MAX["volume"]), "--samples", "2000"],
+        ["vitali", "--space", "dr-heisenberg:1", "--count", "30", "--samples", "1", "--seed", "1"],
+        ["vitali", "--space", "dr-heisenberg:6", "--count", "5", "--samples", "20000"],
+        # a space above the dimension cap, refused before it is built
+        ["validate", "--space", "dr-heisenberg:100000"],
+        ["overlap", "--space", f"dr-abelian:{cli.MAX_SPACE_DIM + 1}"],
         # refused by the cell cap before any grid or family is allocated
         ["overlap", "--space", "dr-heisenberg:3"],
         ["overlap", "--space", "dr-abelian:6"],
@@ -279,7 +291,7 @@ U_MAX = cli.GRID_LOG_HEIGHT_MAX
     "argv",
     [
         ["areas", "--R", str(cli.RADIUS_MAX["areas"])],
-        ["volume", "--R", str(cli.RADIUS_MAX["volume"]), "--samples", "2000"],
+        ["volume", "--R", str(cli.RADIUS_MIN["volume"]), "--samples", "2000"],
         ["figures", "--R", "1e300"],
         *(
             ["maxfn", f"--grid=-{X_MAX}:{X_MAX}:-{U_MAX}:{U_MAX}:16:16", "--family", family, "--profile", "height"]
@@ -300,24 +312,32 @@ U_MAX = cli.GRID_LOG_HEIGHT_MAX
     ],
 )
 def test_numeric_input_at_its_bound_runs_clean(argv):
-    """At the largest radius, grid, alpha and figure-centre bounds the CLI
-    admits, no numpy overflow is raised and every number of the report
+    """At the largest radius (the smallest for volume, whose largest draws
+    no hit), grid, alpha and figure-centre bounds the CLI admits, no numpy
+    overflow is raised, every check passes and every number of the report
     (or of the figure) is finite."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        if argv[0] == "volume":
-            # the Monte Carlo of volume finds no hit in so large a box
-            with pytest.warns(UserWarning, match="zero hits"):
-                status, body = run_cli(argv)
-        else:
-            status, body = run_cli(argv)
+        status, body = run_cli(argv)
+    assert status == 0
     if argv[0] == "figures":
-        assert status == 0 and body.startswith("<svg")
+        assert body.startswith("<svg")
         assert "nan" not in body and "inf" not in body
         return
     assert finite_numbers(json.loads(body))
-    # the verdict of volume's zero-hit Monte Carlo is not checked here
-    assert status == 0 or argv[0] == "volume"
+
+
+def test_space_cap_admits_the_largest_spaces_and_refuses_beyond():
+    """The largest abelian and Heisenberg spaces within the cap build (and
+    with them every space of the README and the tests); one more dimension
+    is refused before anything is built."""
+    assert cli.MAX_SPACE_DIM == 312
+    for spec, pq in [("dr-abelian:312", 312), ("dr-heisenberg:155", 311), ("dr-heisenberg:8", 17)]:
+        alg = cli._algebra(spec)
+        assert alg.p + alg.q == pq
+    for spec in ("dr-abelian:313", "dr-heisenberg:156"):
+        with pytest.raises(cli.UsageError, match="p \\+ q = 313, above the cap of 312"):
+            cli._algebra(spec)
 
 
 def test_samples_cap_shrinks_with_the_held_draws():

@@ -14,7 +14,7 @@ from hypmax import hyp2 as h2
 from hypmax import measure as ms
 from hypmax.drsets import AdmissibleCylinder
 from hypmax.htype import NPoint
-from hypmax.report import VolumeEstimate
+from hypmax.report import NoHits, VolumeEstimate
 
 
 AB1 = ht.degenerate_abelian(1)
@@ -154,6 +154,16 @@ def test_sampled_union_measure_streams_the_one_shot_estimate(alg, count, samples
     2 C + 7 samples, so its candidates reach the gauge test in pieces."""
     fam = dr.CylFamily(alg, ex.random_horocycle_family(alg, count, -1, np.random.default_rng(count)))
     assert ex._sampled_union_measure(fam, samples, 6) == _one_shot_union_measure(fam, samples, 6)
+
+
+def test_sampled_union_measure_with_no_hit_raises_no_hits():
+    """One sample of the family of ``vitali --space dr-heisenberg:1 --count
+    30 --seed 1`` misses every base, so the union is not estimated."""
+    fam = dr.CylFamily(HEI1, ex.random_horocycle_family(HEI1, 30, -2, np.random.default_rng(1)))
+    with pytest.raises(NoHits, match="samples 1,"):
+        ex._sampled_union_measure(fam, 1, 1)
+    with pytest.raises(NoHits):
+        ex.vitali_select(HEI1, fam.cylinders, samples=1, seed=1)
 
 
 def test_union_base_measure_takes_the_half_of_its_backend():
@@ -481,6 +491,15 @@ def test_lens_region_measure_streams_the_one_shot_estimate(samples):
     assert ex.lens_region_measure(samples, 9) == (est.mean, est.stderr)
     sx, sy, s_total = ms.sample_h2_box(ex._LENS_BOX, samples, np.random.default_rng(9))
     assert (sx.tobytes(), sy.tobytes(), s_total) == (x.tobytes(), y.tobytes(), total)
+
+
+def test_lens_with_no_hit_raises_no_hits():
+    """One lens sample at seed 0 misses the lens (``pack --samples 1``), so
+    neither the lens measure nor the sums built on it are formed."""
+    with pytest.raises(NoHits, match="samples 1,"):
+        ex.lens_region_measure(samples=1, seed=0)
+    with pytest.raises(NoHits):
+        ex.modified_lp_sums([1.0], 2, samples=1, check_points=5, seed=0)
 
 
 @pytest.mark.parametrize("p,key", [(1.0, "increments_grow"), (2.0, "increments_bounded_below"), (3.0, "increments_decay")])

@@ -42,14 +42,17 @@ def old_contains_mask(s, x, y):
 
 
 def old_bounding_box(s):
-    """The box of one member as it was computed member by member."""
+    """The box of one member as it was computed member by member; a half
+    ball or a trigonon takes the narrower of its half disc and its ball
+    (radius R, resp. arccosh e^R)."""
     zx, zy, R = s.center.x, s.center.y, s.radius
     kind = s.kind
     if kind is SetKind.BALL:
         sh = zy * math.sinh(R)
         return (zx - sh, zx + sh, zy * math.exp(-R), zy * math.exp(R))
     if kind in (SetKind.HALF_BALL, SetKind.TRIGONON):
-        return (zx - zy, zx + zy, zy * math.exp(-R), zy)
+        a = min(1.0, math.sinh(R) if kind is SetKind.HALF_BALL else math.sqrt(math.expm1(2.0 * R)))
+        return (zx - zy * a, zx + zy * a, zy * math.exp(-R), zy)
     if kind is SetKind.RECTANGLE:
         return (zx - zy, zx + zy, zy * math.exp(-R), math.inf)
     half_width = max(zy, zy * math.exp(R) * math.sinh(1.0))

@@ -11,7 +11,7 @@ from hypmax import htype as ht
 from hypmax import hyp2 as h2
 from hypmax import maxop as mx
 from hypmax import measure as ms
-from hypmax.report import VolumeEstimate
+from hypmax.report import NoHits, VolumeEstimate
 
 
 AB1 = ht.degenerate_abelian(1)
@@ -130,11 +130,25 @@ def test_mc_halfball_matches_closed_form():
     assert abs(est.mean - expect) < 3 * est.stderr
 
 
-def test_mc_tiny_radius_warns_zero_hits():
+def test_mc_tiny_radius_raises_no_hits():
     s = h2.ball(I, 1e-9)
-    with pytest.warns(UserWarning):
-        est = ms.mc_volume("h2", s, (-2.0, 2.0, 0.1, 10.0), 1000, seed=3)
-    assert est.mean == 0.0
+    with pytest.raises(NoHits, match="samples 1,000"):
+        ms.mc_volume("h2", s, (-2.0, 2.0, 0.1, 10.0), 1000, seed=3)
+
+
+def test_mc_na_box_beside_the_cylinder_raises_no_hits():
+    # the base ball of radius 1 about the identity lies in |X| < 2
+    c = dr.Cylinder(ht.identity_n(HEI1), 1.0, 2.0)
+    box = ([(3.0, 4.0)] * HEI1.p, [(-1.0, 1.0)], (c.base_height, math.inf))
+    with pytest.raises(NoHits):
+        ms.mc_volume("na", c, box, 5000, seed=1, alg=HEI1)
+
+
+def test_omega_n_mc_with_no_hit_raises_no_hits():
+    # the unit gauge ball fills a tiny share of [-2, 2]^16 x [-1, 1]: none
+    # of the draws of ``volume --space dr-heisenberg:8`` hits it
+    with pytest.raises(NoHits, match="samples 200,000"):
+        dr.omega_n(ht.heisenberg(8), "mc", 200_000, 0)
 
 
 def _former_box_h2(s):

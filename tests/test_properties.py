@@ -5,13 +5,14 @@ admissible hulls over arbitrary admissible inputs."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from hypmax import drsets as dr
 from hypmax import htype as ht
 from hypmax import hyp2 as h2
 from hypmax.hyp2 import HPoint
-from hypmax.report import VolumeEstimate
+from hypmax.report import NoHits, VolumeEstimate
 
 
 finite_x = st.floats(min_value=-50.0, max_value=50.0)
@@ -85,7 +86,10 @@ def test_trigonon_membership_consistent_with_markers(R, frac):
 
 @given(st.integers(1, 1_000_000), st.data(), st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
 def test_of_hits_has_the_bits_of_the_four_former_estimates(samples, data, total, tail):
-    hits = data.draw(st.integers(0, samples))
+    # a draw with no hit has no estimate
+    with pytest.raises(NoHits):
+        VolumeEstimate.of_hits(total, 0, samples)
+    hits = data.draw(st.integers(1, samples))
     est = VolumeEstimate.of_hits(total, hits, samples)
     got = (est.mean, est.stderr)
     # measure.mc_volume and experiments.lens_region_measure: the hit mask's mean
