@@ -246,11 +246,24 @@ def _sampled_union_measure(fam: CylFamily, samples: int, seed: int) -> VolumeEst
     first coordinates fall in the same slices.  Base balls are visited
     largest first, and each tests only the samples of its slice that lie
     in its box (``measure.base_ball_box_batch``) and are not yet known to
-    be inside the union; after each radius the columns are compacted to
-    the samples still outside.  The hit set is an OR of the same
-    per-sample tests, so it does not depend on the order, and
-    ``htype.dist_below_cols`` pins its sums, so a test does not depend on
-    the layout of the samples either."""
+    be inside the union.  The live samples are compacted in place to
+    those still outside whenever the hits since the last compaction reach
+    an eighth of the live samples, and the visit stops once none is left.
+    The hit set is an OR of the same per-sample tests, so it does not
+    depend on the order, and ``htype.dist_below_cols`` pins its sums, so
+    a test does not depend on the layout of the samples either.
+
+    The eighth: one compaction costs one pass over the d live rows.  With
+    a threshold t of n live samples, each compaction leaves at most
+    (1 - t) of them, so all compactions together move at most n / t
+    samples a row, while between two of them at most t n dead samples
+    stay in the rows.  If B balls scan slices of a fraction s of the
+    samples each, and the dead samples spread like the live ones, the
+    scans carry about t B s n dead samples a row; t B s + 1 / t is least
+    at t = (B s)^(-1/2).  The 1,000-cylinder dr-heisenberg:1 family of
+    the na-cover benchmark (B s ≈ 130: 199 live balls scanning about 65 %
+    of the samples each) gives ≈ 1/11, and 1/8 is the power of two next
+    to it."""
     rng = np.random.default_rng(seed)
     alg, X0, Z0, r = fam.alg, fam.n0.X, fam.n0.Z, fam.base_radius
     # the bounding box seeds the sample positions: keep the per-row norm,
@@ -264,28 +277,27 @@ def _sampled_union_measure(fam: CylFamily, samples: int, seed: int) -> VolumeEst
     # coordinate each, contiguous for the box tests and the candidate
     # gathers.  Sorted by the first horizontal coordinate, each base ball
     # meets one contiguous slice (|X_1 - X0_1| < 2r, or |Z_1 - Z0_1| < r^2
-    # when p = 0); each row is permuted in place.  Within a radius group,
-    # outside drops the samples a ball of the group already holds, and after
-    # the group each row keeps, in place, the samples it left outside
+    # when p = 0); each row is permuted in place.  outside drops the samples
+    # a ball already holds, and at each compaction each row keeps, in place,
+    # the samples left outside
     chunk, d = drsets.MC_CHUNK, alg.p + alg.q
     cols = np.empty((d, samples))
     for i in range(0, samples, chunk):
         cols[:, i : i + chunk] = rng.uniform(lo, hi, (min(chunk, samples - i), d)).T
-    order, cols, hits = np.argsort(cols[0]), list(cols), 0
+    order, cols = np.argsort(cols[0]), list(cols)
     for row in cols:
         row[:] = row[order]
     del order
     b_lo, b_hi = ms.base_ball_box_batch(fam)
-    contained = _contained_bases(fam, b_lo, b_hi)
-    for group in _radius_groups(r):
-        group = group[~contained[group]]
-        if not group.size:
-            continue
-        outside = np.ones(cols[0].size, dtype=bool)
+    balls = np.argsort(-r, kind="stable")
+    balls = balls[~_contained_bases(fam, b_lo, b_hi)[balls]]
+    outside = np.ones(samples, dtype=bool)
+    while balls.size and outside.size:
         # the slice holds exactly the samples with b_lo < X_1 < b_hi; X_1 < b
         # is X_1 <= nextafter(b, -inf), so one side="right" search takes both
-        ends = cols[0].searchsorted(np.stack([b_lo[group, 0], np.nextafter(b_hi[group, 0], -np.inf)]), side="right")
-        for i, j0, j1 in zip(group.tolist(), ends[0].tolist(), ends[1].tolist()):
+        ends = cols[0].searchsorted(np.stack([b_lo[balls, 0], np.nextafter(b_hi[balls, 0], -np.inf)]), side="right")
+        fresh = 0
+        for done, (i, j0, j1) in enumerate(zip(balls.tolist(), ends[0].tolist(), ends[1].tolist()), 1):
             in_box = outside[j0:j1].copy()
             for k in range(1, d):
                 seg = cols[k][j0:j1]
@@ -295,13 +307,19 @@ def _sampled_union_measure(fam: CylFamily, samples: int, seed: int) -> VolumeEst
             # per coordinate: cand[:p] and cand[p:] are their p and q columns
             for piece in (idx[j : j + chunk] for j in range(0, idx.size, chunk)):
                 cand = [row.take(piece) for row in cols]
-                outside[piece[ht.dist_below_cols(alg, fam[i].n0, cand[: alg.p], cand[alg.p :], r[i])]] = False
-        kept = int(np.count_nonzero(outside))
-        hits += outside.size - kept
-        for row in cols:
-            row[:kept] = row[outside]
-        cols = [row[:kept] for row in cols]
-    return VolumeEstimate.of_hits(float(np.prod(hi - lo)), hits, samples)
+                hit = piece[ht.dist_below_cols(alg, fam[i].n0, cand[: alg.p], cand[alg.p :], r[i])]
+                outside[hit] = False
+                fresh += hit.size
+            if 8 * fresh >= outside.size:
+                break
+        balls, kept = balls[done:], outside.size - fresh
+        if balls.size and kept:
+            for row in cols:
+                row[:kept] = row[outside]
+            cols = [row[:kept] for row in cols]
+        outside = outside[:kept]
+        outside[:] = True
+    return VolumeEstimate.of_hits(float(np.prod(hi - lo)), samples - outside.size, samples)
 
 
 def vitali_select(alg: HTypeAlgebra, family, samples: int = 100_000, seed: int = 0, omega: float = None):
@@ -505,13 +523,15 @@ def overlap_profile(fam: CylFamily, grid: ms.SampleGrid) -> OverlapProfile:
         block = tuple(map(slice, c_lo, c_hi))
         counts[block] += ms.block_mask(grid, c, block)
     # one row per horizontal cell: selecting from the broadcast per-height
-    # weights yields the cells' weights in C order, as grid.weights would
+    # weights yields the cells' weights in C order, as grid.weights would.
+    # The covered cells are gathered once; w[c == k] is then the 1-D array
+    # weights[counts == k] (the same floats in the same order), so each
+    # level's sum has the bits of a pass over the whole grid
     counts = counts.reshape(-1, grid.shape[-1])
-    weights = np.broadcast_to(grid.height_weights, counts.shape)
-    out = []
-    for k in range(1, int(counts.max(initial=0)) + 1):
-        out.append((k, float(weights[counts == k].sum())))
-    return OverlapProfile(fam.alg.nu, out, float(weights[counts >= 1].sum()))
+    covered = counts >= 1
+    c, w = counts[covered], np.broadcast_to(grid.height_weights, counts.shape)[covered]
+    out = [(k, float(w[c == k].sum())) for k in range(1, int(c.max(initial=0)) + 1)]
+    return OverlapProfile(fam.alg.nu, out, float(w.sum()))
 
 
 def overlap_report(prof: OverlapProfile, r_values=(1, 2, 3)) -> ExperimentReport:

@@ -111,14 +111,22 @@ def test_vitali_union_measure_exact_vs_mc():
     assert abs(mc.mean - exact) < 3 * max(mc.stderr, 1e-12)
 
 
-def _one_shot_union_measure(fam, samples, seed):
-    """The union measure of ``_sampled_union_measure`` with every sample
-    drawn, sorted and gathered at once, as it was before the draws streamed."""
-    rng = np.random.default_rng(seed)
-    alg, X0, Z0, r = fam.alg, fam.n0.X, fam.n0.Z, fam.base_radius
+def _union_box(fam):
+    """The bounding box (lo, hi) that ``_sampled_union_measure`` samples."""
+    X0, Z0, r = fam.n0.X, fam.n0.Z, fam.base_radius
     pad = np.array([math.sqrt(x.dot(x)) for x in X0]) * r + fam.a0
     lo = np.concatenate([(X0 - 2 * r[:, None]).min(axis=0), (Z0 - pad[:, None]).min(axis=0)])
     hi = np.concatenate([(X0 + 2 * r[:, None]).max(axis=0), (Z0 + pad[:, None]).max(axis=0)])
+    return lo, hi
+
+
+def _one_shot_union_measure(fam, samples, seed):
+    """The union measure of ``_sampled_union_measure`` with every sample
+    drawn, sorted and gathered at once, and compacted only after each
+    radius, as it was before the draws streamed."""
+    rng = np.random.default_rng(seed)
+    alg, r = fam.alg, fam.base_radius
+    lo, hi = _union_box(fam)
     rows = rng.uniform(lo, hi, (samples, alg.p + alg.q))
     cols, hits = np.ascontiguousarray(rows[np.argsort(rows[:, 0])].T), 0
     b_lo, b_hi = ms.base_ball_box_batch(fam)
@@ -154,6 +162,28 @@ def test_sampled_union_measure_streams_the_one_shot_estimate(alg, count, samples
     2 C + 7 samples, so its candidates reach the gauge test in pieces."""
     fam = dr.CylFamily(alg, ex.random_horocycle_family(alg, count, -1, np.random.default_rng(count)))
     assert ex._sampled_union_measure(fam, samples, 6) == _one_shot_union_measure(fam, samples, 6)
+
+
+@pytest.mark.parametrize(
+    "alg,count,seed,dense",
+    [(HEI1, 1000, 0, True), (HEI1, 1000, 1, True), (HEI1, 1000, 2, True), (ht.heisenberg(2), 400, 1, True),
+     (ht.heisenberg(3), 6, 3, False)],
+    ids=lambda v: str(getattr(v, "label", v)),
+)
+def test_sampled_union_measure_compacts_as_balls_cover_it(alg, count, seed, dense):
+    """The union sampler compacts its samples whenever the hits since the
+    last compaction reach an eighth of the live samples; the estimate is
+    the one-shot one bit for bit.  The dense families have the na-cover
+    shape (1,000 horocycle cylinders on dr-heisenberg:1 at 50,000 samples)
+    or 400 cylinders on dr-heisenberg:2, where the hits pass an eighth of
+    the samples and compaction fires (4 or 5 times and once); the sparse
+    dr-heisenberg:3 family draws fewer hits than an eighth, so it never
+    fires."""
+    fam = dr.CylFamily(alg, ex.random_horocycle_family(alg, count, -2, np.random.default_rng(seed)))
+    est, want = ex._sampled_union_measure(fam, 50_000, seed), _one_shot_union_measure(fam, 50_000, seed)
+    assert (est.mean.hex(), est.stderr.hex()) == (want.mean.hex(), want.stderr.hex())
+    lo, hi = _union_box(fam)
+    assert (est.mean / np.prod(hi - lo) > 1 / 8) == dense
 
 
 def test_sampled_union_measure_with_no_hit_raises_no_hits():
@@ -328,6 +358,43 @@ def test_overlap_heisenberg_grid():
     assert prof.max_overlap() == 6
     rep = ex.overlap_report(prof)
     assert rep.all_pass, rep.to_json()
+
+
+def _full_grid_overlap_sums(fam, grid):
+    """The level and union sums of ``overlap_profile`` as it took them
+    before it gathered the covered cells: one pass over the whole grid per
+    overlap level k, plus one for the union."""
+    counts = np.zeros(grid.shape, dtype=np.min_scalar_type(len(fam)))
+    lo, hi = ms.member_blocks(grid, fam)
+    for c, c_lo, c_hi in zip(fam, lo.tolist(), hi.tolist()):
+        block = tuple(map(slice, c_lo, c_hi))
+        counts[block] += ms.block_mask(grid, c, block)
+    counts = counts.reshape(-1, grid.shape[-1])
+    weights = np.broadcast_to(grid.height_weights, counts.shape)
+    levels = [(k, float(weights[counts == k].sum())) for k in range(1, int(counts.max(initial=0)) + 1)]
+    return levels, float(weights[counts >= 1].sum())
+
+
+@pytest.mark.parametrize(
+    "alg,window,shape",
+    [
+        (ht.heisenberg(2), ([(-8.0, 8.0)] * 4, [(-8.0, 8.0)], (-9.0, 3.0)), ([8] * 4, [10], 30)),
+        (AB1, ([], [(-8.0, 8.0)], (-9.0, 3.0)), ([], [400], 300)),
+    ],
+    ids=["dr-heisenberg:2", "dr-abelian:1"],
+)
+def test_overlap_profile_sums_covered_cells_as_the_full_grid(alg, window, shape):
+    """Summed over the covered cells only, each level measure and the
+    union measure keep the bits of the full-grid sums: the na-cover window
+    on dr-heisenberg:2 and a dr-abelian:1 window, each with a maximal
+    family of 40 random admissible cylinders."""
+    fam = ex.build_maximal_family(alg, ex.random_admissible_cylinders(alg, 40, np.random.default_rng(1)), seed=1)
+    grid = ms.build_grid("na", window, shape, alg=alg)
+    prof = ex.overlap_profile(fam, grid)
+    levels, union = _full_grid_overlap_sums(fam, grid)
+    assert len(levels) > 1
+    assert [(k, m.hex()) for k, m in prof.omega_k] == [(k, m.hex()) for k, m in levels]
+    assert prof.g_measure.hex() == union.hex()
 
 
 def test_a_r_constants():
