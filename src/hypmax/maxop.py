@@ -16,11 +16,12 @@ A cylinder family is a ``drsets.CylFamily`` or a list of cylinders.
 
 Both operators read one member pass, ``_member_pass``: it yields
 (idx, block, mask, average) for each member whose cells hold part of
-supp f, in family order.  ``measure.member_blocks`` computes the block of
-every member at once: the axis-aligned sub-block of the tensor grid
-outside which the member holds no point.  Only the members whose block
-meets the index range of supp f are masked, each once; skipping the
-others is exact, since their average is exactly 0.0.  Areas and the
+supp f, in family order, where (block, mask) is the member's paint region
+(below), or (None, None) when it is empty.  ``measure.member_blocks``
+computes the block of every member at once: the axis-aligned sub-block of
+the tensor grid outside which the member holds no point.  Only the members
+whose block meets the index range of supp f are masked, each once;
+skipping the others is exact, since their average is exactly 0.0.  Areas and the
 predicate's radius constants are taken once per distinct (kind, radius).
 
 Half-plane members are masked in centre runs: maximal runs of consecutive
@@ -37,13 +38,25 @@ cells are one sub-block of the grid (see ``hyp2``), whose numerator sums
 ``wv[block].ravel()``, the same floats in the same C order as a masked
 gather.
 
+So the members of a trigonon or rectangle run are nested row suffixes
+[r0, r1) of one shared set of cells, with r1 common to the run.  Their
+numerators are summed once per distinct (r0, r1), and each member paints
+only the rows below the first row of every run-mate that beats it: a
+higher average, or an equal one earlier in the family.  On those rows the
+run-mate holds the same cells, so the member could not win them.  Beating
+is a strict total order, so the run's first maximum keeps each of its
+cells, the paint regions of a run are disjoint, and the field gets the
+values and witnesses of every member painting all of its cells.  The
+paint region of any other member is its block and mask.
+
 The constants of ``operator_compare`` (``comparison_constants``) are
 closed forms in the areas of ``hyp2``: each ratio decreases in R, so
 each supremum over R >= 1 is its value (for K3 its limit) at R = 1.
 
 ``member_averages`` is the pass as a table: one average per member, 0.0
 where the member holds no cell of supp f.  ``maximal_field`` paints each
-yielded average onto the member's cells where it beats the value there.
+yielded average onto the member's paint region where it beats the value
+there.
 ``maximal_fn`` finds the members that contain the point (one vectorized
 call per half-plane kind, one for all cylinders) and takes the first
 maximum of their ``member_averages``.
@@ -166,8 +179,11 @@ def _centre_runs(*keys) -> list:
 def _h2_cells(grid: SampleGrid, fam: H2Family, wv: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """(idx, block, mask, average) for each member fam[idx], idx in
     ``rows``, whose blocks are the rows of (lo, hi) and whose cells hold
-    part of supp wv: the cells of the member are the True cells of ``mask``
-    on ``block``, or all of ``block`` when ``mask`` is None.
+    part of supp wv: (block, mask) is the member's paint region, the True
+    cells of ``mask`` on ``block``, or all of ``block`` when ``mask`` is
+    None; both are None when the region is empty.  A ball, half ball or
+    modified half ball paints all of its cells, a trigonon or rectangle the
+    rows of ``_suffix_run``.
 
     The members are walked in centre runs: maximal runs of consecutive
     rows with the same kind, centre and block columns (a lattice of
@@ -186,7 +202,8 @@ def _h2_cells(grid: SampleGrid, fam: H2Family, wv: np.ndarray, rows: np.ndarray,
     is then the run's half disc on its rows, a slice.  A rectangle is
     separable (see ``hyp2``): its cells are the run's strip of columns times
     its rows, one sub-block with no 2-D mask.  Cutting rows where the mask
-    is all False keeps the other cells in the same C order."""
+    is all False keeps the other cells in the same C order.  A trigonon or
+    rectangle run sums each distinct row range once (``_suffix_run``)."""
     xs, ys = grid.axes
     sub = fam[rows]
     s2, em, ep = hyp2.radius_terms(sub).T
@@ -208,23 +225,66 @@ def _h2_cells(grid: SampleGrid, fam: H2Family, wv: np.ndarray, rows: np.ndarray,
         if kind is SetKind.RECTANGLE:
             # the strip |x - zx| < zy is one run of columns, on every row
             strip = np.flatnonzero(terms[0][:, 0])
-            if not strip.size:
-                continue
-            cols = slice(c0 + int(strip[0]), c0 + int(strip[-1]) + 1)
-        for idx, a, b, c, measure, r0, r1 in run:
-            own = slice(r0 - u0, r1 - u0)
-            if kind is SetKind.RECTANGLE:
-                block, mask = (cols, slice(r0, r1)), None
-            elif kind is SetKind.TRIGONON:
-                block, mask = (slice(c0, c1), slice(r0, r1)), terms[0][:, own]
-            else:
+            if strip.size:
+                cols = slice(c0 + int(strip[0]), c0 + int(strip[-1]) + 1)
+                yield from _suffix_run(wv, run, cols, None, u0)
+        elif kind is SetKind.TRIGONON:
+            yield from _suffix_run(wv, run, slice(c0, c1), terms[0], u0)
+        else:
+            for idx, a, b, c, measure, r0, r1 in run:
+                own = slice(r0 - u0, r1 - u0)
                 block = (slice(c0, c1), slice(r0, r1))
                 mask = hyp2.radius_test(kind, tuple(t[:, own] for t in terms), zx, zy, a, b, c, X, Y[:, own])
-            integ = _numerator(wv, block, mask)
-            if integ:
-                yield idx, block, mask, integ / measure
+                integ = _numerator(wv, block, mask)
+                if integ:
+                    yield idx, block, mask, integ / measure
         # the run's terms go before the next run computes its own
         del terms
+
+
+def _suffix_run(wv: np.ndarray, run: list, cols: slice, disc, u0: int):
+    """(idx, block, mask, average) for the members of one trigonon or
+    rectangle run whose cells hold part of supp wv, in family order, with
+    (block, mask) the member's paint region, or (None, None) when it is
+    empty.
+
+    Member k's cells are the run's shared cells on its rows [r0_k, r1):
+    the columns ``cols`` times those rows, masked by the rows of ``disc``
+    (the run's half disc, its row 0 at height index u0) for a trigonon,
+    unmasked for a rectangle.  r1, the end of the block, is common to the
+    run, since the box top zy of a trigonon and the open top of a rectangle
+    do not read R.  So the numerator is summed once per distinct (r0, r1):
+    equal rows are equal cells in the same C order, and equal bits.
+
+    Member j beats member k when avg_j > avg_k, or avg_j == avg_k and j
+    comes first in the family.  On every row at or above r0_j, j holds the
+    same cells as k, so k can keep a cell only on the rows below the
+    smallest r0_j of the run-mates j that beat it: its paint region is the
+    rows [r0_k, stop_k) of its cells.  Beating is a strict total order, so
+    on each cell of the run the first maximum of the run's averages keeps
+    that cell, the regions are disjoint, and painting with strict ``>`` in
+    family order gives every cell the value and witness it gets when every
+    member paints all of its cells."""
+
+    def cells(r0, r1):
+        return (cols, slice(r0, r1)), None if disc is None else disc[:, r0 - u0 : r1 - u0]
+
+    sums = {}
+    kept = []
+    for idx, _, _, _, measure, r0, r1 in run:
+        if (r0, r1) not in sums:
+            sums[r0, r1] = _numerator(wv, *cells(r0, r1))
+        if sums[r0, r1]:
+            kept.append((idx, sums[r0, r1] / measure, r0, r1))
+    # best first: sorted is stable, so equal averages keep family order
+    stops = [0] * len(kept)
+    low = math.inf
+    for k in sorted(range(len(kept)), key=lambda k: -kept[k][1]):
+        stops[k] = low
+        low = min(low, kept[k][2])
+    for (idx, avg, r0, r1), stop in zip(kept, stops):
+        stop = min(stop, r1)
+        yield (idx, *cells(r0, stop), avg) if stop > r0 else (idx, None, None, avg)
 
 
 def _cylinder_cells(
@@ -245,7 +305,13 @@ def _cylinder_cells(
 def _member_pass(grid: SampleGrid, members, omega: float):
     """(idx, block, mask, average) for each member members[idx] whose
     cells hold part of supp f, in family order; only the members whose
-    block meets the index range of supp f reach the cell generator."""
+    block meets the index range of supp f reach the cell generator.
+    (block, mask) is the member's paint region, or (None, None) when it is
+    empty: the member's cells that no member of its centre run with a
+    higher average, or an equal one earlier in the family, holds (all of its
+    cells for a cylinder, a ball, a half ball or a modified half ball).
+    Painting every region with strict ``>`` in family order gives the field
+    of painting every member's cells."""
     _check_omega(members, omega)
     # the blocks first: member_blocks refuses a member of the other space
     lo, hi = member_blocks(grid, members)
@@ -275,8 +341,12 @@ def maximal_field(grid: SampleGrid, members, omega: float = None) -> MaxField:
     out = np.zeros(grid.shape)
     widx = np.full(grid.shape, -1, dtype=np.int64)
     for idx, block, mask, avg in _member_pass(grid, members, omega):
+        if block is None:
+            continue
         out_b = out[block]
-        better = avg > out_b if mask is None else mask & (avg > out_b)
+        better = np.less(out_b, avg)
+        if mask is not None:
+            better &= mask
         out_b[better] = avg
         widx[block][better] = idx
     return MaxField(out.reshape(grid.size), widx.reshape(grid.size), members)

@@ -570,12 +570,13 @@ def test_members_off_the_support_are_never_masked(kind, monkeypatch):
     cut = ("trigonon", "rectangle", "admissible_rectangle")
     keys = [h2_member_key(s) for s in on_support]
     if kind in cut:
-        # the block each on-support member is summed on, in family order: its
-        # columns (a rectangle's strip |x - zx| < zy, and a rectangle with no
-        # column is skipped) times its heights above the cut
+        # the block each on-support member's cells lie on: its columns (a
+        # rectangle's strip |x - zx| < zy, and a rectangle with no column is
+        # skipped) times its heights above the cut; it is summed once per
+        # distinct block of its centre run, in family order
         xs, ys = g.axes
         blocks = []
-        for (_, zx, zy, _, em, _), a, b in zip(keys, lo[~missing], hi[~missing]):
+        for (k, zx, zy, _, em, _), a, b in zip(keys, lo[~missing], hi[~missing]):
             c0, c1 = int(a[0]), int(b[0])
             r0 = max(int(ys.searchsorted(h2.cut_height(em, zy), side="right")), int(a[1]))
             if kind != "trigonon":
@@ -583,8 +584,12 @@ def test_members_off_the_support_are_never_masked(kind, monkeypatch):
                 if not strip.size:
                     continue
                 c0, c1 = c0 + int(strip[0]), c0 + int(strip[-1]) + 1
-            blocks.append((c0, c1, r0, int(b[1]), kind == "trigonon"))
+            blocks.append(((k, zx, zy, int(a[0]), int(b[0])), (c0, c1, r0, int(b[1]), kind == "trigonon")))
         assert len(blocks) > len(on_support) // 2
+        sums = [list(dict.fromkeys(b for _, b in run)) for _, run in itertools.groupby(blocks, key=lambda kb: kb[0])]
+        # lattice radii whose cuts fall between the same heights share a sum
+        assert sum(map(len, sums)) < len(blocks)
+        blocks = [b for run in sums for b in run]
         spy(mx, "_numerator", lambda a: (a[1][0].start, a[1][0].stop, a[1][1].start, a[1][1].stop, a[2] is not None))
     spy(h2, "mask", lambda a: a)
     spy(h2, "centre_terms", lambda a: tuple(a[:3]))
@@ -613,6 +618,7 @@ def adversarial_families(g):
     d = h2.HPoint(-1.2, 0.6)
     edges = [h2.HPoint(-3.0, 1.0), h2.HPoint(3.0, 0.5), h2.HPoint(0.2, math.exp(1.5)), h2.HPoint(-0.7, math.exp(-1.5)),
              h2.HPoint(-3.4, 0.9), h2.HPoint(1.4, 7.0), h2.HPoint(0.5, 0.1)]
+    low, top = h2.HPoint(1.3, 0.3), h2.HPoint(-1.0, float(ys[-1]) * math.e * 1.01)
     return {
         # one centre whose members come in two runs, with another centre between
         "split_centre": [h2.half_ball(c, 1.0), h2.half_ball(c, 2.0), h2.trigonon(c, 1.0), h2.half_ball(d, 1.5),
@@ -633,6 +639,16 @@ def adversarial_families(g):
                          h2.trigonon(h2.HPoint(-1.0, float(ys[-1]) * math.e * 1.01), 4.0),
                          h2.trigonon(h2.HPoint(1.1, 0.15), 0.5)],
         "window_edge": [kind(z, R) for z in edges for kind in (h2.half_ball, h2.trigonon, h2.ball) for R in (0.6, 2.2)],
+        # trigonon and rectangle runs with duplicate members (equal averages),
+        # shuffled and descending radii, radii 1.0 and 1.02 whose cuts fall
+        # between the same heights, cuts below the window (one block for
+        # every radius at d and at low), and cuts above the window's top row
+        "cut_ties": [h2.trigonon(c, R) for R in (2.0, 1.0, 2.0, 0.7, 3.0, 1.0, 1.02)]
+        + [h2.trigonon(d, R) for R in (3.0, 2.0, 1.5, 1.0, 0.5)]
+        + [h2.trigonon(low, R) for R in (3.0, 2.0, 4.0)]
+        + [h2.trigonon(top, R) for R in (1.0, 4.0)]
+        + [h2.rectangle(c, R) for R in (2.0, 0.5, 2.0, 3.0, 1.0)]
+        + [h2.rectangle(top, R) for R in (1.0, 4.0)],
     }
 
 
@@ -652,11 +668,14 @@ def test_adversarial_families_reach_their_cases():
     top = np.array([ys.searchsorted(math.exp(-s.radius) * s.center.y, side="right") for s in fam])
     # some trigona meet the window with a block but hold no row above their cut
     assert ((top >= hi[:, 1]) & (lo[:, 1] < hi[:, 1])).sum() >= 2
+    # cuts below the window's first height and above its last
+    cut = np.array([math.exp(-s.radius) * s.center.y for s in fams["cut_ties"]])
+    assert (cut < ys[0]).sum() >= 6 and (cut > ys[-1]).sum() == 2
 
 
 @pytest.mark.parametrize("support", ["full", "ball"])
 @pytest.mark.parametrize("case", ["split_centre", "radii_order", "mixed_kinds", "runs_of_one", "empty_suffix",
-                                  "window_edge"])
+                                  "window_edge", "cut_ties"])
 def test_centre_runs_match_full_grid_on_adversarial_families(case, support):
     g = h2_grid()
     if support == "ball":
@@ -668,6 +687,37 @@ def test_centre_runs_match_full_grid_on_adversarial_families(case, support):
     assert np.array_equal(fld.witness_idx, widx)
     assert fld.members is fam
     assert mx.member_averages(g, fam).tolist() == full_averages(g, fam)
+
+
+@pytest.mark.parametrize("support", ["full", "ball"])
+def test_cut_runs_sum_each_row_range_once_and_paint_disjoint_regions(support, monkeypatch):
+    g = h2_grid()
+    if support == "ball":
+        g.values = small_support_values(g, "ball")
+    fam = adversarial_families(g)["cut_ties"]
+    calls = []
+    numerator = mx._numerator
+    monkeypatch.setattr(mx, "_numerator", lambda *a: calls.append(a[1]) or numerator(*a))
+    yields = list(mx._member_pass(g, fam, None))
+    assert len(calls) < len(fam)
+    # a member beaten on all of its rows paints nothing (members 0 and 2 are
+    # equal, and the first wins), one beaten on its upper rows paints its
+    # lower ones
+    lo, hi = ms.member_blocks(g, fam)
+    regions = {idx: block for idx, block, _, _ in yields}
+    assert fam[0] == fam[2] and regions[0] is not None and regions[2] is None
+    assert any(block is not None and block[1].stop < hi[idx, 1] for idx, block, _, _ in yields)
+    # each cell of a run is painted by one member at most
+    painted = {}
+    for idx, block, mask, _ in yields:
+        if block is None:
+            continue
+        s = fam[idx]
+        count = painted.setdefault((s.kind, s.center.x, s.center.y, int(lo[idx, 0]), int(hi[idx, 0])),
+                                   np.zeros(g.shape, dtype=np.int64))
+        count[block] += True if mask is None else mask
+    assert len(painted) >= 4
+    assert all(count.max() == 1 for count in painted.values())
 
 
 # a pool of centres with repeats, window edges and points beyond the window
