@@ -6,7 +6,8 @@ the product of the gauge ball of radius sqrt(a0) around n0 with the
 height interval (a0 e^{-R}, infinity).  The admissible subfamily pins
 log a0 to an integer and R to an integer >= 2, so base heights live on
 the integer-log horocycle lattice.  A family of either kind is held as
-columns named like a cylinder's attributes (``CylFamily``).
+columns named like a cylinder's attributes (``CylFamily``), with the
+family interface of ``hyp2.H2Family``.
 """
 
 from __future__ import annotations
@@ -109,6 +110,76 @@ class CylFamily:
         for name in self._COLUMNS:
             setattr(sub, name, getattr(self, name)[i])
         return sub
+
+    # the family interface shared with ``hyp2.H2Family``: the grids of
+    # ``space`` take its members, boxes, block masks, cells and point tests
+    space, member_types = "na", (Cylinder, AdmissibleCylinder)
+
+    @classmethod
+    def on(cls, grid, cylinders) -> "CylFamily":
+        """The family of ``cylinders`` on ``grid``: ``of`` on its algebra."""
+        return cls.of(grid.alg, cylinders)
+
+    def boxes(self) -> tuple:
+        """(lo, hi), each of shape (m, p + q + 1): the horizontal box of
+        ``base_ball_box_batch`` times the heights above the base."""
+        b_lo, b_hi = base_ball_box_batch(self)
+        return np.column_stack([b_lo, self.base_height]), np.column_stack([b_hi, np.full(len(self), math.inf)])
+
+    def block_mask(self, i: int, grid, block: tuple) -> np.ndarray:
+        """Strict membership in the cylinder self[i] of the points of
+        ``block`` (one slice per axis of the tensor ``grid``), with the
+        block's shape, in one call of ``cylinder_contains_batch`` on the
+        block's axes, with no point of the block built: each horizontal axis
+        is one column, shaped to run along its own dimension of the block,
+        so every term of the translate and of the gauge is formed on the
+        axes it depends on (see ``htype``), and the heights are the block's
+        1-D last axis, where the cylinder is a suffix."""
+        alg, d = grid.alg, len(block)
+        *horiz, a = (ax[sl] for ax, sl in zip(grid.axes, block))
+        cols = [ax.reshape([-1 if j == k else 1 for j in range(d)]) for k, ax in enumerate(horiz)]
+        return cylinder_contains_batch(alg, self[i], cols[: alg.p], cols[alg.p :], a)
+
+    def contains(self, point) -> np.ndarray:
+        """Bool array, one per member: strict membership of the ``SPoint``,
+        in one call of ``cylinder_contains_batch``."""
+        if not isinstance(point, SPoint):
+            raise ValueError(f"a point of an na grid is an SPoint, got {type(point).__name__}")
+        return cylinder_contains_batch(self.alg, self, point.X[:, None], point.Z[:, None], np.array([point.a]))
+
+    def cells(self, grid, wv: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega):
+        """(idx, block, mask, average) for each cylinder self[idx], idx in
+        ``rows``, whose blocks are the rows of (lo, hi) and whose cells hold
+        part of supp wv; (block, mask) is all of its cells.  The volumes need
+        ``omega``, the volume of the unit gauge ball."""
+        if omega is None:
+            raise ValueError("cylinder members need omega, the volume of the unit gauge ball")
+        for idx, l, h in zip(rows.tolist(), lo.tolist(), hi.tolist()):
+            block = tuple(map(slice, l, h))
+            mask = self.block_mask(idx, grid, block)
+            integ = hyp2._numerator(wv, block, mask)
+            if integ:
+                yield idx, block, mask, integ / cylinder_volume(grid.alg, self[idx], omega)
+
+
+def base_ball_box_batch(fam: CylFamily) -> tuple:
+    """(lo, hi), each of shape (m, p + q): row i is an open box over the
+    p + q horizontal coordinates holding every point that the rounded test
+    gauge(n0^{-1} n) < r of the base ball of fam[i], with centre
+    n0 = (X0[i], Z0[i]) and radius r = fam.base_radius[i], accepts."""
+    alg, X0, Z0, r = fam.alg, fam.n0.X, fam.n0.Z, fam.base_radius[:, None]
+    aX0 = np.abs(X0)
+    # gauge < r gives |X - X0| < 2r and |Z - Z0 - [X0, X - X0]/2| < r^2 (the
+    # bracket is antisymmetric), so |Z_k - Z0_k| < r^2 + r sum_ij |X0_i c_ijk|;
+    # the sum over i runs in index order, whatever the number of rows
+    cx = (aX0[:, :, None] * np.abs(alg.bracket_coeffs).sum(axis=1)).sum(axis=1)
+    x_half = 2.0 * r
+    z_half = r * r + r * cx
+    # the test rounds X - X0, Z - Z0 and the bracket [X0, X], whose terms
+    # reach cx |X|; widen each side far beyond those rounding errors
+    x_half = x_half + 1e-9 * (aX0 + x_half)
+    z_half = z_half + 1e-9 * (np.abs(Z0) + z_half + cx * (aX0.max(axis=1, initial=0.0)[:, None] + 2.0 * r))
+    return np.hstack([X0 - x_half, Z0 - z_half]), np.hstack([X0 + x_half, Z0 + z_half])
 
 
 # -------------------------------------------------------------- membership

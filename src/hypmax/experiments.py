@@ -245,7 +245,7 @@ def _sampled_union_measure(fam: CylFamily, samples: int, seed: int) -> VolumeEst
     coordinate; the sort need not be stable, because samples with equal
     first coordinates fall in the same slices.  Base balls are visited
     largest first, and each tests only the samples of its slice that lie
-    in its box (``measure.base_ball_box_batch``) and are not yet known to
+    in its box (``drsets.base_ball_box_batch``) and are not yet known to
     be inside the union.  The live samples are compacted in place to
     those still outside whenever the hits since the last compaction reach
     an eighth of the live samples, and the visit stops once none is left.
@@ -288,7 +288,7 @@ def _sampled_union_measure(fam: CylFamily, samples: int, seed: int) -> VolumeEst
     for row in cols:
         row[:] = row[order]
     del order
-    b_lo, b_hi = ms.base_ball_box_batch(fam)
+    b_lo, b_hi = drsets.base_ball_box_batch(fam)
     balls = np.argsort(-r, kind="stable")
     balls = balls[~_contained_bases(fam, b_lo, b_hi)[balls]]
     outside = np.ones(samples, dtype=bool)
@@ -519,9 +519,9 @@ def overlap_profile(fam: CylFamily, grid: ms.SampleGrid) -> OverlapProfile:
     # unsigned type that holds the family size
     counts = np.zeros(grid.shape, dtype=np.min_scalar_type(len(fam)))
     lo, hi = ms.member_blocks(grid, fam)
-    for c, c_lo, c_hi in zip(fam, lo.tolist(), hi.tolist()):
+    for i, (c_lo, c_hi) in enumerate(zip(lo.tolist(), hi.tolist())):
         block = tuple(map(slice, c_lo, c_hi))
-        counts[block] += ms.block_mask(grid, c, block)
+        counts[block] += fam.block_mask(i, grid, block)
     # one row per horizontal cell: selecting from the broadcast per-height
     # weights yields the cells' weights in C order, as grid.weights would.
     # The covered cells are gathered once; w[c == k] is then the 1-D array

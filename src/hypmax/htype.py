@@ -50,7 +50,7 @@ expression of the coordinates of its own point.  An (n, p) matrix passes
 as its columns ``X.T``, and a single point as length-1 columns
 (``dist_n``); a tensor block of a grid passes as its axes, each shaped to
 run along its own dimension, so no meshgrid of the block is built and
-each term is formed on the axes it depends on (``measure.block_mask``).
+each term is formed on the axes it depends on (``CylFamily.block_mask``).
 
 Two row forms stay beside the column kernels.  ``gauge_batch`` is
 ``gauge_cols`` on (n, p) and (n, q) rows: the benchmark's tracer looks it

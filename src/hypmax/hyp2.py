@@ -12,19 +12,20 @@ A member is one frozen ``H2Set``; a family of members can also be held as
 columns, an ``H2Family``: one kind code and the floats x, y, radius per
 member, with no object per member.  Every membership test, one set
 against many points (``contains_mask``) or many sets against one point
-(``H2Family.contains_point``), goes through one strict-predicate kernel,
+(``H2Family.contains``), goes through one strict-predicate kernel,
 ``mask``, whose per-radius constants sinh^2(R/2), e^{-R} and e^{R} are
 computed once per radius with ``math`` (``radius_terms``), so a column
 member tests exactly as its ``H2Set`` does.  ``mask`` is the composition
 ``radius_test(centre_terms(...))``: ``centre_terms`` evaluates what does
 not read the radius (the half disc, the two sides of the ball inequality
 before its factor sinh^2(R/2), the strip of a rectangle), and
-``radius_test`` finishes the predicate of one radius from them.  A caller
-that tests several radii about one centre may evaluate the centre terms
-once and slice them, and gets the bits of ``mask`` for each radius.
+``radius_test`` finishes the predicate of one radius from them.
+``H2Family.cells`` evaluates the centre terms once per centre and slices
+them, and gets the bits of ``mask`` for each radius.
 Boxes (``bounding_boxes``) and areas (``areas``) of a family likewise take
 their ``math`` constants once per distinct radius; ``bounding_box`` and
-``area`` are their one-member forms.
+``area`` are their one-member forms.  ``H2Family`` has the family
+interface of ``drsets.CylFamily`` (see ``measure.family_of``).
 
 Rectangles are separable on a tensor grid: the test is |x - zx| < zy and
 y > e^{-R} zy, one condition per axis.  On a sorted x axis the rounded
@@ -218,10 +219,34 @@ class H2Family:
             out[rows] = np.array([fn(kind, R) for R in u.tolist()], dtype=float).reshape(-1, width)[inv]
         return out
 
-    def contains_point(self, x, y) -> np.ndarray:
-        """Bool array, one per member: strict membership of the point (x, y),
+    # the family interface shared with ``drsets.CylFamily``: the grids of
+    # ``space`` take its members, boxes, block masks, cells and point tests
+    space, member_types = "h2", H2Set
+
+    @classmethod
+    def on(cls, grid, sets) -> "H2Family":
+        """The family of ``sets`` on ``grid``: ``of``, which needs no grid."""
+        return cls.of(sets)
+
+    def boxes(self) -> tuple:
+        """(lo, hi), each of shape (m, 2): the corners (x_lo, y_lo) and
+        (x_hi, y_hi) of the boxes of ``bounding_boxes``."""
+        box = bounding_boxes(self)
+        return box[:, 0::2], box[:, 1::2]
+
+    def block_mask(self, i: int, grid, block: tuple) -> np.ndarray:
+        """Strict membership in member i of the points of ``block`` (one
+        slice per axis of the tensor ``grid``), with the block's shape,
+        tested on the block's axes."""
+        xs, ys = grid.axes
+        return contains_mask(self[i], xs[block[0], None], ys[None, block[1]])
+
+    def contains(self, point) -> np.ndarray:
+        """Bool array, one per member: strict membership of the ``HPoint``,
         with one call of ``mask`` per kind and the verdicts of ``contains``."""
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if not isinstance(point, HPoint):
+            raise ValueError(f"a point of an h2 grid is an HPoint, got {type(point).__name__}")
+        x, y = np.asarray(point.x, dtype=float), np.asarray(point.y, dtype=float)
         terms = radius_terms(self)
         out = np.zeros(len(self), dtype=bool)
         for kind, rows in self.groups():
@@ -229,9 +254,135 @@ class H2Family:
             out[rows] = mask(kind, self.x[rows], self.y[rows], s2, em, ep, x, y)
         return out
 
+    def cells(self, grid, wv: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega=None):
+        """(idx, block, mask, average) for each member self[idx], idx in
+        ``rows``, whose blocks are the rows of (lo, hi) and whose cells hold
+        part of supp wv: (block, mask) is the member's paint region, the True
+        cells of ``mask`` on ``block``, or all of ``block`` when ``mask`` is
+        None; both are None when the region is empty.  A ball, half ball or
+        modified half ball paints all of its cells, a trigonon or rectangle
+        the rows of ``_suffix_run``.  Areas need no ``omega``.
+
+        The members are walked in centre runs: maximal runs of consecutive
+        rows with the same kind, centre and block columns (a lattice of
+        centres x radii gives one run per centre).  A run evaluates
+        ``centre_terms`` once, on its union block (its columns x the union
+        of its members' heights), and each member reads the slice on its own
+        heights, so each mask holds the bits of a ``mask`` call on the
+        member's block.  A ball, half ball or modified half ball applies
+        ``radius_test`` to its slice.  Trigona and rectangles lie above
+        e^{-R} zy, a suffix of the height axis found by ``searchsorted`` for
+        all members at once, where their block starts (it is empty when the
+        suffix misses the block).  A trigonon's mask is then the run's half
+        disc on its rows; a rectangle's cells are the run's strip of columns
+        times its rows, one sub-block with no 2-D mask (see above)."""
+        xs, ys = grid.axes
+        sub = self[rows]
+        s2, em, ep = radius_terms(sub).T
+        area = areas(sub)
+        x0, y0 = lo.T
+        x1, y1 = hi.T
+        # the first height above the cut; it is at most y1, since a block
+        # reaches above its centre's height zy > e^{-R} zy
+        top = ys.searchsorted(cut_height(em, sub.y), side="right")
+        y0 = np.where(np.isin(sub.kind, _CUT_CODES), np.maximum(top, y0), y0)
+        members = list(zip(*(col.tolist() for col in (rows, s2, em, ep, area, y0, y1))))
+        for start, stop in _centre_runs(sub.kind, sub.x, sub.y, x0, x1):
+            kind = KINDS[int(sub.kind[start])]
+            zx, zy, c0, c1 = sub.x[start].item(), sub.y[start].item(), int(x0[start]), int(x1[start])
+            run = members[start:stop]
+            u0, u1 = min(m[5] for m in run), max(m[6] for m in run)
+            X, Y = xs[c0:c1, None], ys[None, u0:u1]
+            terms = centre_terms(kind, zx, zy, X, Y)
+            if kind is SetKind.RECTANGLE:
+                # the strip |x - zx| < zy is one run of columns, on every row
+                strip = np.flatnonzero(terms[0][:, 0])
+                if strip.size:
+                    cols = slice(c0 + int(strip[0]), c0 + int(strip[-1]) + 1)
+                    yield from _suffix_run(wv, run, cols, None, u0)
+            elif kind is SetKind.TRIGONON:
+                yield from _suffix_run(wv, run, slice(c0, c1), terms[0], u0)
+            else:
+                for idx, a, b, c, measure, r0, r1 in run:
+                    own = slice(r0 - u0, r1 - u0)
+                    block = (slice(c0, c1), slice(r0, r1))
+                    mask = radius_test(kind, tuple(t[:, own] for t in terms), zx, zy, a, b, c, X, Y[:, own])
+                    integ = _numerator(wv, block, mask)
+                    if integ:
+                        yield idx, block, mask, integ / measure
+            # the run's terms go before the next run computes its own
+            del terms
+
 
 def _member(code: int, x: float, y: float, radius: float) -> H2Set:
     return H2Set(KINDS[code], HPoint(x, y), radius)
+
+
+# the kinds that hold only points above e^{-R} zy
+_CUT_CODES = [_CODE[k] for k in (SetKind.TRIGONON, SetKind.RECTANGLE)]
+
+
+def _numerator(wv: np.ndarray, block: tuple, mask) -> float:
+    # a 1-D array of the member's cells in C order, as a full-grid gather
+    # gives them, so numpy's pairwise sum adds the same floats in the same way
+    return float((wv[block].ravel() if mask is None else wv[block][mask]).sum())
+
+
+def _centre_runs(*keys) -> list:
+    """[start, stop) of each maximal run of consecutive rows on which every
+    key column is constant."""
+    n = keys[0].size
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    return list(zip(starts.tolist(), np.append(starts[1:], n).tolist()))
+
+
+def _suffix_run(wv: np.ndarray, run: list, cols: slice, disc, u0: int):
+    """(idx, block, mask, average) for the members of one trigonon or
+    rectangle run whose cells hold part of supp wv, in family order, with
+    (block, mask) the member's paint region, or (None, None) when it is
+    empty.
+
+    Member k's cells are the run's shared cells on its rows [r0_k, r1):
+    the columns ``cols`` times those rows, masked by the rows of ``disc``
+    (the run's half disc, its row 0 at height index u0) for a trigonon,
+    unmasked for a rectangle.  r1, the end of the block, is common to the
+    run, since the box top zy of a trigonon and the open top of a rectangle
+    do not read R.  So the numerator is summed once per distinct (r0, r1):
+    equal rows are equal cells in the same C order, and equal bits.
+
+    Member j beats member k when avg_j > avg_k, or avg_j == avg_k and j
+    comes first in the family.  On every row at or above r0_j, j holds the
+    same cells as k, so k can keep a cell only on the rows below the
+    smallest r0_j of the run-mates j that beat it: its paint region is the
+    rows [r0_k, stop_k) of its cells.  Beating is a strict total order, so
+    on each cell of the run the first maximum of the run's averages keeps
+    that cell, the regions are disjoint, and painting with strict ``>`` in
+    family order gives every cell the value and witness it gets when every
+    member paints all of its cells."""
+
+    def cells(r0, r1):
+        return (cols, slice(r0, r1)), None if disc is None else disc[:, r0 - u0 : r1 - u0]
+
+    sums = {}
+    kept = []
+    for idx, _, _, _, measure, r0, r1 in run:
+        if (r0, r1) not in sums:
+            sums[r0, r1] = _numerator(wv, *cells(r0, r1))
+        if sums[r0, r1]:
+            kept.append((idx, sums[r0, r1] / measure, r0, r1))
+    # best first: sorted is stable, so equal averages keep family order
+    stops = [0] * len(kept)
+    low = math.inf
+    for k in sorted(range(len(kept)), key=lambda k: -kept[k][1]):
+        stops[k] = low
+        low = min(low, kept[k][2])
+    for (idx, avg, r0, r1), stop in zip(kept, stops):
+        stop = min(stop, r1)
+        yield (idx, *cells(r0, stop), avg) if stop > r0 else (idx, None, None, avg)
 
 
 @dataclass(frozen=True)

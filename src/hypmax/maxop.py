@@ -9,45 +9,30 @@ estimate of the continuum average that can err in either direction; it is
 not a certified bound.
 
 A half-plane family is an ``hyp2.H2Family`` (what ``h2_lattice`` and
-``admissible_family_for_grid`` return) or a list of ``H2Set``, which the
-operators turn into columns first; a witness index is a position in
-either, and ``MaxField.members`` is the family as the caller passed it.
-A cylinder family is a ``drsets.CylFamily`` or a list of cylinders.
+``admissible_family_for_grid`` return) or a list of ``H2Set``; a cylinder
+family is a ``drsets.CylFamily`` or a list of cylinders.  Each operator
+turns its members into the family class of the grid's space once, with
+``measure.family_of``, which refuses a member of the other space; a witness
+index is a position in either form, and ``MaxField.members`` is the family
+as the caller passed it.  The family class owns everything that depends on
+the space: its boxes (``boxes``, spanned by ``measure.member_blocks``), its
+block masks (``block_mask``), its cells and averages (``cells``) and its
+point test (``contains``), so nothing here tests the space.
 
 Both operators read one member pass, ``_member_pass``: it yields
 (idx, block, mask, average) for each member whose cells hold part of
-supp f, in family order, where (block, mask) is the member's paint region
-(below), or (None, None) when it is empty.  ``measure.member_blocks``
-computes the block of every member at once: the axis-aligned sub-block of
-the tensor grid outside which the member holds no point.  Only the members
-whose block meets the index range of supp f are masked, each once;
-skipping the others is exact, since their average is exactly 0.0.  Areas and the
-predicate's radius constants are taken once per distinct (kind, radius).
-
-Half-plane members are masked in centre runs: maximal runs of consecutive
-members with the same kind, centre and block columns, as the product
-orders centres x radii and xs x js x Ks give them.  A run evaluates the
-terms of the predicate that do not read the radius (``hyp2.centre_terms``)
-once, on the union of its members' blocks, and each member reads the slice
-on its own rows.  This is exact: every cell's verdict is the float
-expression of ``hyp2.mask``, only evaluated once per centre, so every
-numerator gathers the same cells in the same C order.  A trigonon's mask
-is the half disc on the heights above its cut e^{-R} zy, a suffix of the
-height axis; a rectangle needs no 2-D mask: its
-cells are one sub-block of the grid (see ``hyp2``), whose numerator sums
-``wv[block].ravel()``, the same floats in the same C order as a masked
-gather.
-
-So the members of a trigonon or rectangle run are nested row suffixes
-[r0, r1) of one shared set of cells, with r1 common to the run.  Their
-numerators are summed once per distinct (r0, r1), and each member paints
-only the rows below the first row of every run-mate that beats it: a
-higher average, or an equal one earlier in the family.  On those rows the
-run-mate holds the same cells, so the member could not win them.  Beating
-is a strict total order, so the run's first maximum keeps each of its
-cells, the paint regions of a run are disjoint, and the field gets the
-values and witnesses of every member painting all of its cells.  The
-paint region of any other member is its block and mask.
+supp f, in family order, where (block, mask) is the member's paint region,
+or (None, None) when it is empty.  A block is the axis-aligned sub-block
+of the tensor grid outside which the member holds no point.  Only the
+members whose block meets the index range of supp f reach ``cells``;
+skipping the others is exact, since their average is exactly 0.0.  A
+cylinder, ball, half ball or modified half ball paints all of its cells.
+``H2Family.cells`` walks half-plane members in centre runs, evaluating
+the radius-free terms of the predicate once per centre, and a trigonon or
+rectangle run sums each distinct row range once and paints each member
+only on the rows no better run-mate holds (``hyp2._suffix_run``); the
+field gets the values and witnesses of every member painting all of its
+cells, bit for bit.
 
 The constants of ``operator_compare`` (``comparison_constants``) are
 closed forms in the areas of ``hyp2``: each ratio decreases in R, so
@@ -57,9 +42,8 @@ each supremum over R >= 1 is its value (for K3 its limit) at R = 1.
 where the member holds no cell of supp f.  ``maximal_field`` paints each
 yielded average onto the member's paint region where it beats the value
 there.
-``maximal_fn`` finds the members that contain the point (one vectorized
-call per half-plane kind, one for all cylinders) and takes the first
-maximum of their ``member_averages``.
+``maximal_fn`` finds the members that contain the point (the family's
+``contains``) and takes the first maximum of their ``member_averages``.
 """
 
 from __future__ import annotations
@@ -70,10 +54,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import drsets, hyp2
-from .drsets import CylFamily
-from .hyp2 import H2Family, H2Set, SetKind
-from .measure import SampleGrid, block_mask, member_blocks
+from . import hyp2
+from .hyp2 import H2Family, SetKind
+from .measure import SampleGrid, family_of, member_blocks
 from .measure import membership_mask  # noqa: F401  (perfbench/tracing.py wraps maxop.membership_mask)
 from .report import ExperimentReport
 
@@ -137,11 +120,6 @@ class MaxResult:
     empty: bool = False
 
 
-def _check_omega(members, omega) -> None:
-    if omega is None and not isinstance(members, H2Family) and not all(isinstance(s, H2Set) for s in members):
-        raise ValueError("cylinder members need omega, the volume of the unit gauge ball")
-
-
 def _support_range(nz: np.ndarray) -> tuple:
     """(lo, hi), one entry per axis of nz: the smallest index range
     [lo, hi) on each axis that holds every True cell; (0, 0) on every axis
@@ -154,174 +132,22 @@ def _support_range(nz: np.ndarray) -> tuple:
     return lo, hi
 
 
-# the kinds that hold only points above e^{-R} zy
-_CUT_CODES = [hyp2.KINDS.index(k) for k in (SetKind.TRIGONON, SetKind.RECTANGLE)]
-
-
-def _numerator(wv: np.ndarray, block: tuple, mask) -> float:
-    # a 1-D array of the member's cells in C order, as a full-grid gather
-    # gives them, so numpy's pairwise sum adds the same floats in the same way
-    return float((wv[block].ravel() if mask is None else wv[block][mask]).sum())
-
-
-def _centre_runs(*keys) -> list:
-    """[start, stop) of each maximal run of consecutive rows on which every
-    key column is constant."""
-    n = keys[0].size
-    new = np.zeros(n, dtype=bool)
-    new[:1] = True
-    for k in keys:
-        new[1:] |= k[1:] != k[:-1]
-    starts = np.flatnonzero(new)
-    return list(zip(starts.tolist(), np.append(starts[1:], n).tolist()))
-
-
-def _h2_cells(grid: SampleGrid, fam: H2Family, wv: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """(idx, block, mask, average) for each member fam[idx], idx in
-    ``rows``, whose blocks are the rows of (lo, hi) and whose cells hold
-    part of supp wv: (block, mask) is the member's paint region, the True
-    cells of ``mask`` on ``block``, or all of ``block`` when ``mask`` is
-    None; both are None when the region is empty.  A ball, half ball or
-    modified half ball paints all of its cells, a trigonon or rectangle the
-    rows of ``_suffix_run``.
-
-    The members are walked in centre runs: maximal runs of consecutive
-    rows with the same kind, centre and block columns (a lattice of
-    centres x radii gives one run per centre).  A run evaluates
-    ``hyp2.centre_terms`` once, on its union block (its columns x the union
-    of its members' heights), and each member reads the slice of those
-    terms on its own heights.  Every cell's verdict is the float expression
-    of ``hyp2.mask``, evaluated once per centre instead of once per member,
-    so each mask holds the bits of a ``mask`` call on the member's block.
-
-    A ball, half ball or modified half ball applies ``hyp2.radius_test`` to
-    its slice.  Trigona and rectangles lie above e^{-R} zy, a suffix of the
-    height axis found by ``searchsorted`` for all members at once: their
-    block starts at its first row (it is empty when the suffix misses the
-    block), so the height test holds on every row of it.  A trigonon's mask
-    is then the run's half disc on its rows, a slice.  A rectangle is
-    separable (see ``hyp2``): its cells are the run's strip of columns times
-    its rows, one sub-block with no 2-D mask.  Cutting rows where the mask
-    is all False keeps the other cells in the same C order.  A trigonon or
-    rectangle run sums each distinct row range once (``_suffix_run``)."""
-    xs, ys = grid.axes
-    sub = fam[rows]
-    s2, em, ep = hyp2.radius_terms(sub).T
-    area = hyp2.areas(sub)
-    x0, y0 = lo.T
-    x1, y1 = hi.T
-    # the first height above the cut; it is at most y1, since a block
-    # reaches above its centre's height zy > e^{-R} zy
-    top = ys.searchsorted(hyp2.cut_height(em, sub.y), side="right")
-    y0 = np.where(np.isin(sub.kind, _CUT_CODES), np.maximum(top, y0), y0)
-    members = list(zip(*(col.tolist() for col in (rows, s2, em, ep, area, y0, y1))))
-    for start, stop in _centre_runs(sub.kind, sub.x, sub.y, x0, x1):
-        kind = hyp2.KINDS[int(sub.kind[start])]
-        zx, zy, c0, c1 = sub.x[start].item(), sub.y[start].item(), int(x0[start]), int(x1[start])
-        run = members[start:stop]
-        u0, u1 = min(m[5] for m in run), max(m[6] for m in run)
-        X, Y = xs[c0:c1, None], ys[None, u0:u1]
-        terms = hyp2.centre_terms(kind, zx, zy, X, Y)
-        if kind is SetKind.RECTANGLE:
-            # the strip |x - zx| < zy is one run of columns, on every row
-            strip = np.flatnonzero(terms[0][:, 0])
-            if strip.size:
-                cols = slice(c0 + int(strip[0]), c0 + int(strip[-1]) + 1)
-                yield from _suffix_run(wv, run, cols, None, u0)
-        elif kind is SetKind.TRIGONON:
-            yield from _suffix_run(wv, run, slice(c0, c1), terms[0], u0)
-        else:
-            for idx, a, b, c, measure, r0, r1 in run:
-                own = slice(r0 - u0, r1 - u0)
-                block = (slice(c0, c1), slice(r0, r1))
-                mask = hyp2.radius_test(kind, tuple(t[:, own] for t in terms), zx, zy, a, b, c, X, Y[:, own])
-                integ = _numerator(wv, block, mask)
-                if integ:
-                    yield idx, block, mask, integ / measure
-        # the run's terms go before the next run computes its own
-        del terms
-
-
-def _suffix_run(wv: np.ndarray, run: list, cols: slice, disc, u0: int):
-    """(idx, block, mask, average) for the members of one trigonon or
-    rectangle run whose cells hold part of supp wv, in family order, with
-    (block, mask) the member's paint region, or (None, None) when it is
-    empty.
-
-    Member k's cells are the run's shared cells on its rows [r0_k, r1):
-    the columns ``cols`` times those rows, masked by the rows of ``disc``
-    (the run's half disc, its row 0 at height index u0) for a trigonon,
-    unmasked for a rectangle.  r1, the end of the block, is common to the
-    run, since the box top zy of a trigonon and the open top of a rectangle
-    do not read R.  So the numerator is summed once per distinct (r0, r1):
-    equal rows are equal cells in the same C order, and equal bits.
-
-    Member j beats member k when avg_j > avg_k, or avg_j == avg_k and j
-    comes first in the family.  On every row at or above r0_j, j holds the
-    same cells as k, so k can keep a cell only on the rows below the
-    smallest r0_j of the run-mates j that beat it: its paint region is the
-    rows [r0_k, stop_k) of its cells.  Beating is a strict total order, so
-    on each cell of the run the first maximum of the run's averages keeps
-    that cell, the regions are disjoint, and painting with strict ``>`` in
-    family order gives every cell the value and witness it gets when every
-    member paints all of its cells."""
-
-    def cells(r0, r1):
-        return (cols, slice(r0, r1)), None if disc is None else disc[:, r0 - u0 : r1 - u0]
-
-    sums = {}
-    kept = []
-    for idx, _, _, _, measure, r0, r1 in run:
-        if (r0, r1) not in sums:
-            sums[r0, r1] = _numerator(wv, *cells(r0, r1))
-        if sums[r0, r1]:
-            kept.append((idx, sums[r0, r1] / measure, r0, r1))
-    # best first: sorted is stable, so equal averages keep family order
-    stops = [0] * len(kept)
-    low = math.inf
-    for k in sorted(range(len(kept)), key=lambda k: -kept[k][1]):
-        stops[k] = low
-        low = min(low, kept[k][2])
-    for (idx, avg, r0, r1), stop in zip(kept, stops):
-        stop = min(stop, r1)
-        yield (idx, *cells(r0, stop), avg) if stop > r0 else (idx, None, None, avg)
-
-
-def _cylinder_cells(
-    grid: SampleGrid, fam: CylFamily, wv: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega: float
-):
-    """(idx, block, mask, average) for each cylinder fam[idx], idx in
-    ``rows``, whose blocks are the rows of (lo, hi) and whose cells hold
-    part of supp wv."""
-    for idx, l, h in zip(rows.tolist(), lo.tolist(), hi.tolist()):
-        s = fam[idx]
-        block = tuple(map(slice, l, h))
-        mask = block_mask(grid, s, block)
-        integ = _numerator(wv, block, mask)
-        if integ:
-            yield idx, block, mask, integ / drsets.cylinder_volume(grid.alg, s, omega)
-
-
 def _member_pass(grid: SampleGrid, members, omega: float):
     """(idx, block, mask, average) for each member members[idx] whose
     cells hold part of supp f, in family order; only the members whose
-    block meets the index range of supp f reach the cell generator.
+    block meets the index range of supp f reach the family's ``cells``.
     (block, mask) is the member's paint region, or (None, None) when it is
     empty: the member's cells that no member of its centre run with a
     higher average, or an equal one earlier in the family, holds (all of its
     cells for a cylinder, a ball, a half ball or a modified half ball).
     Painting every region with strict ``>`` in family order gives the field
     of painting every member's cells."""
-    _check_omega(members, omega)
-    # the blocks first: member_blocks refuses a member of the other space
-    lo, hi = member_blocks(grid, members)
-    fam = H2Family.of(members) if grid.space == "h2" else CylFamily.of(grid.alg, members)
+    fam = family_of(grid, members)
+    lo, hi = member_blocks(grid, fam)
     wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
     s_lo, s_hi = _support_range(wv != 0)
     rows = np.flatnonzero((np.maximum(lo, s_lo) < np.minimum(hi, s_hi)).all(axis=1))
-    if grid.space == "h2":
-        return _h2_cells(grid, fam, wv, rows, lo[rows], hi[rows])
-    return _cylinder_cells(grid, fam, wv, rows, lo[rows], hi[rows], omega)
+    return fam.cells(grid, wv, rows, lo[rows], hi[rows], omega)
 
 
 def member_averages(grid: SampleGrid, members, omega: float = None) -> np.ndarray:
@@ -355,19 +181,11 @@ def maximal_field(grid: SampleGrid, members, omega: float = None) -> MaxField:
 def maximal_fn(grid: SampleGrid, x, members, omega: float = None) -> MaxResult:
     """Operator value at one point with its witness set (the first member
     attaining it): the first maximum of ``member_averages`` over the members
-    that contain the point.  Half-plane members are tested in one call per
-    kind (``H2Family.contains_point``), cylinders in one batch call."""
+    that contain the point, found by the family's ``contains``."""
+    fam = family_of(grid, members)
+    rows = np.flatnonzero(fam.contains(x))
     # on the whole family: a point that no member contains still needs omega
-    _check_omega(members, omega)
-    if grid.space == "h2":
-        fam = H2Family.of(members)
-        inside = fam.contains_point(x.x, x.y)
-    else:
-        fam = CylFamily.of(grid.alg, members)
-        inside = drsets.cylinder_contains_batch(grid.alg, fam, x.X[:, None], x.Z[:, None], np.array([x.a]))
-    rows = np.flatnonzero(inside)
-    sub = fam[rows]
-    avg = member_averages(grid, sub, omega)
+    avg = member_averages(grid, fam[rows], omega)
     best = float(avg.max(initial=0.0))
     return MaxResult(best, members[int(rows[avg.argmax()])] if best > 0 else None, empty=not rows.size)
 

@@ -8,6 +8,11 @@ Carlo sampling draws directly from the Riemannian measure restricted to
 a coordinate box, so indicator estimates are plain binomial proportions;
 the draws stream in chunks of ``drsets.MC_CHUNK`` samples, with the values
 of one draw of each coordinate.
+
+Members reach a grid as a family, through one conversion, ``family_of``:
+``hyp2.H2Family`` on 'h2', ``drsets.CylFamily`` on 'na'.  The family class
+owns its boxes, block masks, cells and point test; ``member_blocks`` spans
+the boxes on the grid's axes, ``membership_mask`` adds one block mask.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import drsets, hyp2
-from .drsets import AdmissibleCylinder, CylFamily, Cylinder
+from .drsets import CylFamily
 from .htype import HTypeAlgebra
 from .hyp2 import H2Family, H2Set
 from .report import VolumeEstimate
@@ -156,21 +161,28 @@ def _spans(axes, lo, hi) -> tuple:
     return np.maximum(i0, 0), np.minimum(i1, [ax.size for ax in axes])
 
 
-_DESCRIPTORS = {"h2": H2Set, "na": (Cylinder, AdmissibleCylinder)}
+_FAMILY = {cls.space: cls for cls in (H2Family, CylFamily)}
 
 
-def _check_descriptors(grid: SampleGrid, members) -> None:
-    if isinstance(members, (H2Family, CylFamily)):
-        members = members[:1]  # one kind of descriptor: check the first
-    want = _DESCRIPTORS[grid.space]
+def family_of(grid: SampleGrid, members):
+    """``members`` as the family class of the grid's space (an ``H2Family``
+    on 'h2', a ``CylFamily`` on 'na'): a family of that class is returned as
+    it is, a list is turned into one.  This is the one conversion; the
+    family owns its boxes, block masks, cells and point test.  The first
+    member of the other space raises ``ValueError``, the first that is of
+    no space (or an iterator of members) ``TypeError``."""
+    own = _FAMILY[grid.space]
+    if isinstance(members, own):
+        return members
+    if iter(members) is members:
+        raise TypeError("members must be a family or a sequence: the operators index them")
     for s in members:
-        if isinstance(s, want):
-            continue
-        if isinstance(s, H2Set):
-            raise ValueError("half-plane descriptor on a non-h2 grid")
-        if isinstance(s, (Cylinder, AdmissibleCylinder)):
-            raise ValueError("cylinder descriptor on a non-na grid")
-        raise TypeError(f"unsupported descriptor {type(s)}")
+        if not isinstance(s, own.member_types):
+            space = next((cls.space for cls in _FAMILY.values() if isinstance(s, cls.member_types)), None)
+            if space is None:
+                raise TypeError(f"unsupported descriptor {type(s)}")
+            raise ValueError(f"{type(s).__name__} descriptor of the {space} space on an {grid.space} grid")
+    return own.on(grid, members)
 
 
 def member_blocks(grid: SampleGrid, members) -> tuple:
@@ -178,77 +190,24 @@ def member_blocks(grid: SampleGrid, members) -> tuple:
     axis-aligned sub-block [lo, hi) of the grid lattice that can meet
     members[i]; every point outside it lies outside the member.
 
-    Half-plane sets (an ``H2Family`` or a list of ``H2Set``) take their
-    blocks from ``hyp2.bounding_boxes``, cylinders (a ``CylFamily`` or a
-    list) from ``base_ball_box_batch`` and the height suffix above the
-    base; both are padded by one cell per side.  Rows may be empty
+    The blocks span the boxes of the family (``family_of``): searchsorted
+    on the axis centres, padded by one cell per side.  Rows may be empty
     (lo >= hi on some axis)."""
-    _check_descriptors(grid, members)
-    m = len(members)
-    if grid.space == "h2":
-        box = hyp2.bounding_boxes(H2Family.of(members))
-        lo, hi = box[:, 0::2], box[:, 1::2]
-    else:
-        fam = CylFamily.of(grid.alg, members)
-        b_lo, b_hi = base_ball_box_batch(fam)
-        lo = np.column_stack([b_lo, fam.base_height])
-        hi = np.column_stack([b_hi, np.full(m, math.inf)])
-    return _spans(grid.axes, lo, hi)
-
-
-def block_mask(grid: SampleGrid, s, block: tuple) -> np.ndarray:
-    """Strict membership in s of the points of ``block`` (one slice per axis
-    of ``grid.shape``), with the block's shape.
-
-    Both kinds of set are tested on the block's axes, with no point of the
-    block built.  A cylinder's horizontal axes are the columns of
-    ``drsets.cylinder_contains_batch``, each shaped to run along its own
-    dimension of the block, so every term of the translate and of the
-    gauge is formed on the axes it depends on (see ``htype``).  The last
-    dimension of the columns has length 1, and the heights are passed as
-    the block's 1-D last axis: the base-ball test gives one verdict per
-    horizontal point, the height test one per height, and their AND
-    broadcasts to the block's shape, where the cylinder is a suffix."""
-    if grid.space == "h2":
-        xs, ys = grid.axes
-        return hyp2.contains_mask(s, xs[block[0], None], ys[None, block[1]])
-    alg, d = grid.alg, len(block)
-    *horiz, a = (ax[sl] for ax, sl in zip(grid.axes, block))
-    cols = [ax.reshape([-1 if i == k else 1 for i in range(d)]) for k, ax in enumerate(horiz)]
-    return drsets.cylinder_contains_batch(alg, s, cols[: alg.p], cols[alg.p :], a)
+    return _spans(grid.axes, *family_of(grid, members).boxes())
 
 
 def membership_mask(grid: SampleGrid, s) -> tuple:
     """(block, mask): the block of ``member_blocks`` for s, as one slice per
     axis of ``grid.shape``, and the strict membership of the block's points
-    in s, with the block's shape.
+    in s (the family's ``block_mask``), with the block's shape.
 
     Every point outside the block lies outside s.  Selecting a per-cell
     array through ``arr.reshape(grid.shape)[block][mask]`` yields the
     member's cells in the same C order as a full-grid mask would."""
-    lo, hi = member_blocks(grid, [s])
+    fam = family_of(grid, [s])
+    lo, hi = member_blocks(grid, fam)
     block = tuple(map(slice, lo[0].tolist(), hi[0].tolist()))
-    return block, block_mask(grid, s, block)
-
-
-def base_ball_box_batch(fam: CylFamily) -> tuple:
-    """(lo, hi), each of shape (m, p + q): row i is an open box over the
-    p + q horizontal coordinates holding every point that the rounded test
-    gauge(n0^{-1} n) < r of the base ball of fam[i], with centre
-    n0 = (X0[i], Z0[i]) and radius r = fam.base_radius[i], accepts."""
-    alg, X0, Z0, r = fam.alg, fam.n0.X, fam.n0.Z, fam.base_radius[:, None]
-    aX0 = np.abs(X0)
-    # gauge < r gives |X - X0| < 2r and |Z - Z0 - [X0, X - X0]/2| < r^2 (the
-    # bracket is antisymmetric), so |Z_k - Z0_k| < r^2 + r sum_ij |X0_i c_ijk|;
-    # the sum over i runs in index order, whatever the number of rows
-    cx = (aX0[:, :, None] * np.abs(alg.bracket_coeffs).sum(axis=1)).sum(axis=1)
-    x_half = 2.0 * r
-    z_half = r * r + r * cx
-    # the test rounds X - X0, Z - Z0 and the bracket [X0, X], whose terms
-    # reach cx |X|; widen each side far beyond those rounding errors
-    x_half = x_half + 1e-9 * (aX0 + x_half)
-    z_half = z_half + 1e-9 * (np.abs(Z0) + z_half + cx * (aX0.max(axis=1, initial=0.0)[:, None] + 2.0 * r))
-    return np.hstack([X0 - x_half, Z0 - z_half]), np.hstack([X0 + x_half, Z0 + z_half])
+    return block, fam.block_mask(0, grid, block)
 
 
 # -------------------------------------------------------------- Monte Carlo

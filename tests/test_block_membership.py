@@ -590,7 +590,7 @@ def test_members_off_the_support_are_never_masked(kind, monkeypatch):
         # lattice radii whose cuts fall between the same heights share a sum
         assert sum(map(len, sums)) < len(blocks)
         blocks = [b for run in sums for b in run]
-        spy(mx, "_numerator", lambda a: (a[1][0].start, a[1][0].stop, a[1][1].start, a[1][1].stop, a[2] is not None))
+        spy(h2, "_numerator", lambda a: (a[1][0].start, a[1][0].stop, a[1][1].start, a[1][1].stop, a[2] is not None))
     spy(h2, "mask", lambda a: a)
     spy(h2, "centre_terms", lambda a: tuple(a[:3]))
     spy(h2, "radius_test", lambda a: h2_key((a[0], *a[2:7])))
@@ -696,8 +696,8 @@ def test_cut_runs_sum_each_row_range_once_and_paint_disjoint_regions(support, mo
         g.values = small_support_values(g, "ball")
     fam = adversarial_families(g)["cut_ties"]
     calls = []
-    numerator = mx._numerator
-    monkeypatch.setattr(mx, "_numerator", lambda *a: calls.append(a[1]) or numerator(*a))
+    numerator = h2._numerator
+    monkeypatch.setattr(h2, "_numerator", lambda *a: calls.append(a[1]) or numerator(*a))
     yields = list(mx._member_pass(g, fam, None))
     assert len(calls) < len(fam)
     # a member beaten on all of its rows paints nothing (members 0 and 2 are
@@ -785,7 +785,7 @@ def test_member_blocks_rows_match_membership_mask(kind):
         fam = cylinder_family(kind)
         boxes = []
         for s in fam:
-            (b_lo,), (b_hi,) = ms.base_ball_box_batch(dr.CylFamily(g.alg, [s]))
+            (b_lo,), (b_hi,) = dr.base_ball_box_batch(dr.CylFamily(g.alg, [s]))
             boxes.append((list(b_lo) + [s.base_height], list(b_hi) + [math.inf]))
     else:
         g = h2_grid()
@@ -811,11 +811,34 @@ def test_member_blocks_reject_foreign_descriptors():
         ms.member_blocks(na_grid(), [h2.half_ball(h2.HPoint(0.0, 1.0), 1.0)])
     with pytest.raises(TypeError):
         ms.member_blocks(na_grid(), [fam[0], "cylinder"])
-    # the operators refuse them the same way, before building a family
-    with pytest.raises(ValueError):
-        mx.maximal_field(h2_grid(), fam[:1], omega=1.0)
-    with pytest.raises(ValueError):
-        mx.maximal_field(na_grid(), [h2.half_ball(h2.HPoint(0.0, 1.0), 1.0)], omega=1.0)
+    # every operator refuses them with the error of member_blocks, with or
+    # without omega, before it asks for omega
+    hb = h2.half_ball(h2.HPoint(0.0, 1.0), 1.0)
+    h2_point, na_point = h2.HPoint(0.3, 0.9), ht.spoint(HEI1, [0.2, -0.4], [0.5], 1.0)
+    cases = [(h2_grid(), h2_point, members) for members in (fam[:1], dr.CylFamily(HEI1, fam), ["x"], [hb, "x"])]
+    cases += [(na_grid(), na_point, members) for members in ([hb], h2.H2Family.of([hb]), [fam[0], "cylinder"])]
+    for g, x, members in cases:
+        with pytest.raises((ValueError, TypeError)) as want:
+            ms.member_blocks(g, members)
+        for omega in (None, OMEGA_HEI1):
+            for op in (lambda: mx.maximal_field(g, members, omega=omega),
+                       lambda: mx.member_averages(g, members, omega=omega),
+                       lambda: mx.maximal_fn(g, x, members, omega=omega),
+                       lambda: mx.level_set_table(g, members, [0.5], omega=omega)):
+                with pytest.raises(want.type) as got:
+                    op()
+                assert str(got.value) == str(want.value)
+    # an iterator of members is refused, not read as an empty family
+    for op in (lambda m: mx.maximal_field(h2_grid(), m), lambda m: mx.maximal_fn(h2_grid(), h2_point, m),
+               lambda m: mx.level_set_table(h2_grid(), m, [0.5]), lambda m: ms.member_blocks(h2_grid(), m)):
+        with pytest.raises(TypeError):
+            op(iter([hb]))
+    # and maximal_fn refuses a point of the other space, naming the grid's
+    for point in (na_point, NPoint(np.zeros(2), np.zeros(1))):
+        with pytest.raises(ValueError, match="h2 grid"):
+            mx.maximal_fn(h2_grid(), point, [hb])
+    with pytest.raises(ValueError, match="na grid"):
+        mx.maximal_fn(na_grid(), h2_point, fam, omega=OMEGA_HEI1)
 
 
 def materialised_block_mask(g, s, block):
@@ -871,7 +894,7 @@ def test_block_mask_matches_materialised_points(g, data):
         block, _ = ms.membership_mask(g, s)
     else:
         block = tuple(data.draw(axis_slices(n), label=f"axis {k}") for k, n in enumerate(g.shape))
-    got = ms.block_mask(g, s, block)
+    got = dr.CylFamily(g.alg, [s]).block_mask(0, g, block)
     want = materialised_block_mask(g, s, block)
     assert got.shape == want.shape == g.values.reshape(g.shape)[block].shape
     assert np.array_equal(got, want)
@@ -1106,7 +1129,7 @@ def horocycle_cylinder(alg, X, Z, j):
 
 def contained_mask(alg, cyls):
     fam = dr.CylFamily(alg, cyls)
-    return ex._contained_bases(fam, *ms.base_ball_box_batch(fam))
+    return ex._contained_bases(fam, *dr.base_ball_box_batch(fam))
 
 
 @pytest.mark.parametrize("alg", [HEI1, HEI2, AB2], ids=lambda a: a.label)
@@ -1167,7 +1190,7 @@ def test_union_measure_without_nested_centres_makes_no_certificate_translate(alg
         (c.n0.X if alg.p else c.n0.Z)[0] = 1e3 * k
     cols = dr.CylFamily(alg, fam)
     r = cols.base_radius
-    lo, hi = ms.base_ball_box_batch(cols)
+    lo, hi = dr.base_ball_box_batch(cols)
     cent = np.hstack([cols.n0.X, cols.n0.Z])
     in_box = ((cent[None, :, :] > lo[:, None, :]) & (cent[None, :, :] < hi[:, None, :])).all(axis=2)
     assert not (in_box & (r[None, :] < r[:, None])).any()
@@ -1203,7 +1226,7 @@ def test_base_ball_box_holds_every_accepted_point(alg, scale, a0):
     X, Z = ex._probe_points(alg, c, 2000, rng)
     accepted = ht.dist_n_cols(alg, c.n0, X, Z) < c.base_radius
     assert accepted.any()
-    (lo,), (hi,) = ms.base_ball_box_batch(dr.CylFamily(alg, [c]))
+    (lo,), (hi,) = dr.base_ball_box_batch(dr.CylFamily(alg, [c]))
     pts = np.column_stack([*X, *Z])[accepted]
     assert ((pts > lo) & (pts < hi)).all()
 
@@ -1215,7 +1238,7 @@ def test_base_ball_box_batch_rows_match_one_row_calls(alg):
         dr.Cylinder(NPoint(s * rng.standard_normal(alg.p), s * rng.standard_normal(alg.q)), a0, 2.0)
         for s, a0 in zip(10.0 ** rng.uniform(-3, 3, 300), np.exp(rng.uniform(-16, 16, 300)))
     ]
-    lo, hi = ms.base_ball_box_batch(dr.CylFamily(alg, cyls))
+    lo, hi = dr.base_ball_box_batch(dr.CylFamily(alg, cyls))
     for i, c in enumerate(cyls):
-        (lo1,), (hi1,) = ms.base_ball_box_batch(dr.CylFamily(alg, [c]))
+        (lo1,), (hi1,) = dr.base_ball_box_batch(dr.CylFamily(alg, [c]))
         assert np.array_equal(lo[i], lo1) and np.array_equal(hi[i], hi1)

@@ -129,7 +129,7 @@ def _one_shot_union_measure(fam, samples, seed):
     lo, hi = _union_box(fam)
     rows = rng.uniform(lo, hi, (samples, alg.p + alg.q))
     cols, hits = np.ascontiguousarray(rows[np.argsort(rows[:, 0])].T), 0
-    b_lo, b_hi = ms.base_ball_box_batch(fam)
+    b_lo, b_hi = dr.base_ball_box_batch(fam)
     contained = ex._contained_bases(fam, b_lo, b_hi)
     for group in ex._radius_groups(r):
         group = group[~contained[group]]
@@ -366,9 +366,9 @@ def _full_grid_overlap_sums(fam, grid):
     overlap level k, plus one for the union."""
     counts = np.zeros(grid.shape, dtype=np.min_scalar_type(len(fam)))
     lo, hi = ms.member_blocks(grid, fam)
-    for c, c_lo, c_hi in zip(fam, lo.tolist(), hi.tolist()):
+    for i, (c_lo, c_hi) in enumerate(zip(lo.tolist(), hi.tolist())):
         block = tuple(map(slice, c_lo, c_hi))
-        counts[block] += ms.block_mask(grid, c, block)
+        counts[block] += fam.block_mask(i, grid, block)
     counts = counts.reshape(-1, grid.shape[-1])
     weights = np.broadcast_to(grid.height_weights, counts.shape)
     levels = [(k, float(weights[counts == k].sum())) for k in range(1, int(counts.max(initial=0)) + 1)]

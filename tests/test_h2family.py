@@ -218,9 +218,9 @@ def test_kernel_is_the_per_kind_predicate(sets, seed):
         # points on the bottom line y = e^{-R} zy and on the ball circle
         m = h2.boundary_markers(s.center, s.radius)
         for p in (m.p_minus, m.p_plus, m.q_minus, m.q_plus, HPoint(s.center.x, s.center.y * math.exp(-s.radius))):
-            assert fam.contains_point(p.x, p.y).tolist() == [h2.contains(t, p) for t in sets]
+            assert fam.contains(p).tolist() == [h2.contains(t, p) for t in sets]
     for k in range(0, 500, 50):
-        assert fam.contains_point(x[k], y[k]).tolist() == [h2.contains(s, HPoint(x[k], y[k])) for s in sets]
+        assert fam.contains(HPoint(x[k], y[k])).tolist() == [h2.contains(s, HPoint(x[k], y[k])) for s in sets]
 
 
 # ------------------------------------------------------ maximal operators

@@ -292,7 +292,7 @@ def test_dist_below_cols_is_the_distance_verdict_bit_for_bit(alg, data):
     """``dist_below_cols`` equals ``dist_n_cols(...) < r`` bit for bit: with
     one centre or one centre per point, r one scalar or one per point, and
     on block-shaped columns, each coordinate along its own axis as
-    ``measure.block_mask`` passes them.  The radii lie a few units in the
+    ``CylFamily.block_mask`` passes them.  The radii lie a few units in the
     last place from the distances themselves, where the fourth powers
     alone can give another verdict."""
     form = data.draw(st.sampled_from(["one centre", "centre per point", "block"]), label="form")
