@@ -44,11 +44,51 @@ yielded average onto the member's paint region where it beats the value
 there.
 ``maximal_fn`` finds the members that contain the point (the family's
 ``contains``) and takes the first maximum of their ``member_averages``.
+
+Both operators run the member pass through ``_split_pass``, which splits
+it across the usable CPUs (``len(os.sched_getaffinity(0))``).  It cuts the
+members that reach ``cells`` into contiguous chunks in family order, one
+per usable CPU, with about equal block cells (the cells of the members'
+blocks) and at least ``_CHUNK_CELLS`` each.  It runs the first chunk
+itself and forks (``os.fork``) one worker per other chunk; each runs the
+family's unchanged ``cells`` on its chunk.  A worker
+paints its own zeroed field (float64 values, int64 witnesses) on an
+anonymous shared ``mmap``, or writes each average at the member's index of
+one shared table.  The caller merges chunk k into its field only where
+chunk k's value is strictly greater, in chunk order.  That merge is exact:
+each chunk's field holds, at each cell, the first maximum over the chunk's
+members, and strict ``>`` in chunk order keeps the first maximum over
+the chunks, which is the first maximum over the family, the serial field
+bit for bit however the rows are chunked, a boundary inside a centre run
+included (each chunk walks its part of the run as a run of its own, and
+every average and mask has the bits it has in the whole run).  The pass
+stays serial, the same loop in the caller, in three cases: one usable CPU,
+no ``os.fork`` (or no ``os.sched_getaffinity``), and fewer than
+2 x ``_CHUNK_CELLS`` block cells (the constant's comment derives it).
+The errors the serial pass raises (a member of the other space, a cylinder
+family without omega) are raised in the caller before any fork.  Every
+worker leaves through ``os._exit``, and the caller reaps every worker
+before it returns or raises; a worker that fails prints its traceback and
+the caller raises ``RuntimeError``.  Each worker's field is 16 bytes a grid
+cell (80 MB at the CLI's 5,000,000-cell cap), so a pass maps at most
+(usable CPUs - 1) such fields.  On a 2-CPU VM the split took the h2-field
+benchmark's rescaled median request from 0.223 to 0.180 s (-19 %, lower
+in 10 of 10 alternating 30-s runs; raw medians 0.195 and 0.171 s).
+
+Python >= 3.12 warns on ``os.fork`` in a threaded process, and numpy's
+OpenBLAS starts a thread at import; the split silences that warning around
+its fork.  The worker is safe: it only runs the family's ``cells``
+and numpy's elementwise, comparison, sort and sum loops, so it calls no
+BLAS routine and takes no lock that the OpenBLAS thread holds, and it
+writes only its own field or its members' entries of the table.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -132,6 +172,19 @@ def _support_range(nz: np.ndarray) -> tuple:
     return lo, hi
 
 
+def _pass_inputs(grid: SampleGrid, members) -> tuple:
+    """(fam, wv, rows, lo, hi): the family of ``members``, the weighted |f|
+    with the grid's shape, and the members members[idx], idx in ``rows``, in
+    family order, whose blocks [lo, hi) (one row each) meet the index range
+    of supp f."""
+    fam = family_of(grid, members)
+    lo, hi = member_blocks(grid, fam)
+    wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
+    s_lo, s_hi = _support_range(wv != 0)
+    rows = np.flatnonzero((np.maximum(lo, s_lo) < np.minimum(hi, s_hi)).all(axis=1))
+    return fam, wv, rows, lo[rows], hi[rows]
+
+
 def _member_pass(grid: SampleGrid, members, omega: float):
     """(idx, block, mask, average) for each member members[idx] whose
     cells hold part of supp f, in family order; only the members whose
@@ -142,31 +195,14 @@ def _member_pass(grid: SampleGrid, members, omega: float):
     cells for a cylinder, a ball, a half ball or a modified half ball).
     Painting every region with strict ``>`` in family order gives the field
     of painting every member's cells."""
-    fam = family_of(grid, members)
-    lo, hi = member_blocks(grid, fam)
-    wv = (grid.weights * np.abs(grid.values)).reshape(grid.shape)
-    s_lo, s_hi = _support_range(wv != 0)
-    rows = np.flatnonzero((np.maximum(lo, s_lo) < np.minimum(hi, s_hi)).all(axis=1))
-    return fam.cells(grid, wv, rows, lo[rows], hi[rows], omega)
+    fam, wv, rows, lo, hi = _pass_inputs(grid, members)
+    return fam.cells(grid, wv, rows, lo, hi, omega)
 
 
-def member_averages(grid: SampleGrid, members, omega: float = None) -> np.ndarray:
-    """One grid average of |f| per member of ``members``, in family order;
-    0.0 for a member that holds no cell of supp f.  Cylinder families need
-    ``omega``."""
-    out = np.zeros(len(members))
-    for idx, _, _, avg in _member_pass(grid, members, omega):
-        out[idx] = avg
-    return out
-
-
-def maximal_field(grid: SampleGrid, members, omega: float = None) -> MaxField:
-    """Operator values at every grid point over the family ``members`` (an
-    ``H2Family``, a ``CylFamily`` or a list of either's members); ties keep
-    the earliest member.  Cylinder families need ``omega``."""
-    out = np.zeros(grid.shape)
-    widx = np.full(grid.shape, -1, dtype=np.int64)
-    for idx, block, mask, avg in _member_pass(grid, members, omega):
+def _paint(items, out: np.ndarray, widx: np.ndarray) -> None:
+    """Paint each yielded average onto its paint region where it beats the
+    value there, recording the member's index."""
+    for idx, block, mask, avg in items:
         if block is None:
             continue
         out_b = out[block]
@@ -175,7 +211,156 @@ def maximal_field(grid: SampleGrid, members, omega: float = None) -> MaxField:
             better &= mask
         out_b[better] = avg
         widx[block][better] = idx
-    return MaxField(out.reshape(grid.size), widx.reshape(grid.size), members)
+
+
+def _tabulate(items, out: np.ndarray) -> None:
+    """Write each yielded average at its member's index."""
+    for idx, _, _, avg in items:
+        out[idx] = avg
+
+
+# The fewest block cells a chunk of the split pass holds, so that its worker
+# pays for itself.  Forking a worker for an empty chunk and reaping it cost
+# the caller about 3.5 ms (a 2-CPU x86-64 VM, in processes of 53 and 133 MB
+# RSS).  Half balls and trigona take 4-10 ns a block cell serially, and the
+# 2-way splits of the h2-field passes ran in about 0.75 of the serial time,
+# so a worker saves about half of its chunk's serial time, 0.5 x 7 ns x N
+# for N cells: more than 3.5 ms from N = 1,000,000.  So a pass of fewer
+# than 2,000,000 block cells runs serially: the README's `maxfn --family
+# half_ball` (555,142) does, the h2-field passes (4.7-17.2 M) and the
+# README's `levelset` (6.8 M) split.  Admissible rectangles take about
+# 1 ns a block cell, since only the rows above their cut are read, and their
+# h2-field pass splits at about break-even.
+_CHUNK_CELLS = 1_000_000
+
+
+def _chunk_count(cells: int) -> int:
+    """How many chunks a pass over ``cells`` block cells runs in: one per
+    usable CPU, each of at least ``_CHUNK_CELLS`` cells, and 1 where
+    ``os.fork`` or ``os.sched_getaffinity`` is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), cells // _CHUNK_CELLS))
+
+
+def _cuts(cells: np.ndarray, n: int) -> list:
+    """[0, c_1, ..., c_{n-1}, len(cells)]: chunk k is the rows
+    [c_k, c_{k+1}), and it ends where the running sum of ``cells`` first
+    reaches (k + 1) / n of the total."""
+    run = np.cumsum(cells)
+    total = int(run[-1]) if run.size else 0
+    return [0, *np.searchsorted(run, total * np.arange(1, n) / n).tolist(), cells.size]
+
+
+def _shared(shape, dtype) -> np.ndarray:
+    """A zeroed array on an anonymous shared mapping, which forked workers
+    write and the caller reads; the mapping lives as long as the array.  A
+    worker's field is 16 bytes a grid cell (80 MB at the CLI's
+    5,000,000-cell cap), of which only the pages it paints are written."""
+    n = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, max(1, n) * np.dtype(dtype).itemsize), dtype, n).reshape(shape)
+
+
+def _split_pass(grid: SampleGrid, members, omega: float, field: bool, chunks: int = None):
+    """The member pass in ``chunks`` contiguous chunks of the rows of
+    ``_pass_inputs`` (by default ``_chunk_count`` of their block cells),
+    balanced by block cells: (values, witness_idx) with the grid's shape
+    when ``field``, else one average per member.
+
+    Chunk 0 runs here, every other chunk in a forked worker, each through
+    the family's ``cells``.  A field chunk paints its own field; the caller
+    merges chunk k into its own where chunk k's value is strictly greater,
+    in chunk order, which gives the serial field bit for bit.  A table
+    chunk writes each average at the member's index of one shared table."""
+    fam, wv, rows, lo, hi = _pass_inputs(grid, members)
+    cells = np.prod(hi - lo, axis=1)
+    n = _chunk_count(int(cells.sum())) if chunks is None else chunks
+    cut = _cuts(cells, n)
+    sink = _paint if field else _tabulate
+
+    def chunk(k, out):
+        sl = slice(cut[k], cut[k + 1])
+        sink(fam.cells(grid, wv, rows[sl], lo[sl], hi[sl], omega), *out)
+
+    if field:
+        outs = [(np.zeros(grid.shape), np.full(grid.shape, -1, dtype=np.int64))]
+        outs += [(_shared(grid.shape, np.float64), _shared(grid.shape, np.int64)) for _ in range(1, n)]
+    else:
+        outs = [(_shared(len(fam), np.float64) if n > 1 else np.zeros(len(fam)),)] * n
+    if n == 1:
+        chunk(0, outs[0])
+    else:
+        # the errors every pass raises (a cylinder family without omega)
+        # come from a pass over no member, here, before any fork
+        for _ in fam.cells(grid, wv, rows[:0], lo[:0], hi[:0], omega):
+            pass
+        _forked(chunk, outs)
+    if not field:
+        return np.array(outs[0][0])
+    values, witness = outs[0]
+    for v, w in outs[1:]:
+        better = v > values
+        values[better] = v[better]
+        witness[better] = w[better]
+    return values, witness
+
+
+def _forked(chunk, outs: list) -> None:
+    """chunk(k, outs[k]) for every k: k >= 1 in one forked worker each, 0
+    here.  Returns once every worker has exited 0, and raises
+    ``RuntimeError`` otherwise; every worker is reaped before it returns or
+    raises."""
+    pids = []
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on a fork in a threaded process; the
+            # worker is safe (see the module docstring)
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
+            for k in range(1, len(outs)):
+                pid = os.fork()
+                if pid == 0:
+                    _worker(chunk, k, outs[k])
+                pids.append(pid)
+        chunk(0, outs[0])
+        while pids:
+            _, status = os.waitpid(pids[0], 0)
+            pids.pop(0)
+            if status:
+                raise RuntimeError(f"a member-pass worker failed (exit code {os.waitstatus_to_exitcode(status)})")
+    finally:
+        # after a failure here, the workers finish their chunks and are reaped
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _worker(chunk, k: int, out) -> None:
+    """Run chunk k in a forked worker and leave through ``os._exit``: 0 on
+    success, 1 after printing the traceback of any exception."""
+    code = 1
+    try:
+        chunk(k, out)
+        code = 0
+    except BaseException:
+        import traceback  # only a failing worker needs it
+
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def member_averages(grid: SampleGrid, members, omega: float = None) -> np.ndarray:
+    """One grid average of |f| per member of ``members``, in family order;
+    0.0 for a member that holds no cell of supp f.  Cylinder families need
+    ``omega``."""
+    return _split_pass(grid, members, omega, field=False)
+
+
+def maximal_field(grid: SampleGrid, members, omega: float = None) -> MaxField:
+    """Operator values at every grid point over the family ``members`` (an
+    ``H2Family``, a ``CylFamily`` or a list of either's members); ties keep
+    the earliest member.  Cylinder families need ``omega``."""
+    values, witness = _split_pass(grid, members, omega, field=True)
+    return MaxField(values.reshape(grid.size), witness.reshape(grid.size), members)
 
 
 def maximal_fn(grid: SampleGrid, x, members, omega: float = None) -> MaxResult:

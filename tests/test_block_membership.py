@@ -3,6 +3,7 @@ the bits the full-grid (resp. all-samples) evaluation gives."""
 
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -564,7 +565,7 @@ def test_members_off_the_support_are_never_masked(kind, monkeypatch):
     if kind.endswith("cylinder"):
         # a cylinder reaches the mask as the member object itself
         spy(dr, "cylinder_contains_batch", lambda a: id(a[1]))
-        mx.maximal_field(g, fam, omega=omega)
+        list(mx._member_pass(g, fam, omega))
         assert seen["cylinder_contains_batch"] == [id(s) for s in on_support]
         return
     cut = ("trigonon", "rectangle", "admissible_rectangle")
@@ -595,7 +596,7 @@ def test_members_off_the_support_are_never_masked(kind, monkeypatch):
     spy(h2, "centre_terms", lambda a: tuple(a[:3]))
     spy(h2, "radius_test", lambda a: h2_key((a[0], *a[2:7])))
     spy(h2, "cut_height", lambda a: (list(h2_key(a[0].tolist())), a[1].tolist()))
-    mx.maximal_field(g, fam)
+    list(mx._member_pass(g, fam, omega))
     assert seen["mask"] == []
     # the centre terms run once per run, and only for runs of members that
     # meet the support
@@ -839,6 +840,153 @@ def test_member_blocks_reject_foreign_descriptors():
             mx.maximal_fn(h2_grid(), point, [hb])
     with pytest.raises(ValueError, match="na grid"):
         mx.maximal_fn(na_grid(), h2_point, fam, omega=OMEGA_HEI1)
+
+
+# ------------------------------------------------------- the split member pass
+
+def serial_field(g, fam, omega=None):
+    """The serial member pass painted as ``maximal_field`` paints it."""
+    values, widx = np.zeros(g.shape), np.full(g.shape, -1, dtype=np.int64)
+    mx._paint(mx._member_pass(g, fam, omega), values, widx)
+    return values, widx
+
+
+def serial_averages(g, fam, omega=None):
+    out = np.zeros(len(fam))
+    for idx, _, _, avg in mx._member_pass(g, fam, omega):
+        out[idx] = avg
+    return out
+
+
+def split_case(case):
+    """(grid, members, omega) of a case of the split tests: an h2 kind's
+    lattice or a cylinder family followed by its own copy (so every member
+    of the copy ties an earlier one), or an adversarial family."""
+    if case in H2_KINDS:
+        g = h2_grid()
+        return g, list(h2_family(g, case)) * 2, None
+    if case.endswith("cylinder"):
+        return na_grid(), cylinder_family(case) * 2, OMEGA_HEI1
+    g = h2_grid()
+    return g, adversarial_families(g)[case], None
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("chunks", [2, 3])
+@pytest.mark.parametrize("case", H2_KINDS + ["admissible_cylinder", "cylinder", "split_centre", "radii_order",
+                                             "mixed_kinds", "runs_of_one", "empty_suffix", "window_edge", "cut_ties"])
+def test_split_pass_is_bit_identical_to_the_serial_pass(case, chunks):
+    g, fam, omega = split_case(case)
+    values, widx = mx._split_pass(g, fam, omega, True, chunks)
+    want_values, want_widx = serial_field(g, fam, omega)
+    assert values.tobytes() == want_values.tobytes()
+    assert widx.tobytes() == want_widx.tobytes()
+    assert (widx >= 0).any()
+    avg = mx._split_pass(g, fam, omega, False, chunks)
+    assert avg.tobytes() == serial_averages(g, fam, omega).tobytes()
+    # below the split size the operators run the serial pass
+    assert mx.maximal_field(g, fam, omega).values.tobytes() == want_values.reshape(-1).tobytes()
+    assert mx.member_averages(g, fam, omega).tobytes() == avg.tobytes()
+    assert_no_child()
+    if case == "cut_ties" and chunks == 3:
+        # a chunk boundary falls between two members of one centre run
+        sub, _, rows, lo, hi = mx._pass_inputs(g, fam)
+        keys = [(sub[int(r)].kind, sub[int(r)].center, int(a), int(b)) for r, a, b in zip(rows, lo[:, 0], hi[:, 0])]
+        cuts = mx._cuts(np.prod(hi - lo, axis=1), chunks)[1:-1]
+        assert any(keys[k - 1] == keys[k] for k in cuts)
+
+
+def large_h2_case():
+    """An h2-field request's grid and half-ball lattice: enough block cells
+    for the operators to split the pass wherever more than one CPU is
+    usable."""
+    g = ms.build_grid("h2", (-4.0, 4.0, -2.0, 2.0), (256, 128))
+    g.set_values(lambda x, y: h2.contains_mask(h2.ball(h2.HPoint(0.4, 1.2), 1.1), x, y).astype(float))
+    return g, mx.h2_lattice("half_ball", mx.grid_centers(g, 24), mx.radius_ladder(1.0, 4))
+
+
+def test_split_operators_reap_every_worker(monkeypatch):
+    g, fam = large_h2_case()
+    _, _, _, lo, hi = mx._pass_inputs(g, fam)
+    chunks = mx._chunk_count(int(np.prod(hi - lo, axis=1).sum()))
+    assert chunks > 1 or len(os.sched_getaffinity(0)) == 1
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    fld = mx.maximal_field(g, fam)
+    assert_no_child()
+    avg = mx.member_averages(g, fam)
+    assert_no_child()
+    assert len(forks) == 2 * (chunks - 1)
+    values, widx = serial_field(g, fam)
+    assert fld.values.tobytes() == values.reshape(-1).tobytes()
+    assert fld.witness_idx.tobytes() == widx.reshape(-1).tobytes()
+    assert avg.tobytes() == serial_averages(g, fam).tobytes()
+
+
+def test_a_failing_chunk_raises_in_the_caller_and_every_worker_is_reaped(monkeypatch, capfd):
+    g = h2_grid()
+    fam = h2_family(g, "half_ball")
+    caller = os.getpid()
+    numerator = h2._numerator
+
+    def fail(where):
+        def spy(*a):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise ZeroDivisionError(f"in the {where}")
+            return numerator(*a)
+        return spy
+
+    monkeypatch.setattr(h2, "_numerator", fail("worker"))
+    for field in (True, False):
+        with pytest.raises(RuntimeError, match="member-pass worker failed"):
+            mx._split_pass(g, fam, None, field, 3)
+        assert_no_child()
+    # the worker prints its own traceback
+    assert "ZeroDivisionError: in the worker" in capfd.readouterr().err
+    monkeypatch.setattr(h2, "_numerator", fail("caller"))
+    with pytest.raises(ZeroDivisionError, match="in the caller"):
+        mx._split_pass(g, fam, None, True, 3)
+    assert_no_child()
+
+
+def test_split_pass_raises_the_serial_errors_before_any_fork(monkeypatch):
+    # the refusals of test_member_blocks_reject_foreign_descriptors, each
+    # after a family of its grid large enough to split, with and without
+    # omega, and a large cylinder family without omega
+    g, big = large_h2_case()
+    na = na_grid()
+    cyl = cylinder_family("cylinder")
+    many = cyl * 64
+    for grid, fam in ((g, big), (na, many)):
+        _, _, _, lo, hi = mx._pass_inputs(grid, fam)
+        assert int(np.prod(hi - lo, axis=1).sum()) >= 2 * mx._CHUNK_CELLS
+    hb = h2.half_ball(h2.HPoint(0.0, 1.0), 1.0)
+    cases = [(g, list(big) + tail) for tail in (cyl[:1], ["x"], [hb, "x"])] + [(g, dr.CylFamily(HEI1, many))]
+    cases += [(na, many + tail) for tail in ([hb], [cyl[0], "cylinder"])] + [(na, big)]
+    cases = [(grid, members, omega) for grid, members in cases for omega in (None, OMEGA_HEI1)]
+    cases += [(na, many, None), (na, dr.CylFamily(HEI1, many), None)]
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for grid, members, omega in cases:
+        with pytest.raises((ValueError, TypeError)) as want:
+            list(mx._member_pass(grid, members, omega))
+        for op in (lambda: mx.maximal_field(grid, members, omega=omega),
+                   lambda: mx.member_averages(grid, members, omega=omega),
+                   lambda: mx.level_set_table(grid, members, [0.5], omega=omega),
+                   lambda: mx._split_pass(grid, members, omega, True, 2),
+                   lambda: mx._split_pass(grid, members, omega, False, 3)):
+            with pytest.raises(want.type) as got:
+                op()
+            assert str(got.value) == str(want.value)
+    assert_no_child()
 
 
 def materialised_block_mask(g, s, block):
