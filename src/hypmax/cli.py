@@ -69,6 +69,15 @@ class UsageError(ValueError):
     """Invalid command-line or config input; exit status 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose refusals (an unknown flag or subcommand, a
+    flag value of the wrong type) raise ``UsageError``, so that ``main``
+    prints them as one line, instead of the usage block and exit."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 # the most cells of any grid a subcommand builds, checked before anything is
 # allocated.  The overlap grid has 10^p 12^q 36 cells and stores 8 bytes per
 # cell (its values; the cell weights are one factor per height); the whole
@@ -601,7 +610,7 @@ def _meta(cfg) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hypmax",
         description="Numerical experiments for half-ball maximal operators "
         "on the hyperbolic half-plane and NA group backends.",

@@ -19,20 +19,20 @@ the space: its boxes (``boxes``, spanned by ``measure.member_blocks``), its
 block masks (``block_mask``), its cells and averages (``cells``) and its
 point test (``contains``), so nothing here tests the space.
 
-Both operators read one member pass, ``_member_pass``: it yields
-(idx, block, mask, average) for each member whose cells hold part of
-supp f, in family order, where (block, mask) is the member's paint region,
-or (None, None) when it is empty.  A block is the axis-aligned sub-block
-of the tensor grid outside which the member holds no point.  Only the
-members whose block meets the index range of supp f reach ``cells``;
-skipping the others is exact, since their average is exactly 0.0.  A
-cylinder, ball, half ball or modified half ball paints all of its cells.
-``H2Family.cells`` walks half-plane members in centre runs, evaluating
-the radius-free terms of the predicate once per centre, and a trigonon or
-rectangle run sums each distinct row range once and paints each member
-only on the rows no better run-mate holds (``hyp2._suffix_run``); the
-field gets the values and witnesses of every member painting all of its
-cells, bit for bit.
+Both operators read one member pass, the family's ``cells`` over the
+members whose block meets the index range of supp f (``_pass_inputs``): it
+yields (idx, block, mask, average) for each of them whose cells hold part
+of supp f, in family order, where (block, mask) is the member's paint
+region, or (None, None) when it is empty.  A block is the axis-aligned
+sub-block of the tensor grid outside which the member holds no point;
+skipping the members whose block misses supp f is exact, since their
+average is exactly 0.0.  A cylinder, ball, half ball or modified half ball
+paints all of its cells.  ``H2Family.cells`` walks half-plane members in
+centre runs, evaluating the radius-free terms of the predicate once per
+centre, and a trigonon or rectangle run sums each distinct row range once
+and paints each member only on the rows no better run-mate holds
+(``hyp2._suffix_run``); the field gets the values and witnesses of every
+member painting all of its cells, bit for bit.
 
 The constants of ``operator_compare`` (``comparison_constants``) are
 closed forms in the areas of ``hyp2``: each ratio decreases in R, so
@@ -45,35 +45,36 @@ there.
 ``maximal_fn`` finds the members that contain the point (the family's
 ``contains``) and takes the first maximum of their ``member_averages``.
 
-Both operators run the member pass through ``_split_pass``, which splits
-it across the usable CPUs (``len(os.sched_getaffinity(0))``).  It cuts the
-members that reach ``cells`` into contiguous chunks in family order, one
-per usable CPU, with about equal block cells (the cells of the members'
-blocks) and at least ``_CHUNK_CELLS`` each.  It runs the first chunk
-itself and forks (``os.fork``) one worker per other chunk; each runs the
-family's unchanged ``cells`` on its chunk.  A worker
-paints its own zeroed field (float64 values, int64 witnesses) on an
-anonymous shared ``mmap``, or writes each average at the member's index of
-one shared table.  The caller merges chunk k into its field only where
-chunk k's value is strictly greater, in chunk order.  That merge is exact:
-each chunk's field holds, at each cell, the first maximum over the chunk's
-members, and strict ``>`` in chunk order keeps the first maximum over
-the chunks, which is the first maximum over the family, the serial field
-bit for bit however the rows are chunked, a boundary inside a centre run
-included (each chunk walks its part of the run as a run of its own, and
-every average and mask has the bits it has in the whole run).  The pass
-stays serial, the same loop in the caller, in three cases: one usable CPU,
-no ``os.fork`` (or no ``os.sched_getaffinity``), and fewer than
-2 x ``_CHUNK_CELLS`` block cells (the constant's comment derives it).
-The errors the serial pass raises (a member of the other space, a cylinder
-family without omega) are raised in the caller before any fork.  Every
-worker leaves through ``os._exit``, and the caller reaps every worker
-before it returns or raises; a worker that fails prints its traceback and
-the caller raises ``RuntimeError``.  Each worker's field is 16 bytes a grid
-cell (80 MB at the CLI's 5,000,000-cell cap), so a pass maps at most
-(usable CPUs - 1) such fields.  On a 2-CPU VM the split took the h2-field
-benchmark's rescaled median request from 0.223 to 0.180 s (-19 %, lower
-in 10 of 10 alternating 30-s runs; raw medians 0.195 and 0.171 s).
+Both operators run the member pass through one function, ``_split_pass``.
+It cuts the members that reach ``cells`` into contiguous chunks in family
+order, with about equal block cells (the cells of the members' blocks):
+``_chunk_count`` chunks, one per usable CPU (``os.sched_getaffinity``),
+each of at least ``_CHUNK_CELLS`` block cells (its comment derives the
+constant).  So the pass is one chunk, the serial pass, in three cases:
+one usable CPU, no ``os.fork`` (or no ``os.sched_getaffinity``), and fewer
+than 2 x ``_CHUNK_CELLS`` block cells.  The errors of the pass (a member of
+the other space, a cylinder family without omega) are raised in the caller
+before any fork.  The caller runs chunk 0 and forks one worker per other
+chunk; a chunk whose fork raises (out of processes or memory) runs in the
+caller too.  Each chunk runs the family's unchanged ``cells`` on its
+members.  For a field, chunk 0 paints the caller's field and every other
+chunk its own zeroed field (float64 values, int64 witnesses, 16 bytes a
+grid cell, so 80 MB at the CLI's 5,000,000-cell cap) on an anonymous
+shared ``mmap``; for a table, every chunk writes each average at its
+member's index of one shared table.  The caller merges chunk k into its
+field only where chunk k's value is strictly greater, in chunk order.
+That merge is exact: each chunk's field holds, at each cell, the first
+maximum over the chunk's members, and strict ``>`` in chunk order keeps
+the first maximum over the chunks, which is the first maximum over the
+family, the serial field bit for bit however the rows are chunked, a
+boundary inside a centre run included (each chunk walks its part of the
+run as a run of its own, and every average and mask has the bits it has
+in the whole run).  Every worker leaves through ``os._exit``, and the
+caller reaps every worker before it returns or raises; a worker that fails
+prints its traceback and the caller raises ``RuntimeError``.  On a 2-CPU
+VM the split took the h2-field benchmark's rescaled median request from
+0.223 to 0.180 s (-19 %, lower in 10 of 10 alternating 30-s runs; raw
+medians 0.195 and 0.171 s).
 
 Python >= 3.12 warns on ``os.fork`` in a threaded process, and numpy's
 OpenBLAS starts a thread at import; the split silences that warning around
@@ -185,20 +186,6 @@ def _pass_inputs(grid: SampleGrid, members) -> tuple:
     return fam, wv, rows, lo[rows], hi[rows]
 
 
-def _member_pass(grid: SampleGrid, members, omega: float):
-    """(idx, block, mask, average) for each member members[idx] whose
-    cells hold part of supp f, in family order; only the members whose
-    block meets the index range of supp f reach the family's ``cells``.
-    (block, mask) is the member's paint region, or (None, None) when it is
-    empty: the member's cells that no member of its centre run with a
-    higher average, or an equal one earlier in the family, holds (all of its
-    cells for a cylinder, a ball, a half ball or a modified half ball).
-    Painting every region with strict ``>`` in family order gives the field
-    of painting every member's cells."""
-    fam, wv, rows, lo, hi = _pass_inputs(grid, members)
-    return fam.cells(grid, wv, rows, lo, hi, omega)
-
-
 def _paint(items, out: np.ndarray, widx: np.ndarray) -> None:
     """Paint each yielded average onto its paint region where it beats the
     value there, recording the member's index."""
@@ -219,18 +206,17 @@ def _tabulate(items, out: np.ndarray) -> None:
         out[idx] = avg
 
 
-# The fewest block cells a chunk of the split pass holds, so that its worker
-# pays for itself.  Forking a worker for an empty chunk and reaping it cost
-# the caller about 3.5 ms (a 2-CPU x86-64 VM, in processes of 53 and 133 MB
-# RSS).  Half balls and trigona take 4-10 ns a block cell serially, and the
-# 2-way splits of the h2-field passes ran in about 0.75 of the serial time,
-# so a worker saves about half of its chunk's serial time, 0.5 x 7 ns x N
-# for N cells: more than 3.5 ms from N = 1,000,000.  So a pass of fewer
-# than 2,000,000 block cells runs serially: the README's `maxfn --family
-# half_ball` (555,142) does, the h2-field passes (4.7-17.2 M) and the
-# README's `levelset` (6.8 M) split.  Admissible rectangles take about
-# 1 ns a block cell, since only the rows above their cut are read, and their
-# h2-field pass splits at about break-even.
+# The fewest block cells a chunk holds, so that its worker pays for itself.
+# Forking a worker for an empty chunk and reaping it cost the caller about
+# 3.5 ms (a 2-CPU x86-64 VM, in processes of 53 and 133 MB RSS).  Half
+# balls and trigona take 4-10 ns a block cell serially, and the 2-way
+# splits of the h2-field passes ran in about 0.75 of the serial time, so a
+# worker saves about half of its chunk's serial time, 0.5 x 7 ns x N for N
+# cells: more than 3.5 ms from N = 1,000,000.  The README's `maxfn --family
+# half_ball` (555,142 block cells) runs as one chunk; the h2-field passes
+# (4.7-17.2 M) and the README's `levelset` (6.8 M) split.  Admissible
+# rectangles take about 1 ns a block cell, since only the rows above their
+# cut are read, and their h2-field pass splits at about break-even.
 _CHUNK_CELLS = 1_000_000
 
 
@@ -254,47 +240,35 @@ def _cuts(cells: np.ndarray, n: int) -> list:
 
 def _shared(shape, dtype) -> np.ndarray:
     """A zeroed array on an anonymous shared mapping, which forked workers
-    write and the caller reads; the mapping lives as long as the array.  A
-    worker's field is 16 bytes a grid cell (80 MB at the CLI's
-    5,000,000-cell cap), of which only the pages it paints are written."""
+    write and the caller reads; the mapping lives as long as the array."""
     n = int(np.prod(shape))
     return np.frombuffer(mmap.mmap(-1, max(1, n) * np.dtype(dtype).itemsize), dtype, n).reshape(shape)
 
 
-def _split_pass(grid: SampleGrid, members, omega: float, field: bool, chunks: int = None):
-    """The member pass in ``chunks`` contiguous chunks of the rows of
-    ``_pass_inputs`` (by default ``_chunk_count`` of their block cells),
-    balanced by block cells: (values, witness_idx) with the grid's shape
-    when ``field``, else one average per member.
-
-    Chunk 0 runs here, every other chunk in a forked worker, each through
-    the family's ``cells``.  A field chunk paints its own field; the caller
-    merges chunk k into its own where chunk k's value is strictly greater,
-    in chunk order, which gives the serial field bit for bit.  A table
-    chunk writes each average at the member's index of one shared table."""
+def _split_pass(grid: SampleGrid, members, omega: float, field: bool):
+    """The member pass in ``_chunk_count`` chunks of the rows of
+    ``_pass_inputs``, balanced by block cells (see the module docstring):
+    (values, witness_idx) with the grid's shape when ``field``, else one
+    average per member."""
     fam, wv, rows, lo, hi = _pass_inputs(grid, members)
     cells = np.prod(hi - lo, axis=1)
-    n = _chunk_count(int(cells.sum())) if chunks is None else chunks
+    n = _chunk_count(int(cells.sum()))
     cut = _cuts(cells, n)
     sink = _paint if field else _tabulate
-
-    def chunk(k, out):
-        sl = slice(cut[k], cut[k + 1])
-        sink(fam.cells(grid, wv, rows[sl], lo[sl], hi[sl], omega), *out)
-
     if field:
         outs = [(np.zeros(grid.shape), np.full(grid.shape, -1, dtype=np.int64))]
         outs += [(_shared(grid.shape, np.float64), _shared(grid.shape, np.int64)) for _ in range(1, n)]
     else:
-        outs = [(_shared(len(fam), np.float64) if n > 1 else np.zeros(len(fam)),)] * n
-    if n == 1:
-        chunk(0, outs[0])
-    else:
-        # the errors every pass raises (a cylinder family without omega)
-        # come from a pass over no member, here, before any fork
-        for _ in fam.cells(grid, wv, rows[:0], lo[:0], hi[:0], omega):
-            pass
-        _forked(chunk, outs)
+        outs = [(_shared(len(fam), np.float64),)] * n
+
+    def chunk(k):
+        sl = slice(cut[k], cut[k + 1])
+        sink(fam.cells(grid, wv, rows[sl], lo[sl], hi[sl], omega), *outs[k])
+
+    # the errors every pass raises (a cylinder family without omega) come
+    # from a pass over no member, here, before any fork
+    list(fam.cells(grid, wv, rows[:0], lo[:0], hi[:0], omega))
+    _forked(chunk, n)
     if not field:
         return np.array(outs[0][0])
     values, witness = outs[0]
@@ -305,47 +279,41 @@ def _split_pass(grid: SampleGrid, members, omega: float, field: bool, chunks: in
     return values, witness
 
 
-def _forked(chunk, outs: list) -> None:
-    """chunk(k, outs[k]) for every k: k >= 1 in one forked worker each, 0
-    here.  Returns once every worker has exited 0, and raises
-    ``RuntimeError`` otherwise; every worker is reaped before it returns or
-    raises."""
+def _forked(chunk, n: int) -> None:
+    """chunk(k) for k = 0..n-1: chunk 0 here, every other chunk in a forked
+    worker, or here as well where ``os.fork`` raises.  A worker leaves
+    through ``os._exit``: 0 on success, 1 after printing the traceback of
+    any exception.  Every worker is reaped before this returns or raises,
+    and a worker that did not exit 0 raises ``RuntimeError``."""
     pids = []
     try:
         with warnings.catch_warnings():
             # Python >= 3.12 warns on a fork in a threaded process; the
             # worker is safe (see the module docstring)
             warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
-            for k in range(1, len(outs)):
-                pid = os.fork()
+            for k in range(1, n):
+                try:
+                    pid = os.fork()
+                except OSError:  # out of processes or memory
+                    chunk(k)
+                    continue
                 if pid == 0:
-                    _worker(chunk, k, outs[k])
+                    try:
+                        chunk(k)
+                        os._exit(0)
+                    except BaseException:
+                        import traceback  # only a failing worker needs it
+
+                        traceback.print_exc()
+                    finally:
+                        os._exit(1)
                 pids.append(pid)
-        chunk(0, outs[0])
-        while pids:
-            _, status = os.waitpid(pids[0], 0)
-            pids.pop(0)
-            if status:
-                raise RuntimeError(f"a member-pass worker failed (exit code {os.waitstatus_to_exitcode(status)})")
+        chunk(0)
     finally:
         # after a failure here, the workers finish their chunks and are reaped
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _worker(chunk, k: int, out) -> None:
-    """Run chunk k in a forked worker and leave through ``os._exit``: 0 on
-    success, 1 after printing the traceback of any exception."""
-    code = 1
-    try:
-        chunk(k, out)
-        code = 0
-    except BaseException:
-        import traceback  # only a failing worker needs it
-
-        traceback.print_exc()
-    finally:
-        os._exit(code)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise RuntimeError(f"a member-pass worker failed (worker exit codes {codes})")
 
 
 def member_averages(grid: SampleGrid, members, omega: float = None) -> np.ndarray:
@@ -470,9 +438,7 @@ def operator_compare(grid: SampleGrid, ladder_steps: int = 4, max_per_axis: int 
 
     def worst_ratio(lhs, rhs):
         pos = rhs > 0
-        if not pos.any():
-            return 0.0
-        return float((lhs[pos] / rhs[pos]).max())
+        return float((lhs[pos] / rhs[pos]).max(initial=0.0))
 
     r1 = worst_ratio(nb, nt)
     r2 = worst_ratio(nt_sub, nb)

@@ -1,6 +1,7 @@
 """Block membership against brute force: every restricted kernel must give
 the bits the full-grid (resp. all-samples) evaluation gives."""
 
+import errno
 import itertools
 import math
 import os
@@ -512,6 +513,14 @@ def test_maximal_fn_small_support_matches_full_grid(kind, case):
     assert zero_members_met > 0
 
 
+def member_pass(g, members, omega=None):
+    """The member pass as one generator: the family's ``cells`` over the
+    members of ``maxop._pass_inputs``, as every chunk of ``maxop._split_pass``
+    runs it; it yields (idx, block, mask, average) in family order."""
+    fam, wv, rows, lo, hi = mx._pass_inputs(g, members)
+    return fam.cells(g, wv, rows, lo, hi, omega)
+
+
 def misses_support(g, lo, hi):
     """Per member: its block and the index box of supp f are disjoint."""
     idx = np.nonzero((g.weights * np.abs(g.values)).reshape(g.shape))
@@ -565,7 +574,7 @@ def test_members_off_the_support_are_never_masked(kind, monkeypatch):
     if kind.endswith("cylinder"):
         # a cylinder reaches the mask as the member object itself
         spy(dr, "cylinder_contains_batch", lambda a: id(a[1]))
-        list(mx._member_pass(g, fam, omega))
+        list(member_pass(g, fam, omega))
         assert seen["cylinder_contains_batch"] == [id(s) for s in on_support]
         return
     cut = ("trigonon", "rectangle", "admissible_rectangle")
@@ -596,7 +605,7 @@ def test_members_off_the_support_are_never_masked(kind, monkeypatch):
     spy(h2, "centre_terms", lambda a: tuple(a[:3]))
     spy(h2, "radius_test", lambda a: h2_key((a[0], *a[2:7])))
     spy(h2, "cut_height", lambda a: (list(h2_key(a[0].tolist())), a[1].tolist()))
-    list(mx._member_pass(g, fam, omega))
+    list(member_pass(g, fam, omega))
     assert seen["mask"] == []
     # the centre terms run once per run, and only for runs of members that
     # meet the support
@@ -699,7 +708,7 @@ def test_cut_runs_sum_each_row_range_once_and_paint_disjoint_regions(support, mo
     calls = []
     numerator = h2._numerator
     monkeypatch.setattr(h2, "_numerator", lambda *a: calls.append(a[1]) or numerator(*a))
-    yields = list(mx._member_pass(g, fam, None))
+    yields = list(member_pass(g, fam))
     assert len(calls) < len(fam)
     # a member beaten on all of its rows paints nothing (members 0 and 2 are
     # equal, and the first wins), one beaten on its upper rows paints its
@@ -845,15 +854,15 @@ def test_member_blocks_reject_foreign_descriptors():
 # ------------------------------------------------------- the split member pass
 
 def serial_field(g, fam, omega=None):
-    """The serial member pass painted as ``maximal_field`` paints it."""
+    """The member pass painted in one go, as one chunk paints it."""
     values, widx = np.zeros(g.shape), np.full(g.shape, -1, dtype=np.int64)
-    mx._paint(mx._member_pass(g, fam, omega), values, widx)
+    mx._paint(member_pass(g, fam, omega), values, widx)
     return values, widx
 
 
 def serial_averages(g, fam, omega=None):
     out = np.zeros(len(fam))
-    for idx, _, _, avg in mx._member_pass(g, fam, omega):
+    for idx, _, _, avg in member_pass(g, fam, omega):
         out[idx] = avg
     return out
 
@@ -876,21 +885,51 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def in_chunks(monkeypatch, chunks, op, *args):
+    """op(*args) with every member pass forced into ``chunks`` chunks,
+    whatever its size."""
+    with monkeypatch.context() as m:
+        m.setattr(mx, "_chunk_count", lambda cells: chunks)
+        return op(*args)
+
+
+def counted_forks(monkeypatch, fails=()):
+    """Count the calls of ``os.fork``; the calls numbered in ``fails`` (from
+    1) raise as a fork does when processes run out.  Returns the list of
+    calls, which the caller may clear."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        if len(calls) in fails:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
 @pytest.mark.parametrize("chunks", [2, 3])
 @pytest.mark.parametrize("case", H2_KINDS + ["admissible_cylinder", "cylinder", "split_centre", "radii_order",
                                              "mixed_kinds", "runs_of_one", "empty_suffix", "window_edge", "cut_ties"])
-def test_split_pass_is_bit_identical_to_the_serial_pass(case, chunks):
+def test_split_pass_is_bit_identical_to_the_serial_pass(case, chunks, monkeypatch):
     g, fam, omega = split_case(case)
-    values, widx = mx._split_pass(g, fam, omega, True, chunks)
     want_values, want_widx = serial_field(g, fam, omega)
-    assert values.tobytes() == want_values.tobytes()
-    assert widx.tobytes() == want_widx.tobytes()
-    assert (widx >= 0).any()
-    avg = mx._split_pass(g, fam, omega, False, chunks)
-    assert avg.tobytes() == serial_averages(g, fam, omega).tobytes()
-    # below the split size the operators run the serial pass
+    want_avg = serial_averages(g, fam, omega)
+    assert (want_widx >= 0).any()
+    forks = counted_forks(monkeypatch)
+    # below the split size the operators run one chunk, with no fork
     assert mx.maximal_field(g, fam, omega).values.tobytes() == want_values.reshape(-1).tobytes()
-    assert mx.member_averages(g, fam, omega).tobytes() == avg.tobytes()
+    assert mx.member_averages(g, fam, omega).tobytes() == want_avg.tobytes()
+    assert forks == []
+    # forcing n chunks forks n - 1 workers a pass
+    fld = in_chunks(monkeypatch, chunks, mx.maximal_field, g, fam, omega)
+    assert fld.values.tobytes() == want_values.reshape(-1).tobytes()
+    assert fld.witness_idx.tobytes() == want_widx.reshape(-1).tobytes()
+    avg = in_chunks(monkeypatch, chunks, mx.member_averages, g, fam, omega)
+    assert avg.tobytes() == want_avg.tobytes()
+    assert len(forks) == 2 * (chunks - 1)
     assert_no_child()
     if case == "cut_ties" and chunks == 3:
         # a chunk boundary falls between two members of one centre run
@@ -898,6 +937,25 @@ def test_split_pass_is_bit_identical_to_the_serial_pass(case, chunks):
         keys = [(sub[int(r)].kind, sub[int(r)].center, int(a), int(b)) for r, a, b in zip(rows, lo[:, 0], hi[:, 0])]
         cuts = mx._cuts(np.prod(hi - lo, axis=1), chunks)[1:-1]
         assert any(keys[k - 1] == keys[k] for k in cuts)
+
+
+@pytest.mark.parametrize("fails", [{1}, {2}, {1, 2}])
+@pytest.mark.parametrize("case", ["half_ball", "cylinder", "cut_ties"])
+def test_a_chunk_that_cannot_fork_runs_in_the_caller(case, fails, monkeypatch):
+    g, fam, omega = split_case(case)
+    want = in_chunks(monkeypatch, 1, mx.maximal_field, g, fam, omega)
+    want_avg = in_chunks(monkeypatch, 1, mx.member_averages, g, fam, omega)
+    forks = counted_forks(monkeypatch, fails)
+    fld = in_chunks(monkeypatch, 3, mx.maximal_field, g, fam, omega)
+    assert len(forks) == 2
+    assert_no_child()
+    forks.clear()
+    avg = in_chunks(monkeypatch, 3, mx.member_averages, g, fam, omega)
+    assert len(forks) == 2
+    assert_no_child()
+    assert fld.values.tobytes() == want.values.tobytes()
+    assert fld.witness_idx.tobytes() == want.witness_idx.tobytes()
+    assert avg.tobytes() == want_avg.tobytes()
 
 
 def large_h2_case():
@@ -914,9 +972,7 @@ def test_split_operators_reap_every_worker(monkeypatch):
     _, _, _, lo, hi = mx._pass_inputs(g, fam)
     chunks = mx._chunk_count(int(np.prod(hi - lo, axis=1).sum()))
     assert chunks > 1 or len(os.sched_getaffinity(0)) == 1
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    forks = counted_forks(monkeypatch)
     fld = mx.maximal_field(g, fam)
     assert_no_child()
     avg = mx.member_averages(g, fam)
@@ -942,15 +998,15 @@ def test_a_failing_chunk_raises_in_the_caller_and_every_worker_is_reaped(monkeyp
         return spy
 
     monkeypatch.setattr(h2, "_numerator", fail("worker"))
-    for field in (True, False):
+    for op in (mx.maximal_field, mx.member_averages):
         with pytest.raises(RuntimeError, match="member-pass worker failed"):
-            mx._split_pass(g, fam, None, field, 3)
+            in_chunks(monkeypatch, 3, op, g, fam)
         assert_no_child()
     # the worker prints its own traceback
     assert "ZeroDivisionError: in the worker" in capfd.readouterr().err
     monkeypatch.setattr(h2, "_numerator", fail("caller"))
     with pytest.raises(ZeroDivisionError, match="in the caller"):
-        mx._split_pass(g, fam, None, True, 3)
+        in_chunks(monkeypatch, 3, mx.maximal_field, g, fam)
     assert_no_child()
 
 
@@ -977,12 +1033,12 @@ def test_split_pass_raises_the_serial_errors_before_any_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     for grid, members, omega in cases:
         with pytest.raises((ValueError, TypeError)) as want:
-            list(mx._member_pass(grid, members, omega))
+            list(member_pass(grid, members, omega))
         for op in (lambda: mx.maximal_field(grid, members, omega=omega),
                    lambda: mx.member_averages(grid, members, omega=omega),
                    lambda: mx.level_set_table(grid, members, [0.5], omega=omega),
-                   lambda: mx._split_pass(grid, members, omega, True, 2),
-                   lambda: mx._split_pass(grid, members, omega, False, 3)):
+                   lambda: in_chunks(monkeypatch, 2, mx.maximal_field, grid, members, omega),
+                   lambda: in_chunks(monkeypatch, 3, mx.member_averages, grid, members, omega)):
             with pytest.raises(want.type) as got:
                 op()
             assert str(got.value) == str(want.value)

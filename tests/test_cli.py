@@ -156,6 +156,15 @@ def test_exit_code_on_failure(monkeypatch):
         ["vitali", "--config", "count=0"],
         ["overlap", "--seed=-1"],
         ["vitali", "--samples", "0"],
+        # refused by argparse: a flag value of the wrong type, an unknown
+        # flag, a flag without its value and an unknown subcommand
+        ["vitali", "--count", "abc"],
+        ["areas", "--seed", "1.5"],
+        ["volume", "--samples", "1e4"],
+        ["levelset", "--nu", "one"],
+        ["areas", "--bogus"],
+        ["maxfn", "--grid", "-4:4:-2:2:8:8"],
+        ["bogus"],
         # a sample count above the run's cap, before any draw: run time
         # binds on h2, the abelian volume and pack, the held draws' bytes
         # (which grow with p + q) on the others
@@ -273,6 +282,14 @@ def test_invalid_input_exits_2(argv, tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("hypmax: error: ")
+
+
+def test_help_prints_the_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: hypmax") and captured.err == ""
 
 
 def finite_numbers(node) -> bool:

@@ -31,7 +31,6 @@ KEEP = {
     "hyp2.admissible_hull": "the half-plane hull lemma that K3 rests on",
     "drsets.admissible_hull_cyl": "the cylinder form of the hull lemma",
     "drsets.annulus_check": "the only check of the gauge annulus lemma",
-    "maxop._member_pass": "the serial member pass, one generator, that the split pass is compared with",
     # the L^p comparison of balls and half balls will report it
     "maxop.lp_norm": "L^p norms for the ball vs half-ball comparison",
     # public API: the README or the benchmark names it
