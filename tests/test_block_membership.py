@@ -5,7 +5,13 @@ import errno
 import itertools
 import math
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -885,6 +891,35 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def children() -> set:
+    """The pids of this process's children, from the parent pid of every
+    process in /proc."""
+    out = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process left
+            continue
+        if int(fields[1]) == os.getpid():
+            out.add(int(stat.parent.name))
+    return out
+
+
+def assert_only_workers(n):
+    """The pool holds n workers, and they are this process's only children."""
+    assert len(mx._pool) == n
+    assert children() == {w.pid for w in mx._pool}
+
+
+@pytest.fixture
+def no_pool():
+    """A test that counts forks or patches what a worker runs starts with no
+    pool, so its workers are forked after its patches; it leaves none."""
+    mx._close_pool()
+    yield
+    mx._close_pool()
+
+
 def in_chunks(monkeypatch, chunks, op, *args):
     """op(*args) with every member pass forced into ``chunks`` chunks,
     whatever its size."""
@@ -910,10 +945,22 @@ def counted_forks(monkeypatch, fails=()):
     return calls
 
 
+def assert_same_pass(monkeypatch, chunks, g, fam, omega=None):
+    """The field and the table of a pass forced into ``chunks`` chunks equal
+    the one-chunk pass's, byte for byte."""
+    for op in (mx.maximal_field, mx.member_averages):
+        want, got = (in_chunks(monkeypatch, n, op, g, fam, omega) for n in (1, chunks))
+        if op is mx.maximal_field:
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.witness_idx.tobytes() == want.witness_idx.tobytes()
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("chunks", [2, 3])
 @pytest.mark.parametrize("case", H2_KINDS + ["admissible_cylinder", "cylinder", "split_centre", "radii_order",
                                              "mixed_kinds", "runs_of_one", "empty_suffix", "window_edge", "cut_ties"])
-def test_split_pass_is_bit_identical_to_the_serial_pass(case, chunks, monkeypatch):
+def test_split_pass_is_bit_identical_to_the_serial_pass(case, chunks, monkeypatch, no_pool):
     g, fam, omega = split_case(case)
     want_values, want_widx = serial_field(g, fam, omega)
     want_avg = serial_averages(g, fam, omega)
@@ -923,13 +970,15 @@ def test_split_pass_is_bit_identical_to_the_serial_pass(case, chunks, monkeypatc
     assert mx.maximal_field(g, fam, omega).values.tobytes() == want_values.reshape(-1).tobytes()
     assert mx.member_averages(g, fam, omega).tobytes() == want_avg.tobytes()
     assert forks == []
-    # forcing n chunks forks n - 1 workers a pass
+    # the first pass in n chunks forks n - 1 workers, and the next reuses them
     fld = in_chunks(monkeypatch, chunks, mx.maximal_field, g, fam, omega)
     assert fld.values.tobytes() == want_values.reshape(-1).tobytes()
     assert fld.witness_idx.tobytes() == want_widx.reshape(-1).tobytes()
     avg = in_chunks(monkeypatch, chunks, mx.member_averages, g, fam, omega)
     assert avg.tobytes() == want_avg.tobytes()
-    assert len(forks) == 2 * (chunks - 1)
+    assert len(forks) == chunks - 1
+    assert_only_workers(chunks - 1)
+    mx._close_pool()
     assert_no_child()
     if case == "cut_ties" and chunks == 3:
         # a chunk boundary falls between two members of one centre run
@@ -941,21 +990,24 @@ def test_split_pass_is_bit_identical_to_the_serial_pass(case, chunks, monkeypatc
 
 @pytest.mark.parametrize("fails", [{1}, {2}, {1, 2}])
 @pytest.mark.parametrize("case", ["half_ball", "cylinder", "cut_ties"])
-def test_a_chunk_that_cannot_fork_runs_in_the_caller(case, fails, monkeypatch):
+def test_a_chunk_that_cannot_fork_runs_in_the_caller(case, fails, monkeypatch, no_pool):
     g, fam, omega = split_case(case)
     want = in_chunks(monkeypatch, 1, mx.maximal_field, g, fam, omega)
     want_avg = in_chunks(monkeypatch, 1, mx.member_averages, g, fam, omega)
     forks = counted_forks(monkeypatch, fails)
+    # each of chunks 1 and 2 tries a fork; a chunk whose fork raised runs here
     fld = in_chunks(monkeypatch, 3, mx.maximal_field, g, fam, omega)
     assert len(forks) == 2
-    assert_no_child()
-    forks.clear()
+    assert_only_workers(2 - len(fails))
+    # the next pass forks only the workers the pool lacks
     avg = in_chunks(monkeypatch, 3, mx.member_averages, g, fam, omega)
-    assert len(forks) == 2
-    assert_no_child()
+    assert len(forks) == 2 + len(fails)
+    assert_only_workers(2)
     assert fld.values.tobytes() == want.values.tobytes()
     assert fld.witness_idx.tobytes() == want.witness_idx.tobytes()
     assert avg.tobytes() == want_avg.tobytes()
+    mx._close_pool()
+    assert_no_child()
 
 
 def large_h2_case():
@@ -967,50 +1019,192 @@ def large_h2_case():
     return g, mx.h2_lattice("half_ball", mx.grid_centers(g, 24), mx.radius_ladder(1.0, 4))
 
 
-def test_split_operators_reap_every_worker(monkeypatch):
+def test_split_operators_reap_every_worker(monkeypatch, no_pool):
     g, fam = large_h2_case()
     _, _, _, lo, hi = mx._pass_inputs(g, fam)
     chunks = mx._chunk_count(int(np.prod(hi - lo, axis=1).sum()))
     assert chunks > 1 or len(os.sched_getaffinity(0)) == 1
     forks = counted_forks(monkeypatch)
     fld = mx.maximal_field(g, fam)
-    assert_no_child()
+    assert_only_workers(chunks - 1)
     avg = mx.member_averages(g, fam)
-    assert_no_child()
-    assert len(forks) == 2 * (chunks - 1)
+    assert_only_workers(chunks - 1)
+    assert len(forks) == chunks - 1
     values, widx = serial_field(g, fam)
     assert fld.values.tobytes() == values.reshape(-1).tobytes()
     assert fld.witness_idx.tobytes() == widx.reshape(-1).tobytes()
     assert avg.tobytes() == serial_averages(g, fam).tobytes()
+    # closing the pool reaps every worker
+    mx._close_pool()
+    assert_no_child()
 
 
-def test_a_failing_chunk_raises_in_the_caller_and_every_worker_is_reaped(monkeypatch, capfd):
+def test_consecutive_split_passes_run_in_one_pool(monkeypatch, no_pool):
+    big, half_balls = large_h2_case()
+    small, trigona = h2_grid(), h2_family(h2_grid(), "trigonon")
+    forks = counted_forks(monkeypatch)
+    for g, fam, omega in ((big, half_balls, None), split_case("cylinder"), (small, trigona, None)):
+        want = in_chunks(monkeypatch, 1, mx.maximal_field, g, fam, omega)
+        got = in_chunks(monkeypatch, 3, mx.maximal_field, g, fam, omega)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.witness_idx.tobytes() == want.witness_idx.tobytes()
+    want = in_chunks(monkeypatch, 1, mx.member_averages, big, half_balls)
+    assert in_chunks(monkeypatch, 3, mx.member_averages, big, half_balls).tobytes() == want.tobytes()
+    # two workers, forked by the first pass, ran every later one
+    assert len(forks) == 2
+    assert_only_workers(2)
+
+
+def test_a_failing_chunk_raises_in_the_caller_and_every_worker_is_reaped(monkeypatch, no_pool):
     g = h2_grid()
     fam = h2_family(g, "half_ball")
     caller = os.getpid()
     numerator = h2._numerator
 
-    def fail(where):
+    def fail(where, exc=ZeroDivisionError):
         def spy(*a):
             if (os.getpid() == caller) == (where == "caller"):
-                raise ZeroDivisionError(f"in the {where}")
+                raise exc(f"in the {where}")
             return numerator(*a)
         return spy
 
+    # the workers are forked after the patch, so they run it
     monkeypatch.setattr(h2, "_numerator", fail("worker"))
     for op in (mx.maximal_field, mx.member_averages):
-        with pytest.raises(RuntimeError, match="member-pass worker failed"):
+        with pytest.raises(RuntimeError, match="member-pass worker failed: ZeroDivisionError: in the worker") as exc:
             in_chunks(monkeypatch, 3, op, g, fam)
+        # the worker sends its traceback with its exception
+        assert "Traceback (most recent call last)" in str(exc.value)
+        assert mx._pool == []
         assert_no_child()
-    # the worker prints its own traceback
-    assert "ZeroDivisionError: in the worker" in capfd.readouterr().err
-    monkeypatch.setattr(h2, "_numerator", fail("caller"))
-    with pytest.raises(ZeroDivisionError, match="in the caller"):
+    # chunk 0 raising, or Ctrl-C in the caller, while the workers run theirs
+    for exc in (ZeroDivisionError, KeyboardInterrupt):
+        monkeypatch.setattr(h2, "_numerator", fail("caller", exc))
+        with pytest.raises(exc, match="in the caller"):
+            in_chunks(monkeypatch, 3, mx.maximal_field, g, fam)
+        assert mx._pool == []
+        assert_no_child()
+    # the pass after a failed one forks a new pool and reads no stale result
+    monkeypatch.setattr(h2, "_numerator", numerator)
+    assert_same_pass(monkeypatch, 3, g, fam)
+    assert_only_workers(2)
+
+
+def test_a_killed_worker_fails_the_next_pass_only(monkeypatch, no_pool):
+    g, fam, _ = split_case("cut_ties")
+    assert_same_pass(monkeypatch, 3, g, fam)
+    # Ctrl-C reaches the caller alone: a worker ignores SIGINT
+    workers = list(mx._pool)
+    for w in workers:
+        os.kill(w.pid, signal.SIGINT)
+    assert_same_pass(monkeypatch, 3, g, fam)
+    assert mx._pool == workers
+    pid = mx._pool[1].pid
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+    with pytest.raises(RuntimeError, match="member-pass worker died"):
         in_chunks(monkeypatch, 3, mx.maximal_field, g, fam)
+    assert mx._pool == []
     assert_no_child()
+    assert_same_pass(monkeypatch, 3, g, fam)
+    assert_only_workers(2)
 
 
-def test_split_pass_raises_the_serial_errors_before_any_fork(monkeypatch):
+def test_threads_take_turns_on_the_pool(monkeypatch, no_pool):
+    g, fam, _ = split_case("cut_ties")
+    want = in_chunks(monkeypatch, 1, mx.maximal_field, g, fam)
+    # the pool is forked before the threads start, so no thread forks
+    assert_same_pass(monkeypatch, 3, g, fam)
+    monkeypatch.setattr(mx, "_chunk_count", lambda cells: 3)
+    results = []
+
+    def passes():
+        for _ in range(5):
+            results.append(mx.maximal_field(g, fam))
+
+    threads = [threading.Thread(target=passes) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 20
+    for got in results:
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.witness_idx.tobytes() == want.witness_idx.tobytes()
+    assert_only_workers(2)
+
+
+def test_a_forked_child_drops_the_pool_and_forks_its_own(monkeypatch, no_pool):
+    g, fam, _ = split_case("cut_ties")
+    assert_same_pass(monkeypatch, 3, g, fam)
+    workers = list(mx._pool)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            # the parent's workers are gone from the child's pool, and a
+            # split pass in the child forks two of its own
+            assert mx._pool == [] and children() == set()
+            assert_same_pass(monkeypatch, 3, g, fam)
+            assert_only_workers(2)
+            mx._close_pool()
+            os._exit(0)
+        finally:
+            os._exit(1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    # the parent's pool is untouched
+    assert mx._pool == workers
+    assert_same_pass(monkeypatch, 3, g, fam)
+    assert mx._pool == workers
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SPLIT_CHILD = """
+import os, signal, sys
+from hypmax import hyp2 as h2, maxop as mx, measure as ms
+g = ms.build_grid("h2", (-3.0, 3.0, -1.5, 1.5), (40, 24))
+g.set_values(lambda x, y: h2.contains_mask(h2.ball(h2.HPoint(0.4, 1.3), 0.9), x, y).astype(float))
+mx._chunk_count = lambda cells: 3
+mx.maximal_field(g, mx.h2_lattice("half_ball", mx.grid_centers(g, 8), mx.radius_ladder(1.0, 4)))
+print(*(w.pid for w in mx._pool), flush=True)
+if sys.argv[1] == "kill":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def running(pid) -> bool:
+    """The process exists and has not exited (a zombie has)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("how", ["exit", "kill"])
+def test_no_worker_outlives_its_caller(how):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SPLIT_CHILD, how], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == (0 if how == "exit" else -signal.SIGKILL), proc.stderr
+    pids = [int(p) for p in proc.stdout.split()]
+    assert len(pids) == 2
+    if how == "exit":
+        # the caller's exit reaped its workers
+        assert not any(map(running, pids))
+    else:
+        # a caller killed by a signal closes its task pipes, and each
+        # worker leaves at their end
+        deadline = time.monotonic() + 30
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
+
+
+def test_split_pass_raises_the_serial_errors_before_any_fork(monkeypatch, no_pool):
     # the refusals of test_member_blocks_reject_foreign_descriptors, each
     # after a family of its grid large enough to split, with and without
     # omega, and a large cylinder family without omega
