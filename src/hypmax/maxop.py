@@ -56,77 +56,35 @@ than 2 x ``_CHUNK_CELLS`` block cells.  The errors of the pass (a member of
 the other space, a cylinder family without omega) are raised in the caller
 before any fork.
 
-Chunks 1 to n - 1 run in the member-pass workers: a pool of processes
-forked from the caller the first time a pass splits and kept until the
-process exits, which grows by one fork wherever a pass has more chunks
-than it has workers (so usable CPUs - 1 forks in all, whatever the number
-of passes).  The caller writes each chunk its task through a pipe: the
-grid without its values, the weighted |f|, the family, the chunk's rows
-and blocks, and omega, pickled with protocol 5, so that the numpy buffers
-go out of band, straight from the caller's arrays.  It then runs chunk 0
-on its own field or table; a chunk whose fork raises (out of processes,
-memory or file descriptors) runs in the caller too, after chunk 0.  Each
-chunk runs the family's unchanged ``cells`` on its members.  A worker
-paints a zeroed field of its own and sends back only the box that its
-chunk's blocks cover (16 bytes a cell of the box), or the averages of its
-rows; the caller writes the averages at their members' indices, and merges
-each box into its field only where the box's value is strictly greater, in
-chunk order.  That merge is exact: each chunk's field holds, at each cell,
-the first maximum over the chunk's members (and 0.0 outside their blocks),
+Chunks 1 to n - 1 run in the workers of ``pool``, whose docstring gives
+their lifetime, as tasks of ``_run``: the grid without its values, the
+weighted |f|, the family, the chunk's rows and blocks, and omega.  The
+caller runs chunk 0 on its own field or table meanwhile.  Each chunk runs
+the family's unchanged ``cells`` on its members.  A worker paints a zeroed
+field of its own and sends back only the box that its chunk's blocks
+cover (16 bytes a cell of the box), or the averages of its rows; the
+caller writes the averages at their members' indices, and merges each box
+into its field only where the box's value is strictly greater, in chunk
+order.  That merge is exact: each chunk's field holds, at each cell, the
+first maximum over the chunk's members (and 0.0 outside their blocks),
 and strict ``>`` in chunk order keeps the first maximum over the chunks,
 which is the first maximum over the family, the serial field bit for bit
 however the rows are chunked, a boundary inside a centre run included
 (each chunk walks its part of the run as a run of its own, and every
 average and mask has the bits it has in the whole run).
-
-A worker ignores SIGINT, so that Ctrl-C reaches the caller alone, and it
-leaves through ``os._exit`` at the end of its task pipe, so that a caller
-killed by a signal leaves no worker behind.  At exit (``atexit``) the
-caller closes every pipe and kills and reaps every worker.  A process
-forked from the caller, by user code or by a new worker, drops the pool it
-inherits (``os.register_at_fork``): it closes its copies of the pipes, so
-it never writes into its parent's workers and keeps no worker's pipe open,
-and it forks a pool of its own if it splits a pass.  A worker that raises
-sends back its exception's type, message and traceback, and the caller
-raises ``RuntimeError`` naming them; a worker found dead (its pipe ended)
-fails the pass with ``RuntimeError`` too.  Any exception in the caller
-during a pass (a worker's, chunk 0's, a ``KeyboardInterrupt``) closes,
-kills and reaps the pool before it propagates, so no later pass reads a
-stale result: the next split forks a new pool.  One pass at a time uses
-the pool (a lock).  A worker keeps the pages of the caller's heap at its
-fork alive, copy-on-write, for as long as it lives.  On a 2-CPU VM the
-pool, against a fork per split pass that merged each worker's whole field,
-took the h2-field benchmark's rescaled median request from 0.187 to
-0.156 s (-17 %, lower in 10 of 10 alternating 15-s runs; raw medians 0.192
-and 0.159 s), and the caller's minor page faults per request from about
-6,200 to 3,900.
-
-Python >= 3.12 warns on ``os.fork`` in a threaded process, and numpy's
-OpenBLAS starts a thread at import; the pool silences that warning around
-its forks.  The worker is safe: it only runs the family's ``cells``
-and numpy's elementwise, comparison, sort and sum loops, so it calls no
-BLAS routine and takes no lock that the OpenBLAS thread holds, and it
-writes only its own arrays and its pipe.
 """
 
 from __future__ import annotations
 
-import atexit
-import contextlib
 import dataclasses
 import math
 import os
-import pickle
-import signal
-import struct
-import threading
-import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import hyp2
+from . import hyp2, pool
 from .hyp2 import H2Family, SetKind
 from .measure import SampleGrid, family_of, member_blocks
 from .measure import membership_mask  # noqa: F401  (perfbench/tracing.py wraps maxop.membership_mask)
@@ -303,7 +261,7 @@ def _split_pass(grid: SampleGrid, members, omega: float, field: bool):
     # a worker reads the grid's axes (and algebra), never its values
     bare = dataclasses.replace(grid, values=None)
     tasks = [(field, bare, wv, fam, rows[sl], lo[sl], hi[sl], omega) for sl in rest]
-    results = _in_workers(tasks, lambda: sink(fam.cells(grid, wv, rows[first], lo[first], hi[first], omega), *outs))
+    results = pool.run(_run, tasks, lambda: sink(fam.cells(grid, wv, rows[first], lo[first], hi[first], omega), *outs))
     if not field:
         for sl, avg in zip(rest, results):
             outs[0][rows[sl]] = avg
@@ -334,171 +292,6 @@ def _run(task):
     _paint(items, values, witness)
     box = _box(lo, hi)
     return np.ascontiguousarray(values[box]), np.ascontiguousarray(witness[box])
-
-
-class _Worker(NamedTuple):
-    pid: int
-    task: int  # the write end of its task pipe
-    result: int  # the read end of its result pipe
-
-
-# the live workers, forked on demand and kept until exit or a failed pass;
-# the lock keeps one pass at a time on them
-_pool: list = []
-_lock = threading.Lock()
-
-
-def _in_workers(tasks: list, first) -> list:
-    """first() here, and the ``_run`` result of each task, in order.  Task
-    k goes to the pool's worker k, forked where the pool has no worker
-    left; a task whose fork raises runs here, after first().  Any
-    exception closes the pool before it propagates, so that no later pass
-    reads a stale result; a worker's exception, and a worker found dead,
-    raise ``RuntimeError``."""
-    if not tasks:
-        first()
-        return []
-    with _lock:
-        try:
-            used, workers = 0, []
-            for task in tasks:
-                if used == len(_pool):
-                    _grow()
-                w = _pool[used] if used < len(_pool) else None
-                if w is not None:
-                    _send(w.task, task)
-                    used += 1
-                workers.append(w)
-            first()
-            return [_run(t) if w is None else _reply(w) for t, w in zip(tasks, workers)]
-        except (BrokenPipeError, EOFError) as exc:
-            _close_pool()
-            raise RuntimeError("a member-pass worker died") from exc
-        except BaseException:
-            _close_pool()
-            raise
-
-
-def _reply(w: _Worker):
-    """The result that worker w sent back; ``RuntimeError`` where its task
-    raised."""
-    ok, out = _recv(w.result)
-    if not ok:
-        name, message, tb = out
-        raise RuntimeError(f"a member-pass worker failed: {name}: {message}\n\nworker {tb}")
-    return out
-
-
-def _grow() -> None:
-    """Fork one more worker into the pool; none where a pipe or the fork
-    raises ``OSError`` (out of processes, memory or file descriptors)."""
-    fds = []
-    try:
-        fds += os.pipe()
-        fds += os.pipe()
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on a fork in a threaded process; the
-            # worker is safe (see the module docstring)
-            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return
-    task_r, task_w, result_r, result_w = fds
-    if pid == 0:
-        try:
-            os.close(task_w)
-            os.close(result_r)
-            _serve(task_r, result_w)
-        finally:
-            os._exit(0)
-    os.close(task_r)
-    os.close(result_w)
-    _pool.append(_Worker(pid, task_w, result_r))
-
-
-def _serve(task: int, result: int) -> None:
-    """A worker's loop until its task pipe ends: write (True, ``_run`` of
-    the task) for each task read, or (False, (type name, message,
-    traceback)) where it raises.  Ctrl-C reaches the caller alone."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            job = _recv(task)
-        except EOFError:
-            return
-        try:
-            reply = (True, _run(job))
-        except BaseException as exc:
-            import traceback  # only a failing worker needs it
-
-            reply = (False, (type(exc).__name__, str(exc), traceback.format_exc()))
-        _send(result, reply)
-
-
-def _close_pool() -> None:
-    """Close every worker's pipes, then kill and reap it."""
-    while _pool:
-        w = _pool.pop()
-        os.close(w.task)
-        os.close(w.result)
-        with contextlib.suppress(ProcessLookupError, ChildProcessError):
-            os.kill(w.pid, signal.SIGKILL)
-            os.waitpid(w.pid, 0)
-
-
-def _drop_pool() -> None:
-    """In a forked child: close the inherited pipe ends of the parent's
-    workers and forget them, so that the child never writes into them and
-    forks a pool of its own if it splits a pass."""
-    global _lock
-    while _pool:
-        w = _pool.pop()
-        os.close(w.task)
-        os.close(w.result)
-    _lock = threading.Lock()
-
-
-atexit.register(_close_pool)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _send(fd: int, obj) -> None:
-    """Write ``obj`` to the pipe ``fd``: the count of its parts, their
-    sizes, its pickle, then the buffers that the pickle leaves out of band
-    (numpy arrays), each from its own memory."""
-    bufs = []
-    head = pickle.dumps(obj, protocol=5, buffer_callback=bufs.append)
-    parts = [memoryview(head), *(b.raw() for b in bufs)]
-    _write(fd, struct.pack(f"<{len(parts) + 1}q", len(parts), *(p.nbytes for p in parts)))
-    for p in parts:
-        _write(fd, p)
-
-
-def _recv(fd: int):
-    """The object that ``_send`` wrote to the pipe ``fd``; ``EOFError``
-    where the pipe ends first."""
-    (count,) = struct.unpack("<q", _read(fd, 8))
-    head, *bufs = (_read(fd, size) for size in struct.unpack(f"<{count}q", _read(fd, 8 * count)))
-    return pickle.loads(head, buffers=bufs)
-
-
-def _write(fd: int, data: memoryview) -> None:
-    while data:
-        data = data[os.write(fd, data) :]
-
-
-def _read(fd: int, size: int) -> bytearray:
-    buf = bytearray(size)
-    view = memoryview(buf)
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            raise EOFError("a member-pass pipe ended")
-        view = view[got:]
-    return buf
 
 
 def member_averages(grid: SampleGrid, members, omega: float = None) -> np.ndarray:

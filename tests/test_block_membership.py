@@ -23,6 +23,7 @@ from hypmax import htype as ht
 from hypmax import hyp2 as h2
 from hypmax import maxop as mx
 from hypmax import measure as ms
+from hypmax import pool
 from hypmax.htype import NPoint
 from hypmax.report import NoHits
 
@@ -907,17 +908,17 @@ def children() -> set:
 
 def assert_only_workers(n):
     """The pool holds n workers, and they are this process's only children."""
-    assert len(mx._pool) == n
-    assert children() == {w.pid for w in mx._pool}
+    assert len(pool._pool) == n
+    assert children() == {w.pid for w in pool._pool}
 
 
 @pytest.fixture
 def no_pool():
     """A test that counts forks or patches what a worker runs starts with no
     pool, so its workers are forked after its patches; it leaves none."""
-    mx._close_pool()
+    pool._close_pool()
     yield
-    mx._close_pool()
+    pool._close_pool()
 
 
 def in_chunks(monkeypatch, chunks, op, *args):
@@ -978,7 +979,7 @@ def test_split_pass_is_bit_identical_to_the_serial_pass(case, chunks, monkeypatc
     assert avg.tobytes() == want_avg.tobytes()
     assert len(forks) == chunks - 1
     assert_only_workers(chunks - 1)
-    mx._close_pool()
+    pool._close_pool()
     assert_no_child()
     if case == "cut_ties" and chunks == 3:
         # a chunk boundary falls between two members of one centre run
@@ -1006,7 +1007,7 @@ def test_a_chunk_that_cannot_fork_runs_in_the_caller(case, fails, monkeypatch, n
     assert fld.values.tobytes() == want.values.tobytes()
     assert fld.witness_idx.tobytes() == want.witness_idx.tobytes()
     assert avg.tobytes() == want_avg.tobytes()
-    mx._close_pool()
+    pool._close_pool()
     assert_no_child()
 
 
@@ -1035,7 +1036,7 @@ def test_split_operators_reap_every_worker(monkeypatch, no_pool):
     assert fld.witness_idx.tobytes() == widx.reshape(-1).tobytes()
     assert avg.tobytes() == serial_averages(g, fam).tobytes()
     # closing the pool reaps every worker
-    mx._close_pool()
+    pool._close_pool()
     assert_no_child()
 
 
@@ -1075,14 +1076,14 @@ def test_a_failing_chunk_raises_in_the_caller_and_every_worker_is_reaped(monkeyp
             in_chunks(monkeypatch, 3, op, g, fam)
         # the worker sends its traceback with its exception
         assert "Traceback (most recent call last)" in str(exc.value)
-        assert mx._pool == []
+        assert pool._pool == []
         assert_no_child()
     # chunk 0 raising, or Ctrl-C in the caller, while the workers run theirs
     for exc in (ZeroDivisionError, KeyboardInterrupt):
         monkeypatch.setattr(h2, "_numerator", fail("caller", exc))
         with pytest.raises(exc, match="in the caller"):
             in_chunks(monkeypatch, 3, mx.maximal_field, g, fam)
-        assert mx._pool == []
+        assert pool._pool == []
         assert_no_child()
     # the pass after a failed one forks a new pool and reads no stale result
     monkeypatch.setattr(h2, "_numerator", numerator)
@@ -1094,17 +1095,17 @@ def test_a_killed_worker_fails_the_next_pass_only(monkeypatch, no_pool):
     g, fam, _ = split_case("cut_ties")
     assert_same_pass(monkeypatch, 3, g, fam)
     # Ctrl-C reaches the caller alone: a worker ignores SIGINT
-    workers = list(mx._pool)
+    workers = list(pool._pool)
     for w in workers:
         os.kill(w.pid, signal.SIGINT)
     assert_same_pass(monkeypatch, 3, g, fam)
-    assert mx._pool == workers
-    pid = mx._pool[1].pid
+    assert pool._pool == workers
+    pid = pool._pool[1].pid
     os.kill(pid, signal.SIGKILL)
     os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
     with pytest.raises(RuntimeError, match="member-pass worker died"):
         in_chunks(monkeypatch, 3, mx.maximal_field, g, fam)
-    assert mx._pool == []
+    assert pool._pool == []
     assert_no_child()
     assert_same_pass(monkeypatch, 3, g, fam)
     assert_only_workers(2)
@@ -1143,35 +1144,35 @@ def test_threads_take_turns_on_the_pool(monkeypatch, no_pool):
 def test_a_forked_child_drops_the_pool_and_forks_its_own(monkeypatch, no_pool):
     g, fam, _ = split_case("cut_ties")
     assert_same_pass(monkeypatch, 3, g, fam)
-    workers = list(mx._pool)
+    workers = list(pool._pool)
     pid = os.fork()
     if pid == 0:
         try:
             # the parent's workers are gone from the child's pool, and a
             # split pass in the child forks two of its own
-            assert mx._pool == [] and children() == set()
+            assert pool._pool == [] and children() == set()
             assert_same_pass(monkeypatch, 3, g, fam)
             assert_only_workers(2)
-            mx._close_pool()
+            pool._close_pool()
             os._exit(0)
         finally:
             os._exit(1)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
     # the parent's pool is untouched
-    assert mx._pool == workers
+    assert pool._pool == workers
     assert_same_pass(monkeypatch, 3, g, fam)
-    assert mx._pool == workers
+    assert pool._pool == workers
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SPLIT_CHILD = """
 import os, signal, sys
-from hypmax import hyp2 as h2, maxop as mx, measure as ms
+from hypmax import hyp2 as h2, maxop as mx, measure as ms, pool
 g = ms.build_grid("h2", (-3.0, 3.0, -1.5, 1.5), (40, 24))
 g.set_values(lambda x, y: h2.contains_mask(h2.ball(h2.HPoint(0.4, 1.3), 0.9), x, y).astype(float))
 mx._chunk_count = lambda cells: 3
 mx.maximal_field(g, mx.h2_lattice("half_ball", mx.grid_centers(g, 8), mx.radius_ladder(1.0, 4)))
-print(*(w.pid for w in mx._pool), flush=True)
+print(*(w.pid for w in pool._pool), flush=True)
 if sys.argv[1] == "kill":
     os.kill(os.getpid(), signal.SIGKILL)
 """
